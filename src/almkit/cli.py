@@ -56,13 +56,7 @@ SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "obj_evals")
 
 
 def policy_to_dict(policy) -> dict:
-    if isinstance(policy, PracticalDual):
-        return {"variant": "practical"}
-    if isinstance(policy, TheoreticalDual):
-        return {"variant": "theoretical", "w0": policy.w0}
-    if isinstance(policy, PowerGrowthDual):
-        return {"variant": "power", "M": policy.M, "q": policy.q}
-    raise TypeError(f"unknown policy {policy!r}")
+    return policy.to_dict()
 
 
 def policy_from_dict(data: dict):
@@ -201,9 +195,10 @@ def _diagnostics_dict(report: SolveReport, problem: ProblemSpec, config: RunConf
             "constant": verdict.constant,
             "max_product": verdict.max_product,
         }
-    if isinstance(config.solver.policy, TheoreticalDual) and not config.solver.penalty_mode:
+    policy = policy_to_dict(config.solver.policy)
+    if policy["variant"] == "theoretical" and not config.solver.penalty_mode:
         c0 = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
-        y_max = diag.dual_norm_bound(config.solver.policy.w0, c0)
+        y_max = diag.dual_norm_bound(policy["w0"], c0)
         observed = max((rec.y_norm for rec in report.records), default=0.0)
         out["dual_bound"] = {"y_max": y_max, "max_y_norm": observed, "holds": observed <= y_max}
     return out
@@ -298,7 +293,11 @@ def run_benchmark(config: RunConfig) -> list[TrialRow]:
 
 
 def reverify_trial(path: Path) -> dict:
-    """Load one trial file and independently recompute its final residuals."""
+    """Load one trial file and independently recompute its final residuals.
+
+    ``success`` holds only when the trial stored a final iterate, claimed
+    success, and both re-measured residuals are within its solver eps.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -309,10 +308,9 @@ def reverify_trial(path: Path) -> dict:
         "time": data.get("time_seconds", math.nan),
         "grad_evals": data.get("grad_evals", 0),
         "obj_evals": data.get("obj_evals", 0),
-        "success": bool(data.get("success", False)),
     }
     if data.get("final_x") is None:
-        row["pres"], row["dres"] = math.nan, math.nan
+        row["pres"], row["dres"], row["success"] = math.nan, math.nan, False
         return row
     problem = build_problem(data["instance_ref"])
     kkt = kkt_residual(
@@ -321,11 +319,14 @@ def reverify_trial(path: Path) -> dict:
         problem,
     )
     row["pres"], row["dres"] = kkt.pres, kkt.dres
+    eps = float(data.get("solver", {}).get("eps", math.nan))
+    row["success"] = bool(data.get("success", False)) and max(kkt.pres, kkt.dres) <= eps
     return row
 
 
 def emit_report(paths: list[Path], fmt: str = "csv", out=None) -> int:
-    """Re-verified campaign summary on stdout; returns a process exit code."""
+    """Re-verified campaign summary on stdout; returns a process exit code,
+    0 only when every trial re-verifies as a success."""
     out = out or sys.stdout
     rows = sorted((reverify_trial(p) for p in paths), key=lambda r: r["trial"])
     if fmt == "csv":

@@ -15,6 +15,7 @@ boundary so oracle bugs fail fast instead of corrupting a solve.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -48,9 +49,9 @@ def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
 class EvalCounters:
     """Cumulative oracle call counts.
 
-    ``obj``/``grad`` back the reported #Obj/#Grad columns: one augmented
-    Lagrangian gradient (one objective gradient plus one Jacobian-transpose
-    apply) counts as a single gradient evaluation.
+    The counters of a problem's smooth oracle back the reported #Obj/#Grad
+    columns: every call into the smooth gradient counts once, whether it
+    serves an augmented Lagrangian gradient or a KKT certificate.
     """
 
     obj: int = 0
@@ -347,17 +348,11 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.x0.shape[0]
 
-    def with_fresh_counters(self) -> "ProblemSpec":
+    def with_fresh_counters(self):
         """Shallow copy owning new counters (for one solve instance)."""
-        spec = ProblemSpec.__new__(ProblemSpec)
-        spec.smooth = self.smooth.with_counters(EvalCounters())
-        spec.nonsmooth = self.nonsmooth
-        spec.constraints = self.constraints
-        spec.constants = self.constants
-        spec.x0 = self.x0
-        spec.default_curvature = self.default_curvature
-        spec.counters = EvalCounters()
-        return spec
+        return dataclasses.replace(
+            self, smooth=self.smooth.with_counters(EvalCounters()), counters=EvalCounters()
+        )
 
 
 @dataclass(frozen=True)
@@ -377,6 +372,11 @@ class KktResidual:
             raise NonFiniteValue("KKT residuals must be finite")
         if self.pres < 0 or self.dres < 0:
             raise ValueError("KKT residuals must be nonnegative")
+
+    @property
+    def compl(self) -> float:
+        """Complementarity residual; equality constraints have none."""
+        return 0.0
 
 
 def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
@@ -426,8 +426,8 @@ def al_smooth_oracle(
 ) -> SmoothOracle:
     """The smooth AL part as a SmoothOracle for a fixed (y, beta).
 
-    Shares the problem-level counters, so each call counts once toward
-    #Obj/#Grad regardless of how many sub-oracle calls it makes.
+    Each of its gradients makes one call into ``problem.smooth``, which is
+    where #Grad is counted.
     """
     y = as_vector(y, problem.constraints.n_constraints, "y")
     if beta <= 0:
@@ -437,7 +437,6 @@ def al_smooth_oracle(
         gradient_fn=lambda x: _al_smooth_part_gradient(x, y, beta, problem),
         smoothness=smoothness,
         weak_convexity=weak_convexity,
-        counters=problem.counters,
     )
 
 
@@ -462,29 +461,38 @@ def al_curvature_params(
     return (rho_hat, L_hat)
 
 
-def kkt_residual(x: Array, y: Array, problem: ProblemSpec) -> KktResidual:
-    """Measure the KKT residual pair (||c(x)||, dist(0, subdiff f0(x) + J_c(x)'y)).
+def dual_residual(
+    x: Array, lagrangian_gradient: Callable[[Array], Array], h: ProxCapableFunction, L: float
+) -> tuple[float, bool]:
+    """dist(0, v + subdiff h(x)) for v = lagrangian_gradient(x), and whether
+    the value is a certified upper bound rather than exact.
 
-    The dual distance uses the nonsmooth term's exact subdifferential distance
-    when available.  Otherwise a certified upper bound is returned and
-    flagged: ||grad g + J_c'y|| for cone-subdifferential terms (zero always
-    belongs to a cone), or the one-step prox surrogate for general terms,
-    which certifies the prox-forward point of x.
+    Uses h's exact subdifferential distance when available.  Otherwise it
+    bounds the distance by ||v|| for cone-subdifferential terms (zero always
+    belongs to a cone), or by the one-step prox surrogate for general terms,
+    which certifies the prox-forward point of x with step 1/max(L, 1).
     """
+    v = lagrangian_gradient(x)
+    exact = h.subdiff_distance(x, -v)
+    if exact is not None:
+        return exact, False
+    if h.cone_subdiff:
+        return float(np.linalg.norm(v)), True
+    L = max(L, 1.0)
+    x_fwd = h.prox(x - v / L, 1.0 / L)
+    return float(np.linalg.norm(lagrangian_gradient(x_fwd) - v + L * (x - x_fwd))), True
+
+
+def kkt_residual(x: Array, y: Array, problem: ProblemSpec) -> KktResidual:
+    """Measure the KKT residual pair (||c(x)||, dist(0, subdiff f0(x) + J_c(x)'y)),
+    with the dual distance measured by ``dual_residual``."""
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
     c = problem.constraints.evaluate(x)
-    pres = float(np.linalg.norm(c))
-    v = problem.smooth.gradient(x) + problem.constraints.jacobian_transpose_apply(x, y)
-    exact = problem.nonsmooth.subdiff_distance(x, -v)
-    if exact is not None:
-        return KktResidual(pres=pres, dres=exact, dres_is_upper_bound=False)
-    if problem.nonsmooth.cone_subdiff:
-        return KktResidual(pres=pres, dres=float(np.linalg.norm(v)), dres_is_upper_bound=True)
-    L = max(problem.smooth.L, 1.0)
-    x_fwd = problem.nonsmooth.prox(x - v / L, 1.0 / L)
-    v_fwd = problem.smooth.gradient(x_fwd) + problem.constraints.jacobian_transpose_apply(
-        x_fwd, y
+    dres, flagged = dual_residual(
+        x,
+        lambda u: problem.smooth.gradient(u) + problem.constraints.jacobian_transpose_apply(u, y),
+        problem.nonsmooth,
+        problem.smooth.L,
     )
-    dres = float(np.linalg.norm(v_fwd - v + L * (x - x_fwd)))
-    return KktResidual(pres=pres, dres=dres, dres_is_upper_bound=True)
+    return KktResidual(pres=float(np.linalg.norm(c)), dres=dres, dres_is_upper_bound=flagged)

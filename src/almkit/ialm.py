@@ -1,13 +1,15 @@
-"""Outer inexact augmented Lagrangian loop for equality-constrained
-problems, with geometric penalty growth beta_k = beta0 * sigma^k, a choice
-of dual step-size policies, and a pure-penalty ablation mode that freezes
-the multipliers at zero.
+"""Outer inexact augmented Lagrangian loop, with geometric penalty growth
+beta_k = beta0 * sigma^k, a choice of dual step-size policies, and a
+pure-penalty ablation mode that freezes the multipliers at zero.
 
-Each outer iteration solves the AL subproblem to eps-stationarity with the
-proximal point method, then updates y by a damped ascent step
-y <- y + w_k c(x_{k+1}).  The loop stops at the first iterate whose primal
-residual and independently re-measured dual residual (with the certificate
-multiplier y_k + beta_k c(x_{k+1})) both fall below eps.
+One loop serves two constraint blocks: the equality block c(x) = 0 here,
+and the hinge block (affine equalities plus convex inequalities) in
+``almkit.ineq``.  Each outer iteration solves the AL subproblem to
+eps-stationarity with the proximal point method, then takes a damped dual
+ascent step y <- y + w_k c(x_{k+1}).  The loop stops at the first iterate
+whose independently re-measured KKT residuals, taken at the certificate
+multiplier (y_k + beta_k c(x_{k+1}) for the equality block), all fall
+below eps.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ LOG2_SQ = math.log(2.0) ** 2
 DEFAULT_RHO_FLOOR = 1e-6
 
 
+# Each policy gives the step size w_k for a residual norm r > 0 (at r = 0
+# the limit: w0, or inf for the residual-normalized rules), the equality
+# block's ascent step, and its CLI/JSON form.
+
+
 @dataclass(frozen=True)
 class TheoreticalDual:
     """w_k = w0 * min{1, gamma_k / ||c(x_{k+1})||}, the step size with a
@@ -46,6 +53,17 @@ class TheoreticalDual:
     def __post_init__(self):
         if self.w0 <= 0:
             raise ValueError("w0 must be positive")
+
+    def step_size(self, k: int, res: float, gamma_k: float) -> float:
+        if res == 0.0:
+            return self.w0
+        return self.w0 * min(1.0, gamma_k / res)
+
+    def ascend(self, y, c, c_norm: float, w: float, k: int):
+        return y + w * c
+
+    def to_dict(self) -> dict:
+        return {"variant": "theoretical", "w0": self.w0}
 
 
 @dataclass(frozen=True)
@@ -61,10 +79,30 @@ class PowerGrowthDual:
         if self.q < 0 or int(self.q) != self.q:
             raise ValueError("q must be a nonnegative integer")
 
+    def step_size(self, k: int, res: float, gamma_k: float) -> float:
+        return self.M * (k + 1) ** self.q / res if res > 0.0 else math.inf
+
+    def ascend(self, y, c, c_norm: float, w: float, k: int):
+        return y + self.M * (k + 1) ** self.q * (c / c_norm)
+
+    def to_dict(self) -> dict:
+        return {"variant": "power", "M": self.M, "q": self.q}
+
 
 @dataclass(frozen=True)
 class PracticalDual:
     """w_k = 1 / ||c(x_{k+1})||: unit-norm dual increments."""
+
+    def step_size(self, k: int, res: float, gamma_k: float) -> float:
+        return 1.0 / res if res > 0.0 else math.inf
+
+    def ascend(self, y, c, c_norm: float, w: float, k: int):
+        # Unit-norm increment along c/||c||, stable however small the
+        # residual is.
+        return y + c / c_norm
+
+    def to_dict(self) -> dict:
+        return {"variant": "practical"}
 
 
 DualStepPolicy = Union[TheoreticalDual, PowerGrowthDual, PracticalDual]
@@ -88,19 +126,8 @@ def dual_step_size(
     """
     if c_norm_next < 0 or gamma_k < 0:
         raise ValueError("residual norm and gamma must be nonnegative")
-    if isinstance(policy, TheoreticalDual):
-        if c_norm_next == 0.0:
-            return policy.w0
-        return policy.w0 * min(1.0, gamma_k / c_norm_next)
-    if isinstance(policy, PowerGrowthDual):
-        if c_norm_next == 0.0:
-            return 0.0
-        return policy.M * (k + 1) ** policy.q / c_norm_next
-    if isinstance(policy, PracticalDual):
-        if c_norm_next == 0.0:
-            return 0.0
-        return 1.0 / c_norm_next
-    raise TypeError(f"unknown dual step policy {policy!r}")
+    w = policy.step_size(k, c_norm_next, gamma_k)
+    return 0.0 if c_norm_next == 0.0 and math.isinf(w) else w
 
 
 @dataclass
@@ -134,9 +161,11 @@ class IalmConfig:
 class OuterIterationRecord:
     """Trajectory entry for one outer iteration k (producing x_{k+1}).
 
-    ``dres`` is re-measured with the certificate multiplier
-    y_k + beta_k c(x_{k+1}); ``dres_running`` with the updated running
-    multiplier y_{k+1}.  ``x`` is kept so diagnostics can re-trace the run.
+    ``dres`` is re-measured with the certificate multipliers.  Equality
+    records carry ``dres_running``, re-measured with the updated running
+    multiplier y_{k+1}; hinge records carry the split primal residual, the
+    complementarity residual and the running z.  The other block's fields
+    are None.  ``x`` is kept so diagnostics can re-trace the run.
     """
 
     k: int
@@ -144,21 +173,28 @@ class OuterIterationRecord:
     w: float
     pres: float
     dres: float
-    dres_running: float
     y_norm: float
     grad_evals: int
     obj_evals: int
     seconds: float
     x: np.ndarray
+    dres_running: Optional[float] = None
+    pres_eq: Optional[float] = None
+    pres_ineq: Optional[float] = None
+    compl: Optional[float] = None
+    z_norm: Optional[float] = None
+    z: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Full outcome of one solve: trajectory, certificate, and counts.
 
-    ``y`` is the certificate multiplier backing ``kkt``; ``y_running`` the
-    last ascent iterate.  ``success`` means both final residuals were at or
-    below the configured tolerance.
+    ``y`` (and ``z`` for the hinge block) are the certificate multipliers
+    backing ``kkt``; ``y_running`` (``z_running``) the last ascent iterates.
+    ``success`` means every final residual was at or below the configured
+    tolerance.  ``grad_evals`` counts every call into the smooth gradient,
+    certificates included.
     """
 
     records: list
@@ -171,125 +207,134 @@ class SolveReport:
     grad_evals: int
     obj_evals: int
     seconds: float
+    z: Optional[np.ndarray] = None
+    z_running: Optional[np.ndarray] = None
 
 
-def _resolve_curvature(problem: ProblemSpec, config: IalmConfig) -> CurvatureSchedule:
-    if config.curvature_override is not None:
-        return config.curvature_override
-    if problem.default_curvature is not None:
-        return problem.default_curvature
-    if problem.constants is None:
-        raise ValueError(
-            "no curvature information: populate the constants ledger or supply "
-            "a curvature override"
-        )
-    ledger = problem.constants
-    L0, rho0 = problem.smooth.L, problem.smooth.rho
+def _outer_loop(block, config: IalmConfig) -> SolveReport:
+    """Run the outer iALM loop on one constraint block.
 
-    def schedule(beta: float, y_norm: float) -> tuple[float, float]:
-        return al_curvature_params(beta, y_norm, ledger, L0, rho0)
-
-    return schedule
-
-
-def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
-    """Solve an equality-constrained composite problem to an eps-KKT point."""
-    problem = problem.with_fresh_counters()
-    curvature = _resolve_curvature(problem, config)
-    h = problem.nonsmooth
-    l = problem.constraints.n_constraints
+    A block holds a problem with fresh counters and its multipliers: the
+    running ``y`` (``z``) and the certificate ``y_cert`` (``z_cert``; both
+    None for the equality block).  It supplies the damping scale
+    ``damping``, ``multiplier_norm()``, ``default_curvature()``,
+    ``subproblem(beta, L_hat, rho_hat)``, ``certify(x, beta)`` (which sets
+    the certificate multipliers and returns the KKT residuals),
+    ``dual_update(policy, k, gamma_k, beta)`` (which returns w_k) and
+    ``record_fields(x, kkt)``.
+    """
+    problem = block.problem
+    counters = problem.smooth.counters
+    schedule = config.curvature_override
+    if schedule is None:
+        schedule = block.default_curvature()
 
     t0 = time.perf_counter()
     x = problem.x0
-    y = np.zeros(l)
-    c0_norm = float(np.linalg.norm(problem.constraints.evaluate(x)))
-
     records: list[OuterIterationRecord] = []
     beta = config.beta0
-    final_kkt = None
-    y_cert = y
 
     for k in range(config.max_outer):
-        rho_hat, L_hat = curvature(beta, float(np.linalg.norm(y)))
+        rho_hat, L_hat = schedule(beta, block.multiplier_norm())
         if not (math.isfinite(L_hat) and L_hat > 0 and math.isfinite(rho_hat) and rho_hat >= 0):
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
-        rho_eff = max(rho_hat, config.rho_floor)
-        phi = al_smooth_oracle(problem, y, beta, L_hat, rho_hat)
         sub = ippm_solve(
-            phi,
-            h,
+            block.subproblem(beta, L_hat, rho_hat),
+            problem.nonsmooth,
             x,
-            rho_eff,
+            max(rho_hat, config.rho_floor),
             L_hat,
             config.eps,
             max_inner=config.max_inner,
         )
         x = sub.x
-        c_next = problem.constraints.evaluate(x)
-        pres = float(np.linalg.norm(c_next))
-        y_cert = y + beta * c_next
-        final_kkt = kkt_residual(x, y_cert, problem)
-        converged = (
-            sub.converged and pres <= config.eps and final_kkt.dres <= config.eps
-        )
+        kkt = block.certify(x, beta)
+        converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
 
         if config.penalty_mode:
             w = 0.0
         else:
-            gamma_k = gamma_schedule(k, c0_norm)
-            w = dual_step_size(config.policy, k, pres, gamma_k)
-        if w != 0.0 and pres > 0.0:
-            if isinstance(config.policy, PracticalDual):
-                # Unit-norm increment along c/||c||, stable however small
-                # the residual is.
-                y = y + c_next / pres
-            elif isinstance(config.policy, PowerGrowthDual):
-                scale = config.policy.M * (k + 1) ** config.policy.q
-                y = y + scale * (c_next / pres)
-            else:
-                y = y + w * c_next
-        dres_running = kkt_residual(x, y, problem).dres
-
+            w = block.dual_update(config.policy, k, gamma_schedule(k, block.damping), beta)
+        fields = block.record_fields(x, kkt)
         records.append(
             OuterIterationRecord(
                 k=k,
                 beta=beta,
                 w=w,
-                pres=pres,
-                dres=final_kkt.dres,
-                dres_running=dres_running,
-                y_norm=float(np.linalg.norm(y)),
-                grad_evals=problem.counters.grad,
-                obj_evals=problem.counters.obj,
+                pres=kkt.pres,
+                dres=kkt.dres,
+                y_norm=float(np.linalg.norm(block.y)),
+                grad_evals=counters.grad,
+                obj_evals=counters.obj,
                 seconds=time.perf_counter() - t0,
                 x=x.copy(),
+                **fields,
             )
         )
-
         if converged:
-            return SolveReport(
-                records=records,
-                x=x,
-                y=y_cert,
-                y_running=y,
-                kkt=final_kkt,
-                success=True,
-                termination="converged",
-                grad_evals=problem.counters.grad,
-                obj_evals=problem.counters.obj,
-                seconds=time.perf_counter() - t0,
-            )
+            break
         beta = beta * config.sigma
 
     return SolveReport(
         records=records,
         x=x,
-        y=y_cert,
-        y_running=y,
-        kkt=final_kkt,
-        success=False,
-        termination="max_outer_exhausted",
-        grad_evals=problem.counters.grad,
-        obj_evals=problem.counters.obj,
+        y=block.y_cert,
+        y_running=block.y,
+        kkt=kkt,
+        success=converged,
+        termination="converged" if converged else "max_outer_exhausted",
+        grad_evals=counters.grad,
+        obj_evals=counters.obj,
         seconds=time.perf_counter() - t0,
+        z=block.z_cert,
+        z_running=block.z,
     )
+
+
+class _EqualityBlock:
+    """c(x) = 0 with multiplier y; certificate multiplier y + beta c(x)."""
+
+    z = z_cert = None
+
+    def __init__(self, problem: ProblemSpec):
+        self.problem = problem
+        self.y = self.y_cert = np.zeros(problem.constraints.n_constraints)
+        self.damping = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
+
+    def multiplier_norm(self) -> float:
+        return float(np.linalg.norm(self.y))
+
+    def default_curvature(self) -> CurvatureSchedule:
+        problem = self.problem
+        if problem.default_curvature is not None:
+            return problem.default_curvature
+        if problem.constants is None:
+            raise ValueError(
+                "no curvature information: populate the constants ledger or supply "
+                "a curvature override"
+            )
+        ledger, L0, rho0 = problem.constants, problem.smooth.L, problem.smooth.rho
+        return lambda beta, y_norm: al_curvature_params(beta, y_norm, ledger, L0, rho0)
+
+    def subproblem(self, beta, L_hat, rho_hat):
+        return al_smooth_oracle(self.problem, self.y, beta, L_hat, rho_hat)
+
+    def certify(self, x, beta):
+        self.c = self.problem.constraints.evaluate(x)
+        self.c_norm = float(np.linalg.norm(self.c))
+        self.y_cert = self.y + beta * self.c
+        return kkt_residual(x, self.y_cert, self.problem)
+
+    def dual_update(self, policy, k, gamma_k, beta) -> float:
+        w = dual_step_size(policy, k, self.c_norm, gamma_k)
+        if w != 0.0 and self.c_norm > 0.0:
+            self.y = policy.ascend(self.y, self.c, self.c_norm, w, k)
+        return w
+
+    def record_fields(self, x, kkt) -> dict:
+        return {"dres_running": kkt_residual(x, self.y, self.problem).dres}
+
+
+def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
+    """Solve an equality-constrained composite problem to an eps-KKT point."""
+    return _outer_loop(_EqualityBlock(problem.with_fresh_counters()), config)

@@ -17,7 +17,6 @@ the inner solver needs.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,15 +32,9 @@ from .core import (
     ProxCapableFunction,
     SmoothOracle,
     as_vector,
+    dual_residual,
 )
-from .ialm import (
-    IalmConfig,
-    PowerGrowthDual,
-    PracticalDual,
-    TheoreticalDual,
-    gamma_schedule,
-)
-from .ippm import ippm_solve
+from .ialm import IalmConfig, SolveReport, _outer_loop
 from .prox import nonneg_indicator, stacked
 
 
@@ -106,18 +99,7 @@ class IneqProblemSpec:
     def n_ineq(self) -> int:
         return self.ineq.n_constraints
 
-    def with_fresh_counters(self) -> "IneqProblemSpec":
-        spec = IneqProblemSpec.__new__(IneqProblemSpec)
-        spec.smooth = self.smooth.with_counters(EvalCounters())
-        spec.nonsmooth = self.nonsmooth
-        spec.A = self.A
-        spec.b = self.b
-        spec.ineq = self.ineq
-        spec.constants = self.constants
-        spec.rho0 = self.rho0
-        spec.x0 = self.x0
-        spec.counters = EvalCounters()
-        return spec
+    with_fresh_counters = ProblemSpec.with_fresh_counters
 
 
 @dataclass(frozen=True)
@@ -210,27 +192,19 @@ def ineq_smoothness_bound(problem: IneqProblemSpec, beta: float, z: Array) -> fl
 
 
 def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) -> TripleKktResidual:
-    """Measure the three inequality-KKT residuals at (x, y, z)."""
+    """Measure the three inequality-KKT residuals at (x, y, z); the dual
+    residual is measured by ``dual_residual``."""
     x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
     r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
     f = problem.ineq.evaluate(x)
     pres_eq = float(np.linalg.norm(r))
     pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
-    v = problem.smooth.gradient(x) + problem.ineq.jacobian_transpose_apply(x, z)
-    if problem.n_eq:
-        v = v + problem.A.T @ y
-    exact = problem.nonsmooth.subdiff_distance(x, -v)
-    if exact is not None:
-        dres, flagged = exact, False
-    elif problem.nonsmooth.cone_subdiff:
-        dres, flagged = float(np.linalg.norm(v)), True
-    else:
-        L = max(problem.smooth.L, 1.0)
-        x_fwd = problem.nonsmooth.prox(x - v / L, 1.0 / L)
-        v_fwd = problem.smooth.gradient(x_fwd) + problem.ineq.jacobian_transpose_apply(x_fwd, z)
-        if problem.n_eq:
-            v_fwd = v_fwd + problem.A.T @ y
-        dres, flagged = float(np.linalg.norm(v_fwd - v + L * (x - x_fwd))), True
+
+    def lagrangian_gradient(u):
+        v = problem.smooth.gradient(u) + problem.ineq.jacobian_transpose_apply(u, z)
+        return v + problem.A.T @ y if problem.n_eq else v
+
+    dres, flagged = dual_residual(x, lagrangian_gradient, problem.nonsmooth, problem.smooth.L)
     return TripleKktResidual(
         pres=float(math.hypot(pres_eq, pres_ineq)),
         dres=dres,
@@ -243,17 +217,7 @@ def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) ->
 
 def ineq_dual_step_size(policy, k: int, max_res: float, gamma_k: float, beta: float) -> float:
     """Policy step size capped at beta, which keeps z nonnegative."""
-    if isinstance(policy, TheoreticalDual):
-        w = policy.w0
-        if max_res > 0.0:
-            w = min(w, policy.w0 * gamma_k / max_res)
-    elif isinstance(policy, PowerGrowthDual):
-        w = policy.M * (k + 1) ** policy.q / max_res if max_res > 0.0 else math.inf
-    elif isinstance(policy, PracticalDual):
-        w = 1.0 / max_res if max_res > 0.0 else math.inf
-    else:
-        raise TypeError(f"unknown dual step policy {policy!r}")
-    return min(w, beta)
+    return min(policy.step_size(k, max_res, gamma_k), beta)
 
 
 def dual_update_z(z: Array, f_vals: Array, w: float, beta: float) -> Array:
@@ -267,168 +231,82 @@ def dual_update_z(z: Array, f_vals: Array, w: float, beta: float) -> Array:
     return np.maximum(z + w * np.maximum(-z / beta, f_vals), 0.0)
 
 
-@dataclass(frozen=True)
-class IneqOuterRecord:
-    k: int
-    beta: float
-    w: float
-    pres: float
-    pres_eq: float
-    pres_ineq: float
-    dres: float
-    compl: float
-    y_norm: float
-    z_norm: float
-    grad_evals: int
-    obj_evals: int
-    seconds: float
-    x: np.ndarray
-    z: np.ndarray
+# The hinge block's solves report through the shared report type.
+IneqSolveReport = SolveReport
 
 
-@dataclass(frozen=True)
-class IneqSolveReport:
-    records: list
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    y_running: np.ndarray
-    z_running: np.ndarray
-    kkt: TripleKktResidual
-    success: bool
-    termination: str
-    grad_evals: int
-    obj_evals: int
-    seconds: float
+class _HingeBlock:
+    """Ax = b with multiplier y and f(x) <= 0 with multiplier z >= 0; the
+    certificate multipliers are y + beta (Ax-b) and [z + beta f(x)]_+."""
+
+    def __init__(self, problem: IneqProblemSpec):
+        self.problem = problem
+        x = problem.x0
+        self.y = self.y_cert = np.zeros(problem.n_eq)
+        self.z = self.z_cert = np.zeros(problem.n_ineq)
+        # Damping scale: smallest initial residual among the blocks present.
+        parts = []
+        if problem.n_eq:
+            parts.append(float(np.linalg.norm(problem.A @ x - problem.b)))
+        if problem.n_ineq:
+            parts.append(float(np.linalg.norm(np.maximum(problem.ineq.evaluate(x), 0.0))))
+        self.damping = min(parts) if parts else 0.0
+
+    def multiplier_norm(self) -> float:
+        return float(math.hypot(np.linalg.norm(self.y), np.linalg.norm(self.z)))
+
+    def default_curvature(self):
+        problem = self.problem
+        return lambda beta, _norm: (problem.rho0, ineq_smoothness_bound(problem, beta, self.z))
+
+    def subproblem(self, beta, L_hat, rho_hat):
+        problem, y, z = self.problem, self.y, self.z
+        return SmoothOracle(
+            value_fn=lambda v: _ineq_smooth_value(v, y, z, beta, problem),
+            gradient_fn=lambda v: _ineq_smooth_gradient(v, y, z, beta, problem),
+            smoothness=L_hat,
+            weak_convexity=rho_hat,
+        )
+
+    def certify(self, x, beta):
+        problem = self.problem
+        self.r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
+        self.f = problem.ineq.evaluate(x)
+        self.y_cert = self.y + beta * self.r
+        self.z_cert = np.maximum(self.z + beta * self.f, 0.0)
+        self.kkt = kkt_residual_ineq(x, self.y_cert, self.z_cert, problem)
+        return self.kkt
+
+    def dual_update(self, policy, k, gamma_k, beta) -> float:
+        pres_eq, pres_ineq = self.kkt.pres_eq, self.kkt.pres_ineq
+        w = ineq_dual_step_size(policy, k, max(pres_eq, pres_ineq), gamma_k, beta)
+        if w != 0.0:
+            if self.problem.n_eq and pres_eq > 0.0:
+                self.y = self.y + w * self.r
+            if self.problem.n_ineq:
+                self.z = dual_update_z(self.z, self.f, w, beta)
+        return w
+
+    def record_fields(self, x, kkt) -> dict:
+        return {
+            "pres_eq": kkt.pres_eq,
+            "pres_ineq": kkt.pres_ineq,
+            "compl": kkt.compl,
+            "z_norm": float(np.linalg.norm(self.z)),
+            "z": self.z.copy(),
+        }
 
 
-def ialm_ineq_solve(problem: IneqProblemSpec, config: IalmConfig) -> IneqSolveReport:
+def ialm_ineq_solve(problem: IneqProblemSpec, config: IalmConfig) -> SolveReport:
     """Drive the inequality-constrained problem to an eps-KKT point.
 
     Subproblems stay rho0-weakly convex because the hinge composition of a
     convex constraint is convex; the dual clamp max{-z_i/beta, f_i} together
-    with w_k <= beta_k keeps z nonnegative throughout.
+    with w_k <= beta_k keeps z nonnegative throughout.  Curvature comes from
+    ``config.curvature_override`` when set, else (rho0,
+    ``ineq_smoothness_bound``) at the running z.
     """
-    problem = problem.with_fresh_counters()
-    h = problem.nonsmooth
-    t0 = time.perf_counter()
-
-    x = problem.x0
-    y = np.zeros(problem.n_eq)
-    z = np.zeros(problem.n_ineq)
-
-    # Damping scale: smallest initial residual among the blocks present.
-    parts = []
-    if problem.n_eq:
-        parts.append(float(np.linalg.norm(problem.A @ x - problem.b)))
-    if problem.n_ineq:
-        parts.append(float(np.linalg.norm(np.maximum(problem.ineq.evaluate(x), 0.0))))
-    gamma0_scale = min(parts) if parts else 0.0
-
-    records: list[IneqOuterRecord] = []
-    beta = config.beta0
-    final_kkt = None
-    y_cert, z_cert = y, z
-
-    for k in range(config.max_outer):
-        if config.curvature_override is not None:
-            rho_hat, L_hat = config.curvature_override(
-                beta, float(math.hypot(np.linalg.norm(y), np.linalg.norm(z)))
-            )
-        else:
-            rho_hat, L_hat = problem.rho0, ineq_smoothness_bound(problem, beta, z)
-        rho_eff = max(rho_hat, config.rho_floor)
-        yk, zk = y, z
-        phi = SmoothOracle(
-            value_fn=lambda v, yk=yk, zk=zk, beta=beta: _ineq_smooth_value(
-                v, yk, zk, beta, problem
-            ),
-            gradient_fn=lambda v, yk=yk, zk=zk, beta=beta: _ineq_smooth_gradient(
-                v, yk, zk, beta, problem
-            ),
-            smoothness=L_hat,
-            weak_convexity=rho_hat,
-            counters=problem.counters,
-        )
-        sub = ippm_solve(phi, h, x, rho_eff, L_hat, config.eps, max_inner=config.max_inner)
-        x = sub.x
-
-        r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
-        f = problem.ineq.evaluate(x)
-        pres_eq = float(np.linalg.norm(r))
-        pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
-        y_cert = y + beta * r
-        z_cert = np.maximum(z + beta * f, 0.0)
-        final_kkt = kkt_residual_ineq(x, y_cert, z_cert, problem)
-        converged = (
-            sub.converged
-            and final_kkt.pres <= config.eps
-            and final_kkt.dres <= config.eps
-            and final_kkt.compl <= config.eps
-        )
-
-        if config.penalty_mode:
-            w = 0.0
-        else:
-            gamma_k = gamma_schedule(k, gamma0_scale)
-            w = ineq_dual_step_size(config.policy, k, max(pres_eq, pres_ineq), gamma_k, beta)
-        if w != 0.0:
-            if problem.n_eq and pres_eq > 0.0:
-                y = y + w * r
-            if problem.n_ineq:
-                z = dual_update_z(z, f, w, beta)
-
-        records.append(
-            IneqOuterRecord(
-                k=k,
-                beta=beta,
-                w=w,
-                pres=final_kkt.pres,
-                pres_eq=pres_eq,
-                pres_ineq=pres_ineq,
-                dres=final_kkt.dres,
-                compl=final_kkt.compl,
-                y_norm=float(np.linalg.norm(y)),
-                z_norm=float(np.linalg.norm(z)),
-                grad_evals=problem.counters.grad,
-                obj_evals=problem.counters.obj,
-                seconds=time.perf_counter() - t0,
-                x=x.copy(),
-                z=z.copy(),
-            )
-        )
-
-        if converged:
-            return IneqSolveReport(
-                records=records,
-                x=x,
-                y=y_cert,
-                z=z_cert,
-                y_running=y,
-                z_running=z,
-                kkt=final_kkt,
-                success=True,
-                termination="converged",
-                grad_evals=problem.counters.grad,
-                obj_evals=problem.counters.obj,
-                seconds=time.perf_counter() - t0,
-            )
-        beta = beta * config.sigma
-
-    return IneqSolveReport(
-        records=records,
-        x=x,
-        y=y_cert,
-        z=z_cert,
-        y_running=y,
-        z_running=z,
-        kkt=final_kkt,
-        success=False,
-        termination="max_outer_exhausted",
-        grad_evals=problem.counters.grad,
-        obj_evals=problem.counters.obj,
-        seconds=time.perf_counter() - t0,
-    )
+    return _outer_loop(_HingeBlock(problem.with_fresh_counters()), config)
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ def ippm_solve(
             gradient_fn=lambda x, c=center: phi.gradient(x) + 2.0 * rho * (x - c),
             smoothness=L_phi + 2.0 * rho,
             weak_convexity=0.0,
-            counters=phi.counters,
         )
         inner = apg_solve(shifted, psi, x_k, rho, L_phi + 2.0 * rho, eps / 4.0, apg_cap)
         apg_total += inner.iterations

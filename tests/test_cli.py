@@ -153,6 +153,15 @@ class TestReport:
         assert trial["pres"] == float(summary[1])
         assert trial["dres"] == float(summary[2])
 
+    def test_exit_code_recomputed_from_tampered_iterate(self, tmp_path):
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        path = tmp_path / "trial_0.json"
+        data = json.loads(path.read_text())
+        assert data["success"] is True
+        data["final_x"] = [v + 1.0 for v in data["final_x"]]
+        path.write_text(json.dumps(data))
+        assert cli.main(["report", str(tmp_path)]) == 1
+
     def test_malformed_file_names_the_file(self, tmp_path, capsys):
         bad = tmp_path / "trial_0.json"
         bad.write_text("{ not json")

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from almkit.core import al_smooth_oracle, kkt_residual
+import almkit.ialm
+from almkit.core import NonFiniteValue, SmoothOracle, al_smooth_oracle, kkt_residual
 from almkit.diagnostics import check_feasibility_decay, dual_norm_bound
 from almkit.ialm import (
     IalmConfig,
@@ -12,10 +15,11 @@ from almkit.ialm import (
     gamma_schedule,
     ialm_solve,
 )
+from almkit.ineq import ialm_ineq_solve
 from almkit.ippm import ippm_solve
 from almkit.problems import gen_lcqp
 from almkit.prox import zero_function
-from helpers import box_qp_problem, toy_eq_qp
+from helpers import box_qp_problem, toy_eq_qp, toy_ineq_qp
 from almkit.prox import BoxSet
 
 
@@ -177,3 +181,51 @@ class TestPenaltyMode:
         rep = ialm_solve(small_lcqp_problem, IalmConfig(penalty_mode=True, max_outer=40))
         assert all(rec.y_norm == 0.0 for rec in rep.records)
         assert np.array_equal(rep.y_running, np.zeros(small_lcqp_problem.constraints.n_constraints))
+
+
+def with_counted_gradient(problem, nan_from=None):
+    """Copy of ``problem`` whose smooth gradient callable counts its calls
+    and, from call ``nan_from`` on, returns NaN."""
+    calls = [0]
+    smooth = problem.smooth
+
+    def gradient(x):
+        calls[0] += 1
+        g = smooth.gradient(x)
+        return g if nan_from is None or calls[0] < nan_from else np.full_like(g, np.nan)
+
+    counted = SmoothOracle(smooth.value, gradient, smooth.L, smooth.rho)
+    return dataclasses.replace(problem, smooth=counted), calls
+
+
+SOLVERS = {
+    "equality": (lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem(), ialm_solve),
+    "hinge": (lambda: toy_ineq_qp()[0], ialm_ineq_solve),
+}
+
+
+@pytest.mark.parametrize("block", sorted(SOLVERS))
+class TestSharedOuterLoop:
+    def test_grad_evals_count_each_smooth_gradient_once(self, block, monkeypatch):
+        make, solve = SOLVERS[block]
+        problem, calls = with_counted_gradient(make())
+        # Calls made before each subproblem solve: the previous record's count.
+        before_subsolve = []
+        ippm = almkit.ialm.ippm_solve
+
+        def counted_ippm(*args, **kwargs):
+            before_subsolve.append(calls[0])
+            return ippm(*args, **kwargs)
+
+        monkeypatch.setattr(almkit.ialm, "ippm_solve", counted_ippm)
+        rep = solve(problem, IalmConfig())
+        assert rep.success
+        assert rep.grad_evals == calls[0]
+        assert [rec.grad_evals for rec in rep.records] == before_subsolve[1:] + [calls[0]]
+
+    def test_nan_gradient_fails_fast(self, block):
+        make, solve = SOLVERS[block]
+        problem, calls = with_counted_gradient(make(), nan_from=50)
+        with pytest.raises(NonFiniteValue):
+            solve(problem, IalmConfig())
+        assert 50 <= calls[0] < 100

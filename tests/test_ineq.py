@@ -235,6 +235,12 @@ class TestIneqSolve:
             assert np.all(rec.z >= 0.0)
             assert rec.w <= rec.beta
 
+    @pytest.mark.parametrize("bad", [(1.0, math.nan), (1.0, math.inf), (-1.0, 1.0)])
+    def test_invalid_curvature_override_rejected(self, bad):
+        prob, _, _ = toy_ineq_qp()
+        with pytest.raises(ValueError, match="curvature"):
+            ialm_ineq_solve(prob, IalmConfig(curvature_override=lambda beta, norm: bad))
+
     def test_penalty_mode_freezes_both_multipliers(self):
         prob, _, _ = toy_ineq_qp()
         rep = ialm_ineq_solve(prob, IalmConfig(penalty_mode=True, eps=1e-3, max_outer=40))
