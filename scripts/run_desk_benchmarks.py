@@ -3,7 +3,8 @@
 checks, runnable standalone.
 
 Writes per-trial trajectories and summary CSVs under results/ (override
-with --out) and prints the re-verified summaries.
+with --out) and prints the re-verified summaries; exits nonzero when a
+campaign or its re-verification fails.
 """
 
 import argparse
@@ -39,12 +40,12 @@ def main() -> int:
         ],
     }
 
+    # Exit status: the worst of every campaign's and every re-verified
+    # report's exit code (0 ok, 1 a trial failed, 2 unreadable input).
     worst = 0
     for name, argv in campaigns.items():
         print(f"== {name}")
-        rc = cli.main(argv)
-        worst = max(worst, rc)
-        cli.main(["report", str(out / name)])
+        worst = max(worst, cli.main(argv), cli.main(["report", str(out / name)]))
         print()
     return worst
 

@@ -48,40 +48,33 @@ def main() -> int:
 
     out = Path(args.out)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
+    # Exit status: the worst of every campaign's and every re-verified
+    # report's exit code (0 ok, 1 a trial failed, 2 unreadable input).
     worst = 0
     for family in families:
         print(f"== {family}")
         if family == "lcqp":
-            rc = cli.main(
-                [
-                    "bench-lcqp", "--m", "100", "--n", "1000", "--rho", "1.0",
-                    "--trials", str(args.trials), "--jobs", str(args.jobs),
-                    "--max-outer", "50", "--out", str(out / "lcqp_m100_n1000"),
-                ]
-            )
-            cli.main(["report", str(out / "lcqp_m100_n1000")])
+            name = "lcqp_m100_n1000"
+            argv = [
+                "bench-lcqp", "--m", "100", "--n", "1000", "--rho", "1.0",
+                "--trials", str(args.trials), "--jobs", str(args.jobs), "--max-outer", "50",
+            ]
         elif family == "ev":
-            rc = cli.main(
-                [
-                    "bench-ev", "--n", "1000",
-                    "--trials", str(args.trials), "--jobs", str(args.jobs),
-                    "--max-outer", "50", "--out", str(out / "ev_n1000"),
-                ]
-            )
-            cli.main(["report", str(out / "ev_n1000")])
+            name = "ev_n1000"
+            argv = [
+                "bench-ev", "--n", "1000",
+                "--trials", str(args.trials), "--jobs", str(args.jobs), "--max-outer", "50",
+            ]
         elif family == "cluster":
-            rc = cli.main(
-                [
-                    "bench-cluster", "--points", resolve_points(args.points),
-                    "--r", str(args.r), "--s", str(args.s),
-                    "--trials", "1", "--max-outer", "50",
-                    "--out", str(out / "cluster"),
-                ]
-            )
-            cli.main(["report", str(out / "cluster")])
+            name = "cluster"
+            argv = [
+                "bench-cluster", "--points", resolve_points(args.points),
+                "--r", str(args.r), "--s", str(args.s), "--trials", "1", "--max-outer", "50",
+            ]
         else:
             raise SystemExit(f"unknown family {family!r}")
-        worst = max(worst, rc)
+        target = str(out / name)
+        worst = max(worst, cli.main(argv + ["--out", target]), cli.main(["report", target]))
         print()
     return worst
 

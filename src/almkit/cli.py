@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics as diag
-from .core import ProblemSpec, kkt_residual
+from .core import ProblemSpec, as_vector, kkt_residual
 from .ialm import (
     IalmConfig,
     PowerGrowthDual,
@@ -303,6 +303,14 @@ def reverify_trial(path: Path) -> dict:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed report file {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed report file {path}: not a JSON object")
+    required = ["seed"]
+    if data.get("final_x") is not None:
+        required += ["instance_ref", "final_y"]
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"malformed report file {path}: missing {', '.join(missing)}")
     row = {
         "trial": data["seed"],
         "time": data.get("time_seconds", math.nan),
@@ -312,12 +320,13 @@ def reverify_trial(path: Path) -> dict:
     if data.get("final_x") is None:
         row["pres"], row["dres"], row["success"] = math.nan, math.nan, False
         return row
-    problem = build_problem(data["instance_ref"])
-    kkt = kkt_residual(
-        np.asarray(data["final_x"], dtype=float),
-        np.asarray(data["final_y"], dtype=float),
-        problem,
-    )
+    try:
+        problem = build_problem(data["instance_ref"])
+        x = as_vector(data["final_x"], problem.dim, "final_x")
+        y = as_vector(data["final_y"], problem.constraints.n_constraints, "final_y")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed report file {path}: {exc!r}") from None
+    kkt = kkt_residual(x, y, problem)
     row["pres"], row["dres"] = kkt.pres, kkt.dres
     eps = float(data.get("solver", {}).get("eps", math.nan))
     row["success"] = bool(data.get("success", False)) and max(kkt.pres, kkt.dres) <= eps

@@ -9,8 +9,21 @@ and c is a smooth vector map.  This module provides the oracle types, the
 constants ledger used to derive curvature parameters of the augmented
 Lagrangian, augmented-Lagrangian evaluation, and KKT residual measurement.
 
-All vectors are dense float64.  NaN/Inf inputs are rejected at the module
-boundary so oracle bugs fail fast instead of corrupting a solve.
+All vectors are dense float64.  Validation happens at two places only, so
+oracle bugs fail fast without re-checking what the solver computed itself:
+
+* entry points (the public oracle methods, ``al_*``, ``kkt_residual``, and
+  the solver entry points) check shape and finiteness of their inputs; the
+  inner solvers (``ippm_solve``, ``apg_solve``) take plain gradient
+  callables and check only their start point;
+* every call into a user callable checks its output, through the oracle's
+  private method (``SmoothOracle._gradient``, ``ConstraintOracle._evaluate``,
+  ``ProxCapableFunction._prox``, ...), which the public method wraps after
+  ``as_vector`` and which the solver's hot path calls directly.
+
+The one remaining guard inside the inner loops is APG's finiteness check on
+its stationarity measure, which catches a NaN iterate that reached a
+gradient that ignores its input.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteValue(f"{name} contains NaN or Inf")
     return v
 
@@ -56,9 +69,6 @@ class EvalCounters:
 
     obj: int = 0
     grad: int = 0
-
-    def snapshot(self) -> tuple[int, int]:
-        return (self.obj, self.grad)
 
 
 class SmoothOracle:
@@ -91,7 +101,9 @@ class SmoothOracle:
         self.counters = counters if counters is not None else EvalCounters()
 
     def value(self, x: Array) -> float:
-        x = as_vector(x)
+        return self._value(as_vector(x))
+
+    def _value(self, x: Array) -> float:
         self.counters.obj += 1
         v = float(self._value_fn(x))
         if not math.isfinite(v):
@@ -99,14 +111,16 @@ class SmoothOracle:
         return v
 
     def gradient(self, x: Array) -> Array:
-        x = as_vector(x)
+        return self._gradient(as_vector(x))
+
+    def _gradient(self, x: Array) -> Array:
         self.counters.grad += 1
         g = np.asarray(self._gradient_fn(x), dtype=float)
         if g.shape != x.shape:
             raise DimensionMismatch(
                 f"gradient has shape {g.shape}, expected {x.shape}"
             )
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteValue("smooth oracle gradient overflowed")
         return g
 
@@ -145,8 +159,10 @@ class ProxCapableFunction:
     def prox(self, v: Array, step: float) -> Array:
         if step <= 0:
             raise ValueError("prox step must be positive")
-        v = as_vector(v)
-        out = np.asarray(self._prox_fn(v, float(step)), dtype=float)
+        return self._prox(as_vector(v), float(step))
+
+    def _prox(self, v: Array, step: float) -> Array:
+        out = np.asarray(self._prox_fn(v, step), dtype=float)
         if out.shape != v.shape:
             raise DimensionMismatch("prox output dimension mismatch")
         return out
@@ -163,7 +179,11 @@ class ProxCapableFunction:
         """Exact dist(v, subdiff h(x)), or None when unavailable."""
         if self._subdiff_fn is None:
             return None
-        d = float(self._subdiff_fn(as_vector(x), as_vector(v)))
+        x = as_vector(x)
+        return self._subdiff(x, as_vector(v, x.shape[0], "v"))
+
+    def _subdiff(self, x: Array, v: Array) -> float:
+        d = float(self._subdiff_fn(x, v))
         if d < 0 or not math.isfinite(d):
             raise NonFiniteValue("subdifferential distance must be finite and nonnegative")
         return d
@@ -206,23 +226,26 @@ class ConstraintOracle:
         )
 
     def evaluate(self, x: Array) -> Array:
-        x = as_vector(x)
+        return self._evaluate(as_vector(x))
+
+    def _evaluate(self, x: Array) -> Array:
         c = np.atleast_1d(np.asarray(self._evaluate_fn(x), dtype=float))
         if c.shape != (self.n_constraints,):
             raise DimensionMismatch(
                 f"constraint value has shape {c.shape}, expected ({self.n_constraints},)"
             )
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise NonFiniteValue("constraint oracle overflowed")
         return c
 
     def jacobian_transpose_apply(self, x: Array, v: Array) -> Array:
-        x = as_vector(x)
-        v = as_vector(v, self.n_constraints, "v")
+        return self._jac_t(as_vector(x), as_vector(v, self.n_constraints, "v"))
+
+    def _jac_t(self, x: Array, v: Array) -> Array:
         out = np.asarray(self._jac_t_fn(x, v), dtype=float)
         if out.shape != x.shape:
             raise DimensionMismatch("Jacobian-transpose product dimension mismatch")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise NonFiniteValue("Jacobian-transpose product overflowed")
         return out
 
@@ -387,17 +410,19 @@ def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
     return x, y
 
 
+# The smooth AL part at validated (x, y, beta); each user callable is called
+# once, through its output-checked private oracle method.
+
+
 def _al_smooth_part_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
-    c = problem.constraints.evaluate(x)
-    val = problem.smooth.value(x) + float(y @ c) + 0.5 * beta * float(c @ c)
+    c = problem.constraints._evaluate(x)
+    val = problem.smooth._value(x) + float(y @ c) + 0.5 * beta * float(c @ c)
     return val
 
 
 def _al_smooth_part_gradient(x: Array, y: Array, beta: float, problem: ProblemSpec) -> Array:
-    c = problem.constraints.evaluate(x)
-    return problem.smooth.gradient(x) + problem.constraints.jacobian_transpose_apply(
-        x, y + beta * c
-    )
+    c = problem.constraints._evaluate(x)
+    return problem.smooth._gradient(x) + problem.constraints._jac_t(x, y + beta * c)
 
 
 def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:

@@ -25,8 +25,8 @@ from .core import (
     CurvatureSchedule,
     KktResidual,
     ProblemSpec,
+    _al_smooth_part_gradient,
     al_curvature_params,
-    al_smooth_oracle,
     kkt_residual,
 )
 from .ippm import ippm_solve
@@ -218,7 +218,8 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
     running ``y`` (``z``) and the certificate ``y_cert`` (``z_cert``; both
     None for the equality block).  It supplies the damping scale
     ``damping``, ``multiplier_norm()``, ``default_curvature()``,
-    ``subproblem(beta, L_hat, rho_hat)``, ``certify(x, beta)`` (which sets
+    ``subproblem(beta)`` (the subproblem's smooth gradient, a plain
+    callable), ``certify(x, beta)`` (which sets
     the certificate multipliers and returns the KKT residuals),
     ``dual_update(policy, k, gamma_k, beta)`` (which returns w_k) and
     ``record_fields(x, kkt)``.
@@ -239,7 +240,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         if not (math.isfinite(L_hat) and L_hat > 0 and math.isfinite(rho_hat) and rho_hat >= 0):
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
         sub = ippm_solve(
-            block.subproblem(beta, L_hat, rho_hat),
+            block.subproblem(beta),
             problem.nonsmooth,
             x,
             max(rho_hat, config.rho_floor),
@@ -316,8 +317,9 @@ class _EqualityBlock:
         ledger, L0, rho0 = problem.constants, problem.smooth.L, problem.smooth.rho
         return lambda beta, y_norm: al_curvature_params(beta, y_norm, ledger, L0, rho0)
 
-    def subproblem(self, beta, L_hat, rho_hat):
-        return al_smooth_oracle(self.problem, self.y, beta, L_hat, rho_hat)
+    def subproblem(self, beta):
+        problem, y = self.problem, self.y
+        return lambda x: _al_smooth_part_gradient(x, y, beta, problem)
 
     def certify(self, x, beta):
         self.c = self.problem.constraints.evaluate(x)

@@ -137,12 +137,16 @@ def _check_ineq_inputs(x, y, z, beta, problem):
     return x, y, z
 
 
+# The smooth hinge-AL part at validated (x, y, z, beta); each user callable
+# is called once, through its output-checked private oracle method.
+
+
 def _ineq_smooth_value(x, y, z, beta, problem) -> float:
     r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
-    f = problem.ineq.evaluate(x)
+    f = problem.ineq._evaluate(x)
     hinge = np.maximum(z + beta * f, 0.0)
     return (
-        problem.smooth.value(x)
+        problem.smooth._value(x)
         + float(y @ r)
         + 0.5 * beta * float(r @ r)
         + (float(hinge @ hinge) - float(z @ z)) / (2.0 * beta)
@@ -150,13 +154,13 @@ def _ineq_smooth_value(x, y, z, beta, problem) -> float:
 
 
 def _ineq_smooth_gradient(x, y, z, beta, problem) -> Array:
-    g = problem.smooth.gradient(x)
+    g = problem.smooth._gradient(x)
     if problem.n_eq:
         r = problem.A @ x - problem.b
         g = g + problem.A.T @ (y + beta * r)
-    f = problem.ineq.evaluate(x)
+    f = problem.ineq._evaluate(x)
     hinge = np.maximum(z + beta * f, 0.0)
-    return g + problem.ineq.jacobian_transpose_apply(x, hinge)
+    return g + problem.ineq._jac_t(x, hinge)
 
 
 def al_ineq_value(x: Array, y: Array, z: Array, beta: float, problem: IneqProblemSpec) -> float:
@@ -259,14 +263,9 @@ class _HingeBlock:
         problem = self.problem
         return lambda beta, _norm: (problem.rho0, ineq_smoothness_bound(problem, beta, self.z))
 
-    def subproblem(self, beta, L_hat, rho_hat):
+    def subproblem(self, beta):
         problem, y, z = self.problem, self.y, self.z
-        return SmoothOracle(
-            value_fn=lambda v: _ineq_smooth_value(v, y, z, beta, problem),
-            gradient_fn=lambda v: _ineq_smooth_gradient(v, y, z, beta, problem),
-            smoothness=L_hat,
-            weak_convexity=rho_hat,
-        )
+        return lambda x: _ineq_smooth_gradient(x, y, z, beta, problem)
 
     def certify(self, x, beta):
         problem = self.problem

@@ -4,19 +4,20 @@ min phi(x) + psi(x), with phi L_phi-smooth and rho-weakly convex.
 Each outer step adds rho||. - x_k||^2 to phi (giving a rho-strongly-convex
 model) and solves it with APG to tolerance eps/4; the loop stops once
 2 rho ||x_{k+1} - x_k|| <= eps/2, which combined with the inner certificate
-yields dist(0, subdiff(phi + psi)(x_out)) <= eps.
+yields dist(0, subdiff(phi + psi)(x_out)) <= eps.  The gradient of phi is a
+plain callable, as in ``apg_solve``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .apg import DEFAULT_MAX_ITER, apg_solve
-from .core import Array, ProxCapableFunction, SmoothOracle, as_vector
+from .core import Array, ProxCapableFunction, as_vector
 
 
 class SubsolverStall(RuntimeError):
@@ -59,13 +60,12 @@ class IppmResult:
     converged: bool
     stationarity_is_exact: bool
     grad_evals: int
-    obj_evals: int
     apg_iterations: int
     trace: Optional[list] = None
 
 
 def ippm_solve(
-    phi: SmoothOracle,
+    grad: Callable[[Array], Array],
     psi: ProxCapableFunction,
     x0: Array,
     rho: float,
@@ -75,7 +75,8 @@ def ippm_solve(
     max_inner: int = DEFAULT_MAX_ITER,
     keep_trace: bool = False,
 ) -> IppmResult:
-    """Drive Phi = phi + psi to eps-stationarity via proximal point steps.
+    """Drive Phi = phi + psi to eps-stationarity via proximal point steps,
+    where ``grad`` is the gradient of phi.
 
     Raises SubsolverStall when an inner APG call exceeds twice its
     worst-case budget (bounded domains) or exhausts ``max_inner``; the usual
@@ -87,7 +88,6 @@ def ippm_solve(
     if not math.isfinite(psi.value(x0)):
         raise ValueError("x0 lies outside dom(psi)")
 
-    obj0, grad0 = phi.counters.snapshot()
     budget = _apg_budget(rho, L_phi, eps, psi.diameter)
     apg_cap = max_inner if budget is None else min(max_inner, 2 * budget)
 
@@ -96,17 +96,15 @@ def ippm_solve(
     best_stat = math.inf
     trace = [] if keep_trace else None
     apg_total = 0
+    grad_total = 0
 
     for k in range(max_outer):
-        center = x_k
-        shifted = SmoothOracle(
-            value_fn=lambda x, c=center: phi.value(x) + rho * float(np.sum((x - c) ** 2)),
-            gradient_fn=lambda x, c=center: phi.gradient(x) + 2.0 * rho * (x - c),
-            smoothness=L_phi + 2.0 * rho,
-            weak_convexity=0.0,
-        )
+        def shifted(x, c=x_k):
+            return grad(x) + 2.0 * rho * (x - c)
+
         inner = apg_solve(shifted, psi, x_k, rho, L_phi + 2.0 * rho, eps / 4.0, apg_cap)
         apg_total += inner.iterations
+        grad_total += inner.grad_evals
         if not inner.converged:
             raise SubsolverStall(
                 f"inner APG used {inner.iterations} iterations (budget {apg_cap}) without "
@@ -122,29 +120,25 @@ def ippm_solve(
             best_stat = certified
             best_x = x_next
         if shift <= eps / 2.0:
-            obj1, grad1 = phi.counters.snapshot()
             return IppmResult(
                 x=x_next,
                 outer_iterations=k + 1,
                 stationarity=certified,
                 converged=True,
                 stationarity_is_exact=inner.stationarity_is_exact,
-                grad_evals=grad1 - grad0,
-                obj_evals=obj1 - obj0,
+                grad_evals=grad_total,
                 apg_iterations=apg_total,
                 trace=trace,
             )
         x_k = x_next
 
-    obj1, grad1 = phi.counters.snapshot()
     return IppmResult(
         x=best_x,
         outer_iterations=max_outer,
         stationarity=best_stat,
         converged=False,
         stationarity_is_exact=psi.has_exact_subdiff,
-        grad_evals=grad1 - grad0,
-        obj_evals=obj1 - obj0,
+        grad_evals=grad_total,
         apg_iterations=apg_total,
         trace=trace,
     )

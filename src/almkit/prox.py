@@ -76,8 +76,7 @@ class NonnegBallSet:
 
 def project_box(x: Array, box: BoxSet) -> Array:
     """Coordinatewise clamp onto the box."""
-    x = as_vector(x, box.dim)
-    return np.clip(x, box.lower, box.upper)
+    return np.clip(as_vector(x, box.dim), box.lower, box.upper)
 
 
 def project_ball(x: Array, ball: BallSet) -> Array:
@@ -96,21 +95,21 @@ def project_nonneg_ball(x: Array, s: NonnegBallSet) -> Array:
     the orthant and the ball are invariant under coordinate sign projection,
     so the composition is the exact Euclidean projection.
     """
-    x = as_vector(x)
+    return _project_nonneg_ball(as_vector(x), s.radius)
+
+
+def _project_nonneg_ball(x: Array, radius: float) -> Array:
     y = np.maximum(x, 0.0)
     nrm = float(np.linalg.norm(y))
-    if nrm > s.radius:
-        y *= s.radius / nrm
+    if nrm > radius:
+        y *= radius / nrm
     return y
 
 
-def _check_in_box(x: Array, box: BoxSet) -> Array:
+def _box_tolerance_bounds(box: BoxSet) -> tuple[Array, Array]:
+    """The box widened by the membership tolerance, scaled per coordinate."""
     scale = np.maximum(1.0, np.maximum(np.abs(box.lower), np.abs(box.upper)))
-    if np.any(x < box.lower - _MEMBERSHIP_ATOL * scale) or np.any(
-        x > box.upper + _MEMBERSHIP_ATOL * scale
-    ):
-        raise ValueError("point lies outside the box beyond tolerance")
-    return np.clip(x, box.lower, box.upper)
+    return box.lower - _MEMBERSHIP_ATOL * scale, box.upper + _MEMBERSHIP_ATOL * scale
 
 
 def normal_cone_distance_box(x: Array, v: Array, box: BoxSet) -> float:
@@ -123,10 +122,17 @@ def normal_cone_distance_box(x: Array, v: Array, box: BoxSet) -> float:
     """
     x = as_vector(x, box.dim)
     v = as_vector(v, box.dim, "v")
-    x = _check_in_box(x, box)
+    return _box_distance(x, v, box, *_box_tolerance_bounds(box))
+
+
+def _box_distance(x: Array, v: Array, box: BoxSet, lo_tol: Array, hi_tol: Array) -> float:
+    # Written so that NaN coordinates fail the membership check.
+    if not ((x >= lo_tol).all() and (x <= hi_tol).all()):
+        raise ValueError("point lies outside the box beyond tolerance")
+    x = np.clip(x, box.lower, box.upper)
     at_lo = x <= box.lower
     at_hi = x >= box.upper
-    d = np.abs(v).astype(float)
+    d = np.abs(v)
     d[at_hi] = np.maximum(0.0, -v[at_hi])
     d[at_lo] = np.maximum(0.0, v[at_lo])
     d[at_lo & at_hi] = 0.0
@@ -172,14 +178,18 @@ def normal_cone_distance_nonneg_ball(x: Array, v: Array, s: NonnegBallSet) -> fl
     """
     x = as_vector(x)
     v = as_vector(v, x.shape[0], "v")
+    return _nonneg_ball_distance(x, v, s.radius)
+
+
+def _nonneg_ball_distance(x: Array, v: Array, radius: float) -> float:
     nrm = float(np.linalg.norm(x))
-    if nrm > s.radius * (1 + _BOUNDARY_RTOL) + _MEMBERSHIP_ATOL or np.any(
-        x < -_MEMBERSHIP_ATOL
-    ):
+    # Written so that NaN coordinates fail the membership check.
+    inside = nrm <= radius * (1 + _BOUNDARY_RTOL) + _MEMBERSHIP_ATOL
+    if not (inside and (x >= -_MEMBERSHIP_ATOL).all()):
         raise ValueError("point lies outside the set beyond tolerance")
     active = x <= _MEMBERSHIP_ATOL
     free = ~active
-    on_sphere = nrm >= s.radius * (1 - _BOUNDARY_RTOL)
+    on_sphere = nrm >= radius * (1 - _BOUNDARY_RTOL)
     if on_sphere and float(np.sum(x[free] ** 2)) > 0:
         lam = max(0.0, float(v[free] @ x[free]) / float(np.sum(x[free] ** 2)))
     else:
@@ -201,19 +211,21 @@ def zero_function() -> ProxCapableFunction:
 
 
 def box_indicator(box: BoxSet) -> ProxCapableFunction:
-    """Indicator of a box, with exact normal-cone distances."""
-    scale = np.maximum(1.0, np.maximum(np.abs(box.lower), np.abs(box.upper)))
+    """Indicator of a box, with exact normal-cone distances.
+
+    Its callables receive inputs the oracle already validated, so they call
+    the clamp and distance kernels directly.
+    """
+    lo_tol, hi_tol = _box_tolerance_bounds(box)
 
     def value(x):
-        inside = np.all(x >= box.lower - _MEMBERSHIP_ATOL * scale) and np.all(
-            x <= box.upper + _MEMBERSHIP_ATOL * scale
-        )
+        inside = np.all(x >= lo_tol) and np.all(x <= hi_tol)
         return 0.0 if inside else math.inf
 
     return ProxCapableFunction(
-        prox_fn=lambda v, step: project_box(v, box),
+        prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
         value_fn=value,
-        subdiff_distance_fn=lambda x, v: normal_cone_distance_box(x, v, box),
+        subdiff_distance_fn=lambda x, v: _box_distance(x, v, box, lo_tol, hi_tol),
         diameter=box.diameter,
         cone_subdiff=True,
     )
@@ -244,9 +256,9 @@ def nonneg_ball_indicator(s: NonnegBallSet) -> ProxCapableFunction:
         return 0.0 if ok else math.inf
 
     return ProxCapableFunction(
-        prox_fn=lambda v, step: project_nonneg_ball(v, s),
+        prox_fn=lambda v, step: _project_nonneg_ball(v, s.radius),
         value_fn=value,
-        subdiff_distance_fn=lambda x, v: normal_cone_distance_nonneg_ball(x, v, s),
+        subdiff_distance_fn=lambda x, v: _nonneg_ball_distance(x, v, s.radius),
         diameter=2.0 * s.radius,
         cone_subdiff=True,
     )
@@ -271,7 +283,7 @@ def stacked(first: ProxCapableFunction, second: ProxCapableFunction, n_first: in
 
     def prox(v, step):
         a, b = split(v)
-        return np.concatenate([first.prox(a, step), second.prox(b, step)])
+        return np.concatenate([first._prox(a, step), second._prox(b, step)])
 
     def value(x):
         a, b = split(x)
@@ -283,7 +295,7 @@ def stacked(first: ProxCapableFunction, second: ProxCapableFunction, n_first: in
         def subdiff(x, v):
             xa, xb = split(x)
             va, vb = split(v)
-            return math.hypot(first.subdiff_distance(xa, va), second.subdiff_distance(xb, vb))
+            return math.hypot(first._subdiff(xa, va), second._subdiff(xb, vb))
 
     if math.isinf(first.diameter) or math.isinf(second.diameter):
         diameter = math.inf

@@ -148,7 +148,7 @@ def test_criterion_4_subsolver_certificates(capsys):
         dim = 1 if trial < 10 else 2
         phi, box, x0 = _random_ppm_instance(rng, dim)
         res = ippm_solve(
-            phi,
+            phi.gradient,
             box_indicator(box),
             x0,
             rho=max(phi.rho, 0.5),
@@ -172,7 +172,7 @@ def test_criterion_4_subsolver_certificates(capsys):
         )
         x_init = rng.standard_normal(6)
         x_star = b / d
-        res = apg_solve(G, zero_function(), x_init, mu=1.0, L_G=100.0, eps=eps)
+        res = apg_solve(G.gradient, zero_function(), x_init, mu=1.0, L_G=100.0, eps=eps)
         x0 = x_init - G.gradient(x_init) / 100.0
         T = worst_case_iteration_bound(
             1.0,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from almkit.apg import apg_solve, worst_case_iteration_bound
-from almkit.core import ProxCapableFunction, SmoothOracle
+from almkit.core import NonFiniteValue, ProxCapableFunction, SmoothOracle
 from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, project_box, zero_function
 
 
@@ -21,7 +21,7 @@ def quadratic(d, b):
 class TestApgExamples:
     def test_one_step_exact_minimization(self):
         G = quadratic([1.0], [0.0])
-        res = apg_solve(G, zero_function(), np.array([5.0]), mu=1.0, L_G=1.0, eps=1e-10)
+        res = apg_solve(G.gradient, zero_function(), np.array([5.0]), mu=1.0, L_G=1.0, eps=1e-10)
         assert res.converged
         assert res.iterations == 1
         assert res.x == pytest.approx([0.0], abs=0)
@@ -29,7 +29,7 @@ class TestApgExamples:
     def test_box_constrained_scalar(self):
         G = quadratic([1.0], [0.0])
         H = box_indicator(BoxSet(np.array([0.5]), np.array([1.0])))
-        res = apg_solve(G, H, np.array([0.8]), mu=1.0, L_G=1.0, eps=1e-8)
+        res = apg_solve(G.gradient, H, np.array([0.8]), mu=1.0, L_G=1.0, eps=1e-8)
         assert res.converged
         assert res.x == pytest.approx([0.5])
         # -G'(0.5) = -0.5 lies in the lower-bound normal cone, exactly.
@@ -45,7 +45,7 @@ class TestApgExamples:
             x_init = rng.standard_normal(5)
             eps = 1e-6
             G = quadratic(d, b)
-            res = apg_solve(G, zero_function(), x_init, mu=1.0, L_G=100.0, eps=eps)
+            res = apg_solve(G.gradient, zero_function(), x_init, mu=1.0, L_G=100.0, eps=eps)
             x0 = x_init - G.gradient(x_init) / 100.0  # the initialization prox step
             T = worst_case_iteration_bound(
                 1.0,
@@ -66,7 +66,10 @@ class TestApgProperties:
         b = rng.standard_normal(6)
         eps = 1e-5
         G = quadratic(d, b)
-        res = apg_solve(G, zero_function(), np.zeros(6), mu=float(np.min(d)), L_G=float(np.max(d)), eps=eps)
+        res = apg_solve(
+            G.gradient, zero_function(), np.zeros(6), mu=float(np.min(d)), L_G=float(np.max(d)),
+            eps=eps,
+        )
         f_star = -0.5 * float(np.sum(b * b / d))
         assert G.value(res.x) <= f_star + eps**2 / (2.0 * np.min(d)) + 1e-15
 
@@ -84,7 +87,7 @@ class TestApgProperties:
             b = rng.standard_normal(4) * 3
             G = quadratic(d, b)
             res = apg_solve(
-                G, blind, np.zeros(4), mu=float(np.min(d)), L_G=float(np.max(d)), eps=1e-6
+                G.gradient, blind, np.zeros(4), mu=float(np.min(d)), L_G=float(np.max(d)), eps=1e-6
             )
             assert res.converged and not res.stationarity_is_exact
             exact = normal_cone_distance_box(res.x, -G.gradient(res.x), box)
@@ -94,7 +97,7 @@ class TestApgProperties:
         d = np.array([1.0, 7.0, 30.0])
         b = np.array([0.3, -2.0, 1.0])
         runs = [
-            apg_solve(quadratic(d, b), zero_function(), np.ones(3), 1.0, 30.0, 1e-9)
+            apg_solve(quadratic(d, b).gradient, zero_function(), np.ones(3), 1.0, 30.0, 1e-9)
             for _ in range(2)
         ]
         assert runs[0].iterations == runs[1].iterations
@@ -103,7 +106,7 @@ class TestApgProperties:
 
     def test_counts_gradients(self):
         G = quadratic([2.0], [1.0])
-        res = apg_solve(G, zero_function(), np.array([3.0]), 2.0, 2.0, 1e-12)
+        res = apg_solve(G.gradient, zero_function(), np.array([3.0]), 2.0, 2.0, 1e-12)
         # One init gradient plus two per iteration.
         assert res.grad_evals == 1 + 2 * res.iterations
 
@@ -112,18 +115,36 @@ class TestApgErrors:
     def test_invalid_curvature_rejected(self):
         G = quadratic([1.0], [0.0])
         with pytest.raises(ValueError):
-            apg_solve(G, zero_function(), np.zeros(1), mu=2.0, L_G=1.0, eps=1e-6)
+            apg_solve(G.gradient, zero_function(), np.zeros(1), mu=2.0, L_G=1.0, eps=1e-6)
 
     def test_infeasible_start_rejected(self):
         G = quadratic([1.0], [0.0])
         H = box_indicator(BoxSet(np.array([0.0]), np.array([1.0])))
         with pytest.raises(ValueError):
-            apg_solve(G, H, np.array([5.0]), mu=1.0, L_G=1.0, eps=1e-6)
+            apg_solve(G.gradient, H, np.array([5.0]), mu=1.0, L_G=1.0, eps=1e-6)
 
     def test_exhaustion_returns_best_iterate_flagged(self):
         d = np.array([1.0, 400.0])
         G = quadratic(d, np.array([1.0, 1.0]))
-        res = apg_solve(G, zero_function(), np.zeros(2), 1.0, 400.0, eps=1e-14, max_iter=3)
+        res = apg_solve(G.gradient, zero_function(), np.zeros(2), 1.0, 400.0, eps=1e-14, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
         assert np.isfinite(res.stationarity)
+
+    def test_nan_iterate_fails_in_first_iteration(self):
+        # The gradient ignores x, so only the stationarity guard can notice
+        # the NaN iterate produced by a faulty prox without an exact
+        # subdifferential.
+        calls = [0]
+
+        def grad(x):
+            calls[0] += 1
+            return np.ones(2)
+
+        nan_prox = ProxCapableFunction(
+            prox_fn=lambda v, step: np.full_like(v, np.nan),
+            value_fn=lambda x: 0.0,
+        )
+        with pytest.raises(NonFiniteValue):
+            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6, max_iter=1000)
+        assert calls[0] == 3  # the initialization gradient plus one iteration

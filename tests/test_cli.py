@@ -169,6 +169,33 @@ class TestReport:
         assert rc == 2
         assert "trial_0.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"final_x": None},
+            {"seed": 0, "final_x": [0.0, 1.0]},
+            {"seed": 0, "final_x": [0.0, 1.0], "final_y": [0.0]},
+            [0, 1],
+            "trial",
+        ],
+    )
+    def test_structurally_malformed_trial_names_the_file(self, tmp_path, capsys, payload):
+        (tmp_path / "trial_0.json").write_text(json.dumps(payload))
+        rc = cli.main(["report", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "malformed report file" in err and "trial_0.json" in err
+
+    def test_iterate_of_wrong_length_names_the_file(self, tmp_path, capsys):
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        path = tmp_path / "trial_0.json"
+        data = json.loads(path.read_text())
+        data["final_x"] = data["final_x"][:-1]
+        path.write_text(json.dumps(data))
+        rc = cli.main(["report", str(tmp_path)])
+        assert rc == 2
+        assert "trial_0.json" in capsys.readouterr().err
+
 
 class TestSolveConfig:
     def write_config(self, tmp_path, **overrides):

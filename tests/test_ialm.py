@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 import almkit.ialm
-from almkit.core import NonFiniteValue, SmoothOracle, al_smooth_oracle, kkt_residual
+from almkit.core import (
+    NonFiniteValue,
+    SmoothOracle,
+    al_gradient_smooth,
+    al_smooth_oracle,
+    kkt_residual,
+)
 from almkit.diagnostics import check_feasibility_decay, dual_norm_bound
 from almkit.ialm import (
     IalmConfig,
+    _EqualityBlock,
     PowerGrowthDual,
     PracticalDual,
     TheoreticalDual,
@@ -15,11 +22,12 @@ from almkit.ialm import (
     gamma_schedule,
     ialm_solve,
 )
-from almkit.ineq import ialm_ineq_solve
+from almkit.ineq import _HingeBlock, al_ineq_gradient_smooth, ialm_ineq_solve
 from almkit.ippm import ippm_solve
 from almkit.problems import gen_lcqp
 from almkit.prox import zero_function
 from helpers import box_qp_problem, toy_eq_qp, toy_ineq_qp
+from test_ineq import two_constraint_problem
 from almkit.prox import BoxSet
 
 
@@ -170,7 +178,8 @@ class TestPenaltyMode:
             rho_hat, L_hat = curvature(beta, 0.0)
             phi = al_smooth_oracle(prob, y, beta, L_hat, rho_hat)
             sub = ippm_solve(
-                phi, h, x, max(rho_hat, cfg.rho_floor), L_hat, cfg.eps, max_inner=cfg.max_inner
+                phi.gradient, h, x, max(rho_hat, cfg.rho_floor), L_hat, cfg.eps,
+                max_inner=cfg.max_inner,
             )
             x = sub.x
             assert np.array_equal(rec.x, x)
@@ -229,3 +238,57 @@ class TestSharedOuterLoop:
         with pytest.raises(NonFiniteValue):
             solve(problem, IalmConfig())
         assert 50 <= calls[0] < 100
+
+    def test_public_gradient_calls_are_certificate_calls_only(self, block, monkeypatch):
+        # The solver's own gradients go through the oracles' private,
+        # output-checked methods; only certificates use the public
+        # SmoothOracle.gradient: two per record for the equality block
+        # (certificate and running multiplier), one for the hinge block.
+        make, solve = SOLVERS[block]
+        public = [0]
+        gradient = SmoothOracle.gradient
+
+        def counted(self, x):
+            public[0] += 1
+            return gradient(self, x)
+
+        monkeypatch.setattr(SmoothOracle, "gradient", counted)
+        rep = solve(make(), IalmConfig())
+        assert rep.success
+        per_record = 2 if block == "equality" else 1
+        assert public[0] <= per_record * len(rep.records)
+
+
+def equality_subproblem_case(rng):
+    problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
+    block = _EqualityBlock(problem.with_fresh_counters())
+    block.y = rng.standard_normal(problem.constraints.n_constraints)
+    return problem, block, lambda x, beta: al_gradient_smooth(x, block.y, beta, problem)
+
+
+def hinge_subproblem_case(rng, make=lambda: toy_ineq_qp()[0]):
+    problem = make()
+    block = _HingeBlock(problem.with_fresh_counters())
+    block.y = rng.standard_normal(problem.n_eq)
+    block.z = rng.uniform(0.0, 3.0, problem.n_ineq)
+    return problem, block, lambda x, beta: al_ineq_gradient_smooth(
+        x, block.y, block.z, beta, problem
+    )
+
+
+def hinge_affine_subproblem_case(rng):
+    return hinge_subproblem_case(rng, two_constraint_problem)
+
+
+@pytest.mark.parametrize(
+    "case", [equality_subproblem_case, hinge_subproblem_case, hinge_affine_subproblem_case]
+)
+def test_subproblem_gradient_equals_public_al_gradient(case):
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        problem, block, public = case(rng)
+        beta = float(rng.uniform(0.01, 100.0))
+        grad = block.subproblem(beta)
+        for _ in range(3):
+            x = rng.uniform(-1.0, 1.0, problem.dim)
+            assert np.array_equal(grad(x), public(x, beta))

@@ -26,7 +26,9 @@ def convex_quadratic(n):
 
 class TestIppmExamples:
     def test_stationary_start_stops_immediately(self):
-        res = ippm_solve(convex_quadratic(3), zero_function(), np.zeros(3), rho=1.0, L_phi=1.0, eps=1e-6)
+        res = ippm_solve(
+            convex_quadratic(3).gradient, zero_function(), np.zeros(3), rho=1.0, L_phi=1.0, eps=1e-6
+        )
         assert res.converged
         assert res.outer_iterations == 1
         assert res.x == pytest.approx([0.0, 0.0, 0.0], abs=0)
@@ -34,7 +36,7 @@ class TestIppmExamples:
     def test_concave_objective_pushed_to_boundary(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         res = ippm_solve(
-            concave_scalar(1.0), psi, np.array([0.5]), rho=1.0, L_phi=1.0, eps=1e-6
+            concave_scalar(1.0).gradient, psi, np.array([0.5]), rho=1.0, L_phi=1.0, eps=1e-6
         )
         assert res.converged
         assert res.x == pytest.approx([1.0], abs=1e-6)
@@ -53,7 +55,9 @@ class TestIppmProperties:
         phi = concave_scalar(1.0, b=0.3)
         eps = 1e-6
         rho = 1.0
-        res = ippm_solve(phi, psi, np.array([-0.9]), rho=rho, L_phi=1.0, eps=eps, keep_trace=True)
+        res = ippm_solve(
+            phi.gradient, psi, np.array([-0.9]), rho=rho, L_phi=1.0, eps=eps, keep_trace=True
+        )
         assert res.converged
 
         def total(x):
@@ -70,7 +74,7 @@ class TestIppmProperties:
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         phi = concave_scalar(1.0)
         eps = 1e-4
-        res = ippm_solve(phi, psi, np.array([0.5]), rho=1.0, L_phi=1.0, eps=eps)
+        res = ippm_solve(phi.gradient, psi, np.array([0.5]), rho=1.0, L_phi=1.0, eps=eps)
         gap = (phi.value(np.array([0.5]))) - (phi.value(np.array([1.0])))
         assert res.outer_iterations <= outer_iteration_bound(1.0, eps, gap)
 
@@ -89,7 +93,7 @@ class TestIppmProperties:
             )
             eps = 1e-6
             res = ippm_solve(
-                phi, psi, np.zeros(2), rho=max(phi.rho, 0.5), L_phi=phi.L, eps=eps
+                phi.gradient, psi, np.zeros(2), rho=max(phi.rho, 0.5), L_phi=phi.L, eps=eps
             )
             assert res.converged
             exact = normal_cone_distance_box(res.x, -phi.gradient(res.x), box)
@@ -99,7 +103,7 @@ class TestIppmProperties:
     def test_deterministic(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         runs = [
-            ippm_solve(concave_scalar(1.0, 0.2), psi, np.array([0.1]), 1.0, 1.0, 1e-8)
+            ippm_solve(concave_scalar(1.0, 0.2).gradient, psi, np.array([0.1]), 1.0, 1.0, 1e-8)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].x, runs[1].x)
@@ -110,10 +114,15 @@ class TestIppmProperties:
 class TestIppmErrors:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
-            ippm_solve(convex_quadratic(1), zero_function(), np.zeros(1), rho=0.0, L_phi=1.0, eps=1e-6)
+            ippm_solve(
+                convex_quadratic(1).gradient, zero_function(), np.zeros(1), rho=0.0, L_phi=1.0,
+                eps=1e-6,
+            )
         psi = box_indicator(BoxSet(np.array([0.0]), np.array([1.0])))
         with pytest.raises(ValueError):
-            ippm_solve(convex_quadratic(1), psi, np.array([5.0]), rho=1.0, L_phi=1.0, eps=1e-6)
+            ippm_solve(
+                convex_quadratic(1).gradient, psi, np.array([5.0]), rho=1.0, L_phi=1.0, eps=1e-6
+            )
 
     def test_underestimated_rho_stalls_with_diagnostic(self):
         # phi = -(5/2) x^2 is 5-weakly convex; claiming rho = 0.1 leaves the
@@ -121,14 +130,14 @@ class TestIppmErrors:
         phi = concave_scalar(5.0)
         with pytest.raises(SubsolverStall, match="rho"):
             ippm_solve(
-                phi, zero_function(), np.array([1.0]), rho=0.1, L_phi=5.0, eps=1e-8,
+                phi.gradient, zero_function(), np.array([1.0]), rho=0.1, L_phi=5.0, eps=1e-8,
                 max_inner=300,
             )
 
     def test_max_outer_exhaustion_flags_failure(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         res = ippm_solve(
-            concave_scalar(1.0), psi, np.array([0.01]), rho=1.0, L_phi=1.0, eps=1e-12,
+            concave_scalar(1.0).gradient, psi, np.array([0.01]), rho=1.0, L_phi=1.0, eps=1e-12,
             max_outer=1,
         )
         assert not res.converged

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from almkit.core import DimensionMismatch
 from almkit.prox import (
     BallSet,
     BoxSet,
@@ -258,3 +259,30 @@ class TestProxFunctions:
         d = h.subdiff_distance(np.array([0.0, 0.0, 0.0, 1.0]), np.array([3.0, 4.0, -1.0, 2.0]))
         assert d == pytest.approx(math.hypot(5.0, 2.0))
         assert math.isinf(h.diameter)
+
+    @pytest.mark.parametrize(
+        "h, project, distance",
+        [
+            (box_indicator(BOX2), lambda v: project_box(v, BOX2),
+             lambda x, v: normal_cone_distance_box(x, v, BOX2)),
+            (nonneg_ball_indicator(NNBALL1), lambda v: project_nonneg_ball(v, NNBALL1),
+             lambda x, v: normal_cone_distance_nonneg_ball(x, v, NNBALL1)),
+        ],
+    )
+    def test_indicator_kernels_match_public_functions(self, h, project, distance):
+        rng = np.random.default_rng(3)
+        for scale in (0.5, 3.0, 10.0):
+            for _ in range(20):
+                v = scale * rng.standard_normal(2)
+                x = project(scale * rng.standard_normal(2))
+                assert np.array_equal(h.prox(v, 1.0), project(v))
+                assert h.subdiff_distance(x, v) == distance(x, v)
+
+    @pytest.mark.parametrize("h", [box_indicator(BOX2), nonneg_ball_indicator(NNBALL1)])
+    def test_indicator_distance_rejects_nan_and_mismatched_input(self, h):
+        # The solver calls the output-checked private method on iterates it
+        # computed itself; the membership check still rejects a NaN point.
+        with pytest.raises(ValueError, match="outside"):
+            h._subdiff(np.array([np.nan, 0.0]), np.zeros(2))
+        with pytest.raises(DimensionMismatch):
+            h.subdiff_distance(np.zeros(2), np.zeros(3))
