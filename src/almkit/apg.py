@@ -2,31 +2,57 @@
 problems  min G(x) + H(x)  with G mu-strongly convex and L_G-smooth.
 
 This is the innermost solver.  Each iteration takes one proximal gradient
-step from the extrapolated point and applies constant momentum
-(1 - a)/(1 + a) with a = sqrt(mu / L_G); it stops at the first iterate whose
-certified stationarity dist(-grad G(x), subdiff H(x)) falls below the
-tolerance.  The certificate uses H's exact subdifferential distance when
-available and otherwise the one-extra-gradient surrogate
-||grad G(x+) - grad G(xbar) + L_G (xbar - x+)||, a valid upper bound by
-optimality of the prox step.  Both variants cost one gradient at the new
-iterate, which is counted.
+step x+ = prox_{H/L}(xbar - grad G(xbar)/L) from the extrapolated point
+xbar with a local curvature estimate L in [mu, L_G], and stops at the first
+iterate whose certified stationarity dist(-grad G(x+), subdiff H(x+)) falls
+below the tolerance.
+
+Step size.  The estimate is tested with the gradient at x+ that the
+certificate needs anyway: the step is accepted when
+||grad G(x+) - grad G(xbar)|| <= L ||x+ - xbar||, and otherwise redone from
+the same xbar with L doubled (capped at L_G, where every step is accepted),
+at the cost of one gradient; after each accepted step L shrinks by 0.9 (not
+below mu).  This is backtracking in the style of Beck & Teboulle's FISTA
+(SIAM J. Imaging Sci. 2009), with a gradient test in place of value
+evaluations: APG evaluates no values.  The momentum
+(1 - a)/(1 + a), a = sqrt(mu / L), uses the accepted L.
+
+Restart.  When <xbar - x+, x+ - x_prev> > 0 the momentum points uphill, and
+the next extrapolated point is x+ itself, whose gradient is already known
+(O'Donoghue & Candes, gradient-based adaptive restart, Found. Comput. Math.
+2015).
+
+Certificate.  The exact subdifferential distance of H when available, and
+otherwise the surrogate ||grad G(x+) - grad G(xbar) + L (xbar - x+)|| with
+the accepted L, a valid upper bound for any L because
+L (xbar - x+) - grad G(xbar) lies in subdiff H(x+) by optimality of the prox
+step.
 
 The gradient is a plain callable ``grad(x) -> ndarray``; pass
 ``oracle.gradient`` to have a SmoothOracle validate each call.  Iterates are
 not re-checked: a non-finite stationarity measure raises NonFiniteValue.
+``grad_evals`` counts the calls into ``grad``; a gradient handed in
+(``grad_init``) or reused after a restart is not a call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Array, NonFiniteValue, ProxCapableFunction, as_vector
 
 DEFAULT_MAX_ITER = 10**6
+
+# Backtracking factors for the curvature estimate (Beck & Teboulle 2009):
+# a rejected step doubles L, an accepted one shrinks it by 0.9.  Shrinking
+# by 0.5 instead rejects many more steps and cost about 20% more gradients
+# on LCQP m=10, n=200; 0.95 stayed within 6% of 0.9 on LCQP and EV.
+BACKTRACK_GROWTH = 2.0
+STEP_DECAY = 0.9
 
 
 @dataclass(frozen=True)
@@ -36,7 +62,10 @@ class ApgResult:
     ``stationarity`` is the certified dual residual at ``x``;
     ``stationarity_is_exact`` records whether it came from an exact
     subdifferential distance or the surrogate upper bound.  On failure
-    (``converged`` False) ``x`` is the best iterate seen.
+    (``converged`` False) ``x`` is the best iterate seen.  For warm starts,
+    ``gradient`` is grad G(x), which the certificate computed, and ``L`` the
+    final curvature estimate: on success, the one the last step was accepted
+    with.
     """
 
     x: np.ndarray
@@ -45,6 +74,8 @@ class ApgResult:
     converged: bool
     stationarity_is_exact: bool
     grad_evals: int
+    gradient: np.ndarray
+    L: float
 
 
 def worst_case_iteration_bound(
@@ -68,42 +99,62 @@ def apg_solve(
     L_G: float,
     eps: float,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    L_init: Optional[float] = None,
+    grad_init: Optional[Array] = None,
 ) -> ApgResult:
-    """Run APG from ``x_init`` (which must lie in dom H) to eps-stationarity."""
-    if not (0 < mu <= L_G):
-        raise ValueError(f"need 0 < mu <= L_G, got mu={mu}, L_G={L_G}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Run APG from ``x_init`` (which must lie in dom H) to eps-stationarity.
+
+    ``L_init`` is the first curvature estimate (default L_G, clipped to
+    [mu, L_G]); ``grad_init``, when given, is grad G(x_init) and saves the
+    first call into ``grad``.
+    """
+    if not (0 < mu <= L_G < math.inf):
+        raise ValueError(f"need 0 < mu <= L_G < inf, got mu={mu}, L_G={L_G}")
+    if eps <= 0 or max_iter < 1:
+        raise ValueError("eps and max_iter must be positive")
     x_init = as_vector(x_init, name="x_init")
     if not math.isfinite(H.value(x_init)):
         raise ValueError("x_init lies outside dom(H)")
-
-    alpha = math.sqrt(mu / L_G)
-    momentum = (1.0 - alpha) / (1.0 + alpha)
-    step = 1.0 / L_G
+    L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
+    evals = 0
+    if grad_init is None:
+        grad_init = grad(x_init)
+        evals += 1
+    else:
+        grad_init = as_vector(grad_init, x_init.shape[0], "grad_init")
 
     # Initialization prox step from the extrapolation seed.
-    g_bar = grad(x_init)
-    x_prev = H._prox(x_init - step * g_bar, step)
-    x_bar = x_prev
+    step = 1.0 / L
+    x_prev = H._prox(x_init - step * grad_init, step)
+    x_bar, g_bar = x_prev, None
 
-    best_x = x_prev
+    best_x = best_g = None  # set by the first iteration, whose stat is finite
     best_stat = math.inf
     exact = H.has_exact_subdiff
 
     for t in range(max_iter):
-        g_bar = grad(x_bar)
-        x_next = H._prox(x_bar - step * g_bar, step)
-        g_next = grad(x_next)
+        if g_bar is None:
+            g_bar = grad(x_bar)
+            evals += 1
+        while True:
+            step = 1.0 / L
+            x_next = H._prox(x_bar - step * g_bar, step)
+            g_next = grad(x_next)
+            evals += 1
+            dx = x_bar - x_next
+            # Written so that NaN fails the test and backtracks up to L_G.
+            if L >= L_G or np.linalg.norm(g_next - g_bar) <= L * np.linalg.norm(dx):
+                break
+            L = min(L_G, BACKTRACK_GROWTH * L)
         if exact:
             stat = H._subdiff(x_next, -g_next)
         else:
-            stat = float(np.linalg.norm(g_next - g_bar + L_G * (x_bar - x_next)))
+            stat = float(np.linalg.norm(g_next - g_bar + L * dx))
             if not math.isfinite(stat):
                 raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t + 1}")
         if stat < best_stat:
-            best_stat = stat
-            best_x = x_next
+            best_stat, best_x, best_g = stat, x_next, g_next
         if stat <= eps:
             return ApgResult(
                 x=x_next,
@@ -111,10 +162,17 @@ def apg_solve(
                 stationarity=stat,
                 converged=True,
                 stationarity_is_exact=exact,
-                grad_evals=1 + 2 * (t + 1),
+                grad_evals=evals,
+                gradient=g_next,
+                L=L,
             )
-        x_bar = x_next + momentum * (x_next - x_prev)
+        if float(dx @ (x_next - x_prev)) > 0.0:
+            x_bar, g_bar = x_next, g_next
+        else:
+            alpha = math.sqrt(mu / L)
+            x_bar, g_bar = x_next + (1.0 - alpha) / (1.0 + alpha) * (x_next - x_prev), None
         x_prev = x_next
+        L = max(mu, STEP_DECAY * L)
 
     return ApgResult(
         x=best_x,
@@ -122,5 +180,7 @@ def apg_solve(
         stationarity=best_stat,
         converged=False,
         stationarity_is_exact=exact,
-        grad_evals=1 + 2 * max_iter,
+        grad_evals=evals,
+        gradient=best_g,
+        L=L,
     )

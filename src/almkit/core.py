@@ -487,7 +487,11 @@ def al_curvature_params(
 
 
 def dual_residual(
-    x: Array, lagrangian_gradient: Callable[[Array], Array], h: ProxCapableFunction, L: float
+    x: Array,
+    v: Array,
+    lagrangian_gradient: Callable[[Array], Array],
+    h: ProxCapableFunction,
+    L: float,
 ) -> tuple[float, bool]:
     """dist(0, v + subdiff h(x)) for v = lagrangian_gradient(x), and whether
     the value is a certified upper bound rather than exact.
@@ -495,9 +499,9 @@ def dual_residual(
     Uses h's exact subdifferential distance when available.  Otherwise it
     bounds the distance by ||v|| for cone-subdifferential terms (zero always
     belongs to a cone), or by the one-step prox surrogate for general terms,
-    which certifies the prox-forward point of x with step 1/max(L, 1).
+    which certifies the prox-forward point of x with step 1/max(L, 1) and is
+    the only case that calls ``lagrangian_gradient``.
     """
-    v = lagrangian_gradient(x)
     exact = h.subdiff_distance(x, -v)
     if exact is not None:
         return exact, False
@@ -508,16 +512,22 @@ def dual_residual(
     return float(np.linalg.norm(lagrangian_gradient(x_fwd) - v + L * (x - x_fwd))), True
 
 
+def _equality_kkt(x: Array, y: Array, problem: ProblemSpec, c: Array, g: Array) -> KktResidual:
+    """``kkt_residual`` at validated (x, y), given c(x) and grad g(x)."""
+    J_t = problem.constraints.jacobian_transpose_apply
+    dres, flagged = dual_residual(
+        x,
+        g + J_t(x, y),
+        lambda u: problem.smooth.gradient(u) + J_t(u, y),
+        problem.nonsmooth,
+        problem.smooth.L,
+    )
+    return KktResidual(pres=float(np.linalg.norm(c)), dres=dres, dres_is_upper_bound=flagged)
+
+
 def kkt_residual(x: Array, y: Array, problem: ProblemSpec) -> KktResidual:
     """Measure the KKT residual pair (||c(x)||, dist(0, subdiff f0(x) + J_c(x)'y)),
     with the dual distance measured by ``dual_residual``."""
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
-    c = problem.constraints.evaluate(x)
-    dres, flagged = dual_residual(
-        x,
-        lambda u: problem.smooth.gradient(u) + problem.constraints.jacobian_transpose_apply(u, y),
-        problem.nonsmooth,
-        problem.smooth.L,
-    )
-    return KktResidual(pres=float(np.linalg.norm(c)), dres=dres, dres_is_upper_bound=flagged)
+    return _equality_kkt(x, y, problem, problem.constraints.evaluate(x), problem.smooth.gradient(x))

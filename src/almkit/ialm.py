@@ -26,8 +26,8 @@ from .core import (
     KktResidual,
     ProblemSpec,
     _al_smooth_part_gradient,
+    _equality_kkt,
     al_curvature_params,
-    kkt_residual,
 )
 from .ippm import ippm_solve
 
@@ -322,10 +322,14 @@ class _EqualityBlock:
         return lambda x: _al_smooth_part_gradient(x, y, beta, problem)
 
     def certify(self, x, beta):
-        self.c = self.problem.constraints.evaluate(x)
+        # c(x) and grad g(x) once per outer iteration: they serve the
+        # certificate, the dual update and the running multiplier's dres.
+        problem = self.problem
+        self.c = problem.constraints.evaluate(x)
+        self.g = problem.smooth.gradient(x)
         self.c_norm = float(np.linalg.norm(self.c))
         self.y_cert = self.y + beta * self.c
-        return kkt_residual(x, self.y_cert, self.problem)
+        return _equality_kkt(x, self.y_cert, problem, self.c, self.g)
 
     def dual_update(self, policy, k, gamma_k, beta) -> float:
         w = dual_step_size(policy, k, self.c_norm, gamma_k)
@@ -334,7 +338,7 @@ class _EqualityBlock:
         return w
 
     def record_fields(self, x, kkt) -> dict:
-        return {"dres_running": kkt_residual(x, self.y, self.problem).dres}
+        return {"dres_running": _equality_kkt(x, self.y, self.problem, self.c, self.g).dres}
 
 
 def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:

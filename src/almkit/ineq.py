@@ -195,12 +195,8 @@ def ineq_smoothness_bound(problem: IneqProblemSpec, beta: float, z: Array) -> fl
     )
 
 
-def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) -> TripleKktResidual:
-    """Measure the three inequality-KKT residuals at (x, y, z); the dual
-    residual is measured by ``dual_residual``."""
-    x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
-    r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
-    f = problem.ineq.evaluate(x)
+def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> TripleKktResidual:
+    """``kkt_residual_ineq`` at validated (x, y, z), given Ax-b and f(x)."""
     pres_eq = float(np.linalg.norm(r))
     pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
 
@@ -208,7 +204,9 @@ def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) ->
         v = problem.smooth.gradient(u) + problem.ineq.jacobian_transpose_apply(u, z)
         return v + problem.A.T @ y if problem.n_eq else v
 
-    dres, flagged = dual_residual(x, lagrangian_gradient, problem.nonsmooth, problem.smooth.L)
+    dres, flagged = dual_residual(
+        x, lagrangian_gradient(x), lagrangian_gradient, problem.nonsmooth, problem.smooth.L
+    )
     return TripleKktResidual(
         pres=float(math.hypot(pres_eq, pres_ineq)),
         dres=dres,
@@ -217,6 +215,14 @@ def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) ->
         pres_eq=pres_eq,
         pres_ineq=pres_ineq,
     )
+
+
+def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) -> TripleKktResidual:
+    """Measure the three inequality-KKT residuals at (x, y, z); the dual
+    residual is measured by ``dual_residual``."""
+    x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
+    r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
+    return _hinge_kkt(x, y, z, problem, r, problem.ineq.evaluate(x))
 
 
 def ineq_dual_step_size(policy, k: int, max_res: float, gamma_k: float, beta: float) -> float:
@@ -273,7 +279,7 @@ class _HingeBlock:
         self.f = problem.ineq.evaluate(x)
         self.y_cert = self.y + beta * self.r
         self.z_cert = np.maximum(self.z + beta * self.f, 0.0)
-        self.kkt = kkt_residual_ineq(x, self.y_cert, self.z_cert, problem)
+        self.kkt = _hinge_kkt(x, self.y_cert, self.z_cert, problem, self.r, self.f)
         return self.kkt
 
     def dual_update(self, policy, k, gamma_k, beta) -> float:
@@ -371,25 +377,31 @@ def slack_reformulate(
     if slack_bound is None:
         slack_bound = 2.0 * max(1.0, float(np.max(Bf))) if m else 1.0
 
+    # The slack smooth oracle calls the user's callables directly: its own
+    # output check covers the concatenated gradient, and a solve on the slack
+    # problem counts its gradients in its own counters, never in
+    # ``problem``'s.  The constraint parts keep their shape checks, which the
+    # concatenation would hide.
     g = problem.smooth
+    g_value, g_gradient = g._value_fn, g._gradient_fn
 
     def value(xs):
-        return g.value(xs[:n])
+        return g_value(xs[:n])
 
     def gradient(xs):
-        return np.concatenate([g.gradient(xs[:n]), np.zeros(m)])
+        return np.concatenate([g_gradient(xs[:n]), np.zeros(m)])
 
     smooth = SmoothOracle(value, gradient, g.L, g.rho)
 
     def evaluate(xs):
         x, s = xs[:n], xs[n:]
         eq = A @ x - b if l else np.zeros(0)
-        return np.concatenate([eq, ineq.evaluate(x) + s])
+        return np.concatenate([eq, ineq._evaluate(x) + s])
 
     def jac_t_apply(xs, v):
         x = xs[:n]
         v_eq, v_in = v[:l], v[l:]
-        top = ineq.jacobian_transpose_apply(x, v_in)
+        top = ineq._jac_t(x, v_in)
         if l:
             top = top + A.T @ v_eq
         return np.concatenate([top, v_in])

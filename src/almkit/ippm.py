@@ -6,6 +6,10 @@ model) and solves it with APG to tolerance eps/4; the loop stops once
 2 rho ||x_{k+1} - x_k|| <= eps/2, which combined with the inner certificate
 yields dist(0, subdiff(phi + psi)(x_out)) <= eps.  The gradient of phi is a
 plain callable, as in ``apg_solve``.
+
+Each APG call after the first is warm-started: it reuses the gradient at its
+centre, which the previous call's certificate computed, and starts from that
+call's final curvature estimate; the first call starts at L_phi + 2 rho.
 """
 
 from __future__ import annotations
@@ -97,12 +101,16 @@ def ippm_solve(
     trace = [] if keep_trace else None
     apg_total = 0
     grad_total = 0
+    L_model = L_phi + 2.0 * rho
+    L_t, g_k = L_model, None
 
     for k in range(max_outer):
         def shifted(x, c=x_k):
             return grad(x) + 2.0 * rho * (x - c)
 
-        inner = apg_solve(shifted, psi, x_k, rho, L_phi + 2.0 * rho, eps / 4.0, apg_cap)
+        inner = apg_solve(
+            shifted, psi, x_k, rho, L_model, eps / 4.0, apg_cap, L_init=L_t, grad_init=g_k
+        )
         apg_total += inner.iterations
         grad_total += inner.grad_evals
         if not inner.converged:
@@ -130,6 +138,11 @@ def ippm_solve(
                 apg_iterations=apg_total,
                 trace=trace,
             )
+        # The next model's gradient at its centre x_next is phi's, which the
+        # certificate just computed (up to the old shift), and its curvature
+        # estimate starts where this call's ended.
+        g_k = inner.gradient - 2.0 * rho * (x_next - x_k)
+        L_t = inner.L
         x_k = x_next
 
     return IppmResult(

@@ -197,7 +197,8 @@ class EvInstance:
         eigenvalue, so |c| <= (max|mu(Q, B)| + |y|)/beta bounds the
         constraint violation, hence the curvature, along realistic
         trajectories.  The measured certificates guard against these
-        estimates being wrong.
+        estimates being wrong.  L_hat only caps and seeds APG's adaptive
+        curvature estimate, so a larger L_margin costs few gradients.
         """
         Q, B = self.Q, self.B
         lam_min_Q = float(np.linalg.eigvalsh(Q)[0])
@@ -286,6 +287,8 @@ class ClusteringInstance:
         L_base_coeff ||D|| + L_beta_coeff beta with L_beta_coeff defaulting
         to 4 ||D||, which scales with the instance.  The inner solver's
         stall guard flags an underestimate instead of looping silently.
+        The smoothness only caps and seeds APG's adaptive curvature
+        estimate, so an overestimate costs few gradients.
         """
         D = self.D
         n, r = D.shape[0], self.r

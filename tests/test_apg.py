@@ -57,6 +57,53 @@ class TestApgExamples:
             assert res.converged
             assert res.iterations <= T
 
+    def test_backtracking_from_a_loose_curvature_bound(self):
+        # L_G = 1e4 overestimates the true L = 100 a hundredfold; the
+        # adaptive step still meets the worst-case bound for L = 100 (a
+        # constant step 1/L_G takes about ten times as many iterations).
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            d = np.concatenate([[1.0, 100.0], rng.uniform(1.0, 100.0, size=3)])
+            b = rng.standard_normal(5)
+            x_star = b / d
+            x_init = rng.standard_normal(5)
+            eps = 1e-6
+            G = quadratic(d, b)
+            calls = [0]
+
+            def grad(x):
+                calls[0] += 1
+                return G.gradient(x)
+
+            res = apg_solve(grad, zero_function(), x_init, mu=1.0, L_G=1e4, eps=eps)
+            x0 = x_init - G.gradient(x_init) / 100.0
+            T = worst_case_iteration_bound(
+                1.0,
+                100.0,
+                eps,
+                float(np.sum((x_init - x_star) ** 2)),
+                float(np.sum((x0 - x_star) ** 2)),
+            )
+            assert res.converged
+            assert res.grad_evals == calls[0]
+            assert res.iterations <= T
+            assert 1.0 <= res.L <= 1e4
+
+    def test_known_initial_gradient_is_not_recomputed(self):
+        d = np.array([1.0, 7.0, 30.0])
+        b = np.array([0.3, -2.0, 1.0])
+        G = quadratic(d, b)
+        x_init = np.ones(3)
+        cold = apg_solve(G.gradient, zero_function(), x_init, 1.0, 30.0, 1e-9, L_init=3.0)
+        warm = apg_solve(
+            G.gradient, zero_function(), x_init, 1.0, 30.0, 1e-9, L_init=3.0,
+            grad_init=G.gradient(x_init),
+        )
+        assert np.array_equal(warm.x, cold.x)
+        assert warm.iterations == cold.iterations
+        assert warm.grad_evals == cold.grad_evals - 1
+        assert np.array_equal(warm.gradient, G.gradient(warm.x))
+
 
 class TestApgProperties:
     def test_descent_to_near_optimal_value(self):
@@ -117,6 +164,12 @@ class TestApgErrors:
         with pytest.raises(ValueError):
             apg_solve(G.gradient, zero_function(), np.zeros(1), mu=2.0, L_G=1.0, eps=1e-6)
 
+    def test_malformed_initial_gradient_rejected(self):
+        G = quadratic([1.0, 2.0], [0.0, 0.0])
+        for bad in (np.zeros(3), np.array([0.0, np.nan])):
+            with pytest.raises(ValueError):
+                apg_solve(G.gradient, zero_function(), np.zeros(2), 1.0, 2.0, 1e-6, grad_init=bad)
+
     def test_infeasible_start_rejected(self):
         G = quadratic([1.0], [0.0])
         H = box_indicator(BoxSet(np.array([0.0]), np.array([1.0])))
@@ -148,3 +201,21 @@ class TestApgErrors:
         with pytest.raises(NonFiniteValue):
             apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6, max_iter=1000)
         assert calls[0] == 3  # the initialization gradient plus one iteration
+
+    def test_nan_prox_fails_after_bounded_backtracking(self):
+        # NaN fails the step test, so the estimate doubles from L_init = 1
+        # up to L_G = 1024, where the step is accepted and the guard fires:
+        # one gradient per trial step on top of the first three.
+        calls = [0]
+
+        def grad(x):
+            calls[0] += 1
+            return np.ones(2)
+
+        nan_prox = ProxCapableFunction(
+            prox_fn=lambda v, step: np.full_like(v, np.nan),
+            value_fn=lambda x: 0.0,
+        )
+        with pytest.raises(NonFiniteValue):
+            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1024.0, 1e-6, max_iter=1000, L_init=1.0)
+        assert calls[0] == 3 + 10

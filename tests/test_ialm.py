@@ -5,6 +5,7 @@ import pytest
 
 import almkit.ialm
 from almkit.core import (
+    ConstraintOracle,
     NonFiniteValue,
     SmoothOracle,
     al_gradient_smooth,
@@ -242,21 +243,28 @@ class TestSharedOuterLoop:
     def test_public_gradient_calls_are_certificate_calls_only(self, block, monkeypatch):
         # The solver's own gradients go through the oracles' private,
         # output-checked methods; only certificates use the public
-        # SmoothOracle.gradient: two per record for the equality block
-        # (certificate and running multiplier), one for the hinge block.
+        # SmoothOracle.gradient, once per record for either block (the
+        # equality block's running-multiplier dres shares the certificate's
+        # gradient).  Each certificate also evaluates the constraints once,
+        # and the damping scale once more at x0.
         make, solve = SOLVERS[block]
-        public = [0]
-        gradient = SmoothOracle.gradient
+        public = {"gradient": 0, "evaluate": 0}
 
-        def counted(self, x):
-            public[0] += 1
-            return gradient(self, x)
+        def counting(cls, name):
+            method = getattr(cls, name)
 
-        monkeypatch.setattr(SmoothOracle, "gradient", counted)
+            def counted(self, *args):
+                public[name] += 1
+                return method(self, *args)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        counting(SmoothOracle, "gradient")
+        counting(ConstraintOracle, "evaluate")
         rep = solve(make(), IalmConfig())
         assert rep.success
-        per_record = 2 if block == "equality" else 1
-        assert public[0] <= per_record * len(rep.records)
+        assert public["gradient"] <= len(rep.records)
+        assert public["evaluate"] <= len(rep.records) + 1
 
 
 def equality_subproblem_case(rng):

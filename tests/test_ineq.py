@@ -300,3 +300,22 @@ class TestSlackReformulation:
         assert abs(cert.x[0] - x_star) <= 1e-2
         assert cert.compl <= 2 * eps
         assert cert.neg_part_norm <= eps
+
+    def test_slack_solves_leave_the_callers_counters_alone(self):
+        prob = toy_ineq_qp()[0]
+        calls = [0]
+        user_gradient = prob.smooth._gradient_fn
+
+        def gradient(x):
+            calls[0] += 1
+            return user_gradient(x)
+
+        prob.smooth = SmoothOracle(prob.smooth._value_fn, gradient, prob.smooth.L, prob.smooth.rho)
+        ref = slack_reformulate(prob)
+        for _ in range(2):
+            before = calls[0]
+            rep = ialm_solve(ref.problem, IalmConfig())
+            assert rep.success
+            assert rep.grad_evals == calls[0] - before > 0
+        assert prob.smooth.counters.grad == 0
+        assert prob.smooth.counters.obj == 0

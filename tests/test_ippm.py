@@ -100,6 +100,25 @@ class TestIppmProperties:
             assert exact <= eps
             assert exact <= res.stationarity + 1e-12
 
+    def test_grad_evals_are_real_calls_and_centre_gradients_are_reused(self):
+        # Every APG call after the first reuses the gradient at its centre,
+        # so the total stays below one centre gradient plus two per APG
+        # iteration for each call.
+        rng = np.random.default_rng(3)
+        d = np.array([-2.0, 0.5, 3.0, 10.0, 40.0])
+        b = rng.standard_normal(5)
+        calls = [0]
+
+        def grad(x):
+            calls[0] += 1
+            return d * x + b
+
+        psi = box_indicator(BoxSet.cube(-1.0, 1.0, 5))
+        res = ippm_solve(grad, psi, np.zeros(5), rho=2.0, L_phi=40.0, eps=1e-6)
+        assert res.converged and res.outer_iterations > 10
+        assert res.grad_evals == calls[0]
+        assert res.grad_evals < res.outer_iterations + 2 * res.apg_iterations
+
     def test_deterministic(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         runs = [

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from almkit.ialm import IalmConfig, ialm_solve
 from almkit.problems import (
     ClusteringInstance,
     EvInstance,
@@ -98,6 +99,16 @@ class TestGenEv:
             inst = gen_ev(25, seed=seed)
             c0 = abs(float(inst.x0 @ (inst.B @ inst.x0)) - 1.0)
             assert c0 >= 1e-3
+
+    def test_loose_smoothness_cap_costs_few_extra_gradients(self):
+        # L_hat only caps and seeds APG's adaptive curvature estimate, so a
+        # 16x looser cap may cost at most 25% more #Grad (a constant step
+        # 1/L_hat would cost about 4x).
+        inst = gen_ev(40, 0)
+        default = ialm_solve(inst.to_problem(), IalmConfig())
+        loose = ialm_solve(inst.to_problem(L_margin=16.0), IalmConfig())
+        assert default.success and loose.success
+        assert loose.grad_evals <= 1.25 * default.grad_evals
 
     def test_small_size_rejected(self):
         with pytest.raises(ValueError):
