@@ -55,10 +55,6 @@ ENV_OUTPUT_DIR = "ALMKIT_OUTPUT_DIR"
 SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "obj_evals")
 
 
-def policy_to_dict(policy) -> dict:
-    return policy.to_dict()
-
-
 def policy_from_dict(data: dict):
     variant = data.get("variant", "practical")
     if variant == "practical":
@@ -75,7 +71,7 @@ def solver_to_dict(cfg: IalmConfig) -> dict:
         "beta0": cfg.beta0,
         "sigma": cfg.sigma,
         "eps": cfg.eps,
-        "policy": policy_to_dict(cfg.policy),
+        "policy": cfg.policy.to_dict(),
         "penalty_mode": cfg.penalty_mode,
         "max_outer": cfg.max_outer,
         "max_inner": cfg.max_inner,
@@ -195,7 +191,7 @@ def _diagnostics_dict(report: SolveReport, problem: ProblemSpec, config: RunConf
             "constant": verdict.constant,
             "max_product": verdict.max_product,
         }
-    policy = policy_to_dict(config.solver.policy)
+    policy = config.solver.policy.to_dict()
     if policy["variant"] == "theoretical" and not config.solver.penalty_mode:
         c0 = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
         y_max = diag.dual_norm_bound(policy["w0"], c0)
@@ -324,11 +320,11 @@ def reverify_trial(path: Path) -> dict:
         problem = build_problem(data["instance_ref"])
         x = as_vector(data["final_x"], problem.dim, "final_x")
         y = as_vector(data["final_y"], problem.constraints.n_constraints, "final_y")
-    except (KeyError, TypeError, ValueError) as exc:
+        eps = float(data.get("solver", {}).get("eps", math.nan))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed report file {path}: {exc!r}") from None
     kkt = kkt_residual(x, y, problem)
     row["pres"], row["dres"] = kkt.pres, kkt.dres
-    eps = float(data.get("solver", {}).get("eps", math.nan))
     row["success"] = bool(data.get("success", False)) and max(kkt.pres, kkt.dres) <= eps
     return row
 
@@ -446,6 +442,9 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.command == "report":
         paths = sorted(Path(args.dir).glob("trial_*.json"))
+        if not paths:
+            print(f"no trial_*.json files in {args.dir}", file=sys.stderr)
+            return 2
         try:
             return emit_report(paths, args.format)
         except ValueError as exc:

@@ -35,7 +35,7 @@ LOG2_SQ = math.log(2.0) ** 2
 
 # Weak-convexity floor: convex subproblems (rho_hat = 0) are still valid
 # proximal point inputs for any positive rho, so clamp instead of failing.
-DEFAULT_RHO_FLOOR = 1e-6
+RHO_FLOOR = 1e-6
 
 
 # Each policy gives the step size w_k for a residual norm r > 0 (at r = 0
@@ -132,7 +132,11 @@ def dual_step_size(
 
 @dataclass
 class IalmConfig:
-    """Solver configuration; defaults follow the bundled benchmark setup."""
+    """Solver configuration; defaults follow the bundled benchmark setup.
+
+    ``curvature_override`` maps (beta, multiplier norm) to (rho_hat, L_hat)
+    and replaces the problem's own curvature schedule.
+    """
 
     beta0: float = 0.01
     sigma: float = 3.0
@@ -142,7 +146,6 @@ class IalmConfig:
     max_outer: int = 40
     max_inner: int = 10**6
     curvature_override: Optional[CurvatureSchedule] = None
-    rho_floor: float = DEFAULT_RHO_FLOOR
 
     def __post_init__(self):
         if self.beta0 <= 0:
@@ -153,8 +156,6 @@ class IalmConfig:
             raise ValueError("eps must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration limits must be positive")
-        if self.rho_floor <= 0:
-            raise ValueError("rho_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -243,7 +244,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
             block.subproblem(beta),
             problem.nonsmooth,
             x,
-            max(rho_hat, config.rho_floor),
+            max(rho_hat, RHO_FLOOR),
             L_hat,
             config.eps,
             max_inner=config.max_inner,

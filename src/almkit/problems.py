@@ -42,22 +42,23 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _sym_norm(M: np.ndarray) -> float:
+def _spectrum(M: np.ndarray) -> tuple[float, float]:
+    """(lambda_min(M), ||M||_2) of a symmetric matrix, from one eigvalsh."""
     w = np.linalg.eigvalsh(M)
-    return float(max(abs(w[0]), abs(w[-1])))
+    return float(w[0]), float(max(abs(w[0]), abs(w[-1])))
 
 
 def quadratic_objective(Q: np.ndarray, c: Optional[np.ndarray] = None, half: bool = True) -> SmoothOracle:
     """SmoothOracle for (1/2) x'Qx + c'x (or x'Qx + c'x when half=False)."""
     Q = np.asarray(Q, dtype=float)
     c = np.zeros(Q.shape[0]) if c is None else np.asarray(c, dtype=float)
-    w = np.linalg.eigvalsh(Q)
+    lam_min, norm = _spectrum(Q)
     scale = 0.5 if half else 1.0
     return SmoothOracle(
         value_fn=lambda x: scale * float(x @ (Q @ x)) + float(c @ x),
         gradient_fn=lambda x: 2.0 * scale * (Q @ x) + c,
-        smoothness=2.0 * scale * max(abs(w[0]), abs(w[-1])),
-        weak_convexity=2.0 * scale * max(0.0, -float(w[0])),
+        smoothness=2.0 * scale * norm,
+        weak_convexity=2.0 * scale * max(0.0, -lam_min),
     )
 
 
@@ -82,15 +83,24 @@ class LcqpInstance:
     x0: np.ndarray
 
     def to_problem(self) -> ProblemSpec:
+        """Build the ProblemSpec with a closed-form curvature schedule.
+
+        The AL smooth part (1/2)x'Qx + c'x + (beta/2)||Ax - b||^2 is
+        rho-weakly convex and ||Q + beta A'A||-smooth, which the triangle
+        inequality caps by ||Q|| + beta ||A||_2^2.  The cap only bounds and
+        seeds APG's adaptive curvature estimate, so its slack costs few
+        gradients and no per-beta eigenvalue work is needed.
+        """
         Q, c, A, b = self.Q, self.c, self.A, self.b
         box = BoxSet(self.lower, self.upper)
         smooth = SmoothOracle(
             value_fn=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
             gradient_fn=lambda x: Q @ x + c,
-            smoothness=_sym_norm(Q),
+            smoothness=_spectrum(Q)[1],
             weak_convexity=self.rho,
         )
         m = A.shape[0]
+        A_norm = float(np.linalg.norm(A, 2))
         constraints = ConstraintOracle(
             evaluate_fn=lambda x: A @ x - b,
             jacobian_t_apply_fn=lambda x, v: A.T @ v,
@@ -98,7 +108,7 @@ class LcqpInstance:
             component_smoothness=np.zeros(m),
             component_weak_convexity=np.zeros(m),
             component_bounds=lcqp_row_bounds(A, b, box),
-            jacobian_norm_bound=float(np.linalg.norm(A, 2)),
+            jacobian_norm_bound=A_norm,
         )
         corner = float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
         B0 = max(
@@ -107,30 +117,20 @@ class LcqpInstance:
         )
         ledger = ConstantsLedger.from_components(
             B0=B0,
-            B_c=float(np.linalg.norm(A, 2)),
+            B_c=A_norm,
             B_i=constraints.component_bounds,
             L_i=np.zeros(m),
             rho_i=np.zeros(m),
             D=box.diameter,
         )
-        AtA = A.T @ A
-        rho = self.rho
-        cache: dict[float, float] = {}
-
-        def curvature(beta: float, y_norm: float) -> tuple[float, float]:
-            # Exact AL curvature for this family: the smooth part is
-            # ||Q + beta A'A||-smooth and rho-weakly convex.
-            if beta not in cache:
-                cache[beta] = _sym_norm(Q + beta * AtA)
-            return (rho, cache[beta])
-
+        rho, L0, A_sq = self.rho, smooth.L, A_norm**2
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=box_indicator(box),
             constraints=constraints,
             constants=ledger,
             x0=self.x0,
-            default_curvature=curvature,
+            default_curvature=lambda beta, y_norm: (rho, L0 + beta * A_sq),
         )
 
 
@@ -179,56 +179,49 @@ class EvInstance:
     seed: int
     x0: np.ndarray
 
-    def to_problem(
-        self,
-        rho_base_coeff: float = 0.2,
-        rho_beta_coeff: float = 0.25,
-        L_margin: float = 1.0,
-    ) -> ProblemSpec:
+    def to_problem(self) -> ProblemSpec:
         """Build the ProblemSpec with a curvature schedule for this family.
 
         No closed-form ledger exists (the domain is unbounded), so the
-        schedule is tuned, not derived.  The weak-convexity curve follows
-        the shape rho_base_coeff |lambda_min(Q)| + rho_beta_coeff beta,
-        deliberately below the worst case: larger values stall the proximal
-        point stopping rule without improving the measured certificates.
-        The smoothness cap uses structure: near any subproblem stationary
-        point the effective multiplier y + beta c is a (Q, B) pencil
-        eigenvalue, so |c| <= (max|mu(Q, B)| + |y|)/beta bounds the
-        constraint violation, hence the curvature, along realistic
+        weak-convexity curve is tuned, not derived: 0.2 |lambda_min(Q)| +
+        0.25 beta, deliberately below the worst case, because larger values
+        stall the proximal point stopping rule without improving the
+        measured certificates.  The smoothness cap uses structure: near any
+        subproblem stationary point the effective multiplier y + beta c is a
+        (Q, B) pencil eigenvalue, so |c| <= (max|mu(Q, B)| + |y|)/beta bounds
+        the constraint violation, hence the curvature, along realistic
         trajectories.  The measured certificates guard against these
         estimates being wrong.  L_hat only caps and seeds APG's adaptive
-        curvature estimate, so a larger L_margin costs few gradients.
+        curvature estimate; ``IalmConfig.curvature_override`` replaces the
+        whole schedule.
         """
         Q, B = self.Q, self.B
-        lam_min_Q = float(np.linalg.eigvalsh(Q)[0])
+        lam_min_Q, norm_Q = _spectrum(Q)
+        norm_B = _spectrum(B)[1]
         smooth = SmoothOracle(
             value_fn=lambda x: float(x @ (Q @ x)),
             gradient_fn=lambda x: 2.0 * (Q @ x),
-            smoothness=2.0 * _sym_norm(Q),
+            smoothness=2.0 * norm_Q,
             weak_convexity=2.0 * max(0.0, -lam_min_Q),
         )
+        L_B = 2.0 * norm_B
         constraints = ConstraintOracle(
             evaluate_fn=lambda x: np.array([float(x @ (B @ x)) - 1.0]),
             jacobian_t_apply_fn=lambda x, v: (2.0 * v[0]) * (B @ x),
             n_constraints=1,
-            component_smoothness=np.array([2.0 * _sym_norm(B)]),
+            component_smoothness=np.array([L_B]),
             component_weak_convexity=np.zeros(1),
         )
-        norm_B = _sym_norm(B)
         # Largest |mu| with Qv = mu Bv: every subproblem stationary point has
         # effective multiplier y + beta c in [-pencil_cap, pencil_cap].
         B_half_inv = np.linalg.inv(np.linalg.cholesky(B))
-        pencil_cap = _sym_norm(B_half_inv @ Q @ B_half_inv.T)
+        pencil_cap = _spectrum(B_half_inv @ Q @ B_half_inv.T)[1]
         L0 = smooth.L
+        rho_base = 0.2 * max(0.0, -lam_min_Q)
 
         def curvature(beta: float, y_norm: float) -> tuple[float, float]:
             c_cap = (pencil_cap + y_norm) / beta
-            rho_hat = rho_base_coeff * max(0.0, -lam_min_Q) + rho_beta_coeff * beta
-            L_hat = L0 + 2.0 * norm_B * y_norm + L_margin * 2.0 * norm_B * beta * (
-                3.0 * c_cap + 2.0
-            )
-            return (rho_hat, L_hat)
+            return (rho_base + 0.25 * beta, L0 + L_B * y_norm + L_B * beta * (3.0 * c_cap + 2.0))
 
         return ProblemSpec(
             smooth=smooth,
@@ -249,7 +242,7 @@ def gen_ev(n: int, seed: int) -> EvInstance:
     Q = 0.5 * (G + G.T)
     Gb = _rng(seed, STREAM_B).standard_normal((n, n))
     Bbar = 0.5 * (Gb + Gb.T)
-    B = Bbar + (_sym_norm(Bbar) + 1.0) * np.eye(n)
+    B = Bbar + (_spectrum(Bbar)[1] + 1.0) * np.eye(n)
     u = _rng(seed, STREAM_X0).standard_normal(n)
     u = u / np.linalg.norm(u)
     # The damping schedule needs ||c(x0)|| > 0; rescale if x0 starts on the
@@ -274,21 +267,16 @@ class ClusteringInstance:
     s: float
     x0: np.ndarray
 
-    def to_problem(
-        self,
-        rho_beta_coeff: float = 1.0,
-        L_base_coeff: float = 2.0,
-        L_beta_coeff: Optional[float] = None,
-    ) -> ProblemSpec:
+    def to_problem(self) -> ProblemSpec:
         """Build the ProblemSpec with a tuned curvature schedule.
 
         The exact ledger bounds are far too pessimistic here, so the
-        schedule is tuning: rho = rho0 + rho_beta_coeff beta, and smoothness
-        L_base_coeff ||D|| + L_beta_coeff beta with L_beta_coeff defaulting
-        to 4 ||D||, which scales with the instance.  The inner solver's
-        stall guard flags an underestimate instead of looping silently.
-        The smoothness only caps and seeds APG's adaptive curvature
-        estimate, so an overestimate costs few gradients.
+        schedule is tuning that scales with the instance: rho = rho0 + beta
+        and smoothness 2 ||D|| + 4 ||D|| beta.  The inner solver's stall
+        guard flags an underestimate instead of looping silently.  The
+        smoothness only caps and seeds APG's adaptive curvature estimate,
+        so an overestimate costs few gradients;
+        ``IalmConfig.curvature_override`` replaces the whole schedule.
         """
         D = self.D
         n, r = D.shape[0], self.r
@@ -301,12 +289,12 @@ class ClusteringInstance:
             X = xflat.reshape(n, r)
             return (2.0 * (D @ X)).ravel()
 
-        w = np.linalg.eigvalsh(D)
+        lam_min_D, norm_D = _spectrum(D)
         smooth = SmoothOracle(
             value_fn=value,
             gradient_fn=gradient,
-            smoothness=2.0 * max(abs(w[0]), abs(w[-1])),
-            weak_convexity=2.0 * max(0.0, -float(w[0])),
+            smoothness=2.0 * norm_D,
+            weak_convexity=2.0 * max(0.0, -lam_min_D),
         )
 
         def evaluate(xflat):
@@ -339,13 +327,7 @@ class ClusteringInstance:
             component_weak_convexity=np.full(n, rho_n),
             component_bounds=np.full(n, Bi),
         )
-        norm_D = smooth.L / 2.0
-        rho0 = smooth.rho
-        L_base = L_base_coeff * norm_D
-        k_L = 4.0 * norm_D if L_beta_coeff is None else L_beta_coeff
-
-        def curvature(beta: float, y_norm: float) -> tuple[float, float]:
-            return (rho0 + rho_beta_coeff * beta, L_base + k_L * beta)
+        rho0, L_base, k_L = smooth.rho, 2.0 * norm_D, 4.0 * norm_D
 
         return ProblemSpec(
             smooth=smooth,
@@ -353,7 +335,7 @@ class ClusteringInstance:
             constraints=constraints,
             constants=ledger,
             x0=self.x0,
-            default_curvature=curvature,
+            default_curvature=lambda beta, y_norm: (rho0 + beta, L_base + k_L * beta),
         )
 
 

@@ -10,6 +10,14 @@ from almkit.core import kkt_residual
 from almkit.problems import gen_lcqp, save_instance
 
 TINY = ["--m", "3", "--n", "12"]
+# A structurally complete trial file for the TINY lcqp instance.
+VALID_TRIAL = {
+    "seed": 0,
+    "instance_ref": {"generator": {"kind": "lcqp", "m": 3, "n": 12, "rho": 1.0, "seed": 0}},
+    "final_x": [0.0] * 12,
+    "final_y": [0.0] * 3,
+    "success": True,
+}
 
 
 def read_csv(path):
@@ -123,11 +131,17 @@ class TestReport:
         assert lines[0] == "trial,pres,dres,time,grad_evals,obj_evals"
         assert len(lines) == 2
 
-    def test_empty_campaign_gives_header_only(self, tmp_path, capsys):
-        rc = cli.main(["report", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert out.splitlines() == ["trial,pres,dres,time,grad_evals,obj_evals"]
-        assert rc == 0
+    @pytest.mark.parametrize("name", ["empty", "missing"])
+    def test_directory_without_trials_names_it(self, tmp_path, capsys, name):
+        # An empty or mistyped directory is a failed campaign, not a pass.
+        target = tmp_path / name
+        if name == "empty":
+            target.mkdir()
+        rc = cli.main(["report", str(target)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert str(target) in captured.err
 
     def test_residuals_are_independently_recomputed(self, tmp_path):
         cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
@@ -177,6 +191,8 @@ class TestReport:
             {"seed": 0, "final_x": [0.0, 1.0], "final_y": [0.0]},
             [0, 1],
             "trial",
+            {**VALID_TRIAL, "solver": "fast"},
+            {**VALID_TRIAL, "solver": {"eps": "tight"}},
         ],
     )
     def test_structurally_malformed_trial_names_the_file(self, tmp_path, capsys, payload):

@@ -14,6 +14,7 @@ from almkit.core import (
 )
 from almkit.diagnostics import check_feasibility_decay, dual_norm_bound
 from almkit.ialm import (
+    RHO_FLOOR,
     IalmConfig,
     _EqualityBlock,
     PowerGrowthDual,
@@ -179,7 +180,7 @@ class TestPenaltyMode:
             rho_hat, L_hat = curvature(beta, 0.0)
             phi = al_smooth_oracle(prob, y, beta, L_hat, rho_hat)
             sub = ippm_solve(
-                phi.gradient, h, x, max(rho_hat, cfg.rho_floor), L_hat, cfg.eps,
+                phi.gradient, h, x, max(rho_hat, RHO_FLOOR), L_hat, cfg.eps,
                 max_inner=cfg.max_inner,
             )
             x = sub.x

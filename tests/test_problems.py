@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -69,15 +70,20 @@ class TestGenLcqp:
             gen_lcqp(2, 10, 0.0, seed=0)
 
     def test_problem_ledger_consistency(self):
-        prob = gen_lcqp(3, 12, 1.0, seed=2).to_problem()
+        inst = gen_lcqp(3, 12, 1.0, seed=2)
+        prob = inst.to_problem()
         ledger = prob.constants
         assert ledger.L_bar == 0.0 and ledger.rho_c == 0.0
         assert ledger.L_c == pytest.approx(float(np.sum(ledger.B_i**2)))
-        rho_hat, L_hat = prob.default_curvature(5.0, 0.0)
-        inst = gen_lcqp(3, 12, 1.0, seed=2)
-        exact = np.linalg.norm(inst.Q + 5.0 * inst.A.T @ inst.A, 2)
-        assert rho_hat == 1.0
-        assert L_hat == pytest.approx(exact)
+        norm_Q, norm_A = np.linalg.norm(inst.Q, 2), np.linalg.norm(inst.A, 2)
+        for beta in (0.01, 1.0, 5.0, 300.0):
+            rho_hat, L_hat = prob.default_curvature(beta, 0.0)
+            assert rho_hat == 1.0
+            # The closed-form cap ||Q|| + beta ||A||^2 bounds the exact
+            # smoothness ||Q + beta A'A|| of the AL smooth part.
+            assert L_hat == pytest.approx(norm_Q + beta * norm_A**2, rel=1e-12)
+            exact = np.linalg.norm(inst.Q + beta * inst.A.T @ inst.A, 2)
+            assert L_hat >= exact * (1.0 - 1e-12)
 
 
 class TestGenEv:
@@ -100,19 +106,38 @@ class TestGenEv:
             c0 = abs(float(inst.x0 @ (inst.B @ inst.x0)) - 1.0)
             assert c0 >= 1e-3
 
-    def test_loose_smoothness_cap_costs_few_extra_gradients(self):
-        # L_hat only caps and seeds APG's adaptive curvature estimate, so a
-        # 16x looser cap may cost at most 25% more #Grad (a constant step
-        # 1/L_hat would cost about 4x).
-        inst = gen_ev(40, 0)
-        default = ialm_solve(inst.to_problem(), IalmConfig())
-        loose = ialm_solve(inst.to_problem(L_margin=16.0), IalmConfig())
-        assert default.success and loose.success
-        assert loose.grad_evals <= 1.25 * default.grad_evals
-
     def test_small_size_rejected(self):
         with pytest.raises(ValueError):
             gen_ev(1, seed=0)
+
+
+LOOSE_CAP_CASES = {
+    "ev": lambda: (gen_ev(40, 0).to_problem(), IalmConfig()),
+    "lcqp": lambda: (gen_lcqp(4, 40, 1.0, 0).to_problem(), IalmConfig()),
+    "cluster": lambda: (
+        gen_clustering(np.random.default_rng(0).standard_normal((12, 2)), r=3, s=100.0).to_problem(),
+        IalmConfig(eps=1e-2),
+    ),
+}
+
+
+class TestCurvatureSchedules:
+    @pytest.mark.parametrize("family", sorted(LOOSE_CAP_CASES))
+    def test_loose_smoothness_cap_costs_few_extra_gradients(self, family):
+        # L_hat only caps and seeds APG's adaptive curvature estimate, so a
+        # schedule whose L_hat is 16x looser may cost at most 25% more #Grad
+        # (a constant step 1/L_hat would cost about 4x).
+        problem, config = LOOSE_CAP_CASES[family]()
+        schedule = problem.default_curvature
+
+        def loose(beta, y_norm):
+            rho_hat, L_hat = schedule(beta, y_norm)
+            return rho_hat, 16.0 * L_hat
+
+        default = ialm_solve(problem, config)
+        loose_run = ialm_solve(problem, dataclasses.replace(config, curvature_override=loose))
+        assert default.success and loose_run.success
+        assert loose_run.grad_evals <= 1.25 * default.grad_evals
 
 
 class TestGenClustering:
