@@ -48,8 +48,8 @@ def main() -> int:
 
     out = Path(args.out)
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    # Exit status: the worst of every campaign's and every re-verified
-    # report's exit code (0 ok, 1 a trial failed, 2 unreadable input).
+    # Exit status: the worst campaign exit code (0 ok, 1 a trial failed,
+    # 2 a usage error or unreadable input).
     worst = 0
     for family in families:
         print(f"== {family}")
@@ -73,9 +73,11 @@ def main() -> int:
             ]
         else:
             raise SystemExit(f"unknown family {family!r}")
-        target = str(out / name)
-        worst = max(worst, cli.main(argv + ["--out", target]), cli.main(["report", target]))
-        print()
+        target = out / name
+        rc = cli.main(argv + ["--out", str(target)])
+        if rc != 2:
+            print((target / "summary.csv").read_text())
+        worst = max(worst, rc)
     return worst
 
 

@@ -7,12 +7,14 @@ Subcommands:
 
 Each trial writes ``trial_<seed>.json`` (outer-iteration trajectory,
 diagnostics verdicts, and enough instance information to rebuild the
-problem); a campaign ends with ``summary.csv`` holding one row per trial
-plus an ``avg`` row.  ``report`` re-measures the final KKT residuals from
-the trajectory files instead of trusting the solver's own numbers.
+problem).  ``report`` re-measures the final KKT residuals from the trial
+files instead of trusting the solver's own numbers, and a campaign ends by
+writing that same re-verified report of its trial files to ``summary.csv``:
+one row per trial plus an ``avg`` row.
 
 The environment variable ALMKIT_OUTPUT_DIR sets the default output
-directory.  Exit code 0 means every trial certified success.
+directory.  Exit code 0 means every trial re-verified as a success, 1 that
+one did not, and 2 a usage error or unreadable input.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .problems import (
 )
 
 ENV_OUTPUT_DIR = "ALMKIT_OUTPUT_DIR"
-SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "obj_evals")
+SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "success")
 
 
 def policy_from_dict(data: dict):
@@ -109,8 +111,10 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if len(self.seeds) < 1:
             raise ValueError("at least one trial seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"duplicate trial seeds in {list(self.seeds)}")
         if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def _instance_ref(config: RunConfig, seed: int) -> dict:
@@ -148,17 +152,6 @@ def build_problem(instance_ref: dict) -> ProblemSpec:
     raise ValueError("instance_ref must contain 'generator' or 'inline'")
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    trial: int
-    pres: float
-    dres: float
-    time: float
-    grad_evals: int
-    obj_evals: int
-    success: bool
-
-
 def _record_to_dict(rec) -> dict:
     return {
         "k": rec.k,
@@ -169,7 +162,6 @@ def _record_to_dict(rec) -> dict:
         "dres_running": rec.dres_running,
         "y_norm": rec.y_norm,
         "grad_evals": rec.grad_evals,
-        "obj_evals": rec.obj_evals,
         "seconds": rec.seconds,
         "x": rec.x.tolist(),
     }
@@ -200,7 +192,9 @@ def _diagnostics_dict(report: SolveReport, problem: ProblemSpec, config: RunConf
     return out
 
 
-def run_trial(config: RunConfig, seed: int) -> tuple[TrialRow, dict]:
+def run_trial(config: RunConfig, seed: int) -> dict:
+    """Solve one seed; return its trial-file payload.  A stalled solve
+    writes null for the residuals and time it did not measure."""
     ref = _instance_ref(config, seed)
     problem = build_problem(ref)
     payload = {
@@ -215,16 +209,14 @@ def run_trial(config: RunConfig, seed: int) -> tuple[TrialRow, dict]:
         payload.update(
             success=False,
             termination=f"subsolver_stall: {exc}",
-            pres=math.nan,
-            dres=math.nan,
-            time_seconds=math.nan,
-            grad_evals=0,
-            obj_evals=0,
+            pres=None,
+            dres=None,
+            time_seconds=None,
+            grad_evals=exc.grad_evals,
             records=[],
             diagnostics={},
         )
-        row = TrialRow(seed, math.nan, math.nan, math.nan, 0, 0, False)
-        return row, payload
+        return payload
     payload.update(
         success=report.success,
         termination=report.termination,
@@ -232,60 +224,32 @@ def run_trial(config: RunConfig, seed: int) -> tuple[TrialRow, dict]:
         dres=report.kkt.dres,
         time_seconds=report.seconds,
         grad_evals=report.grad_evals,
-        obj_evals=report.obj_evals,
         final_x=report.x.tolist(),
         final_y=report.y.tolist(),
         records=[_record_to_dict(rec) for rec in report.records],
         diagnostics=_diagnostics_dict(report, problem, config),
     )
-    row = TrialRow(
-        seed,
-        report.kkt.pres,
-        report.kkt.dres,
-        report.seconds,
-        report.grad_evals,
-        report.obj_evals,
-        report.success,
-    )
-    return row, payload
+    return payload
 
 
-def run_benchmark(config: RunConfig) -> list[TrialRow]:
-    """Run every seed, write per-trial JSON files and the summary CSV."""
+def run_benchmark(config: RunConfig) -> int:
+    """Run every seed and write its trial file, then write ``summary.csv``,
+    the re-verified report of those files; return the report's exit code."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.jobs == 1:
-        results = [run_trial(config, seed) for seed in config.seeds]
+        payloads = [run_trial(config, seed) for seed in config.seeds]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(lambda s: run_trial(config, s), config.seeds))
+            payloads = list(pool.map(lambda s: run_trial(config, s), config.seeds))
 
-    rows = []
-    for (row, payload), seed in zip(results, config.seeds):
-        with open(out_dir / f"trial_{seed}.json", "w") as fh:
+    paths = [out_dir / f"trial_{seed}.json" for seed in config.seeds]
+    for path, payload in zip(paths, payloads):
+        with open(path, "w") as fh:
             json.dump(payload, fh)
-        rows.append(row)
-
     with open(out_dir / "summary.csv", "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS + ("success",)) + "\n")
-        for row in rows:
-            fh.write(
-                f"{row.trial},{row.pres!r},{row.dres!r},{row.time!r},"
-                f"{row.grad_evals},{row.obj_evals},{int(row.success)}\n"
-            )
-        ok = [r for r in rows if not math.isnan(r.pres)]
-        if ok:
-            fh.write(
-                "avg,"
-                f"{float(np.mean([r.pres for r in ok]))!r},"
-                f"{float(np.mean([r.dres for r in ok]))!r},"
-                f"{float(np.mean([r.time for r in ok]))!r},"
-                f"{float(np.mean([r.grad_evals for r in ok]))!r},"
-                f"{float(np.mean([r.obj_evals for r in ok]))!r},"
-                f"{float(np.mean([int(r.success) for r in rows]))!r}\n"
-            )
-    return rows
+        return emit_report(paths, "csv", fh)
 
 
 def reverify_trial(path: Path) -> dict:
@@ -307,11 +271,11 @@ def reverify_trial(path: Path) -> dict:
     missing = [key for key in required if key not in data]
     if missing:
         raise ValueError(f"malformed report file {path}: missing {', '.join(missing)}")
+    time_seconds = data.get("time_seconds")
     row = {
         "trial": data["seed"],
-        "time": data.get("time_seconds", math.nan),
+        "time": math.nan if time_seconds is None else time_seconds,
         "grad_evals": data.get("grad_evals", 0),
-        "obj_evals": data.get("obj_evals", 0),
     }
     if data.get("final_x") is None:
         row["pres"], row["dres"], row["success"] = math.nan, math.nan, False
@@ -329,21 +293,37 @@ def reverify_trial(path: Path) -> dict:
     return row
 
 
+def _cell(value) -> str:
+    return str(int(value)) if isinstance(value, bool) else str(value)
+
+
 def emit_report(paths: list[Path], fmt: str = "csv", out=None) -> int:
-    """Re-verified campaign summary on stdout; returns a process exit code,
-    0 only when every trial re-verifies as a success."""
+    """Write the re-verified campaign summary to ``out`` (stdout by default);
+    return a process exit code, 0 only when every trial re-verifies as a
+    success.
+
+    The CSV form has one row per trial and an ``avg`` row: the mean of each
+    column over the trials with measured residuals, and the success rate
+    over all trials.  Numbers that were not measured read ``nan`` in the
+    CSV and ``null`` in the JSON form.
+    """
     out = out or sys.stdout
     rows = sorted((reverify_trial(p) for p in paths), key=lambda r: r["trial"])
     if fmt == "csv":
+        measured = [r for r in rows if not math.isnan(r["pres"])]
+        avg = {"trial": "avg", "success": float(np.mean([r["success"] for r in rows]))}
+        for col in ("pres", "dres", "time", "grad_evals"):
+            avg[col] = float(np.mean([r[col] for r in measured])) if measured else math.nan
         out.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for r in rows:
-            out.write(
-                f"{r['trial']},{r['pres']!r},{r['dres']!r},{r['time']!r},"
-                f"{r['grad_evals']},{r['obj_evals']}\n"
-            )
+        for r in rows + [avg]:
+            out.write(",".join(_cell(r[col]) for col in SUMMARY_COLUMNS) + "\n")
     elif fmt == "json":
-        slim = [{k: r[k] for k in SUMMARY_COLUMNS} for r in rows]
-        json.dump({"format_version": FORMAT_VERSION, "trials": slim}, out)
+        trials = [
+            {k: None if isinstance(r[k], float) and not math.isfinite(r[k]) else r[k]
+             for k in SUMMARY_COLUMNS}
+            for r in rows
+        ]
+        json.dump({"format_version": FORMAT_VERSION, "trials": trials}, out, allow_nan=False)
         out.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
@@ -400,14 +380,60 @@ def _solver_from_args(args, base: Optional[IalmConfig] = None) -> IalmConfig:
 
 def _seeds_from_args(args, default: tuple = (0,)) -> tuple:
     if args.seeds is not None:
-        return tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        if not seeds:
+            raise ValueError(f"--seeds {args.seeds!r} names no seed")
+        return seeds
     if args.trials is not None:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         return tuple(range(args.trials))
     return default
 
 
-def _campaign_exit(rows: list[TrialRow]) -> int:
-    return 0 if rows and all(r.success for r in rows) else 1
+def _campaign_config(args) -> RunConfig:
+    """The campaign a bench-* or solve command asks for; raises ValueError
+    on a usage error."""
+    if args.command == "solve":
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ValueError(f"config {args.config} is not a JSON object")
+        if data.get("format_version") != FORMAT_VERSION:
+            raise ValueError(f"unsupported config format_version {data.get('format_version')!r}")
+        if "experiment" not in data:
+            raise ValueError(f"config {args.config} has no \"experiment\" key")
+        return RunConfig(
+            experiment=data["experiment"],
+            sizes=data.get("sizes", {}),
+            rho=float(data.get("rho", 1.0)),
+            seeds=_seeds_from_args(args, tuple(data.get("seeds", [0]))),
+            solver=_solver_from_args(args, solver_from_dict(data.get("solver", {}))),
+            output_dir=args.out or data.get("output_dir", _default_out()),
+            jobs=args.jobs if args.jobs != 1 else int(data.get("jobs", 1)),
+            instance_path=data.get("instance_path"),
+            points_path=data.get("points_path"),
+        )
+    if args.command == "bench-lcqp":
+        family = {"experiment": "lcqp", "sizes": {"m": args.m, "n": args.n}, "rho": args.rho}
+        seeds = tuple(range(10))
+    elif args.command == "bench-ev":
+        family = {"experiment": "ev", "sizes": {"n": args.n}}
+        seeds = tuple(range(10))
+    else:
+        family = {"experiment": "cluster", "sizes": {"r": args.r, "s": args.s},
+                  "points_path": args.points}
+        seeds = (0,)
+    return RunConfig(
+        **family,
+        seeds=_seeds_from_args(args, seeds),
+        solver=_solver_from_args(args),
+        output_dir=args.out or _default_out(),
+        jobs=args.jobs,
+    )
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -451,71 +477,16 @@ def main(argv: Optional[list] = None) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    if args.command == "solve":
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
-            return 2
-        if data.get("format_version") != FORMAT_VERSION:
-            print(f"unsupported config format_version {data.get('format_version')!r}", file=sys.stderr)
-            return 2
-        config = RunConfig(
-            experiment=data["experiment"],
-            sizes=data.get("sizes", {}),
-            rho=float(data.get("rho", 1.0)),
-            seeds=tuple(data.get("seeds", [0])),
-            solver=solver_from_dict(data.get("solver", {})),
-            output_dir=data.get("output_dir", _default_out()),
-            jobs=int(data.get("jobs", 1)),
-            instance_path=data.get("instance_path"),
-            points_path=data.get("points_path"),
-        )
-        config.solver = _solver_from_args(args, config.solver)
-        config.seeds = _seeds_from_args(args, config.seeds)
-        if args.out is not None:
-            config.output_dir = args.out
-        if args.jobs != 1:
-            config.jobs = args.jobs
-    elif args.command == "bench-lcqp":
-        config = RunConfig(
-            experiment="lcqp",
-            sizes={"m": args.m, "n": args.n},
-            rho=args.rho,
-            seeds=_seeds_from_args(args, tuple(range(10))),
-            solver=_solver_from_args(args),
-            output_dir=args.out or _default_out(),
-            jobs=args.jobs,
-        )
-    elif args.command == "bench-ev":
-        config = RunConfig(
-            experiment="ev",
-            sizes={"n": args.n},
-            seeds=_seeds_from_args(args, tuple(range(10))),
-            solver=_solver_from_args(args),
-            output_dir=args.out or _default_out(),
-            jobs=args.jobs,
-        )
-    elif args.command == "bench-cluster":
-        config = RunConfig(
-            experiment="cluster",
-            sizes={"r": args.r, "s": args.s},
-            seeds=_seeds_from_args(args, (0,)),
-            solver=_solver_from_args(args),
-            output_dir=args.out or _default_out(),
-            jobs=args.jobs,
-            points_path=args.points,
-        )
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command}")
-
     try:
-        rows = run_benchmark(config)
+        config = _campaign_config(args)
+    except (TypeError, ValueError) as exc:
+        print(f"almkit {args.command}: {exc}", file=sys.stderr)
+        return 2
+    try:
+        return run_benchmark(config)
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return 2
-    return _campaign_exit(rows)
 
 
 if __name__ == "__main__":

@@ -24,13 +24,19 @@ oracle bugs fail fast without re-checking what the solver computed itself:
 The one remaining guard inside the inner loops is APG's finiteness check on
 its stationarity measure, which catches a NaN iterate that reached a
 gradient that ignores its input.
+
+#Grad, the paper's complexity measure, is counted at one point:
+``SmoothOracle.grad_evals``, which every call into the smooth gradient
+callable increments.  Each solve runs on a copy of the problem whose count
+starts at 0 (``ProblemSpec.for_solve``).  Objective values are not counted;
+the solvers evaluate none.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,19 +64,6 @@ def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
     return v
 
 
-@dataclass
-class EvalCounters:
-    """Cumulative oracle call counts.
-
-    The counters of a problem's smooth oracle back the reported #Obj/#Grad
-    columns: every call into the smooth gradient counts once, whether it
-    serves an augmented Lagrangian gradient or a KKT certificate.
-    """
-
-    obj: int = 0
-    grad: int = 0
-
-
 class SmoothOracle:
     """Differentiable function with known smoothness and weak convexity.
 
@@ -82,6 +75,10 @@ class SmoothOracle:
         Gradient Lipschitz constant L (an upper bound is fine).
     weak_convexity:
         Constant rho >= 0 such that the function plus (rho/2)||.||^2 is convex.
+
+    ``grad_evals`` is the #Grad count: every call into the gradient callable
+    adds one, whether it serves an augmented Lagrangian gradient or a KKT
+    certificate.  Values are not counted.
     """
 
     def __init__(
@@ -90,7 +87,6 @@ class SmoothOracle:
         gradient_fn: Callable[[Array], Array],
         smoothness: float,
         weak_convexity: float = 0.0,
-        counters: Optional[EvalCounters] = None,
     ):
         if smoothness < 0 or weak_convexity < 0:
             raise ValueError("smoothness and weak convexity must be nonnegative")
@@ -98,13 +94,12 @@ class SmoothOracle:
         self._gradient_fn = gradient_fn
         self.L = float(smoothness)
         self.rho = float(weak_convexity)
-        self.counters = counters if counters is not None else EvalCounters()
+        self.grad_evals = 0
 
     def value(self, x: Array) -> float:
         return self._value(as_vector(x))
 
     def _value(self, x: Array) -> float:
-        self.counters.obj += 1
         v = float(self._value_fn(x))
         if not math.isfinite(v):
             raise NonFiniteValue("smooth oracle value overflowed")
@@ -114,7 +109,7 @@ class SmoothOracle:
         return self._gradient(as_vector(x))
 
     def _gradient(self, x: Array) -> Array:
-        self.counters.grad += 1
+        self.grad_evals += 1
         g = np.asarray(self._gradient_fn(x), dtype=float)
         if g.shape != x.shape:
             raise DimensionMismatch(
@@ -123,10 +118,6 @@ class SmoothOracle:
         if not np.isfinite(g).all():
             raise NonFiniteValue("smooth oracle gradient overflowed")
         return g
-
-    def with_counters(self, counters: EvalCounters) -> "SmoothOracle":
-        """Copy sharing the underlying callables but owning fresh counters."""
-        return SmoothOracle(self._value_fn, self._gradient_fn, self.L, self.rho, counters)
 
 
 class ProxCapableFunction:
@@ -350,8 +341,8 @@ class ProblemSpec:
 
     ``default_curvature``, when set by a generator, supplies instance-exact
     or tuned (rho_hat, L_hat) schedules used in place of the generic ledger
-    formula.  ``counters`` are the solve-level #Obj/#Grad counts; share a
-    ProblemSpec across concurrent solves only through ``with_fresh_counters``.
+    formula.  A solve runs on ``for_solve()``, so its #Grad starts at 0 and
+    concurrent solves of one ProblemSpec count apart.
     """
 
     smooth: SmoothOracle
@@ -360,7 +351,6 @@ class ProblemSpec:
     constants: Optional[ConstantsLedger]
     x0: np.ndarray
     default_curvature: Optional[CurvatureSchedule] = None
-    counters: EvalCounters = field(default_factory=EvalCounters)
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0, name="x0")
@@ -371,35 +361,43 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.x0.shape[0]
 
-    def with_fresh_counters(self):
-        """Shallow copy owning new counters (for one solve instance)."""
-        return dataclasses.replace(
-            self, smooth=self.smooth.with_counters(EvalCounters()), counters=EvalCounters()
-        )
+    def for_solve(self):
+        """Shallow copy whose smooth oracle shares the callables and counts
+        #Grad from 0."""
+        g = self.smooth
+        fresh = SmoothOracle(g._value_fn, g._gradient_fn, g.L, g.rho)
+        return dataclasses.replace(self, smooth=fresh)
 
 
 @dataclass(frozen=True)
 class KktResidual:
-    """Primal/dual residual pair of the approximate KKT certificate.
+    """Residuals of the approximate KKT certificate.
 
-    ``dres_is_upper_bound`` is set when the dual residual was obtained from a
-    certified surrogate rather than an exact subdifferential distance.
+    ``pres`` is the primal residual: ||c(x)|| for equality constraints, and
+    sqrt(||Ax-b||^2 + ||[f(x)]_+||^2) for the hinge block, which also sets
+    its two parts ``pres_eq`` and ``pres_ineq`` (None otherwise) and the
+    complementarity residual ``compl`` = sum_i |z_i f_i(x)| (0 for
+    equality constraints, which have none).  ``dres_is_upper_bound`` is set
+    when the dual residual was obtained from a certified surrogate rather
+    than an exact subdifferential distance.
     """
 
     pres: float
     dres: float
+    compl: float = 0.0
     dres_is_upper_bound: bool = False
+    pres_eq: Optional[float] = None
+    pres_ineq: Optional[float] = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.pres) and math.isfinite(self.dres)):
-            raise NonFiniteValue("KKT residuals must be finite")
-        if self.pres < 0 or self.dres < 0:
-            raise ValueError("KKT residuals must be nonnegative")
-
-    @property
-    def compl(self) -> float:
-        """Complementarity residual; equality constraints have none."""
-        return 0.0
+        for name in ("pres", "dres", "compl", "pres_eq", "pres_ineq"):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            if not math.isfinite(val):
+                raise NonFiniteValue(f"KKT residual {name} must be finite")
+            if val < 0:
+                raise ValueError(f"KKT residual {name} must be nonnegative")
 
 
 def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
@@ -410,17 +408,9 @@ def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
     return x, y
 
 
-# The smooth AL part at validated (x, y, beta); each user callable is called
-# once, through its output-checked private oracle method.
-
-
-def _al_smooth_part_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
-    c = problem.constraints._evaluate(x)
-    val = problem.smooth._value(x) + float(y @ c) + 0.5 * beta * float(c @ c)
-    return val
-
-
 def _al_smooth_part_gradient(x: Array, y: Array, beta: float, problem: ProblemSpec) -> Array:
+    """The smooth AL gradient at validated (x, y, beta); each user callable
+    is called once, through its output-checked private oracle method."""
     c = problem.constraints._evaluate(x)
     return problem.smooth._gradient(x) + problem.constraints._jac_t(x, y + beta * c)
 
@@ -428,8 +418,13 @@ def _al_smooth_part_gradient(x: Array, y: Array, beta: float, problem: ProblemSp
 def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
     """Augmented Lagrangian g(x) + h(x) + y'c(x) + (beta/2)||c(x)||^2."""
     x, y = _check_al_inputs(x, y, beta, problem)
-    problem.counters.obj += 1
-    val = _al_smooth_part_value(x, y, beta, problem) + problem.nonsmooth.value(x)
+    c = problem.constraints._evaluate(x)
+    val = (
+        problem.smooth._value(x)
+        + float(y @ c)
+        + 0.5 * beta * float(c @ c)
+        + problem.nonsmooth.value(x)
+    )
     if not math.isfinite(val):
         raise NonFiniteValue("augmented Lagrangian value overflowed")
     return val
@@ -438,31 +433,7 @@ def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
 def al_gradient_smooth(x: Array, y: Array, beta: float, problem: ProblemSpec) -> Array:
     """Gradient of the smooth AL part: grad g(x) + J_c(x)' (y + beta c(x))."""
     x, y = _check_al_inputs(x, y, beta, problem)
-    problem.counters.grad += 1
     return _al_smooth_part_gradient(x, y, beta, problem)
-
-
-def al_smooth_oracle(
-    problem: ProblemSpec,
-    y: Array,
-    beta: float,
-    smoothness: float,
-    weak_convexity: float,
-) -> SmoothOracle:
-    """The smooth AL part as a SmoothOracle for a fixed (y, beta).
-
-    Each of its gradients makes one call into ``problem.smooth``, which is
-    where #Grad is counted.
-    """
-    y = as_vector(y, problem.constraints.n_constraints, "y")
-    if beta <= 0:
-        raise ValueError("penalty parameter beta must be positive")
-    return SmoothOracle(
-        value_fn=lambda x: _al_smooth_part_value(x, y, beta, problem),
-        gradient_fn=lambda x: _al_smooth_part_gradient(x, y, beta, problem),
-        smoothness=smoothness,
-        weak_convexity=weak_convexity,
-    )
 
 
 def al_curvature_params(

@@ -29,7 +29,7 @@ from .core import (
     _equality_kkt,
     al_curvature_params,
 )
-from .ippm import ippm_solve
+from .ippm import SubsolverStall, ippm_solve
 
 LOG2_SQ = math.log(2.0) ** 2
 
@@ -149,13 +149,15 @@ class IalmConfig:
 
     def __post_init__(self):
         if self.beta0 <= 0:
-            raise ValueError("beta0 must be positive")
+            raise ValueError(f"beta0 must be positive, got {self.beta0}")
         if self.sigma <= 1:
-            raise ValueError("sigma must exceed 1")
+            raise ValueError(f"sigma must exceed 1, got {self.sigma}")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration limits must be positive")
+            raise ValueError(
+                f"iteration limits must be positive, got {self.max_outer} and {self.max_inner}"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,6 @@ class OuterIterationRecord:
     dres: float
     y_norm: float
     grad_evals: int
-    obj_evals: int
     seconds: float
     x: np.ndarray
     dres_running: Optional[float] = None
@@ -206,7 +207,6 @@ class SolveReport:
     success: bool
     termination: str
     grad_evals: int
-    obj_evals: int
     seconds: float
     z: Optional[np.ndarray] = None
     z_running: Optional[np.ndarray] = None
@@ -215,18 +215,20 @@ class SolveReport:
 def _outer_loop(block, config: IalmConfig) -> SolveReport:
     """Run the outer iALM loop on one constraint block.
 
-    A block holds a problem with fresh counters and its multipliers: the
-    running ``y`` (``z``) and the certificate ``y_cert`` (``z_cert``; both
-    None for the equality block).  It supplies the damping scale
-    ``damping``, ``multiplier_norm()``, ``default_curvature()``,
-    ``subproblem(beta)`` (the subproblem's smooth gradient, a plain
-    callable), ``certify(x, beta)`` (which sets
-    the certificate multipliers and returns the KKT residuals),
+    A block holds the solve's copy of the problem (``for_solve()``: its
+    smooth oracle's ``grad_evals`` starts at 0 and is the #Grad recorded
+    here) and its multipliers: the running ``y`` (``z``) and the
+    certificate ``y_cert`` (``z_cert``; both None for the equality block).
+    It supplies the damping scale ``damping``, ``multiplier_norm()``,
+    ``default_curvature()``, ``subproblem(beta)`` (the subproblem's smooth
+    gradient, a plain callable), ``certify(x, beta)`` (which sets the
+    certificate multipliers and returns the ``KktResidual``),
     ``dual_update(policy, k, gamma_k, beta)`` (which returns w_k) and
-    ``record_fields(x, kkt)``.
+    ``record_fields(x, kkt)``.  A subsolver stall propagates with the
+    #Grad spent so far as its ``grad_evals``.
     """
     problem = block.problem
-    counters = problem.smooth.counters
+    smooth = problem.smooth
     schedule = config.curvature_override
     if schedule is None:
         schedule = block.default_curvature()
@@ -240,15 +242,19 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         rho_hat, L_hat = schedule(beta, block.multiplier_norm())
         if not (math.isfinite(L_hat) and L_hat > 0 and math.isfinite(rho_hat) and rho_hat >= 0):
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
-        sub = ippm_solve(
-            block.subproblem(beta),
-            problem.nonsmooth,
-            x,
-            max(rho_hat, RHO_FLOOR),
-            L_hat,
-            config.eps,
-            max_inner=config.max_inner,
-        )
+        try:
+            sub = ippm_solve(
+                block.subproblem(beta),
+                problem.nonsmooth,
+                x,
+                max(rho_hat, RHO_FLOOR),
+                L_hat,
+                config.eps,
+                max_inner=config.max_inner,
+            )
+        except SubsolverStall as exc:
+            exc.grad_evals = smooth.grad_evals
+            raise
         x = sub.x
         kkt = block.certify(x, beta)
         converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
@@ -266,8 +272,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
                 pres=kkt.pres,
                 dres=kkt.dres,
                 y_norm=float(np.linalg.norm(block.y)),
-                grad_evals=counters.grad,
-                obj_evals=counters.obj,
+                grad_evals=smooth.grad_evals,
                 seconds=time.perf_counter() - t0,
                 x=x.copy(),
                 **fields,
@@ -285,8 +290,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         kkt=kkt,
         success=converged,
         termination="converged" if converged else "max_outer_exhausted",
-        grad_evals=counters.grad,
-        obj_evals=counters.obj,
+        grad_evals=smooth.grad_evals,
         seconds=time.perf_counter() - t0,
         z=block.z_cert,
         z_running=block.z,
@@ -344,4 +348,4 @@ class _EqualityBlock:
 
 def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
     """Solve an equality-constrained composite problem to an eps-KKT point."""
-    return _outer_loop(_EqualityBlock(problem.with_fresh_counters()), config)
+    return _outer_loop(_EqualityBlock(problem.for_solve()), config)

@@ -11,13 +11,14 @@ using the hinge-penalized AL
 and a slack-variable bridge that maps general inequality problems onto the
 equality solver.  The hinge keeps the smooth part continuously
 differentiable (gradient Lipschitz, not twice differentiable), which is all
-the inner solver needs.
+the inner solver needs.  Its KKT residuals are the shared ``KktResidual``
+with the complementarity residual and the split primal residual set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from .core import (
     Array,
     ConstraintOracle,
     DimensionMismatch,
-    EvalCounters,
+    KktResidual,
     NonFiniteValue,
     ProblemSpec,
     ProxCapableFunction,
@@ -70,7 +71,6 @@ class IneqProblemSpec:
     constants: IneqConstants
     rho0: float
     x0: np.ndarray
-    counters: EvalCounters = field(default_factory=EvalCounters)
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -99,31 +99,7 @@ class IneqProblemSpec:
     def n_ineq(self) -> int:
         return self.ineq.n_constraints
 
-    with_fresh_counters = ProblemSpec.with_fresh_counters
-
-
-@dataclass(frozen=True)
-class TripleKktResidual:
-    """Primal, dual, and complementarity residuals for inequality KKT.
-
-    pres  = sqrt(||Ax-b||^2 + ||[f(x)]_+||^2)
-    compl = sum_i |z_i f_i(x)|
-    """
-
-    pres: float
-    dres: float
-    compl: float
-    dres_is_upper_bound: bool = False
-    pres_eq: float = 0.0
-    pres_ineq: float = 0.0
-
-    def __post_init__(self):
-        for name in ("pres", "dres", "compl"):
-            val = getattr(self, name)
-            if not math.isfinite(val):
-                raise NonFiniteValue(f"{name} must be finite")
-            if val < 0:
-                raise ValueError(f"{name} must be nonnegative")
+    for_solve = ProblemSpec.for_solve
 
 
 def _check_ineq_inputs(x, y, z, beta, problem):
@@ -137,23 +113,10 @@ def _check_ineq_inputs(x, y, z, beta, problem):
     return x, y, z
 
 
-# The smooth hinge-AL part at validated (x, y, z, beta); each user callable
-# is called once, through its output-checked private oracle method.
-
-
-def _ineq_smooth_value(x, y, z, beta, problem) -> float:
-    r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
-    f = problem.ineq._evaluate(x)
-    hinge = np.maximum(z + beta * f, 0.0)
-    return (
-        problem.smooth._value(x)
-        + float(y @ r)
-        + 0.5 * beta * float(r @ r)
-        + (float(hinge @ hinge) - float(z @ z)) / (2.0 * beta)
-    )
-
-
 def _ineq_smooth_gradient(x, y, z, beta, problem) -> Array:
+    """The smooth hinge-AL gradient at validated (x, y, z, beta); each user
+    callable is called once, through its output-checked private oracle
+    method."""
     g = problem.smooth._gradient(x)
     if problem.n_eq:
         r = problem.A @ x - problem.b
@@ -166,8 +129,16 @@ def _ineq_smooth_gradient(x, y, z, beta, problem) -> Array:
 def al_ineq_value(x: Array, y: Array, z: Array, beta: float, problem: IneqProblemSpec) -> float:
     """Hinge-penalized augmented Lagrangian value (includes the h term)."""
     x, y, z = _check_ineq_inputs(x, y, z, beta, problem)
-    problem.counters.obj += 1
-    val = _ineq_smooth_value(x, y, z, beta, problem) + problem.nonsmooth.value(x)
+    r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
+    f = problem.ineq._evaluate(x)
+    hinge = np.maximum(z + beta * f, 0.0)
+    val = (
+        problem.smooth._value(x)
+        + float(y @ r)
+        + 0.5 * beta * float(r @ r)
+        + (float(hinge @ hinge) - float(z @ z)) / (2.0 * beta)
+        + problem.nonsmooth.value(x)
+    )
     if not math.isfinite(val):
         raise NonFiniteValue("augmented Lagrangian value overflowed")
     return val
@@ -179,7 +150,6 @@ def al_ineq_gradient_smooth(
     """Gradient of the smooth AL part:
     grad g + A'(y + beta (Ax-b)) + J_f' [z + beta f(x)]_+."""
     x, y, z = _check_ineq_inputs(x, y, z, beta, problem)
-    problem.counters.grad += 1
     return _ineq_smooth_gradient(x, y, z, beta, problem)
 
 
@@ -195,7 +165,7 @@ def ineq_smoothness_bound(problem: IneqProblemSpec, beta: float, z: Array) -> fl
     )
 
 
-def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> TripleKktResidual:
+def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> KktResidual:
     """``kkt_residual_ineq`` at validated (x, y, z), given Ax-b and f(x)."""
     pres_eq = float(np.linalg.norm(r))
     pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
@@ -207,7 +177,7 @@ def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> TripleK
     dres, flagged = dual_residual(
         x, lagrangian_gradient(x), lagrangian_gradient, problem.nonsmooth, problem.smooth.L
     )
-    return TripleKktResidual(
+    return KktResidual(
         pres=float(math.hypot(pres_eq, pres_ineq)),
         dres=dres,
         compl=float(np.sum(np.abs(z * f))),
@@ -217,9 +187,10 @@ def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> TripleK
     )
 
 
-def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) -> TripleKktResidual:
-    """Measure the three inequality-KKT residuals at (x, y, z); the dual
-    residual is measured by ``dual_residual``."""
+def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) -> KktResidual:
+    """Measure the inequality-KKT residuals at (x, y, z): the primal residual
+    and its two parts, the complementarity residual, and the dual residual,
+    measured by ``dual_residual``."""
     x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
     r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
     return _hinge_kkt(x, y, z, problem, r, problem.ineq.evaluate(x))
@@ -239,10 +210,6 @@ def dual_update_z(z: Array, f_vals: Array, w: float, beta: float) -> Array:
     if w < 0 or w > beta:
         raise ValueError("need 0 <= w <= beta to preserve z >= 0")
     return np.maximum(z + w * np.maximum(-z / beta, f_vals), 0.0)
-
-
-# The hinge block's solves report through the shared report type.
-IneqSolveReport = SolveReport
 
 
 class _HingeBlock:
@@ -309,9 +276,11 @@ def ialm_ineq_solve(problem: IneqProblemSpec, config: IalmConfig) -> SolveReport
     convex constraint is convex; the dual clamp max{-z_i/beta, f_i} together
     with w_k <= beta_k keeps z nonnegative throughout.  Curvature comes from
     ``config.curvature_override`` when set, else (rho0,
-    ``ineq_smoothness_bound``) at the running z.
+    ``ineq_smoothness_bound``) at the running z.  The report's #Grad counts
+    this solve only (it runs on ``problem.for_solve()``), and its ``kkt``
+    sets ``compl``, ``pres_eq`` and ``pres_ineq``.
     """
-    return _outer_loop(_HingeBlock(problem.with_fresh_counters()), config)
+    return _outer_loop(_HingeBlock(problem.for_solve()), config)
 
 
 @dataclass(frozen=True)
@@ -379,7 +348,7 @@ def slack_reformulate(
 
     # The slack smooth oracle calls the user's callables directly: its own
     # output check covers the concatenated gradient, and a solve on the slack
-    # problem counts its gradients in its own counters, never in
+    # problem counts its #Grad on its own smooth oracle, never on
     # ``problem``'s.  The constraint parts keep their shape checks, which the
     # concatenation would hide.
     g = problem.smooth

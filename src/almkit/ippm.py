@@ -25,7 +25,12 @@ from .core import Array, ProxCapableFunction, as_vector
 
 
 class SubsolverStall(RuntimeError):
-    """Inner APG failed its iteration budget; curvature inputs are suspect."""
+    """Inner APG failed its iteration budget; curvature inputs are suspect.
+
+    An iALM solve that stalls sets ``grad_evals`` to the #Grad it spent.
+    """
+
+    grad_evals: Optional[int] = None
 
 
 def outer_iteration_bound(rho: float, eps: float, gap: float) -> int:

@@ -69,7 +69,7 @@ class TestBenchCampaign:
         assert rc == 1
         rows = read_csv(tmp_path / "summary.csv")
         assert len(rows) == 4
-        assert all(r[6] == "0" for r in rows[1:-1])
+        assert all(r[5] == "0" for r in rows[1:-1])
 
     def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.ENV_OUTPUT_DIR, str(tmp_path / "envout"))
@@ -84,6 +84,29 @@ class TestBenchCampaign:
         p = read_csv(tmp_path / "p" / "summary.csv")
         for rs, rp in zip(s[1:], p[1:]):
             assert rs[:3] == rp[:3] and rs[4:] == rp[4:]
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["bench-lcqp", *TINY, "--trials", "0"], "got 0"),
+        (["bench-lcqp", *TINY, "--seeds", ","], "','"),
+        (["bench-lcqp", *TINY, "--seeds", "1,1"], "[1, 1]"),
+        (["bench-lcqp", *TINY, "--eps", "-1"], "-1"),
+        (["bench-lcqp", *TINY, "--sigma", "0.5"], "0.5"),
+        (["bench-lcqp", *TINY, "--jobs", "0"], "got 0"),
+        (["solve", "CONFIG"], '"experiment"'),
+    ],
+)
+def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format_version": 1, "sizes": {"m": 3, "n": 12}}))
+    args = [str(config) if a == "CONFIG" else a for a in args]
+    rc = cli.main([*args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert bad in err and err.count("\n") == 1
+    assert not list(tmp_path.rglob("trial_*.json"))
 
 
 class TestTrialPayload:
@@ -128,8 +151,8 @@ class TestReport:
         buf = io.StringIO()
         cli.emit_report(sorted(tmp_path.glob("trial_*.json")), "csv", buf)
         lines = buf.getvalue().splitlines()
-        assert lines[0] == "trial,pres,dres,time,grad_evals,obj_evals"
-        assert len(lines) == 2
+        assert lines[0] == "trial,pres,dres,time,grad_evals,success"
+        assert len(lines) == 3  # header, one trial, avg
 
     @pytest.mark.parametrize("name", ["empty", "missing"])
     def test_directory_without_trials_names_it(self, tmp_path, capsys, name):
@@ -166,6 +189,31 @@ class TestReport:
         summary = read_csv(tmp_path / "summary.csv")[1]
         assert trial["pres"] == float(summary[1])
         assert trial["dres"] == float(summary[2])
+
+    @pytest.mark.parametrize("extra, expected", [([], 0), (["--max-outer", "1"], 1)])
+    def test_campaign_summary_is_the_report(self, tmp_path, capsys, extra, expected):
+        rc = cli.main(["bench-lcqp", *TINY, "--trials", "2", *extra, "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path)]) == rc == expected
+        assert capsys.readouterr().out.encode() == (tmp_path / "summary.csv").read_bytes()
+
+    def test_stalled_trial_is_strict_json(self, tmp_path, capsys):
+        def reject(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", "--max-inner", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        trial = json.loads((tmp_path / "trial_0.json").read_text(), parse_constant=reject)
+        assert trial["termination"].startswith("subsolver_stall")
+        assert trial["pres"] is None and trial["time_seconds"] is None
+        assert trial["grad_evals"] > 0
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path), "--format", "json"]) == 1
+        row = json.loads(capsys.readouterr().out, parse_constant=reject)["trials"][0]
+        assert row["pres"] is None and row["dres"] is None and row["time"] is None
+        assert row["grad_evals"] == trial["grad_evals"] and row["success"] is False
+        assert read_csv(tmp_path / "summary.csv")[1][1:4] == ["nan"] * 3
 
     def test_exit_code_recomputed_from_tampered_iterate(self, tmp_path):
         cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])

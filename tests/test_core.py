@@ -7,6 +7,7 @@ from almkit.core import (
     ConstantsLedger,
     ConstraintOracle,
     DimensionMismatch,
+    KktResidual,
     NonFiniteValue,
     ProblemSpec,
     ProxCapableFunction,
@@ -66,10 +67,19 @@ class TestAlValue:
             assert al_value(x, np.zeros(1), beta, prob) == expected
 
     def test_counter_increments_once(self):
+        # One call into the value callable, and none counted as #Grad.
         prob = scalar_problem()
-        before = prob.counters.obj
+        calls = [0]
+        value = prob.smooth._value_fn
+
+        def counted(x):
+            calls[0] += 1
+            return value(x)
+
+        prob.smooth._value_fn = counted
         al_value(np.array([2.0]), np.array([0.0]), 1.0, prob)
-        assert prob.counters.obj == before + 1
+        assert calls[0] == 1
+        assert prob.smooth.grad_evals == 0
 
     def test_rejects_bad_beta_and_nan(self):
         prob = scalar_problem()
@@ -105,16 +115,16 @@ class TestAlGradient:
 
     def test_dimension_mismatch_rejected_before_oracles(self):
         prob = scalar_problem()
-        calls = prob.smooth.counters.grad
+        calls = prob.smooth.grad_evals
         with pytest.raises(DimensionMismatch):
             al_gradient_smooth(np.array([1.0, 2.0]), np.array([0.0]), 1.0, prob)
-        assert prob.smooth.counters.grad == calls
+        assert prob.smooth.grad_evals == calls
 
     def test_counter_increments_once(self):
         prob = scalar_problem()
-        before = prob.counters.grad
+        before = prob.smooth.grad_evals
         al_gradient_smooth(np.array([2.0]), np.array([0.0]), 1.0, prob)
-        assert prob.counters.grad == before + 1
+        assert prob.smooth.grad_evals == before + 1
 
 
 class TestCurvatureParams:
@@ -147,6 +157,18 @@ class TestCurvatureParams:
 
 
 class TestKktResidual:
+    def test_equality_residual_has_no_hinge_parts(self):
+        res = kkt_residual(np.array([2.0]), np.array([3.0]), scalar_problem())
+        assert res.compl == 0.0
+        assert res.pres_eq is None and res.pres_ineq is None
+
+    @pytest.mark.parametrize("name", ["pres", "dres", "compl", "pres_eq", "pres_ineq"])
+    @pytest.mark.parametrize("bad, error", [(-1e-3, ValueError), (np.nan, NonFiniteValue)])
+    def test_rejects_negative_or_nan_fields(self, name, bad, error):
+        fields = {"pres": 0.0, "dres": 0.0, name: bad}
+        with pytest.raises(error, match=name):
+            KktResidual(**fields)
+
     def test_zero_nonsmooth_gives_gradient_norm(self):
         prob = scalar_problem()
         res = kkt_residual(np.array([2.0]), np.array([3.0]), prob)
@@ -263,7 +285,9 @@ class TestProblemSpec:
 
     def test_fresh_counters_are_independent(self):
         prob, _ = toy_eq_qp()
-        clone = prob.with_fresh_counters()
+        al_gradient_smooth(np.zeros(2), np.zeros(1), 1.0, prob)
+        clone = prob.for_solve()
+        assert clone.smooth.grad_evals == 0
         al_gradient_smooth(np.zeros(2), np.zeros(1), 1.0, clone)
-        assert clone.counters.grad == 1
-        assert prob.counters.grad == 0
+        assert clone.smooth.grad_evals == 1
+        assert prob.smooth.grad_evals == 1

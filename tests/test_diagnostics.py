@@ -46,7 +46,6 @@ def fake_report(presequence, beta0=0.01, sigma=3.0):
                 dres_running=0.0,
                 y_norm=0.0,
                 grad_evals=0,
-                obj_evals=0,
                 seconds=0.0,
                 x=np.zeros(1),
             )
@@ -61,7 +60,6 @@ def fake_report(presequence, beta0=0.01, sigma=3.0):
         success=True,
         termination="converged",
         grad_evals=0,
-        obj_evals=0,
         seconds=0.0,
     )
 

@@ -9,7 +9,6 @@ from almkit.core import (
     NonFiniteValue,
     SmoothOracle,
     al_gradient_smooth,
-    al_smooth_oracle,
     kkt_residual,
 )
 from almkit.diagnostics import check_feasibility_decay, dual_norm_bound
@@ -25,7 +24,7 @@ from almkit.ialm import (
     ialm_solve,
 )
 from almkit.ineq import _HingeBlock, al_ineq_gradient_smooth, ialm_ineq_solve
-from almkit.ippm import ippm_solve
+from almkit.ippm import SubsolverStall, ippm_solve
 from almkit.problems import gen_lcqp
 from almkit.prox import zero_function
 from helpers import box_qp_problem, toy_eq_qp, toy_ineq_qp
@@ -170,7 +169,7 @@ class TestPenaltyMode:
         assert rep.success
 
         # Re-run the outer loop by hand with every dual step forced to zero.
-        prob = small_lcqp_problem.with_fresh_counters()
+        prob = small_lcqp_problem
         curvature = prob.default_curvature
         h = prob.nonsmooth
         x = prob.x0
@@ -178,10 +177,9 @@ class TestPenaltyMode:
         beta = cfg.beta0
         for rec in rep.records:
             rho_hat, L_hat = curvature(beta, 0.0)
-            phi = al_smooth_oracle(prob, y, beta, L_hat, rho_hat)
             sub = ippm_solve(
-                phi.gradient, h, x, max(rho_hat, RHO_FLOOR), L_hat, cfg.eps,
-                max_inner=cfg.max_inner,
+                lambda u: al_gradient_smooth(u, y, beta, prob), h, x,
+                max(rho_hat, RHO_FLOOR), L_hat, cfg.eps, max_inner=cfg.max_inner,
             )
             x = sub.x
             assert np.array_equal(rec.x, x)
@@ -234,6 +232,13 @@ class TestSharedOuterLoop:
         assert rep.grad_evals == calls[0]
         assert [rec.grad_evals for rec in rep.records] == before_subsolve[1:] + [calls[0]]
 
+    def test_stall_reports_the_gradients_spent(self, block):
+        make, solve = SOLVERS[block]
+        problem, calls = with_counted_gradient(make())
+        with pytest.raises(SubsolverStall) as stall:
+            solve(problem, IalmConfig(max_inner=1))
+        assert stall.value.grad_evals == calls[0] > 0
+
     def test_nan_gradient_fails_fast(self, block):
         make, solve = SOLVERS[block]
         problem, calls = with_counted_gradient(make(), nan_from=50)
@@ -270,14 +275,14 @@ class TestSharedOuterLoop:
 
 def equality_subproblem_case(rng):
     problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
-    block = _EqualityBlock(problem.with_fresh_counters())
+    block = _EqualityBlock(problem.for_solve())
     block.y = rng.standard_normal(problem.constraints.n_constraints)
     return problem, block, lambda x, beta: al_gradient_smooth(x, block.y, beta, problem)
 
 
 def hinge_subproblem_case(rng, make=lambda: toy_ineq_qp()[0]):
     problem = make()
-    block = _HingeBlock(problem.with_fresh_counters())
+    block = _HingeBlock(problem.for_solve())
     block.y = rng.standard_normal(problem.n_eq)
     block.z = rng.uniform(0.0, 3.0, problem.n_ineq)
     return problem, block, lambda x, beta: al_ineq_gradient_smooth(

@@ -317,5 +317,4 @@ class TestSlackReformulation:
             rep = ialm_solve(ref.problem, IalmConfig())
             assert rep.success
             assert rep.grad_evals == calls[0] - before > 0
-        assert prob.smooth.counters.grad == 0
-        assert prob.smooth.counters.obj == 0
+        assert prob.smooth.grad_evals == 0
