@@ -6,11 +6,9 @@ docstring; blank lines, comment-only lines and docstring lines are left
 out.  Docstrings are the string literals that open a module, class or
 function body.
 
-    python3 scripts/code_lines.py            # total for src/almkit
-    python3 scripts/code_lines.py --files    # per-file counts, then the total
+    python3 scripts/code_lines.py
 """
 
-import argparse
 import ast
 import io
 import sys
@@ -54,16 +52,7 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--files", action="store_true", help="print per-file counts too")
-    args = parser.parse_args()
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        if args.files:
-            print(f"{n:6d} {path.name}")
-    print(total)
+    print(sum(code_lines(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))))
     return 0
 
 

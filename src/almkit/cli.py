@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import io
 import json
 import math
 import os
@@ -248,8 +249,10 @@ def run_benchmark(config: RunConfig) -> int:
     for path, payload in zip(paths, payloads):
         with open(path, "w") as fh:
             json.dump(payload, fh)
-    with open(out_dir / "summary.csv", "w") as fh:
-        return emit_report(paths, "csv", fh)
+    summary = io.StringIO()
+    code = emit_report(paths, "csv", summary)
+    (out_dir / "summary.csv").write_text(summary.getvalue())
+    return code
 
 
 def reverify_trial(path: Path) -> dict:
@@ -486,6 +489,9 @@ def main(argv: Optional[list] = None) -> int:
         return run_benchmark(config)
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
 
 

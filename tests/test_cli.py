@@ -197,6 +197,17 @@ class TestReport:
         assert cli.main(["report", str(tmp_path)]) == rc == expected
         assert capsys.readouterr().out.encode() == (tmp_path / "summary.csv").read_bytes()
 
+    def test_campaign_with_unverifiable_trial_exits_2(self, tmp_path, capsys, monkeypatch):
+        def unreadable(path):
+            raise ValueError(f"malformed report file {path}: unreadable")
+
+        monkeypatch.setattr(cli, "reverify_trial", unreadable)
+        rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "trial_0.json" in err
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_stalled_trial_is_strict_json(self, tmp_path, capsys):
         def reject(constant):
             raise ValueError(f"{constant} is not RFC 8259 JSON")
