@@ -22,6 +22,13 @@ the next extrapolated point is x+ itself, whose gradient is already known
 (O'Donoghue & Candes, gradient-based adaptive restart, Found. Comput. Math.
 2015).
 
+Convexity test.  With ``test_mu`` set, each accepted step also checks the
+strong convexity APG assumes, on the pair it already holds:
+<grad G(x+) - grad G(xbar), x+ - xbar> >= mu ||x+ - xbar||^2.  It costs no
+gradient.  The first pair that fails it stops the call, unconverged, before
+that step is certified: the caller (iPPM) reads it as proof that its
+weak-convexity estimate is too small.
+
 Certificate.  The exact subdifferential distance of H when available, and
 otherwise the surrogate ||grad G(x+) - grad G(xbar) + L (xbar - x+)|| with
 the accepted L, a valid upper bound for any L because
@@ -62,7 +69,8 @@ class ApgResult:
     ``stationarity`` is the certified dual residual at ``x``;
     ``stationarity_is_exact`` records whether it came from an exact
     subdifferential distance or the surrogate upper bound.  On failure
-    (``converged`` False) ``x`` is the best iterate seen.  For warm starts,
+    (``converged`` False) ``x`` is the best iterate seen, None when the
+    convexity test stopped the first iteration.  For warm starts,
     ``gradient`` is grad G(x), which the certificate computed, and ``L`` the
     final curvature estimate: on success, the one the last step was accepted
     with.
@@ -102,12 +110,14 @@ def apg_solve(
     *,
     L_init: Optional[float] = None,
     grad_init: Optional[Array] = None,
+    test_mu: bool = False,
 ) -> ApgResult:
     """Run APG from ``x_init`` (which must lie in dom H) to eps-stationarity.
 
     ``L_init`` is the first curvature estimate (default L_G, clipped to
     [mu, L_G]); ``grad_init``, when given, is grad G(x_init) and saves the
-    first call into ``grad``.
+    first call into ``grad``.  ``test_mu`` stops the call, unconverged, at
+    the first accepted step pair on which G is not mu-strongly convex.
     """
     if not (0 < mu <= L_G < math.inf):
         raise ValueError(f"need 0 < mu <= L_G < inf, got mu={mu}, L_G={L_G}")
@@ -133,6 +143,7 @@ def apg_solve(
     best_stat = math.inf
     exact = H.has_exact_subdiff
 
+    iterations = max_iter
     for t in range(max_iter):
         if g_bar is None:
             g_bar = grad(x_bar)
@@ -147,6 +158,10 @@ def apg_solve(
             if L >= L_G or np.linalg.norm(g_next - g_bar) <= L * np.linalg.norm(dx):
                 break
             L = min(L_G, BACKTRACK_GROWTH * L)
+        # Written so that NaN passes the test and reaches the guards below.
+        if test_mu and float(dx @ (g_next - g_bar)) > -mu * float(dx @ dx):
+            iterations = t + 1
+            break
         if exact:
             stat = H._subdiff(x_next, -g_next)
         else:
@@ -176,7 +191,7 @@ def apg_solve(
 
     return ApgResult(
         x=best_x,
-        iterations=max_iter,
+        iterations=iterations,
         stationarity=best_stat,
         converged=False,
         stationarity_is_exact=exact,

@@ -10,7 +10,9 @@ diagnostics verdicts, and enough instance information to rebuild the
 problem).  ``report`` re-measures the final KKT residuals from the trial
 files instead of trusting the solver's own numbers, and a campaign ends by
 writing that same re-verified report of its trial files to ``summary.csv``:
-one row per trial plus an ``avg`` row.
+one row per trial plus an ``avg`` row.  Since ``report`` reads every trial
+file in a directory, a campaign exits 2 before solving when its output
+directory holds a trial file of a seed outside its own.
 
 The environment variable ALMKIT_OUTPUT_DIR sets the default output
 directory.  Exit code 0 means every trial re-verified as a success, 1 that
@@ -56,6 +58,8 @@ from .problems import (
 
 ENV_OUTPUT_DIR = "ALMKIT_OUTPUT_DIR"
 SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "success")
+# The ``sizes`` keys each experiment's instances are built from.
+SIZE_KEYS = {"lcqp": ("m", "n"), "ev": ("n",), "cluster": ("r", "s"), "custom": ()}
 
 
 def policy_from_dict(data: dict):
@@ -108,8 +112,15 @@ class RunConfig:
     points_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.experiment not in ("lcqp", "ev", "cluster", "custom"):
+        if self.experiment not in SIZE_KEYS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for key in SIZE_KEYS[self.experiment]:
+            if key not in self.sizes:
+                raise ValueError(f"{self.experiment} experiment needs sizes key {key!r}")
+        if self.experiment == "cluster" and self.points_path is None:
+            raise ValueError("cluster experiment needs \"points_path\"")
+        if self.experiment == "custom" and self.instance_path is None:
+            raise ValueError("custom experiment needs \"instance_path\"")
         if len(self.seeds) < 1:
             raise ValueError("at least one trial seed is required")
         if len(set(self.seeds)) != len(self.seeds):
@@ -164,6 +175,7 @@ def _record_to_dict(rec) -> dict:
         "y_norm": rec.y_norm,
         "grad_evals": rec.grad_evals,
         "seconds": rec.seconds,
+        "rho": rec.rho,
         "x": rec.x.tolist(),
     }
 
@@ -235,8 +247,17 @@ def run_trial(config: RunConfig, seed: int) -> dict:
 
 def run_benchmark(config: RunConfig) -> int:
     """Run every seed and write its trial file, then write ``summary.csv``,
-    the re-verified report of those files; return the report's exit code."""
+    the re-verified report of those files; return the report's exit code.
+
+    Raises ValueError, before solving, when the output directory holds a
+    trial file of another seed, which ``report`` would mix into this
+    campaign; trial files of the campaign's own seeds are overwritten.
+    """
     out_dir = Path(config.output_dir)
+    own = {f"trial_{seed}.json" for seed in config.seeds}
+    stray = sorted(p for p in out_dir.glob("trial_*.json") if p.name not in own)
+    if stray:
+        raise ValueError(f"{stray[0]} is not a trial of this campaign; use another output directory")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.jobs == 1:

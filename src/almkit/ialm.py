@@ -29,13 +29,9 @@ from .core import (
     _equality_kkt,
     al_curvature_params,
 )
-from .ippm import SubsolverStall, ippm_solve
+from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
 
 LOG2_SQ = math.log(2.0) ** 2
-
-# Weak-convexity floor: convex subproblems (rho_hat = 0) are still valid
-# proximal point inputs for any positive rho, so clamp instead of failing.
-RHO_FLOOR = 1e-6
 
 
 # Each policy gives the step size w_k for a residual norm r > 0 (at r = 0
@@ -168,7 +164,9 @@ class OuterIterationRecord:
     records carry ``dres_running``, re-measured with the updated running
     multiplier y_{k+1}; hinge records carry the split primal residual, the
     complementarity residual and the running z.  The other block's fields
-    are None.  ``x`` is kept so diagnostics can re-trace the run.
+    are None.  ``x`` is kept so diagnostics can re-trace the run, and
+    ``rho`` is the subproblem's final weak-convexity estimate, at most the
+    schedule's rho_hat (or RHO_FLOOR, if larger).
     """
 
     k: int
@@ -180,6 +178,7 @@ class OuterIterationRecord:
     grad_evals: int
     seconds: float
     x: np.ndarray
+    rho: Optional[float] = None
     dres_running: Optional[float] = None
     pres_eq: Optional[float] = None
     pres_ineq: Optional[float] = None
@@ -242,6 +241,8 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         rho_hat, L_hat = schedule(beta, block.multiplier_norm())
         if not (math.isfinite(L_hat) and L_hat > 0 and math.isfinite(rho_hat) and rho_hat >= 0):
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
+        # rho_hat caps iPPM's weak-convexity estimate; a convex schedule
+        # (rho_hat = 0) caps it at the floor it starts from.
         try:
             sub = ippm_solve(
                 block.subproblem(beta),
@@ -275,6 +276,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
                 grad_evals=smooth.grad_evals,
                 seconds=time.perf_counter() - t0,
                 x=x.copy(),
+                rho=sub.rho,
                 **fields,
             )
         )

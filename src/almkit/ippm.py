@@ -7,9 +7,37 @@ model) and solves it with APG to tolerance eps/4; the loop stops once
 yields dist(0, subdiff(phi + psi)(x_out)) <= eps.  The gradient of phi is a
 plain callable, as in ``apg_solve``.
 
-Each APG call after the first is warm-started: it reuses the gradient at its
-centre, which the previous call's certificate computed, and starts from that
-call's final curvature estimate; the first call starts at L_phi + 2 rho.
+Adaptive weak convexity ("convex until proven guilty": Carmon, Duchi,
+Hinder & Sidford, ICML 2017; Paquette et al., "Catalyst for gradient-based
+nonconvex optimization", AISTATS 2018).  The ``rho`` given to
+``ippm_solve`` is a cap, as L_G is for APG's curvature estimate.  Each call
+starts its estimate at RHO_FLOOR (or at the cap, if that is smaller) and
+carries it across its proximal steps.  Below the cap, APG tests every
+accepted step pair for rho-strong convexity of the model, at no gradient
+cost.  A failed test, or an APG call that exhausts its budget, proves the
+estimate too small: rho doubles (up to the cap) and the proximal step is
+redone from the same centre.  At the cap no pair is tested and a budget
+overrun raises SubsolverStall.
+
+What survives of the guarantees:
+
+- The certificate is valid for any rho.  APG certifies the model's
+  stationarity at x, and the model's gradient differs from phi's by
+  2 rho (x - x_k), so stationarity + 2 rho ||x - x_k|| bounds
+  dist(0, subdiff(phi + psi)(x)).
+- At the cap the method is the fixed-rho one, and its bounds hold whenever
+  the cap bounds the weak convexity.
+- Below the cap, APG's iteration bound holds only on the step pairs it
+  tested.
+- The estimate never decreases within a call, so one call makes at most
+  ceil(log2(cap / RHO_FLOOR)) doublings, each after an APG call within the
+  budget computed at the cap (the stall guard): the worst case is the
+  fixed-rho method plus that many failed APG calls.
+
+Each APG call is warm-started: it reuses the gradient at its centre, which
+the previous call's certificate computed (a redo reuses it too: it does not
+depend on rho), and starts from the previous call's final curvature
+estimate; the first call starts at L_phi + 2 rho.
 """
 
 from __future__ import annotations
@@ -22,6 +50,10 @@ import numpy as np
 
 from .apg import DEFAULT_MAX_ITER, apg_solve
 from .core import Array, ProxCapableFunction, as_vector
+
+# Starting weak-convexity estimate: the model of a convex phi is still
+# strongly convex for any positive rho, so "convex" starts just above 0.
+RHO_FLOOR = 1e-6
 
 
 class SubsolverStall(RuntimeError):
@@ -60,7 +92,9 @@ class IppmResult:
     """Outcome of one iPPM call.
 
     ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``: the
-    inner APG certificate plus the 2 rho ||dx|| proximal term.
+    inner APG certificate plus the 2 rho ||dx|| proximal term.  ``rho`` is
+    the final weak-convexity estimate and ``rho_doublings`` the number of
+    times it was doubled.
     """
 
     x: np.ndarray
@@ -70,6 +104,8 @@ class IppmResult:
     stationarity_is_exact: bool
     grad_evals: int
     apg_iterations: int
+    rho: float
+    rho_doublings: int
     trace: Optional[list] = None
 
 
@@ -85,11 +121,12 @@ def ippm_solve(
     keep_trace: bool = False,
 ) -> IppmResult:
     """Drive Phi = phi + psi to eps-stationarity via proximal point steps,
-    where ``grad`` is the gradient of phi.
+    where ``grad`` is the gradient of phi and ``rho`` caps the adaptive
+    weak-convexity estimate.
 
-    Raises SubsolverStall when an inner APG call exceeds twice its
-    worst-case budget (bounded domains) or exhausts ``max_inner``; the usual
-    cause is an underestimated weak-convexity constant rho.
+    Raises SubsolverStall when an inner APG call at the cap exceeds twice
+    its worst-case budget (bounded domains) or exhausts ``max_inner``; the
+    usual cause is a cap below the weak-convexity constant.
     """
     if rho <= 0 or L_phi <= 0 or eps <= 0:
         raise ValueError("rho, L_phi, eps must be positive")
@@ -99,31 +136,43 @@ def ippm_solve(
 
     budget = _apg_budget(rho, L_phi, eps, psi.diameter)
     apg_cap = max_inner if budget is None else min(max_inner, 2 * budget)
+    rho_cap, rho = rho, min(RHO_FLOOR, rho)
+    doublings = 0
 
     x_k = x0
     best_x = x0
     best_stat = math.inf
     trace = [] if keep_trace else None
     apg_total = 0
-    grad_total = 0
-    L_model = L_phi + 2.0 * rho
-    L_t, g_k = L_model, None
+    # The model's gradient at its centre is phi's, whatever rho is.
+    g_k = grad(x0)
+    grad_total = 1
+    L_t = None
 
     for k in range(max_outer):
-        def shifted(x, c=x_k):
-            return grad(x) + 2.0 * rho * (x - c)
+        while True:
+            def shifted(x, c=x_k, r=rho):
+                return grad(x) + 2.0 * r * (x - c)
 
-        inner = apg_solve(
-            shifted, psi, x_k, rho, L_model, eps / 4.0, apg_cap, L_init=L_t, grad_init=g_k
-        )
-        apg_total += inner.iterations
-        grad_total += inner.grad_evals
-        if not inner.converged:
-            raise SubsolverStall(
-                f"inner APG used {inner.iterations} iterations (budget {apg_cap}) without "
-                f"reaching stationarity {eps / 4.0:.3g}; rho={rho:.3g} is likely an "
-                "underestimate of the weak convexity, or L_phi is too small"
+            inner = apg_solve(
+                shifted, psi, x_k, rho, L_phi + 2.0 * rho, eps / 4.0, apg_cap,
+                L_init=L_t, grad_init=g_k, test_mu=rho < rho_cap,
             )
+            apg_total += inner.iterations
+            grad_total += inner.grad_evals
+            if inner.converged:
+                break
+            if rho >= rho_cap:
+                raise SubsolverStall(
+                    f"inner APG used {inner.iterations} iterations (budget {apg_cap}) without "
+                    f"reaching stationarity {eps / 4.0:.3g}; rho={rho_cap:.3g} is likely an "
+                    "underestimate of the weak convexity, or L_phi is too small"
+                )
+            # A nonconvex step pair or an exhausted budget: redo the step
+            # from the same centre, starting at the failed call's curvature.
+            rho = min(rho_cap, 2.0 * rho)
+            doublings += 1
+            L_t = inner.L
         x_next = inner.x
         shift = 2.0 * rho * float(np.linalg.norm(x_next - x_k))
         certified = inner.stationarity + shift
@@ -141,6 +190,8 @@ def ippm_solve(
                 stationarity_is_exact=inner.stationarity_is_exact,
                 grad_evals=grad_total,
                 apg_iterations=apg_total,
+                rho=rho,
+                rho_doublings=doublings,
                 trace=trace,
             )
         # The next model's gradient at its centre x_next is phi's, which the
@@ -158,5 +209,7 @@ def ippm_solve(
         stationarity_is_exact=psi.has_exact_subdiff,
         grad_evals=grad_total,
         apg_iterations=apg_total,
+        rho=rho,
+        rho_doublings=doublings,
         trace=trace,
     )

@@ -96,11 +96,25 @@ class TestBenchCampaign:
         (["bench-lcqp", *TINY, "--sigma", "0.5"], "0.5"),
         (["bench-lcqp", *TINY, "--jobs", "0"], "got 0"),
         (["solve", "CONFIG"], '"experiment"'),
+        (["solve", {"experiment": "lcqp"}], "'m'"),
+        (["solve", {"experiment": "lcqp", "sizes": {"m": 3}}], "'n'"),
+        (["solve", {"experiment": "ev"}], "'n'"),
+        (["solve", {"experiment": "cluster", "points_path": "p.csv", "sizes": {"r": 2}}], "'s'"),
+        (["solve", {"experiment": "cluster", "sizes": {"r": 2, "s": 5}}], '"points_path"'),
+        (["solve", {"experiment": "custom"}], '"instance_path"'),
     ],
 )
 def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
+    # "CONFIG" names a config without an experiment; a dict is written to a
+    # config file of its own.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"format_version": 1, "sizes": {"m": 3, "n": 12}}))
+    args = list(args)
+    for i, a in enumerate(args):
+        if isinstance(a, dict):
+            path = tmp_path / f"config_{i}.json"
+            path.write_text(json.dumps({"format_version": 1, **a}))
+            args[i] = str(path)
     args = [str(config) if a == "CONFIG" else a for a in args]
     rc = cli.main([*args, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
@@ -207,6 +221,21 @@ class TestReport:
         assert rc == 2
         assert err.count("\n") == 1 and "trial_0.json" in err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_campaign_refuses_another_campaigns_trials(self, tmp_path, capsys):
+        # The report reads every trial file in a directory, so a campaign
+        # must not add its trials to another seed's.
+        cli.main(["bench-lcqp", *TINY, "--trials", "2", "--out", str(tmp_path)])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        rc = cli.main(["bench-lcqp", *TINY, "--seeds", "0", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "trial_1.json" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # The same seeds may be re-run into the same directory.
+        assert cli.main(["bench-lcqp", *TINY, "--seeds", "1,0", "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
     def test_stalled_trial_is_strict_json(self, tmp_path, capsys):
         def reject(constant):

@@ -232,6 +232,30 @@ class TestSharedOuterLoop:
         assert rep.grad_evals == calls[0]
         assert [rec.grad_evals for rec in rep.records] == before_subsolve[1:] + [calls[0]]
 
+    def test_records_carry_the_capped_rho_estimate(self, block, monkeypatch):
+        # Each record's rho is iPPM's final estimate, which starts at the
+        # floor and is capped by the schedule's rho_hat.
+        cls = {"equality": almkit.ialm._EqualityBlock, "hinge": _HingeBlock}[block]
+        default_curvature = cls.default_curvature
+        rho_hats = []
+
+        def recorded(self):
+            schedule = default_curvature(self)
+
+            def wrapped(beta, norm):
+                rho_hat, L_hat = schedule(beta, norm)
+                rho_hats.append(rho_hat)
+                return rho_hat, L_hat
+
+            return wrapped
+
+        monkeypatch.setattr(cls, "default_curvature", recorded)
+        make, solve = SOLVERS[block]
+        rep = solve(make(), IalmConfig())
+        assert rep.success and len(rho_hats) == len(rep.records)
+        for rec, rho_hat in zip(rep.records, rho_hats):
+            assert RHO_FLOOR <= rec.rho <= max(rho_hat, RHO_FLOOR)
+
     def test_stall_reports_the_gradients_spent(self, block):
         make, solve = SOLVERS[block]
         problem, calls = with_counted_gradient(make())

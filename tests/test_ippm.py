@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import almkit.ippm
 from almkit.core import SmoothOracle
-from almkit.ippm import SubsolverStall, ippm_solve, outer_iteration_bound
+from almkit.ippm import RHO_FLOOR, SubsolverStall, ippm_solve, outer_iteration_bound
 from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, zero_function
 
 
@@ -128,6 +129,38 @@ class TestIppmProperties:
         assert np.array_equal(runs[0].x, runs[1].x)
         assert runs[0].outer_iterations == runs[1].outer_iterations
         assert runs[0].grad_evals == runs[1].grad_evals
+
+
+def box_qp(d, seed):
+    """phi(x) = x'diag(d)x/2 + b'x on the box [-1, 1]^n: its gradient
+    callable, the box and the box indicator."""
+    b = np.random.default_rng(seed).standard_normal(len(d))
+    box = BoxSet.cube(-1.0, 1.0, len(d))
+    return (lambda x: d * x + b), box, box_indicator(box)
+
+
+class TestAdaptiveWeakConvexity:
+    def test_convex_problem_keeps_the_floor_and_saves_gradients(self, monkeypatch):
+        d = np.array([0.5, 1.0, 3.0, 10.0, 40.0])
+        grad, _, psi = box_qp(d, 3)
+        res = ippm_solve(grad, psi, np.zeros(5), rho=1.0, L_phi=40.0, eps=1e-6)
+        assert res.converged
+        assert res.rho == RHO_FLOOR and res.rho_doublings == 0
+        # Starting the estimate at the cap runs the fixed-rho method.
+        monkeypatch.setattr(almkit.ippm, "RHO_FLOOR", 1.0)
+        fixed = ippm_solve(grad, psi, np.zeros(5), rho=1.0, L_phi=40.0, eps=1e-6)
+        assert fixed.converged and fixed.rho == 1.0
+        assert res.grad_evals < fixed.grad_evals
+
+    def test_nonconvex_problem_doubles_and_certifies(self):
+        d = np.array([-2.0, 0.5, 3.0, 10.0, 40.0])
+        grad, box, psi = box_qp(d, 3)
+        eps = 1e-6
+        res = ippm_solve(grad, psi, np.zeros(5), rho=2.0, L_phi=40.0, eps=eps)
+        assert res.converged
+        assert res.rho_doublings >= 1 and RHO_FLOOR < res.rho <= 2.0
+        assert res.rho_doublings <= math.ceil(math.log2(2.0 / RHO_FLOOR))
+        assert normal_cone_distance_box(res.x, -grad(res.x), box) <= eps
 
 
 class TestIppmErrors:
