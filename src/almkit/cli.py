@@ -176,6 +176,9 @@ def _record_to_dict(rec) -> dict:
         "grad_evals": rec.grad_evals,
         "seconds": rec.seconds,
         "rho": rec.rho,
+        "sub_eps": rec.sub_eps,
+        "ippm_steps": rec.ippm_steps,
+        "apg_iters": rec.apg_iters,
         "x": rec.x.tolist(),
     }
 

@@ -221,13 +221,16 @@ class _HingeBlock:
         x = problem.x0
         self.y = self.y_cert = np.zeros(problem.n_eq)
         self.z = self.z_cert = np.zeros(problem.n_ineq)
-        # Damping scale: smallest initial residual among the blocks present.
-        parts = []
+        # Damping scale: largest initial residual among the blocks present,
+        # the scale of the max(pres_eq, pres_ineq) the dual step divides
+        # by.  (The smallest would be 0 whenever x0 satisfies one block,
+        # freezing the damped policy's multipliers at 0.)
+        parts = [0.0]
         if problem.n_eq:
             parts.append(float(np.linalg.norm(problem.A @ x - problem.b)))
         if problem.n_ineq:
             parts.append(float(np.linalg.norm(np.maximum(problem.ineq.evaluate(x), 0.0))))
-        self.damping = min(parts) if parts else 0.0
+        self.damping = max(parts)
 
     def multiplier_norm(self) -> float:
         return float(math.hypot(np.linalg.norm(self.y), np.linalg.norm(self.z)))

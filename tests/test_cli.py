@@ -137,6 +137,14 @@ class TestTrialPayload:
         assert "feasibility_decay" in data["diagnostics"]
         assert data["diagnostics"]["regularity"]["supported"] is True
 
+    def test_records_carry_the_subproblem_work(self, tmp_path):
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        data = json.loads((tmp_path / "trial_0.json").read_text())
+        records = data["records"]
+        assert records[0]["sub_eps"] == data["solver"]["eps"]
+        assert all(rec["sub_eps"] >= records[0]["sub_eps"] for rec in records)
+        assert all(1 <= rec["ippm_steps"] <= rec["apg_iters"] for rec in records)
+
     def test_theoretical_policy_records_dual_bound_verdict(self, tmp_path):
         rc = cli.main(
             [

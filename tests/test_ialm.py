@@ -129,6 +129,16 @@ class TestIalmSolve:
         assert rep.termination == "max_outer_exhausted"
         assert len(rep.records) == 2
 
+    def test_loose_subproblems_cannot_fake_the_certificate(self):
+        # Three outer iterations leave the later subproblems looser than
+        # eps; the report must still fail, with a re-measurable kkt.
+        problem = gen_lcqp(10, 200, 1.0, 0).to_problem()
+        eps = 1e-3
+        rep = ialm_solve(problem, IalmConfig(eps=eps, max_outer=3))
+        assert any(rec.sub_eps > eps for rec in rep.records)
+        assert not rep.success and rep.termination == "max_outer_exhausted"
+        assert rep.kkt == kkt_residual(rep.x, rep.y, problem)
+
     def test_missing_curvature_information_rejected(self):
         prob, _ = toy_eq_qp()
         prob.constants = None
@@ -168,23 +178,27 @@ class TestPenaltyMode:
         rep = ialm_solve(small_lcqp_problem, cfg)
         assert rep.success
 
-        # Re-run the outer loop by hand with every dual step forced to zero.
+        # Re-run the outer loop by hand with every dual step forced to zero;
+        # each subproblem after the first is solved to max(eps, 0.1 pres)
+        # of the previous record.
         prob = small_lcqp_problem
         curvature = prob.default_curvature
         h = prob.nonsmooth
         x = prob.x0
         y = np.zeros(prob.constraints.n_constraints)
         beta = cfg.beta0
+        eps_k = cfg.eps
         for rec in rep.records:
             rho_hat, L_hat = curvature(beta, 0.0)
             sub = ippm_solve(
                 lambda u: al_gradient_smooth(u, y, beta, prob), h, x,
-                max(rho_hat, RHO_FLOOR), L_hat, cfg.eps, max_inner=cfg.max_inner,
+                max(rho_hat, RHO_FLOOR), L_hat, eps_k, max_inner=cfg.max_inner,
             )
             x = sub.x
             assert np.array_equal(rec.x, x)
             assert rec.w == 0.0
             beta *= cfg.sigma
+            eps_k = max(cfg.eps, 0.1 * rec.pres)
 
     def test_penalty_mode_never_updates_multiplier(self, small_lcqp_problem):
         rep = ialm_solve(small_lcqp_problem, IalmConfig(penalty_mode=True, max_outer=40))
@@ -255,6 +269,20 @@ class TestSharedOuterLoop:
         assert rep.success and len(rho_hats) == len(rep.records)
         for rec, rho_hat in zip(rep.records, rho_hats):
             assert RHO_FLOOR <= rec.rho <= max(rho_hat, RHO_FLOOR)
+
+    def test_subproblem_tolerance_follows_the_last_primal_residual(self, block):
+        # k = 0 has no measured residual and solves to eps; every later
+        # subproblem to max(eps, 0.1 pres_{k-1}), and records its iPPM work.
+        make, solve = SOLVERS[block]
+        eps = 1e-3
+        rep = solve(make(), IalmConfig(eps=eps))
+        records = rep.records
+        assert rep.success and len(records) >= 2
+        assert records[0].sub_eps == eps
+        for prev, rec in zip(records, records[1:]):
+            assert rec.sub_eps == max(eps, 0.1 * prev.pres)
+        assert any(rec.sub_eps > eps for rec in records)
+        assert all(rec.ippm_steps >= 1 and rec.apg_iters >= rec.ippm_steps for rec in records)
 
     def test_stall_reports_the_gradients_spent(self, block):
         make, solve = SOLVERS[block]

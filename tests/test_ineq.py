@@ -8,6 +8,7 @@ from almkit.ialm import IalmConfig, PracticalDual, TheoreticalDual, ialm_solve
 from almkit.ineq import (
     IneqConstants,
     IneqProblemSpec,
+    _HingeBlock,
     al_ineq_gradient_smooth,
     al_ineq_value,
     dual_update_z,
@@ -218,6 +219,17 @@ class TestIneqSolve:
         assert abs(rep.x[0] - x_star) <= 1e-2
         assert abs(rep.z[0] - z_star) <= 1e-2
         assert rep.kkt.compl <= 1e-3
+
+    def test_damped_policy_moves_y_when_x0_satisfies_the_inequalities(self):
+        # x0 = 0 satisfies x <= 0.8 but not x1 + x2 = 1: the damping scale
+        # is the equality residual, not 0, so the damped policy still
+        # updates y instead of reducing to the penalty method.
+        prob = two_constraint_problem()
+        assert _HingeBlock(prob).damping == 1.0
+        rep = ialm_ineq_solve(prob, IalmConfig(policy=TheoreticalDual(w0=1.0)))
+        assert rep.success
+        assert any(rec.w > 0.0 for rec in rep.records)
+        assert np.linalg.norm(rep.y_running) > 0.0
 
     def test_mixed_constraints_solve(self):
         # min 0.5||x||^2 s.t. x1+x2 = 1, x <= 0.8: solution on the affine
