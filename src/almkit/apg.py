@@ -1,21 +1,30 @@
 """Accelerated proximal gradient method for strongly convex composite
-problems  min G(x) + H(x)  with G mu-strongly convex and L_G-smooth.
+problems  min G(x) + H(x)  with G mu-strongly convex and smooth.
 
 This is the innermost solver.  Each iteration takes one proximal gradient
 step x+ = prox_{H/L}(xbar - grad G(xbar)/L) from the extrapolated point
-xbar with a local curvature estimate L in [mu, L_G], and stops at the first
+xbar with a local curvature estimate L >= mu, and stops at the first
 iterate whose certified stationarity dist(-grad G(x+), subdiff H(x+)) falls
 below the tolerance.
 
 Step size.  The estimate is tested with the gradient at x+ that the
 certificate needs anyway: the step is accepted when
 ||grad G(x+) - grad G(xbar)|| <= L ||x+ - xbar||, and otherwise redone from
-the same xbar with L doubled (capped at L_G, where every step is accepted),
-at the cost of one gradient; after each accepted step L shrinks by 0.9 (not
-below mu).  This is backtracking in the style of Beck & Teboulle's FISTA
-(SIAM J. Imaging Sci. 2009), with a gradient test in place of value
-evaluations: APG evaluates no values.  The momentum
-(1 - a)/(1 + a), a = sqrt(mu / L), uses the accepted L.
+the same xbar with L doubled, at the cost of one gradient; after each
+accepted step L shrinks by 0.9 (not below mu).  This is backtracking in the
+style of Beck & Teboulle's FISTA (SIAM J. Imaging Sci. 2009), with a
+gradient test in place of value evaluations: APG evaluates no values.  The
+momentum (1 - a)/(1 + a), a = sqrt(mu / L), uses the accepted L.  The
+estimate starts at ``L_init``; ``L_G`` caps it, and a step at the cap is
+accepted untested.  ``L_G = inf`` means no cap: a step whose estimate has
+doubled MAX_DOUBLINGS times without passing the test raises NonFiniteValue,
+which is how a NaN step fails fast without a cap.
+
+Stall guard.  On a bounded domain (finite ``H.diameter`` D) a call stops
+unconverged after 2 * worst_case_iteration_bound(mu, L_max, eps, D^2, D^2)
+iterations, where L_max is the largest estimate it has accepted so far.
+The worst case that holds for an adaptive call is the one at L_max: every
+step it took used a curvature at most L_max.
 
 Restart.  When <xbar - x+, x+ - x_prev> > 0 the momentum points uphill, and
 the next extrapolated point is x+ itself, whose gradient is already known
@@ -60,6 +69,9 @@ DEFAULT_MAX_ITER = 10**6
 # on LCQP m=10, n=200; 0.95 stayed within 6% of 0.9 on LCQP and EV.
 BACKTRACK_GROWTH = 2.0
 STEP_DECAY = 0.9
+# Doublings one step may take before it is declared non-finite.  2^64
+# spans any curvature a finite gradient can show from a start at mu.
+MAX_DOUBLINGS = 64
 
 
 @dataclass(frozen=True)
@@ -91,12 +103,15 @@ def worst_case_iteration_bound(
 ) -> int:
     """Worst-case APG iteration count for given squared start distances.
 
-    ceil( sqrt(L/mu) * log(64 L^2 (L d_{-1}^2 + mu d_0^2) / (eps^2 mu)) + 1 ).
+    ceil( sqrt(L/mu) * log(64 L^2 (L d_{-1}^2 + mu d_0^2) / (eps^2 mu)) + 1 ),
+    with the log taken term by term so that no power of a tiny eps or mu
+    underflows.
     """
-    arg = 64.0 * L_G**2 * (L_G * dist_init_sq + mu * dist_x0_sq) / (eps**2 * mu)
-    if arg <= 1.0:
+    spread = L_G * dist_init_sq + mu * dist_x0_sq
+    if spread <= 0.0:
         return 1
-    return int(math.ceil(math.sqrt(L_G / mu) * math.log(arg) + 1.0))
+    log_arg = math.log(64.0 * spread) + 2.0 * (math.log(L_G) - math.log(eps)) - math.log(mu)
+    return max(1, math.ceil(math.sqrt(L_G / mu) * log_arg + 1.0))
 
 
 def apg_solve(
@@ -115,18 +130,19 @@ def apg_solve(
     """Run APG from ``x_init`` (which must lie in dom H) to eps-stationarity.
 
     ``L_init`` is the first curvature estimate (default L_G, clipped to
-    [mu, L_G]); ``grad_init``, when given, is grad G(x_init) and saves the
-    first call into ``grad``.  ``test_mu`` stops the call, unconverged, at
-    the first accepted step pair on which G is not mu-strongly convex.
+    [mu, L_G]), and must be given when ``L_G`` is inf; ``grad_init``, when
+    given, is grad G(x_init) and saves the first call into ``grad``.
+    ``test_mu`` stops the call, unconverged, at the first accepted step pair
+    on which G is not mu-strongly convex.
     """
-    if not (0 < mu <= L_G < math.inf):
-        raise ValueError(f"need 0 < mu <= L_G < inf, got mu={mu}, L_G={L_G}")
+    L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
+    if not (0 < mu <= L_G and math.isfinite(L)):
+        raise ValueError(f"need 0 < mu <= L_G and a finite start, got {mu=}, {L_G=}, {L_init=}")
     if eps <= 0 or max_iter < 1:
         raise ValueError("eps and max_iter must be positive")
     x_init = as_vector(x_init, name="x_init")
     if not math.isfinite(H.value(x_init)):
         raise ValueError("x_init lies outside dom(H)")
-    L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
     evals = 0
     if grad_init is None:
         grad_init = grad(x_init)
@@ -142,38 +158,47 @@ def apg_solve(
     best_x = best_g = None  # set by the first iteration, whose stat is finite
     best_stat = math.inf
     exact = H.has_exact_subdiff
+    # Stall guard: on a bounded domain the budget follows the largest
+    # accepted estimate L_max; an unbounded one has none.
+    D_sq = H.diameter**2
+    budget, L_max = max_iter, (0.0 if D_sq < math.inf else math.inf)
 
-    iterations = max_iter
-    for t in range(max_iter):
+    t = 0
+    while t < budget:
+        t += 1
         if g_bar is None:
             g_bar = grad(x_bar)
             evals += 1
-        while True:
+        for _ in range(MAX_DOUBLINGS + 1):
             step = 1.0 / L
             x_next = H._prox(x_bar - step * g_bar, step)
             g_next = grad(x_next)
             evals += 1
             dx = x_bar - x_next
-            # Written so that NaN fails the test and backtracks up to L_G.
+            # Written so that NaN fails the test and keeps doubling.
             if L >= L_G or np.linalg.norm(g_next - g_bar) <= L * np.linalg.norm(dx):
                 break
             L = min(L_G, BACKTRACK_GROWTH * L)
+        else:
+            raise NonFiniteValue(f"APG step rejected {MAX_DOUBLINGS} times at iteration {t}")
+        if L > L_max:
+            L_max = L
+            budget = min(max_iter, 2 * worst_case_iteration_bound(mu, L, eps, D_sq, D_sq))
         # Written so that NaN passes the test and reaches the guards below.
         if test_mu and float(dx @ (g_next - g_bar)) > -mu * float(dx @ dx):
-            iterations = t + 1
             break
         if exact:
             stat = H._subdiff(x_next, -g_next)
         else:
             stat = float(np.linalg.norm(g_next - g_bar + L * dx))
             if not math.isfinite(stat):
-                raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t + 1}")
+                raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t}")
         if stat < best_stat:
             best_stat, best_x, best_g = stat, x_next, g_next
         if stat <= eps:
             return ApgResult(
                 x=x_next,
-                iterations=t + 1,
+                iterations=t,
                 stationarity=stat,
                 converged=True,
                 stationarity_is_exact=exact,
@@ -191,7 +216,7 @@ def apg_solve(
 
     return ApgResult(
         x=best_x,
-        iterations=iterations,
+        iterations=t,
         stationarity=best_stat,
         converged=False,
         stationarity_is_exact=exact,

@@ -6,7 +6,7 @@ Problems have the form
 
 where g is smooth (possibly nonconvex), h is closed convex and prox-capable,
 and c is a smooth vector map.  This module provides the oracle types, the
-constants ledger used to derive curvature parameters of the augmented
+constants ledger used to bound the weak convexity of the augmented
 Lagrangian, augmented-Lagrangian evaluation, and KKT residual measurement.
 
 All vectors are dense float64.  Validation happens at two places only, so
@@ -72,7 +72,8 @@ class SmoothOracle:
     value_fn, gradient_fn:
         Callables evaluating the function and its gradient.
     smoothness:
-        Gradient Lipschitz constant L (an upper bound is fine).
+        Gradient Lipschitz constant L (an estimate is fine: the solver only
+        starts its adaptive curvature estimate there).
     weak_convexity:
         Constant rho >= 0 such that the function plus (rho/2)||.||^2 is convex.
 
@@ -339,10 +340,15 @@ CurvatureSchedule = Callable[[float, float], tuple[float, float]]
 class ProblemSpec:
     """One problem instance: oracles, constants, and a starting point.
 
-    ``default_curvature``, when set by a generator, supplies instance-exact
-    or tuned (rho_hat, L_hat) schedules used in place of the generic ledger
-    formula.  A solve runs on ``for_solve()``, so its #Grad starts at 0 and
-    concurrent solves of one ProblemSpec count apart.
+    A problem needs only its oracles.  ``smooth.L`` is where the first
+    subproblem's curvature estimate starts (later ones start where the
+    previous one ended).  ``default_curvature``, when set by a generator,
+    supplies an instance-exact or tuned (rho_hat, L_hat) schedule used in
+    place of the ledger's weak-convexity formula; both values only cap the
+    solver's adaptive estimates, and the bundled schedules return
+    L_hat = inf (no cap).  With neither a schedule nor ``constants``, both
+    caps are inf.  A solve runs on ``for_solve()``, so its #Grad starts at
+    0 and concurrent solves of one ProblemSpec count apart.
     """
 
     smooth: SmoothOracle
@@ -436,25 +442,12 @@ def al_gradient_smooth(x: Array, y: Array, beta: float, problem: ProblemSpec) ->
     return _al_smooth_part_gradient(x, y, beta, problem)
 
 
-def al_curvature_params(
-    beta: float,
-    y_norm: float,
-    constants: ConstantsLedger,
-    L0: float,
-    rho0: float,
-) -> tuple[float, float]:
-    """Weak convexity and smoothness of the smooth AL part from the ledger.
-
-    rho_hat = rho0 + L_bar ||y|| + beta rho_c
-    L_hat   = L0   + L_bar ||y|| + beta L_c
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if y_norm < 0 or L0 < 0 or rho0 < 0:
-        raise ValueError("y_norm, L0, rho0 must be nonnegative")
-    rho_hat = rho0 + constants.L_bar * y_norm + beta * constants.rho_c
-    L_hat = L0 + constants.L_bar * y_norm + beta * constants.L_c
-    return (rho_hat, L_hat)
+def al_weak_convexity(beta: float, y_norm: float, constants: ConstantsLedger, rho0: float) -> float:
+    """Weak convexity of the smooth AL part from the ledger:
+    rho_hat = rho0 + L_bar ||y|| + beta rho_c."""
+    if beta <= 0 or y_norm < 0 or rho0 < 0:
+        raise ValueError(f"need beta > 0 and y_norm, rho0 >= 0, got {beta=}, {y_norm=}, {rho0=}")
+    return rho0 + constants.L_bar * y_norm + beta * constants.rho_c
 
 
 def dual_residual(

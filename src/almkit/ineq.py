@@ -153,18 +153,6 @@ def al_ineq_gradient_smooth(
     return _ineq_smooth_gradient(x, y, z, beta, problem)
 
 
-def ineq_smoothness_bound(problem: IneqProblemSpec, beta: float, z: Array) -> float:
-    """Smoothness of the smooth AL part:
-    L0 + beta ||A'A|| + sum_i (beta B_i^f (B_i^f + L_i^f) + L_i^f |z_i|)."""
-    Bf = problem.ineq.component_bounds
-    Lf = problem.ineq.component_smoothness
-    return float(
-        problem.smooth.L
-        + beta * problem.constants.AtA_norm
-        + np.sum(beta * Bf * (Bf + Lf) + Lf * np.abs(z))
-    )
-
-
 def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> KktResidual:
     """``kkt_residual_ineq`` at validated (x, y, z), given Ax-b and f(x)."""
     pres_eq = float(np.linalg.norm(r))
@@ -236,8 +224,8 @@ class _HingeBlock:
         return float(math.hypot(np.linalg.norm(self.y), np.linalg.norm(self.z)))
 
     def default_curvature(self):
-        problem = self.problem
-        return lambda beta, _norm: (problem.rho0, ineq_smoothness_bound(problem, beta, self.z))
+        rho0 = self.problem.rho0
+        return lambda beta, _norm: (rho0, math.inf)
 
     def subproblem(self, beta):
         problem, y, z = self.problem, self.y, self.z
@@ -277,9 +265,9 @@ def ialm_ineq_solve(problem: IneqProblemSpec, config: IalmConfig) -> SolveReport
 
     Subproblems stay rho0-weakly convex because the hinge composition of a
     convex constraint is convex; the dual clamp max{-z_i/beta, f_i} together
-    with w_k <= beta_k keeps z nonnegative throughout.  Curvature comes from
-    ``config.curvature_override`` when set, else (rho0,
-    ``ineq_smoothness_bound``) at the running z.  The report's #Grad counts
+    with w_k <= beta_k keeps z nonnegative throughout.  Curvature caps come
+    from ``config.curvature_override`` when set, else (rho0, inf): APG's
+    curvature estimate is uncapped and measured.  The report's #Grad counts
     this solve only (it runs on ``problem.for_solve()``), and its ``kkt``
     sets ``compl``, ``pres_eq`` and ``pres_ineq``.
     """
@@ -338,9 +326,10 @@ def slack_reformulate(
     """Rewrite f(x) <= 0 as f(x) + s = 0 with s >= 0 folded into the
     nonsmooth term, producing an equality-form ProblemSpec over (x, s).
 
-    The attached curvature schedule treats slack rows like any other
-    constraint row with |f_j + s_j| bounded by B_j^f + slack_bound; it is
-    exact when every f_j is affine.
+    The attached curvature schedule caps the weak convexity, treating
+    slack rows like any other constraint row with |f_j + s_j| bounded by
+    B_j^f + slack_bound (exact when every f_j is affine); its L_hat is inf
+    (no cap).
     """
     n, m, l = problem.dim, problem.n_ineq, problem.n_eq
     A, b, ineq = problem.A, problem.b, problem.ineq
@@ -392,16 +381,10 @@ def slack_reformulate(
 
     L_bar_f = float(np.sqrt(np.sum(Lf**2)))
     growth_rho = float(np.sum((Bf + slack_bound) * Lf))
-    growth_L = float(
-        problem.constants.AtA_norm + np.sum(Bf**2 + 1.0) + np.sum((Bf + slack_bound) * Lf)
-    )
-    L0, rho0 = g.L, problem.rho0
+    rho0 = problem.rho0
 
     def curvature(beta: float, y_norm: float) -> tuple[float, float]:
-        return (
-            rho0 + y_norm * L_bar_f + beta * growth_rho,
-            L0 + y_norm * L_bar_f + beta * growth_L,
-        )
+        return (rho0 + y_norm * L_bar_f + beta * growth_rho, math.inf)
 
     spec = ProblemSpec(
         smooth=smooth,

@@ -1,5 +1,5 @@
 """Inexact proximal point method for weakly convex composite problems
-min phi(x) + psi(x), with phi L_phi-smooth and rho-weakly convex.
+min phi(x) + psi(x), with phi smooth and rho-weakly convex.
 
 Each outer step adds rho||. - x_k||^2 to phi (giving a rho-strongly-convex
 model) and solves it with APG to tolerance eps/4; the loop stops once
@@ -10,14 +10,14 @@ plain callable, as in ``apg_solve``.
 Adaptive weak convexity ("convex until proven guilty": Carmon, Duchi,
 Hinder & Sidford, ICML 2017; Paquette et al., "Catalyst for gradient-based
 nonconvex optimization", AISTATS 2018).  The ``rho`` given to
-``ippm_solve`` is a cap, as L_G is for APG's curvature estimate.  Each call
-starts its estimate at RHO_FLOOR (or at the cap, if that is smaller) and
-carries it across its proximal steps.  Below the cap, APG tests every
-accepted step pair for rho-strong convexity of the model, at no gradient
-cost.  A failed test, or an APG call that exhausts its budget, proves the
-estimate too small: rho doubles (up to the cap) and the proximal step is
-redone from the same centre.  At the cap no pair is tested and a budget
-overrun raises SubsolverStall.
+``ippm_solve`` is a cap, as L_phi is on APG's curvature estimate (inf means
+no cap for either).  Each call starts its estimate at RHO_FLOOR (or at the
+cap, if that is smaller) and carries it across its proximal steps.  Below
+the cap, APG tests every accepted step pair for rho-strong convexity of the
+model, at no gradient cost.  A failed test, or an APG call that stops on
+its stall guard, proves the estimate too small: rho doubles (up to the cap)
+and the proximal step is redone from the same centre.  At the cap no pair
+is tested and a stalled APG call raises SubsolverStall.
 
 What survives of the guarantees:
 
@@ -29,15 +29,17 @@ What survives of the guarantees:
   the cap bounds the weak convexity.
 - Below the cap, APG's iteration bound holds only on the step pairs it
   tested.
-- The estimate never decreases within a call, so one call makes at most
-  ceil(log2(cap / RHO_FLOOR)) doublings, each after an APG call within the
-  budget computed at the cap (the stall guard): the worst case is the
-  fixed-rho method plus that many failed APG calls.
+- APG owns the stall guard: on a bounded domain each call stops after twice
+  its worst case at the rho estimate it runs at and the largest curvature
+  estimate it has accepted (see ``apg_solve``).
+- With a finite cap the estimate doubles at most ceil(log2(cap /
+  RHO_FLOOR)) times per call, each after one failed APG call: the worst
+  case is the fixed-rho method plus that many failed calls.
 
 Each APG call is warm-started: it reuses the gradient at its centre, which
 the previous call's certificate computed (a redo reuses it too: it does not
 depend on rho), and starts from the previous call's final curvature
-estimate; the first call starts at L_phi + 2 rho.
+estimate; the first call starts at ``L_init`` (default L_phi + 2 rho).
 """
 
 from __future__ import annotations
@@ -72,21 +74,6 @@ def outer_iteration_bound(rho: float, eps: float, gap: float) -> int:
     return int(math.ceil(32.0 * rho * gap / eps**2))
 
 
-def _apg_budget(rho: float, L_phi: float, eps: float, diameter: float) -> Optional[int]:
-    """Iteration budget for each inner APG call on a bounded domain.
-
-    Mirrors the APG worst case with both start distances bounded by the
-    domain diameter; None when the domain is unbounded.
-    """
-    if not math.isfinite(diameter):
-        return None
-    L_t = L_phi + 2.0 * rho
-    arg = 1024.0 * L_t**2 * (L_t + rho) * diameter**2 / (eps**2 * rho)
-    if arg <= 1.0:
-        return 1
-    return int(math.ceil(math.sqrt(L_t / rho) * math.log(arg))) + 1
-
-
 @dataclass(frozen=True)
 class IppmResult:
     """Outcome of one iPPM call.
@@ -94,7 +81,8 @@ class IppmResult:
     ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``: the
     inner APG certificate plus the 2 rho ||dx|| proximal term.  ``rho`` is
     the final weak-convexity estimate and ``rho_doublings`` the number of
-    times it was doubled.
+    times it was doubled; ``L`` is the final curvature estimate of the last
+    APG call, a warm start for a later call on a nearby model.
     """
 
     x: np.ndarray
@@ -106,6 +94,7 @@ class IppmResult:
     apg_iterations: int
     rho: float
     rho_doublings: int
+    L: float
     trace: Optional[list] = None
 
 
@@ -119,14 +108,18 @@ def ippm_solve(
     max_outer: int = DEFAULT_MAX_ITER,
     max_inner: int = DEFAULT_MAX_ITER,
     keep_trace: bool = False,
+    *,
+    L_init: Optional[float] = None,
 ) -> IppmResult:
     """Drive Phi = phi + psi to eps-stationarity via proximal point steps,
-    where ``grad`` is the gradient of phi and ``rho`` caps the adaptive
-    weak-convexity estimate.
+    where ``grad`` is the gradient of phi, ``rho`` caps the adaptive
+    weak-convexity estimate and ``L_phi`` the curvature estimate of each
+    APG call (inf: no caps).  ``L_init`` is the first APG call's first
+    curvature estimate, and must be given when ``L_phi`` is inf.
 
-    Raises SubsolverStall when an inner APG call at the cap exceeds twice
-    its worst-case budget (bounded domains) or exhausts ``max_inner``; the
-    usual cause is a cap below the weak-convexity constant.
+    Raises SubsolverStall when an inner APG call at the cap stops on its
+    stall guard (bounded domains) or exhausts ``max_inner``; the usual cause
+    is a cap below the weak-convexity constant.
     """
     if rho <= 0 or L_phi <= 0 or eps <= 0:
         raise ValueError("rho, L_phi, eps must be positive")
@@ -134,8 +127,6 @@ def ippm_solve(
     if not math.isfinite(psi.value(x0)):
         raise ValueError("x0 lies outside dom(psi)")
 
-    budget = _apg_budget(rho, L_phi, eps, psi.diameter)
-    apg_cap = max_inner if budget is None else min(max_inner, 2 * budget)
     rho_cap, rho = rho, min(RHO_FLOOR, rho)
     doublings = 0
 
@@ -147,7 +138,7 @@ def ippm_solve(
     # The model's gradient at its centre is phi's, whatever rho is.
     g_k = grad(x0)
     grad_total = 1
-    L_t = None
+    L_t = L_init
 
     for k in range(max_outer):
         while True:
@@ -155,24 +146,26 @@ def ippm_solve(
                 return grad(x) + 2.0 * r * (x - c)
 
             inner = apg_solve(
-                shifted, psi, x_k, rho, L_phi + 2.0 * rho, eps / 4.0, apg_cap,
+                shifted, psi, x_k, rho, L_phi + 2.0 * rho, eps / 4.0, max_inner,
                 L_init=L_t, grad_init=g_k, test_mu=rho < rho_cap,
             )
             apg_total += inner.iterations
             grad_total += inner.grad_evals
+            # The next call, a redo or the next step, starts at this
+            # call's final curvature estimate.
+            L_t = inner.L
             if inner.converged:
                 break
             if rho >= rho_cap:
                 raise SubsolverStall(
-                    f"inner APG used {inner.iterations} iterations (budget {apg_cap}) without "
-                    f"reaching stationarity {eps / 4.0:.3g}; rho={rho_cap:.3g} is likely an "
+                    f"inner APG stopped after {inner.iterations} iterations without reaching "
+                    f"stationarity {eps / 4.0:.3g}; rho={rho_cap:.3g} is likely an "
                     "underestimate of the weak convexity, or L_phi is too small"
                 )
-            # A nonconvex step pair or an exhausted budget: redo the step
-            # from the same centre, starting at the failed call's curvature.
+            # A nonconvex step pair or a stalled call: redo the step from
+            # the same centre.
             rho = min(rho_cap, 2.0 * rho)
             doublings += 1
-            L_t = inner.L
         x_next = inner.x
         shift = 2.0 * rho * float(np.linalg.norm(x_next - x_k))
         certified = inner.stationarity + shift
@@ -192,13 +185,12 @@ def ippm_solve(
                 apg_iterations=apg_total,
                 rho=rho,
                 rho_doublings=doublings,
+                L=L_t,
                 trace=trace,
             )
         # The next model's gradient at its centre x_next is phi's, which the
-        # certificate just computed (up to the old shift), and its curvature
-        # estimate starts where this call's ended.
+        # certificate just computed (up to the old shift).
         g_k = inner.gradient - 2.0 * rho * (x_next - x_k)
-        L_t = inner.L
         x_k = x_next
 
     return IppmResult(
@@ -211,5 +203,6 @@ def ippm_solve(
         apg_iterations=apg_total,
         rho=rho,
         rho_doublings=doublings,
+        L=L_t,
         trace=trace,
     )

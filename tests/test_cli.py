@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,13 @@ class TestTrialPayload:
         assert records[0]["sub_eps"] == data["solver"]["eps"]
         assert all(rec["sub_eps"] >= records[0]["sub_eps"] for rec in records)
         assert all(1 <= rec["ippm_steps"] <= rec["apg_iters"] for rec in records)
+
+    def test_records_carry_the_curvature_estimate(self, tmp_path):
+        # Each record's L is where the next subproblem's APG starts.
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        records = json.loads((tmp_path / "trial_0.json").read_text())["records"]
+        assert all(0.0 < rec["L"] < math.inf for rec in records)
+        assert len({rec["L"] for rec in records}) > 1
 
     def test_theoretical_policy_records_dual_bound_verdict(self, tmp_path):
         rc = cli.main(

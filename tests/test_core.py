@@ -13,9 +13,9 @@ from almkit.core import (
     ProxCapableFunction,
     SmoothOracle,
     aggregate_constants,
-    al_curvature_params,
     al_gradient_smooth,
     al_value,
+    al_weak_convexity,
     kkt_residual,
 )
 from almkit.problems import gen_lcqp
@@ -131,7 +131,7 @@ class TestCurvatureParams:
     def test_affine_case_keeps_rho0(self):
         ledger = ConstantsLedger.from_components(1.0, 1.0, [2.0], [0.0], [0.0], 1.0)
         for beta in (0.01, 1.0, 1e6):
-            rho_hat, _ = al_curvature_params(beta, 5.0, ledger, L0=3.0, rho0=0.7)
+            rho_hat = al_weak_convexity(beta, 5.0, ledger, rho0=0.7)
             assert rho_hat == pytest.approx(0.7)
 
     def test_rho_example(self):
@@ -139,21 +139,8 @@ class TestCurvatureParams:
         ledger = ConstantsLedger(
             B0=0.0, B_c=0.0, B_i=np.array([1.0]), B_bar_c=1.0, L_bar=3.0, rho_c=2.0, L_c=0.0, D=1.0
         )
-        rho_hat, _ = al_curvature_params(10.0, 2.0, ledger, L0=0.0, rho0=1.0)
+        rho_hat = al_weak_convexity(10.0, 2.0, ledger, rho0=1.0)
         assert rho_hat == pytest.approx(27.0)
-
-    def test_L_example(self):
-        # L0=5, L_bar=3, ||y||=2, beta=10, L_c=10 -> 5 + 6 + 100 = 111
-        ledger = ConstantsLedger(
-            B0=0.0, B_c=0.0, B_i=np.array([1.0]), B_bar_c=1.0, L_bar=3.0, rho_c=0.0, L_c=10.0, D=1.0
-        )
-        _, L_hat = al_curvature_params(10.0, 2.0, ledger, L0=5.0, rho0=0.0)
-        assert L_hat == pytest.approx(111.0)
-
-    def test_L_dominates_rho_when_inputs_ordered(self):
-        ledger = ConstantsLedger.from_components(0.0, 1.0, [2.0], [3.0], [1.0], 1.0)
-        rho_hat, L_hat = al_curvature_params(4.0, 1.5, ledger, L0=9.0, rho0=2.0)
-        assert L_hat >= rho_hat
 
 
 class TestKktResidual:

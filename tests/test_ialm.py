@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import almkit.ialm
+import almkit.ippm
 from almkit.core import (
     ConstraintOracle,
     NonFiniteValue,
@@ -139,12 +141,42 @@ class TestIalmSolve:
         assert not rep.success and rep.termination == "max_outer_exhausted"
         assert rep.kkt == kkt_residual(rep.x, rep.y, problem)
 
-    def test_missing_curvature_information_rejected(self):
-        prob, _ = toy_eq_qp()
+    def test_oracles_alone_certify(self):
+        # Neither a schedule nor a ledger: both caps are inf, and the
+        # adaptive estimates do all the work.
+        prob, x_star = toy_eq_qp()
         prob.constants = None
         prob.default_curvature = None
-        with pytest.raises(ValueError, match="curvature"):
-            ialm_solve(prob, IalmConfig())
+        rep = ialm_solve(prob, IalmConfig())
+        assert rep.success
+        assert rep.kkt == kkt_residual(rep.x, rep.y, prob)
+        assert max(rep.kkt.pres, rep.kkt.dres) <= IalmConfig().eps
+        assert np.linalg.norm(rep.x - x_star) <= 1e-2
+
+    def test_finite_override_caps_every_curvature_estimate(self, monkeypatch):
+        # A finite L_hat caps APG's estimate of the model phi + rho||. - c||^2
+        # at L_hat + 2 rho, in every call and in every record.
+        inst = gen_lcqp(3, 20, 1.0, seed=5)
+        L_hats = {}
+
+        def exact(beta, _norm):
+            L_hats[beta] = float(np.linalg.norm(inst.Q + beta * inst.A.T @ inst.A, 2))
+            return 1.0, L_hats[beta]
+
+        calls = []
+        apg = almkit.ippm.apg_solve
+
+        def recorded(grad, H, x, mu, L_G, *args, **kwargs):
+            res = apg(grad, H, x, mu, L_G, *args, **kwargs)
+            calls.append((L_G, res.L))
+            return res
+
+        monkeypatch.setattr(almkit.ippm, "apg_solve", recorded)
+        rep = ialm_solve(inst.to_problem(), IalmConfig(curvature_override=exact))
+        assert rep.success and calls
+        assert all(L <= L_G < math.inf for L_G, L in calls)
+        for rec in rep.records:
+            assert rec.L <= L_hats[rec.beta] + 2.0 * rec.rho
 
 
 class TestDualBoundedness:
@@ -180,7 +212,7 @@ class TestPenaltyMode:
 
         # Re-run the outer loop by hand with every dual step forced to zero;
         # each subproblem after the first is solved to max(eps, 0.1 pres)
-        # of the previous record.
+        # of the previous record, and starts APG where the previous ended.
         prob = small_lcqp_problem
         curvature = prob.default_curvature
         h = prob.nonsmooth
@@ -188,13 +220,14 @@ class TestPenaltyMode:
         y = np.zeros(prob.constraints.n_constraints)
         beta = cfg.beta0
         eps_k = cfg.eps
+        L_k = prob.smooth.L
         for rec in rep.records:
             rho_hat, L_hat = curvature(beta, 0.0)
             sub = ippm_solve(
                 lambda u: al_gradient_smooth(u, y, beta, prob), h, x,
-                max(rho_hat, RHO_FLOOR), L_hat, eps_k, max_inner=cfg.max_inner,
+                max(rho_hat, RHO_FLOOR), L_hat, eps_k, max_inner=cfg.max_inner, L_init=L_k,
             )
-            x = sub.x
+            x, L_k = sub.x, sub.L
             assert np.array_equal(rec.x, x)
             assert rec.w == 0.0
             beta *= cfg.sigma
@@ -269,6 +302,24 @@ class TestSharedOuterLoop:
         assert rep.success and len(rho_hats) == len(rep.records)
         for rec, rho_hat in zip(rep.records, rho_hats):
             assert RHO_FLOOR <= rec.rho <= max(rho_hat, RHO_FLOOR)
+
+    def test_curvature_estimate_carries_across_subproblems(self, block, monkeypatch):
+        # Subproblem 0 starts APG at the declared smooth.L; subproblem k+1
+        # at the final estimate of subproblem k, which its record carries.
+        make, solve = SOLVERS[block]
+        problem = make()
+        starts = []
+        ippm = almkit.ialm.ippm_solve
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs["L_init"])
+            return ippm(*args, **kwargs)
+
+        monkeypatch.setattr(almkit.ialm, "ippm_solve", recorded)
+        rep = solve(problem, IalmConfig())
+        assert rep.success and len(rep.records) >= 2
+        assert starts == [problem.smooth.L] + [rec.L for rec in rep.records[:-1]]
+        assert all(0.0 < rec.L < math.inf for rec in rep.records)
 
     def test_subproblem_tolerance_follows_the_last_primal_residual(self, block):
         # k = 0 has no measured residual and solves to eps; every later

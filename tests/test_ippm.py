@@ -186,6 +186,15 @@ class TestIppmErrors:
                 max_inner=300,
             )
 
+    def test_tiny_eps_stalls_instead_of_dividing_by_zero(self):
+        # (eps/4)^2 underflows to 0 at eps = 1e-170; APG's stall budget is
+        # formed in log space and stays finite.  No float iterate is
+        # stationary to 2.5e-171, so every call stops unconverged (here at
+        # max_inner), rho doubles to its cap and the cap stalls.
+        psi = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
+        with pytest.raises(SubsolverStall, match="rho"):
+            ippm_solve(lambda x: x - 0.3, psi, np.zeros(1), 1.0, 1.0, 1e-170, max_inner=50)
+
     def test_max_outer_exhaustion_flags_failure(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         res = ippm_solve(

@@ -75,15 +75,9 @@ class TestGenLcqp:
         ledger = prob.constants
         assert ledger.L_bar == 0.0 and ledger.rho_c == 0.0
         assert ledger.L_c == pytest.approx(float(np.sum(ledger.B_i**2)))
-        norm_Q, norm_A = np.linalg.norm(inst.Q, 2), np.linalg.norm(inst.A, 2)
         for beta in (0.01, 1.0, 5.0, 300.0):
-            rho_hat, L_hat = prob.default_curvature(beta, 0.0)
+            rho_hat, _ = prob.default_curvature(beta, 0.0)
             assert rho_hat == 1.0
-            # The closed-form cap ||Q|| + beta ||A||^2 bounds the exact
-            # smoothness ||Q + beta A'A|| of the AL smooth part.
-            assert L_hat == pytest.approx(norm_Q + beta * norm_A**2, rel=1e-12)
-            exact = np.linalg.norm(inst.Q + beta * inst.A.T @ inst.A, 2)
-            assert L_hat >= exact * (1.0 - 1e-12)
 
 
 class TestGenEv:
@@ -124,20 +118,24 @@ LOOSE_CAP_CASES = {
 class TestCurvatureSchedules:
     @pytest.mark.parametrize("family", sorted(LOOSE_CAP_CASES))
     def test_loose_smoothness_cap_costs_few_extra_gradients(self, family):
-        # L_hat only caps and seeds APG's adaptive curvature estimate, so a
-        # schedule whose L_hat is 16x looser may cost at most 25% more #Grad
-        # (a constant step 1/L_hat would cost about 4x).
+        # The bundled schedules leave APG's curvature estimate uncapped; a
+        # finite L_hat through the override only caps it, and no longer
+        # seeds it, so a cap 16x above every estimate the uncapped solve
+        # ended a subproblem with may cost at most 25% more #Grad (seeding
+        # APG at a 16x cap once cost up to 18%).
         problem, config = LOOSE_CAP_CASES[family]()
         schedule = problem.default_curvature
-
-        def loose(beta, y_norm):
-            rho_hat, L_hat = schedule(beta, y_norm)
-            return rho_hat, 16.0 * L_hat
-
         default = ialm_solve(problem, config)
-        loose_run = ialm_solve(problem, dataclasses.replace(config, curvature_override=loose))
-        assert default.success and loose_run.success
-        assert loose_run.grad_evals <= 1.25 * default.grad_evals
+        L_cap = 16.0 * max(rec.L for rec in default.records)
+
+        def capped(beta, y_norm):
+            rho_hat, L_hat = schedule(beta, y_norm)
+            assert L_hat == math.inf
+            return rho_hat, L_cap
+
+        capped_run = ialm_solve(problem, dataclasses.replace(config, curvature_override=capped))
+        assert default.success and capped_run.success
+        assert capped_run.grad_evals <= 1.25 * default.grad_evals
 
     def test_loose_weak_convexity_cap_costs_few_extra_gradients(self):
         # rho_hat only caps iPPM's adaptive weak-convexity estimate, so a
