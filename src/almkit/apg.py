@@ -59,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, NonFiniteValue, ProxCapableFunction, as_vector
+from .core import Array, NonFiniteValue, ProxCapableFunction, as_vector, norm
 
 DEFAULT_MAX_ITER = 10**6
 
@@ -174,9 +174,13 @@ def apg_solve(
             x_next = H._prox(x_bar - step * g_bar, step)
             g_next = grad(x_next)
             evals += 1
+            # The step pair (dx, dg) serves the step test, the convexity
+            # test and the surrogate.
             dx = x_bar - x_next
+            dg = g_next - g_bar
+            dx_sq = dx.dot(dx)
             # Written so that NaN fails the test and keeps doubling.
-            if L >= L_G or np.linalg.norm(g_next - g_bar) <= L * np.linalg.norm(dx):
+            if L >= L_G or norm(dg) <= L * math.sqrt(dx_sq):
                 break
             L = min(L_G, BACKTRACK_GROWTH * L)
         else:
@@ -185,12 +189,12 @@ def apg_solve(
             L_max = L
             budget = min(max_iter, 2 * worst_case_iteration_bound(mu, L, eps, D_sq, D_sq))
         # Written so that NaN passes the test and reaches the guards below.
-        if test_mu and float(dx @ (g_next - g_bar)) > -mu * float(dx @ dx):
+        if test_mu and dx.dot(dg) > -mu * dx_sq:
             break
         if exact:
             stat = H._subdiff(x_next, -g_next)
         else:
-            stat = float(np.linalg.norm(g_next - g_bar + L * dx))
+            stat = norm(dg + L * dx)
             if not math.isfinite(stat):
                 raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t}")
         if stat < best_stat:
@@ -206,11 +210,12 @@ def apg_solve(
                 gradient=g_next,
                 L=L,
             )
-        if float(dx @ (x_next - x_prev)) > 0.0:
+        moved = x_next - x_prev
+        if dx.dot(moved) > 0.0:
             x_bar, g_bar = x_next, g_next
         else:
             alpha = math.sqrt(mu / L)
-            x_bar, g_bar = x_next + (1.0 - alpha) / (1.0 + alpha) * (x_next - x_prev), None
+            x_bar, g_bar = x_next + (1.0 - alpha) / (1.0 + alpha) * moved, None
         x_prev = x_next
         L = max(mu, STEP_DECAY * L)
 

@@ -180,6 +180,8 @@ def _record_to_dict(rec) -> dict:
         "sub_eps": rec.sub_eps,
         "ippm_steps": rec.ippm_steps,
         "apg_iters": rec.apg_iters,
+        "sub_s": rec.sub_s,
+        "cert_s": rec.cert_s,
         "x": rec.x.tolist(),
     }
 

@@ -21,6 +21,13 @@ oracle bugs fail fast without re-checking what the solver computed itself:
   ``ProxCapableFunction._prox``, ...), which the public method wraps after
   ``as_vector`` and which the solver's hot path calls directly.
 
+A vector's finiteness is checked through one dot product (``all_finite``):
+a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
+finite, and only a non-finite one falls back to ``np.isfinite(a).all()``,
+which tells an overflowing a'a of finite entries (accepted; numpy warns of
+the overflow) from a NaN or Inf entry (rejected).  The accepted and
+rejected vectors, and the messages, are those of the entrywise check.
+
 The one remaining guard inside the inner loops is APG's finiteness check on
 its stationarity measure, which catches a NaN iterate that reached a
 gradient that ignores its input.
@@ -52,6 +59,21 @@ class NonFiniteValue(ValueError):
     """An oracle produced, or was handed, NaN or Inf."""
 
 
+def all_finite(a: Array) -> bool:
+    """Whether every entry of the float64 1-D array ``a`` is finite, decided
+    by one dot product; the entrywise check runs only when a'a is not finite
+    (an entry is NaN or Inf, or a'a overflowed, which numpy reports with a
+    RuntimeWarning)."""
+    return math.isfinite(a.dot(a)) or bool(np.isfinite(a).all())
+
+
+def norm(a: Array) -> float:
+    """Euclidean norm of the float64 1-D array ``a``: sqrt(a'a), which is
+    what ``np.linalg.norm`` computes for it, bit for bit, without its
+    wrapper."""
+    return math.sqrt(a.dot(a))
+
+
 def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
     """Validate and return ``x`` as a finite 1-D float64 array."""
     v = np.asarray(x, dtype=float)
@@ -59,7 +81,7 @@ def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {v.shape}")
     if n is not None and v.shape[0] != n:
         raise DimensionMismatch(f"{name} has length {v.shape[0]}, expected {n}")
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise NonFiniteValue(f"{name} contains NaN or Inf")
     return v
 
@@ -116,7 +138,7 @@ class SmoothOracle:
             raise DimensionMismatch(
                 f"gradient has shape {g.shape}, expected {x.shape}"
             )
-        if not np.isfinite(g).all():
+        if not all_finite(g):
             raise NonFiniteValue("smooth oracle gradient overflowed")
         return g
 
@@ -221,12 +243,14 @@ class ConstraintOracle:
         return self._evaluate(as_vector(x))
 
     def _evaluate(self, x: Array) -> Array:
-        c = np.atleast_1d(np.asarray(self._evaluate_fn(x), dtype=float))
+        c = np.asarray(self._evaluate_fn(x), dtype=float)
+        if c.ndim == 0:
+            c = c.reshape(1)
         if c.shape != (self.n_constraints,):
             raise DimensionMismatch(
                 f"constraint value has shape {c.shape}, expected ({self.n_constraints},)"
             )
-        if not np.isfinite(c).all():
+        if not all_finite(c):
             raise NonFiniteValue("constraint oracle overflowed")
         return c
 
@@ -237,7 +261,7 @@ class ConstraintOracle:
         out = np.asarray(self._jac_t_fn(x, v), dtype=float)
         if out.shape != x.shape:
             raise DimensionMismatch("Jacobian-transpose product dimension mismatch")
-        if not np.isfinite(out).all():
+        if not all_finite(out):
             raise NonFiniteValue("Jacobian-transpose product overflowed")
         return out
 

@@ -211,6 +211,8 @@ class OuterIterationRecord:
     APG starts.  ``sub_eps`` is the
     tolerance the subproblem was solved to, ``ippm_steps`` its proximal
     point steps and ``apg_iters`` its APG iterations, redone steps included.
+    ``sub_s`` is the wall time spent in the subproblem solve (``ippm_solve``)
+    and ``cert_s`` in the block's KKT certificate (``certify``), in seconds.
     """
 
     k: int
@@ -227,6 +229,8 @@ class OuterIterationRecord:
     sub_eps: Optional[float] = None
     ippm_steps: Optional[int] = None
     apg_iters: Optional[int] = None
+    sub_s: Optional[float] = None
+    cert_s: Optional[float] = None
     dres_running: Optional[float] = None
     pres_eq: Optional[float] = None
     pres_ineq: Optional[float] = None
@@ -296,6 +300,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
         # rho_hat caps iPPM's weak-convexity estimate; a convex schedule
         # (rho_hat = 0) caps it at the floor it starts from.
+        t_sub = time.perf_counter()
         try:
             sub = ippm_solve(
                 block.subproblem(beta),
@@ -311,7 +316,9 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
             exc.grad_evals = smooth.grad_evals
             raise
         x, L_est = sub.x, sub.L
+        t_cert = time.perf_counter()
         kkt = block.certify(x, beta)
+        t_done = time.perf_counter()
         converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
 
         if config.penalty_mode:
@@ -335,6 +342,8 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
                 sub_eps=sub_eps,
                 ippm_steps=sub.outer_iterations,
                 apg_iters=sub.apg_iterations,
+                sub_s=t_cert - t_sub,
+                cert_s=t_done - t_cert,
                 **fields,
             )
         )

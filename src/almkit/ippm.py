@@ -51,7 +51,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .apg import DEFAULT_MAX_ITER, apg_solve
-from .core import Array, ProxCapableFunction, as_vector
+from .core import Array, ProxCapableFunction, as_vector, norm
 
 # Starting weak-convexity estimate: the model of a convex phi is still
 # strongly convex for any positive rho, so "convex" starts just above 0.
@@ -167,7 +167,7 @@ def ippm_solve(
             rho = min(rho_cap, 2.0 * rho)
             doublings += 1
         x_next = inner.x
-        shift = 2.0 * rho * float(np.linalg.norm(x_next - x_k))
+        shift = 2.0 * rho * norm(x_next - x_k)
         certified = inner.stationarity + shift
         if trace is not None:
             trace.append((x_next.copy(), inner.stationarity, shift))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DimensionMismatch, ProxCapableFunction, as_vector
+from .core import Array, DimensionMismatch, ProxCapableFunction, as_vector, norm
 
 # Relative tolerance for deciding whether an iterate sits on a ball boundary.
 _BOUNDARY_RTOL = 1e-10
@@ -82,7 +82,7 @@ def project_box(x: Array, box: BoxSet) -> Array:
 def project_ball(x: Array, ball: BallSet) -> Array:
     """Radial scaling onto the ball; identity inside."""
     x = as_vector(x)
-    nrm = float(np.linalg.norm(x))
+    nrm = norm(x)
     if nrm <= ball.radius:
         return x.copy()
     return (ball.radius / nrm) * x
@@ -100,16 +100,25 @@ def project_nonneg_ball(x: Array, s: NonnegBallSet) -> Array:
 
 def _project_nonneg_ball(x: Array, radius: float) -> Array:
     y = np.maximum(x, 0.0)
-    nrm = float(np.linalg.norm(y))
+    nrm = norm(y)
     if nrm > radius:
         y *= radius / nrm
     return y
 
 
-def _box_tolerance_bounds(box: BoxSet) -> tuple[Array, Array]:
-    """The box widened by the membership tolerance, scaled per coordinate."""
+def _box_bounds(box: BoxSet) -> tuple[Array, Array, Array, Array]:
+    """The bounds the box distance kernel tests against: the box widened by
+    the membership tolerance (scaled per coordinate), then the bounds at or
+    beyond which a coordinate is active.  A pinned coordinate
+    (lower == upper) is active at both, wherever it sits within tolerance."""
     scale = np.maximum(1.0, np.maximum(np.abs(box.lower), np.abs(box.upper)))
-    return box.lower - _MEMBERSHIP_ATOL * scale, box.upper + _MEMBERSHIP_ATOL * scale
+    pinned = box.lower == box.upper
+    return (
+        box.lower - _MEMBERSHIP_ATOL * scale,
+        box.upper + _MEMBERSHIP_ATOL * scale,
+        np.where(pinned, np.inf, box.lower),
+        np.where(pinned, -np.inf, box.upper),
+    )
 
 
 def normal_cone_distance_box(x: Array, v: Array, box: BoxSet) -> float:
@@ -122,21 +131,21 @@ def normal_cone_distance_box(x: Array, v: Array, box: BoxSet) -> float:
     """
     x = as_vector(x, box.dim)
     v = as_vector(v, box.dim, "v")
-    return _box_distance(x, v, box, *_box_tolerance_bounds(box))
+    return _box_distance(x, v, *_box_bounds(box))
 
 
-def _box_distance(x: Array, v: Array, box: BoxSet, lo_tol: Array, hi_tol: Array) -> float:
+def _box_distance(
+    x: Array, v: Array, lo_tol: Array, hi_tol: Array, lo_act: Array, hi_act: Array
+) -> float:
     # Written so that NaN coordinates fail the membership check.
     if not ((x >= lo_tol).all() and (x <= hi_tol).all()):
         raise ValueError("point lies outside the box beyond tolerance")
-    x = np.clip(x, box.lower, box.upper)
-    at_lo = x <= box.lower
-    at_hi = x >= box.upper
-    d = np.abs(v)
-    d[at_hi] = np.maximum(0.0, -v[at_hi])
-    d[at_lo] = np.maximum(0.0, v[at_lo])
-    d[at_lo & at_hi] = 0.0
-    return float(np.linalg.norm(d))
+    # The residual of v's projection onto the cone, up to signs, which the
+    # norm ignores: v_i inside, [v_i]_+ at an active lower bound, -[-v_i]_+
+    # at an active upper bound, and 0 at a pinned coordinate (both).
+    r = np.maximum(v, 0.0, where=x <= lo_act, out=v.copy())
+    np.minimum(r, 0.0, where=x >= hi_act, out=r)
+    return norm(r)
 
 
 def normal_cone_distance_ball(x: Array, v: Array, ball: BallSet) -> float:
@@ -147,26 +156,27 @@ def normal_cone_distance_ball(x: Array, v: Array, ball: BallSet) -> float:
     """
     x = as_vector(x)
     v = as_vector(v, x.shape[0], "v")
-    nrm = float(np.linalg.norm(x))
+    nrm = norm(x)
     if nrm > ball.radius * (1 + _BOUNDARY_RTOL) + _MEMBERSHIP_ATOL:
         raise ValueError("point lies outside the ball beyond tolerance")
     if nrm < ball.radius * (1 - _BOUNDARY_RTOL):
-        return float(np.linalg.norm(v))
+        return norm(v)
     lam = max(0.0, float(v @ x) / (nrm * nrm))
-    return float(np.linalg.norm(v - lam * x))
+    return norm(v - lam * x)
 
 
 def normal_cone_distance_nonneg(x: Array, v: Array) -> float:
     """dist(v, N(x)) for the nonnegative orthant at x >= 0."""
     x = as_vector(x)
-    v = as_vector(v, x.shape[0], "v")
-    if np.any(x < -_MEMBERSHIP_ATOL):
+    return _nonneg_distance(x, as_vector(v, x.shape[0], "v"))
+
+
+def _nonneg_distance(x: Array, v: Array) -> float:
+    # Written so that NaN coordinates fail the membership check.
+    if not (x >= -_MEMBERSHIP_ATOL).all():
         raise ValueError("point lies outside the orthant beyond tolerance")
-    active = x <= _MEMBERSHIP_ATOL
-    d = np.abs(v).astype(float)
     # At active coordinates the cone is (-inf, 0]; only positive v_i costs.
-    d[active] = np.maximum(0.0, v[active])
-    return float(np.linalg.norm(d))
+    return norm(np.maximum(v, 0.0, where=x <= _MEMBERSHIP_ATOL, out=v.copy()))
 
 
 def normal_cone_distance_nonneg_ball(x: Array, v: Array, s: NonnegBallSet) -> float:
@@ -182,21 +192,21 @@ def normal_cone_distance_nonneg_ball(x: Array, v: Array, s: NonnegBallSet) -> fl
 
 
 def _nonneg_ball_distance(x: Array, v: Array, radius: float) -> float:
-    nrm = float(np.linalg.norm(x))
+    nrm = norm(x)
     # Written so that NaN coordinates fail the membership check.
     inside = nrm <= radius * (1 + _BOUNDARY_RTOL) + _MEMBERSHIP_ATOL
     if not (inside and (x >= -_MEMBERSHIP_ATOL).all()):
         raise ValueError("point lies outside the set beyond tolerance")
     active = x <= _MEMBERSHIP_ATOL
     free = ~active
-    on_sphere = nrm >= radius * (1 - _BOUNDARY_RTOL)
-    if on_sphere and float(np.sum(x[free] ** 2)) > 0:
-        lam = max(0.0, float(v[free] @ x[free]) / float(np.sum(x[free] ** 2)))
-    else:
-        lam = 0.0
-    resid_free = v[free] - lam * x[free]
+    x_free, v_free = x[free], v[free]
+    lam = 0.0
+    if nrm >= radius * (1 - _BOUNDARY_RTOL):
+        free_sq = float(np.sum(x_free**2))
+        if free_sq > 0:
+            lam = max(0.0, float(v_free @ x_free) / free_sq)
     resid_active = np.maximum(0.0, v[active])
-    return float(math.hypot(np.linalg.norm(resid_free), np.linalg.norm(resid_active)))
+    return math.hypot(norm(v_free - lam * x_free), norm(resid_active))
 
 
 def zero_function() -> ProxCapableFunction:
@@ -204,7 +214,7 @@ def zero_function() -> ProxCapableFunction:
     return ProxCapableFunction(
         prox_fn=lambda v, step: v.copy(),
         value_fn=lambda x: 0.0,
-        subdiff_distance_fn=lambda x, v: float(np.linalg.norm(v)),
+        subdiff_distance_fn=lambda x, v: norm(v),
         diameter=math.inf,
         cone_subdiff=True,
     )
@@ -216,16 +226,17 @@ def box_indicator(box: BoxSet) -> ProxCapableFunction:
     Its callables receive inputs the oracle already validated, so they call
     the clamp and distance kernels directly.
     """
-    lo_tol, hi_tol = _box_tolerance_bounds(box)
+    lower, upper = box.lower, box.upper
+    lo_tol, hi_tol, lo_act, hi_act = _box_bounds(box)
 
     def value(x):
         inside = np.all(x >= lo_tol) and np.all(x <= hi_tol)
         return 0.0 if inside else math.inf
 
     return ProxCapableFunction(
-        prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
+        prox_fn=lambda v, step: np.minimum(np.maximum(v, lower), upper),
         value_fn=value,
-        subdiff_distance_fn=lambda x, v: _box_distance(x, v, box, lo_tol, hi_tol),
+        subdiff_distance_fn=lambda x, v: _box_distance(x, v, lo_tol, hi_tol, lo_act, hi_act),
         diameter=box.diameter,
         cone_subdiff=True,
     )
@@ -235,7 +246,7 @@ def ball_indicator(ball: BallSet) -> ProxCapableFunction:
     """Indicator of an origin-centered ball."""
 
     def value(x):
-        return 0.0 if np.linalg.norm(x) <= ball.radius * (1 + _BOUNDARY_RTOL) else math.inf
+        return 0.0 if norm(x) <= ball.radius * (1 + _BOUNDARY_RTOL) else math.inf
 
     return ProxCapableFunction(
         prox_fn=lambda v, step: project_ball(v, ball),
@@ -250,7 +261,7 @@ def nonneg_ball_indicator(s: NonnegBallSet) -> ProxCapableFunction:
     """Indicator of the orthant-ball intersection (clustering domain)."""
 
     def value(x):
-        ok = np.all(x >= -_MEMBERSHIP_ATOL) and np.linalg.norm(x) <= s.radius * (
+        ok = np.all(x >= -_MEMBERSHIP_ATOL) and norm(x) <= s.radius * (
             1 + _BOUNDARY_RTOL
         )
         return 0.0 if ok else math.inf
@@ -269,7 +280,7 @@ def nonneg_indicator() -> ProxCapableFunction:
     return ProxCapableFunction(
         prox_fn=lambda v, step: np.maximum(v, 0.0),
         value_fn=lambda x: 0.0 if np.all(x >= -_MEMBERSHIP_ATOL) else math.inf,
-        subdiff_distance_fn=normal_cone_distance_nonneg,
+        subdiff_distance_fn=_nonneg_distance,
         diameter=math.inf,
         cone_subdiff=True,
     )

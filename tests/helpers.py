@@ -101,3 +101,25 @@ def finite_difference_gradient(f, x, step=1e-6) -> np.ndarray:
         e[i] = step
         g[i] = (f(x + e) - f(x - e)) / (2.0 * step)
     return g
+
+
+def fancy_index_box_distance(x, v, box: BoxSet) -> float:
+    """dist(v, N_box(x)) by the clamp-and-fancy-index formula, for x within
+    the box's tolerance: the reference the box kernel matches bit for bit."""
+    x = np.clip(x, box.lower, box.upper)
+    at_lo = x <= box.lower
+    at_hi = x >= box.upper
+    d = np.abs(v)
+    d[at_hi] = np.maximum(0.0, -v[at_hi])
+    d[at_lo] = np.maximum(0.0, v[at_lo])
+    d[at_lo & at_hi] = 0.0
+    return float(np.linalg.norm(d))
+
+
+def fancy_index_nonneg_distance(x, v, atol: float = 1e-12) -> float:
+    """dist(v, N(x)) for the orthant by the fancy-index formula, for x >= -atol:
+    the reference the orthant kernel matches bit for bit."""
+    active = x <= atol
+    d = np.abs(v).astype(float)
+    d[active] = np.maximum(0.0, v[active])
+    return float(np.linalg.norm(d))

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from almkit.apg import MAX_DOUBLINGS, apg_solve, worst_case_iteration_bound
-from almkit.core import NonFiniteValue, ProxCapableFunction, SmoothOracle
+from almkit.apg import (
+    BACKTRACK_GROWTH,
+    MAX_DOUBLINGS,
+    STEP_DECAY,
+    ApgResult,
+    apg_solve,
+    worst_case_iteration_bound,
+)
+from almkit.core import NonFiniteValue, ProxCapableFunction, SmoothOracle, al_gradient_smooth, as_vector
+from almkit.problems import gen_ev, gen_lcqp
 from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, project_box, zero_function
+from helpers import fancy_index_box_distance
 
 
 def quadratic(d, b):
@@ -276,3 +285,168 @@ class TestWorstCaseBound:
         expected = math.ceil(math.sqrt(L / mu) * math.log(arg) + 1.0)
         assert worst_case_iteration_bound(mu, L, eps, d1, d0) == expected
         assert worst_case_iteration_bound(1.0, 1.0, 10.0, 0.0, 0.0) == 1
+
+
+def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_init=None,
+                  test_mu=False):
+    """The APG loop as written with ``np.linalg.norm`` and one difference per
+    use, kept verbatim as the reference the lean loop must replay."""
+    L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
+    if not (0 < mu <= L_G and math.isfinite(L)):
+        raise ValueError(f"need 0 < mu <= L_G and a finite start, got {mu=}, {L_G=}, {L_init=}")
+    if eps <= 0 or max_iter < 1:
+        raise ValueError("eps and max_iter must be positive")
+    x_init = as_vector(x_init, name="x_init")
+    if not math.isfinite(H.value(x_init)):
+        raise ValueError("x_init lies outside dom(H)")
+    evals = 0
+    if grad_init is None:
+        grad_init = grad(x_init)
+        evals += 1
+    else:
+        grad_init = as_vector(grad_init, x_init.shape[0], "grad_init")
+
+    # Initialization prox step from the extrapolation seed.
+    step = 1.0 / L
+    x_prev = H._prox(x_init - step * grad_init, step)
+    x_bar, g_bar = x_prev, None
+
+    best_x = best_g = None  # set by the first iteration, whose stat is finite
+    best_stat = math.inf
+    exact = H.has_exact_subdiff
+    # Stall guard: on a bounded domain the budget follows the largest
+    # accepted estimate L_max; an unbounded one has none.
+    D_sq = H.diameter**2
+    budget, L_max = max_iter, (0.0 if D_sq < math.inf else math.inf)
+
+    t = 0
+    while t < budget:
+        t += 1
+        if g_bar is None:
+            g_bar = grad(x_bar)
+            evals += 1
+        for _ in range(MAX_DOUBLINGS + 1):
+            step = 1.0 / L
+            x_next = H._prox(x_bar - step * g_bar, step)
+            g_next = grad(x_next)
+            evals += 1
+            dx = x_bar - x_next
+            # Written so that NaN fails the test and keeps doubling.
+            if L >= L_G or np.linalg.norm(g_next - g_bar) <= L * np.linalg.norm(dx):
+                break
+            L = min(L_G, BACKTRACK_GROWTH * L)
+        else:
+            raise NonFiniteValue(f"APG step rejected {MAX_DOUBLINGS} times at iteration {t}")
+        if L > L_max:
+            L_max = L
+            budget = min(max_iter, 2 * worst_case_iteration_bound(mu, L, eps, D_sq, D_sq))
+        # Written so that NaN passes the test and reaches the guards below.
+        if test_mu and float(dx @ (g_next - g_bar)) > -mu * float(dx @ dx):
+            break
+        if exact:
+            stat = H._subdiff(x_next, -g_next)
+        else:
+            stat = float(np.linalg.norm(g_next - g_bar + L * dx))
+            if not math.isfinite(stat):
+                raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t}")
+        if stat < best_stat:
+            best_stat, best_x, best_g = stat, x_next, g_next
+        if stat <= eps:
+            return ApgResult(
+                x=x_next,
+                iterations=t,
+                stationarity=stat,
+                converged=True,
+                stationarity_is_exact=exact,
+                grad_evals=evals,
+                gradient=g_next,
+                L=L,
+            )
+        if float(dx @ (x_next - x_prev)) > 0.0:
+            x_bar, g_bar = x_next, g_next
+        else:
+            alpha = math.sqrt(mu / L)
+            x_bar, g_bar = x_next + (1.0 - alpha) / (1.0 + alpha) * (x_next - x_prev), None
+        x_prev = x_next
+        L = max(mu, STEP_DECAY * L)
+
+    return ApgResult(
+        x=best_x,
+        iterations=t,
+        stationarity=best_stat,
+        converged=False,
+        stationarity_is_exact=exact,
+        grad_evals=evals,
+        gradient=best_g,
+        L=L,
+    )
+
+
+def al_subproblem(problem, beta, mu):
+    """iPPM's model of the AL subproblem at beta, y = 0, centred at x0."""
+    y = np.zeros(problem.constraints.n_constraints)
+    centre = problem.x0
+
+    def grad(x):
+        return al_gradient_smooth(x, y, beta, problem) + 2.0 * mu * (x - centre)
+
+    return grad
+
+
+def fancy_index_box(box: BoxSet) -> ProxCapableFunction:
+    """The box indicator with the clip prox and the fancy-index distance."""
+    return ProxCapableFunction(
+        prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
+        value_fn=box_indicator(box).value,
+        subdiff_distance_fn=lambda x, v: fancy_index_box_distance(x, v, box),
+        diameter=box.diameter,
+        cone_subdiff=True,
+    )
+
+
+def replay_case(name):
+    """(problem, beta, H for the lean loop, H for the reference, mu, test_mu)."""
+    if name == "box_lcqp":
+        inst = gen_lcqp(3, 20, 1.0, seed=5)
+        problem = inst.to_problem()
+        box = BoxSet(inst.lower, inst.upper)
+        return problem, 10.0, problem.nonsmooth, fancy_index_box(box), 1.0, False
+    if name == "zero_ev":
+        problem = gen_ev(20, 0).to_problem()
+        rho_hat, _ = problem.default_curvature(1.0, 0.0)
+        return problem, 1.0, problem.nonsmooth, zero_function(), rho_hat, False
+    # At mu = 0.1 a step pair of this nonconvex model fails the test at
+    # iteration 27.
+    problem = gen_ev(20, 0).to_problem()
+    return problem, 1.0, problem.nonsmooth, zero_function(), 0.1, True
+
+
+class TestApgReplay:
+    @pytest.mark.parametrize("name", ["box_lcqp", "zero_ev", "test_mu"])
+    def test_matches_reference_loop_bitwise(self, name):
+        # The lean loop evaluates the same gradients at the same points, bit
+        # for bit, and ends with the same certificate, count and estimate.
+        problem, beta, H, H_ref, mu, test_mu = replay_case(name)
+        grad = al_subproblem(problem, beta, mu)
+        runs = []
+        for solve, h in ((apg_solve, H), (reference_apg, H_ref)):
+            points = []
+
+            def logged(x):
+                points.append(x.tobytes())
+                return grad(x)
+
+            res = solve(logged, h, problem.x0, mu, math.inf, 1e-8, 3000,
+                        L_init=problem.smooth.L, test_mu=test_mu)
+            runs.append((res, points))
+        (lean, lean_points), (ref, ref_points) = runs
+        assert len(lean_points) == lean.grad_evals > 10
+        assert lean_points == ref_points
+        assert lean.x.tobytes() == ref.x.tobytes()
+        assert lean.gradient.tobytes() == ref.gradient.tobytes()
+        assert lean.stationarity.hex() == ref.stationarity.hex()
+        assert (lean.iterations, lean.grad_evals, lean.L, lean.converged) == (
+            ref.iterations, ref.grad_evals, ref.L, ref.converged
+        )
+        # The convexity case stops at a failing pair; the others certify.
+        assert lean.converged is not test_mu

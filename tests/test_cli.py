@@ -146,6 +146,13 @@ class TestTrialPayload:
         assert all(rec["sub_eps"] >= records[0]["sub_eps"] for rec in records)
         assert all(1 <= rec["ippm_steps"] <= rec["apg_iters"] for rec in records)
 
+    def test_records_carry_the_time_split(self, tmp_path):
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        records = json.loads((tmp_path / "trial_0.json").read_text())["records"]
+        for rec in records:
+            assert rec["sub_s"] > 0.0 and rec["cert_s"] > 0.0
+            assert rec["sub_s"] + rec["cert_s"] <= rec["seconds"]
+
     def test_records_carry_the_curvature_estimate(self, tmp_path):
         # Each record's L is where the next subproblem's APG starts.
         cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])

@@ -16,6 +16,7 @@ from almkit.core import (
     al_gradient_smooth,
     al_value,
     al_weak_convexity,
+    as_vector,
     kkt_residual,
 )
 from almkit.problems import gen_lcqp
@@ -278,3 +279,52 @@ class TestProblemSpec:
         al_gradient_smooth(np.zeros(2), np.zeros(1), 1.0, clone)
         assert clone.smooth.grad_evals == 1
         assert prob.smooth.grad_evals == 1
+
+
+def constant_oracles(out):
+    """Oracles whose gradient, constraint value and Jacobian-transpose
+    product all return ``out``."""
+    smooth = SmoothOracle(lambda x: 0.0, lambda x: out, 1.0)
+    cons = ConstraintOracle(lambda x: out, lambda x, v: out, out.shape[0])
+    return smooth, cons
+
+
+class TestOutputFiniteness:
+    # numpy reports the overflow of out'out; the output is accepted.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_output_whose_square_overflows_passes(self):
+        out = np.full(5, 1e200)
+        assert not np.isfinite(out @ out)
+        smooth, cons = constant_oracles(out)
+        x = np.zeros(5)
+        assert np.array_equal(smooth.gradient(x), out)
+        assert np.array_equal(cons.evaluate(x), out)
+        assert np.array_equal(cons.jacobian_transpose_apply(x, np.zeros(5)), out)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 200, 201])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_nan_or_inf_output_raises(self, bad, n, where):
+        out = np.ones(n)
+        out[{"first": 0, "middle": n // 2, "last": n - 1}[where]] = bad
+        smooth, cons = constant_oracles(out)
+        x = np.zeros(n)
+        with pytest.raises(NonFiniteValue, match="^smooth oracle gradient overflowed$"):
+            smooth.gradient(x)
+        with pytest.raises(NonFiniteValue, match="^constraint oracle overflowed$"):
+            cons.evaluate(x)
+        with pytest.raises(NonFiniteValue, match="^Jacobian-transpose product overflowed$"):
+            cons.jacobian_transpose_apply(x, np.zeros(n))
+        with pytest.raises(NonFiniteValue, match="^x contains NaN or Inf$"):
+            as_vector(out)
+
+    def test_no_constraints_and_scalar_values_pass(self):
+        x = np.ones(3)
+        empty = ConstraintOracle(lambda x: np.zeros(0), lambda x, v: np.zeros(3), 0)
+        assert empty.evaluate(x).shape == (0,)
+        assert np.array_equal(empty.jacobian_transpose_apply(x, np.zeros(0)), np.zeros(3))
+        # A one-row constraint may return a scalar.
+        scalar = ConstraintOracle(lambda x: 2.5, lambda x, v: v[0] * x, 1)
+        assert np.array_equal(scalar.evaluate(x), [2.5])
+        with pytest.raises(NonFiniteValue):
+            ConstraintOracle(lambda x: np.nan, lambda x, v: x, 1).evaluate(x)

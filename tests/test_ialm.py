@@ -335,6 +335,16 @@ class TestSharedOuterLoop:
         assert any(rec.sub_eps > eps for rec in records)
         assert all(rec.ippm_steps >= 1 and rec.apg_iters >= rec.ippm_steps for rec in records)
 
+    def test_records_split_the_time_between_subsolver_and_certificate(self, block):
+        make, solve = SOLVERS[block]
+        rep = solve(make(), IalmConfig())
+        assert rep.success and len(rep.records) >= 2
+        since = 0.0
+        for rec in rep.records:
+            assert rec.sub_s > 0.0 and rec.cert_s > 0.0
+            assert rec.sub_s + rec.cert_s <= rec.seconds - since
+            since = rec.seconds
+
     def test_stall_reports_the_gradients_spent(self, block):
         make, solve = SOLVERS[block]
         problem, calls = with_counted_gradient(make())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from almkit.core import DimensionMismatch
+from helpers import fancy_index_box_distance, fancy_index_nonneg_distance
 from almkit.prox import (
     BallSet,
     BoxSet,
@@ -179,6 +180,65 @@ class TestNormalConeBox:
             assert sampled <= d + 0.05
 
 
+def kernel_box_and_points(seed, n=40, count=30):
+    """A box with pinned coordinates and signed-zero bounds, and points within
+    its tolerance (interior, on a bound, just outside, signed zeros) paired
+    with vectors v holding both signs and signed zeros."""
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-3.0, 0.0, n)
+    upper = lower + rng.uniform(0.1, 3.0, n)
+    upper[:8] = lower[:8]  # pinned
+    lower[8:12], upper[8:12] = 0.0, rng.uniform(0.1, 3.0, 4)
+    upper[12:16] = -0.0
+    upper[16:18] = lower[16:18] = 0.0  # pinned at zero
+    box = BoxSet(lower, upper)
+    slack = 0.4e-12 * np.maximum(1.0, np.maximum(np.abs(lower), np.abs(upper)))
+    for _ in range(count):
+        kind = rng.integers(0, 6, n)
+        x = np.choose(
+            kind,
+            [rng.uniform(lower, upper), lower, upper, lower - slack, upper + slack,
+             np.where((lower <= 0.0) & (upper >= 0.0), rng.choice([0.0, -0.0], n), lower)],
+        )
+        v = rng.standard_normal(n) * rng.choice([1.0, 0.0, -0.0], n, p=[0.6, 0.2, 0.2])
+        yield box, x, v
+
+
+class TestMaskedKernels:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_fancy_index_formula_bitwise(self, seed):
+        for box, x, v in kernel_box_and_points(seed):
+            h = box_indicator(box)
+            v_before = v.tobytes()
+            expected = fancy_index_box_distance(x, v, box)
+            assert normal_cone_distance_box(x, v, box) == expected
+            assert h.subdiff_distance(x, v) == expected
+            assert h._subdiff(x, v) == expected
+            assert v.tobytes() == v_before
+            assert h.prox(v, 1.0).tobytes() == np.clip(v, box.lower, box.upper).tobytes()
+            assert h.prox(x, 1.0).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
+
+    @pytest.mark.parametrize("where", [0, 20, 39])
+    def test_nan_point_is_outside(self, where):
+        box, x, v = next(kernel_box_and_points(0))
+        x[where] = np.nan
+        with pytest.raises(ValueError, match="outside"):
+            box_indicator(box)._subdiff(x, v)
+
+    def test_orthant_matches_the_fancy_index_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        h = nonneg_indicator()
+        for _ in range(30):
+            x = rng.choice([0.0, -0.0, 0.5e-12, -0.5e-12, 1e-12, 1.0], 50) * rng.uniform(1, 2, 50)
+            v = rng.standard_normal(50) * rng.choice([1.0, 0.0, -0.0], 50, p=[0.6, 0.2, 0.2])
+            v_before = v.tobytes()
+            expected = fancy_index_nonneg_distance(x, v)
+            assert normal_cone_distance_nonneg(x, v) == expected
+            assert h.subdiff_distance(x, v) == expected
+            assert h._subdiff(x, v) == expected
+            assert v.tobytes() == v_before
+
+
 class TestNormalConeBall:
     def test_ray_projection(self):
         d = normal_cone_distance_ball(np.array([1.0, 0.0]), np.array([2.0, 1.0]), BALL1)
@@ -278,7 +338,9 @@ class TestProxFunctions:
                 assert np.array_equal(h.prox(v, 1.0), project(v))
                 assert h.subdiff_distance(x, v) == distance(x, v)
 
-    @pytest.mark.parametrize("h", [box_indicator(BOX2), nonneg_ball_indicator(NNBALL1)])
+    @pytest.mark.parametrize(
+        "h", [box_indicator(BOX2), nonneg_ball_indicator(NNBALL1), nonneg_indicator()]
+    )
     def test_indicator_distance_rejects_nan_and_mismatched_input(self, h):
         # The solver calls the output-checked private method on iterates it
         # computed itself; the membership check still rejects a NaN point.
