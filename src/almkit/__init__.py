@@ -11,10 +11,8 @@ from .core import (
     ProblemSpec,
     ProxCapableFunction,
     SmoothOracle,
-    aggregate_constants,
     al_gradient_smooth,
     al_value,
-    al_weak_convexity,
     kkt_residual,
 )
 from .ialm import (
@@ -60,12 +58,10 @@ __all__ = [
     "SolveReport",
     "SubsolverStall",
     "TheoreticalDual",
-    "aggregate_constants",
     "al_gradient_smooth",
     "al_ineq_gradient_smooth",
     "al_ineq_value",
     "al_value",
-    "al_weak_convexity",
     "apg_solve",
     "dual_step_size",
     "gamma_schedule",

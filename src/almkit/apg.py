@@ -85,7 +85,8 @@ class ApgResult:
     convexity test stopped the first iteration.  For warm starts,
     ``gradient`` is grad G(x), which the certificate computed, and ``L`` the
     final curvature estimate: on success, the one the last step was accepted
-    with.
+    with.  ``stop`` says why the call ended: "converged", "pair_test" (the
+    convexity test failed), "stall_guard" or "max_iter".
     """
 
     x: np.ndarray
@@ -96,6 +97,7 @@ class ApgResult:
     grad_evals: int
     gradient: np.ndarray
     L: float
+    stop: str
 
 
 def worst_case_iteration_bound(
@@ -190,6 +192,7 @@ def apg_solve(
             budget = min(max_iter, 2 * worst_case_iteration_bound(mu, L, eps, D_sq, D_sq))
         # Written so that NaN passes the test and reaches the guards below.
         if test_mu and dx.dot(dg) > -mu * dx_sq:
+            stop = "pair_test"
             break
         if exact:
             stat = H._subdiff(x_next, -g_next)
@@ -209,6 +212,7 @@ def apg_solve(
                 grad_evals=evals,
                 gradient=g_next,
                 L=L,
+                stop="converged",
             )
         moved = x_next - x_prev
         if dx.dot(moved) > 0.0:
@@ -218,6 +222,8 @@ def apg_solve(
             x_bar, g_bar = x_next + (1.0 - alpha) / (1.0 + alpha) * moved, None
         x_prev = x_next
         L = max(mu, STEP_DECAY * L)
+    else:
+        stop = "max_iter" if t >= max_iter else "stall_guard"
 
     return ApgResult(
         x=best_x,
@@ -228,4 +234,5 @@ def apg_solve(
         grad_evals=evals,
         gradient=best_g,
         L=L,
+        stop=stop,
     )

@@ -6,8 +6,8 @@ Problems have the form
 
 where g is smooth (possibly nonconvex), h is closed convex and prox-capable,
 and c is a smooth vector map.  This module provides the oracle types, the
-constants ledger used to bound the weak convexity of the augmented
-Lagrangian, augmented-Lagrangian evaluation, and KKT residual measurement.
+constants ledger the diagnostics read, augmented-Lagrangian evaluation, and
+KKT residual measurement.
 
 All vectors are dense float64.  Validation happens at two places only, so
 oracle bugs fail fast without re-checking what the solver computed itself:
@@ -282,81 +282,29 @@ class ConstraintOracle:
         )
 
 
-def aggregate_constants(
-    B_i: Sequence[float], L_i: Sequence[float], rho_i: Sequence[float]
-) -> tuple[float, float, float, float]:
-    """Aggregate per-constraint constants into (B_bar_c, L_bar, rho_c, L_c).
-
-    B_bar_c = sqrt(sum B_i^2), L_bar = sqrt(sum L_i^2),
-    rho_c = sum B_i rho_i,     L_c = sum (B_i L_i + B_i^2).
-    """
-    B = np.asarray(B_i, dtype=float)
-    L = np.asarray(L_i, dtype=float)
-    r = np.asarray(rho_i, dtype=float)
-    if not (B.shape == L.shape == r.shape) or B.ndim != 1:
-        raise DimensionMismatch("B_i, L_i, rho_i must be equal-length 1-D sequences")
-    if B.size and (np.any(B < 0) or np.any(L < 0) or np.any(r < 0)):
-        raise ValueError("per-constraint constants must be nonnegative")
-    if B.size == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    B_bar = float(np.sqrt(np.sum(B**2)))
-    L_bar = float(np.sqrt(np.sum(L**2)))
-    rho_c = float(np.sum(B * r))
-    L_c = float(np.sum(B * L + B**2))
-    return (B_bar, L_bar, rho_c, L_c)
-
-
 @dataclass(frozen=True)
 class ConstantsLedger:
-    """Bounds over dom(h) that drive curvature schedules and diagnostics.
+    """Bounds over dom(h) that the diagnostics read.
 
     B0 bounds both |g(x)+h(x)| and ||grad g(x)||; B_c bounds the Jacobian
-    norm of c; B_i bounds both |c_i| and ||grad c_i|| per constraint.  Upper
-    bounds are acceptable everywhere.
+    norm of c; B_i bounds both |c_i| and ||grad c_i|| per constraint; D is
+    the diameter of dom(h).  Upper bounds are acceptable everywhere.
     """
 
     B0: float
     B_c: float
     B_i: np.ndarray
-    B_bar_c: float
-    L_bar: float
-    rho_c: float
-    L_c: float
     D: float
 
     def __post_init__(self):
-        for name in ("B0", "B_c", "B_bar_c", "L_bar", "rho_c", "L_c"):
+        for name in ("B0", "B_c"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         object.__setattr__(self, "B_i", np.asarray(self.B_i, dtype=float))
-        ssq = float(np.sum(self.B_i**2))
-        if abs(self.B_bar_c**2 - ssq) > 1e-12 * max(1.0, ssq):
-            raise ValueError("B_bar_c^2 must equal sum of B_i^2")
-
-    @classmethod
-    def from_components(
-        cls,
-        B0: float,
-        B_c: float,
-        B_i: Sequence[float],
-        L_i: Sequence[float],
-        rho_i: Sequence[float],
-        D: float,
-    ) -> "ConstantsLedger":
-        B_bar, L_bar, rho_c, L_c = aggregate_constants(B_i, L_i, rho_i)
-        return cls(
-            B0=float(B0),
-            B_c=float(B_c),
-            B_i=np.asarray(B_i, dtype=float),
-            B_bar_c=B_bar,
-            L_bar=L_bar,
-            rho_c=rho_c,
-            L_c=L_c,
-            D=float(D),
-        )
 
 
-# Signature: (beta, ||y||) -> (rho_hat, L_hat) for the smooth AL part.
+# Signature: (beta, ||y||) -> (rho_hat, L_hat), caps on the smooth AL part's
+# measured weak convexity and curvature.
 CurvatureSchedule = Callable[[float, float], tuple[float, float]]
 
 
@@ -364,15 +312,11 @@ CurvatureSchedule = Callable[[float, float], tuple[float, float]]
 class ProblemSpec:
     """One problem instance: oracles, constants, and a starting point.
 
-    A problem needs only its oracles.  ``smooth.L`` is where the first
-    subproblem's curvature estimate starts (later ones start where the
-    previous one ended).  ``default_curvature``, when set by a generator,
-    supplies an instance-exact or tuned (rho_hat, L_hat) schedule used in
-    place of the ledger's weak-convexity formula; both values only cap the
-    solver's adaptive estimates, and the bundled schedules return
-    L_hat = inf (no cap).  With neither a schedule nor ``constants``, both
-    caps are inf.  A solve runs on ``for_solve()``, so its #Grad starts at
-    0 and concurrent solves of one ProblemSpec count apart.
+    A problem needs only its oracles; ``constants`` serves the
+    diagnostics.  ``smooth.L`` is where the first subproblem's curvature
+    estimate starts (later ones start where the previous one ended).  A
+    solve runs on ``for_solve()``, so its #Grad starts at 0 and concurrent
+    solves of one ProblemSpec count apart.
     """
 
     smooth: SmoothOracle
@@ -380,7 +324,6 @@ class ProblemSpec:
     constraints: ConstraintOracle
     constants: Optional[ConstantsLedger]
     x0: np.ndarray
-    default_curvature: Optional[CurvatureSchedule] = None
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0, name="x0")
@@ -464,14 +407,6 @@ def al_gradient_smooth(x: Array, y: Array, beta: float, problem: ProblemSpec) ->
     """Gradient of the smooth AL part: grad g(x) + J_c(x)' (y + beta c(x))."""
     x, y = _check_al_inputs(x, y, beta, problem)
     return _al_smooth_part_gradient(x, y, beta, problem)
-
-
-def al_weak_convexity(beta: float, y_norm: float, constants: ConstantsLedger, rho0: float) -> float:
-    """Weak convexity of the smooth AL part from the ledger:
-    rho_hat = rho0 + L_bar ||y|| + beta rho_c."""
-    if beta <= 0 or y_norm < 0 or rho0 < 0:
-        raise ValueError(f"need beta > 0 and y_norm, rho0 >= 0, got {beta=}, {y_norm=}, {rho0=}")
-    return rho0 + constants.L_bar * y_norm + beta * constants.rho_c
 
 
 def dual_residual(

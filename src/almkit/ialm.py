@@ -32,16 +32,15 @@ step, so it is not bought.  What survives of the guarantees:
   tolerance can cost extra outer iterations (on gen_lcqp(10, 200, 1, s),
   s = 0..9, at most 2 per solve).
 
-Curvature is measured, not scheduled.  Outer iteration k = 0 starts APG's
-curvature estimate at the smooth oracle's declared ``smooth.L``; every later
-subproblem starts at the final estimate of the previous subproblem's last
-APG call (``OuterIterationRecord.L``).  Restarting every subproblem at
-``smooth.L`` instead cost 51% more gradients on the benchmark's LCQP
-instance and 12% more on its EV instance.  A schedule's (rho_hat, L_hat)
-only caps the two adaptive estimates, and L_hat = inf means no cap: the
-bundled schedules cap rho only, and ``IalmConfig.curvature_override`` is
-the one way to cap L.  A problem with neither a schedule nor a constants
-ledger runs with both caps at inf.
+Curvature is measured, not scheduled.  iPPM measures the subproblem's weak
+convexity (see ``almkit.ippm``) and APG its curvature.  Outer iteration
+k = 0 starts APG's curvature estimate at the smooth oracle's declared
+``smooth.L``; every later subproblem starts at the final estimate of the
+previous subproblem's last APG call (``OuterIterationRecord.L``).
+Restarting every subproblem at ``smooth.L`` instead cost 51% more
+gradients on the benchmark's LCQP instance and 12% more on its EV
+instance.  ``IalmConfig.curvature_override`` is the one optional cap on
+the two estimates; without it both run uncapped.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .core import (
     ProblemSpec,
     _al_smooth_part_gradient,
     _equality_kkt,
-    al_weak_convexity,
 )
 from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
 
@@ -167,11 +165,10 @@ def dual_step_size(
 class IalmConfig:
     """Solver configuration; defaults follow the bundled benchmark setup.
 
-    ``curvature_override`` maps (beta, multiplier norm) to (rho_hat, L_hat)
-    and replaces the problem's own curvature schedule.  Both values are
-    caps on adaptive estimates, and inf means no cap; a finite L_hat is the
-    only way to cap APG's curvature estimate, since every built-in schedule
-    returns L_hat = inf.
+    ``curvature_override`` maps (beta, multiplier norm) to (rho_hat, L_hat),
+    caps on iPPM's weak-convexity estimate and APG's curvature estimate, for
+    a caller with a proven bound; inf means no cap, and without an override
+    neither estimate is capped.
     """
 
     beta0: float = 0.01
@@ -206,7 +203,7 @@ class OuterIterationRecord:
     complementarity residual and the running z.  The other block's fields
     are None.  ``x`` is kept so diagnostics can re-trace the run, and
     ``rho`` is the subproblem's final weak-convexity estimate, at most the
-    schedule's rho_hat (or RHO_FLOOR, if larger), and ``L`` the final
+    override's rho_hat (or RHO_FLOOR, if larger), and ``L`` the final
     curvature estimate of its last APG call, where the next subproblem's
     APG starts.  ``sub_eps`` is the
     tolerance the subproblem was solved to, ``ippm_steps`` its proximal
@@ -263,6 +260,10 @@ class SolveReport:
     z_running: Optional[np.ndarray] = None
 
 
+def _uncapped(beta: float, multiplier_norm: float) -> tuple[float, float]:
+    return math.inf, math.inf
+
+
 def _outer_loop(block, config: IalmConfig) -> SolveReport:
     """Run the outer iALM loop on one constraint block.
 
@@ -271,19 +272,18 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
     here) and its multipliers: the running ``y`` (``z``) and the
     certificate ``y_cert`` (``z_cert``; both None for the equality block).
     It supplies the damping scale ``damping``, ``multiplier_norm()``,
-    ``default_curvature()``, ``subproblem(beta)`` (the subproblem's smooth
+    ``subproblem(beta)`` (the subproblem's smooth
     gradient, a plain callable), ``certify(x, beta)`` (which sets the
     certificate multipliers and returns the ``KktResidual``),
     ``dual_update(policy, k, gamma_k, beta)`` (which returns w_k) and
     ``record_fields(x, kkt)``.  A subsolver stall propagates with the
     #Grad spent so far as its ``grad_evals``.  APG's curvature estimate is
     carried from each subproblem to the next, starting at ``smooth.L``.
+    The caps are ``config.curvature_override``'s, or (inf, inf).
     """
     problem = block.problem
     smooth = problem.smooth
-    schedule = config.curvature_override
-    if schedule is None:
-        schedule = block.default_curvature()
+    schedule = config.curvature_override or _uncapped
 
     t0 = time.perf_counter()
     x = problem.x0
@@ -298,8 +298,8 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         # Written so that NaN fails; inf (no cap) passes.
         if not (L_hat > 0 and rho_hat >= 0):
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
-        # rho_hat caps iPPM's weak-convexity estimate; a convex schedule
-        # (rho_hat = 0) caps it at the floor it starts from.
+        # rho_hat caps iPPM's weak-convexity estimate; a convex cap
+        # (rho_hat = 0) holds it at the floor it starts from.
         t_sub = time.perf_counter()
         try:
             sub = ippm_solve(
@@ -379,15 +379,6 @@ class _EqualityBlock:
 
     def multiplier_norm(self) -> float:
         return float(np.linalg.norm(self.y))
-
-    def default_curvature(self) -> CurvatureSchedule:
-        problem = self.problem
-        if problem.default_curvature is not None:
-            return problem.default_curvature
-        ledger, rho0 = problem.constants, problem.smooth.rho
-        if ledger is None:
-            return lambda beta, y_norm: (math.inf, math.inf)
-        return lambda beta, y_norm: (al_weak_convexity(beta, y_norm, ledger, rho0), math.inf)
 
     def subproblem(self, beta):
         problem, y = self.problem, self.y

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -59,8 +58,9 @@ class IneqConstants:
 class IneqProblemSpec:
     """Problem instance with affine equalities and convex inequalities.
 
-    ``ineq`` must carry per-component bounds (both |f_i| and ||grad f_i||)
-    and smoothness constants; convexity of each f_i is assumed, not checked.
+    Convexity of each f_i is assumed, not checked.  ``rho0``, the weak
+    convexity of g, is validated but not read: the solver measures the
+    weak convexity itself.
     """
 
     smooth: SmoothOracle
@@ -82,8 +82,6 @@ class IneqProblemSpec:
             raise DimensionMismatch("affine part column count must match dim")
         if self.rho0 < 0:
             raise ValueError("rho0 must be nonnegative")
-        if self.ineq.component_bounds is None or self.ineq.component_smoothness is None:
-            raise ValueError("inequality oracle needs per-component bounds and smoothness")
         if not math.isfinite(self.nonsmooth.value(self.x0)):
             raise ValueError("x0 lies outside the domain of the nonsmooth term")
 
@@ -223,10 +221,6 @@ class _HingeBlock:
     def multiplier_norm(self) -> float:
         return float(math.hypot(np.linalg.norm(self.y), np.linalg.norm(self.z)))
 
-    def default_curvature(self):
-        rho0 = self.problem.rho0
-        return lambda beta, _norm: (rho0, math.inf)
-
     def subproblem(self, beta):
         problem, y, z = self.problem, self.y, self.z
         return lambda x: _ineq_smooth_gradient(x, y, z, beta, problem)
@@ -263,11 +257,11 @@ class _HingeBlock:
 def ialm_ineq_solve(problem: IneqProblemSpec, config: IalmConfig) -> SolveReport:
     """Drive the inequality-constrained problem to an eps-KKT point.
 
-    Subproblems stay rho0-weakly convex because the hinge composition of a
-    convex constraint is convex; the dual clamp max{-z_i/beta, f_i} together
-    with w_k <= beta_k keeps z nonnegative throughout.  Curvature caps come
-    from ``config.curvature_override`` when set, else (rho0, inf): APG's
-    curvature estimate is uncapped and measured.  The report's #Grad counts
+    Subproblems are as weakly convex as g because the hinge composition of
+    a convex constraint is convex; the dual clamp max{-z_i/beta, f_i}
+    together with w_k <= beta_k keeps z nonnegative throughout.  Both
+    curvature estimates are measured, capped only by
+    ``config.curvature_override`` when set.  The report's #Grad counts
     this solve only (it runs on ``problem.for_solve()``), and its ``kkt``
     sets ``compl``, ``pres_eq`` and ``pres_ineq``.
     """
@@ -320,23 +314,11 @@ class SlackReformulation:
         )
 
 
-def slack_reformulate(
-    problem: IneqProblemSpec, slack_bound: Optional[float] = None
-) -> SlackReformulation:
+def slack_reformulate(problem: IneqProblemSpec) -> SlackReformulation:
     """Rewrite f(x) <= 0 as f(x) + s = 0 with s >= 0 folded into the
-    nonsmooth term, producing an equality-form ProblemSpec over (x, s).
-
-    The attached curvature schedule caps the weak convexity, treating
-    slack rows like any other constraint row with |f_j + s_j| bounded by
-    B_j^f + slack_bound (exact when every f_j is affine); its L_hat is inf
-    (no cap).
-    """
+    nonsmooth term, producing an equality-form ProblemSpec over (x, s)."""
     n, m, l = problem.dim, problem.n_ineq, problem.n_eq
     A, b, ineq = problem.A, problem.b, problem.ineq
-    Bf = ineq.component_bounds
-    Lf = ineq.component_smoothness
-    if slack_bound is None:
-        slack_bound = 2.0 * max(1.0, float(np.max(Bf))) if m else 1.0
 
     # The slack smooth oracle calls the user's callables directly: its own
     # output check covers the concatenated gradient, and a solve on the slack
@@ -368,30 +350,14 @@ def slack_reformulate(
         return np.concatenate([top, v_in])
 
     constraints = ConstraintOracle(
-        evaluate_fn=evaluate,
-        jacobian_t_apply_fn=jac_t_apply,
-        n_constraints=l + m,
-        component_smoothness=np.concatenate([np.zeros(l), Lf]),
-        component_weak_convexity=np.zeros(l + m),
+        evaluate_fn=evaluate, jacobian_t_apply_fn=jac_t_apply, n_constraints=l + m
     )
 
     nonsmooth = stacked(problem.nonsmooth, nonneg_indicator(), n)
     f0 = ineq.evaluate(problem.x0)
     x0_full = np.concatenate([problem.x0, np.maximum(-f0, 0.0)])
 
-    L_bar_f = float(np.sqrt(np.sum(Lf**2)))
-    growth_rho = float(np.sum((Bf + slack_bound) * Lf))
-    rho0 = problem.rho0
-
-    def curvature(beta: float, y_norm: float) -> tuple[float, float]:
-        return (rho0 + y_norm * L_bar_f + beta * growth_rho, math.inf)
-
     spec = ProblemSpec(
-        smooth=smooth,
-        nonsmooth=nonsmooth,
-        constraints=constraints,
-        constants=None,
-        x0=x0_full,
-        default_curvature=curvature,
+        smooth=smooth, nonsmooth=nonsmooth, constraints=constraints, constants=None, x0=x0_full
     )
     return SlackReformulation(problem=spec, n_original=n, n_ineq=m)

@@ -3,6 +3,12 @@ box-and-equality quadratic programs, generalized eigenvalue problems, and
 distance-matrix clustering), plus CSV ingestion and a versioned JSON
 instance format.
 
+Each generator's ``to_problem`` supplies the oracles, the starting point
+and, where one exists in closed form, a constants ledger for the
+diagnostics.  None supplies a curvature input beyond ``smooth.L``, where
+the first subproblem's curvature estimate starts: the solver measures the
+weak convexity and the curvature itself.
+
 Randomness comes from the Philox 64-bit counter-based generator keyed by
 (seed, stream), one documented stream per matrix, so a seed fully
 determines an instance across runs and platforms.
@@ -83,13 +89,14 @@ class LcqpInstance:
     x0: np.ndarray
 
     def to_problem(self) -> ProblemSpec:
-        """Build the ProblemSpec with a closed-form curvature schedule.
+        """Build the ProblemSpec with a closed-form constants ledger.
 
         The AL smooth part (1/2)x'Qx + c'x + (beta/2)||Ax - b||^2 is
-        rho-weakly convex for every beta, so the schedule caps iPPM's
-        weak-convexity estimate at rho.  Its L_hat is inf (no cap): APG
-        measures the curvature, starting the first subproblem at
-        ``smooth.L`` = ||Q|| and each later one where the previous ended.
+        rho-weakly convex for every beta, and ``smooth.rho`` records it;
+        the solver measures its own estimate, and
+        ``IalmConfig(curvature_override=lambda beta, y: (rho, inf))`` caps
+        it there.  APG starts the first subproblem's curvature estimate at
+        ``smooth.L`` = ||Q||.
         """
         Q, c, A, b = self.Q, self.c, self.A, self.b
         box = BoxSet(self.lower, self.upper)
@@ -115,22 +122,15 @@ class LcqpInstance:
             0.5 * smooth.L * corner**2 + float(np.linalg.norm(c)) * corner,
             smooth.L * corner + float(np.linalg.norm(c)),
         )
-        ledger = ConstantsLedger.from_components(
-            B0=B0,
-            B_c=A_norm,
-            B_i=constraints.component_bounds,
-            L_i=np.zeros(m),
-            rho_i=np.zeros(m),
-            D=box.diameter,
+        ledger = ConstantsLedger(
+            B0=B0, B_c=A_norm, B_i=constraints.component_bounds, D=box.diameter
         )
-        rho = self.rho
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=box_indicator(box),
             constraints=constraints,
             constants=ledger,
             x0=self.x0,
-            default_curvature=lambda beta, y_norm: (rho, math.inf),
         )
 
 
@@ -180,17 +180,11 @@ class EvInstance:
     x0: np.ndarray
 
     def to_problem(self) -> ProblemSpec:
-        """Build the ProblemSpec with a curvature schedule for this family.
+        """Build the ProblemSpec.
 
-        No closed-form ledger exists (the domain is unbounded), so the
-        weak-convexity cap is tuned, not derived: 0.2 |lambda_min(Q)| +
-        0.25 beta, deliberately below the worst case, because larger values
-        stall the proximal point stopping rule without improving the
-        measured certificates (removing the cap cost 40% more gradients on
-        the benchmark's n = 200 instance).  L_hat is inf (no cap): APG measures the
-        curvature, starting the first subproblem at ``smooth.L`` = 2 ||Q||.
-        The measured certificates guard against the cap being wrong;
-        ``IalmConfig.curvature_override`` replaces the whole schedule.
+        No closed-form ledger exists (the domain is unbounded).  The solver
+        measures both curvature estimates, starting APG's first subproblem
+        at ``smooth.L`` = 2 ||Q||.
         """
         Q, B = self.Q, self.B
         lam_min_Q, norm_Q = _spectrum(Q)
@@ -205,14 +199,12 @@ class EvInstance:
             jacobian_t_apply_fn=lambda x, v: (2.0 * v[0]) * (B @ x),
             n_constraints=1,
         )
-        rho_base = 0.2 * max(0.0, -lam_min_Q)
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=zero_function(),
             constraints=constraints,
             constants=None,
             x0=self.x0,
-            default_curvature=lambda beta, y_norm: (rho_base + 0.25 * beta, math.inf),
         )
 
 
@@ -251,15 +243,10 @@ class ClusteringInstance:
     x0: np.ndarray
 
     def to_problem(self) -> ProblemSpec:
-        """Build the ProblemSpec with a tuned curvature schedule.
+        """Build the ProblemSpec with its constants ledger.
 
-        The exact ledger bounds are far too pessimistic here, so the
-        weak-convexity cap is tuning that scales with the instance:
-        rho0 + beta.  The inner solver's stall guard flags an underestimate
-        instead of looping silently.  L_hat is inf (no cap): APG measures
-        the curvature, starting the first subproblem at ``smooth.L`` =
-        2 ||D||; ``IalmConfig.curvature_override`` replaces the whole
-        schedule.
+        The solver measures both curvature estimates, starting APG's first
+        subproblem at ``smooth.L`` = 2 ||D||.
         """
         D = self.D
         n, r = D.shape[0], self.r
@@ -294,12 +281,10 @@ class ClusteringInstance:
         rho_n = max(0.0, math.sqrt(n) - 1.0)
         s = self.s
         Bi = max(s * s * math.sqrt(n) + 1.0, 2.0 * math.sqrt(n) * s)
-        ledger = ConstantsLedger.from_components(
+        ledger = ConstantsLedger(
             B0=max(smooth.L / 2.0 * s * s, smooth.L * s),
             B_c=2.0 * n * s,
             B_i=np.full(n, Bi),
-            L_i=np.full(n, Ln),
-            rho_i=np.full(n, rho_n),
             D=2.0 * s,
         )
         constraints = ConstraintOracle(
@@ -310,14 +295,12 @@ class ClusteringInstance:
             component_weak_convexity=np.full(n, rho_n),
             component_bounds=np.full(n, Bi),
         )
-        rho0 = smooth.rho
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=nonneg_ball_indicator(NonnegBallSet(self.s)),
             constraints=constraints,
             constants=ledger,
             x0=self.x0,
-            default_curvature=lambda beta, y_norm: (rho0 + beta, math.inf),
         )
 
 

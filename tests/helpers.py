@@ -33,14 +33,7 @@ def box_qp_problem(Q, c, A, b, box: BoxSet, x0) -> ProblemSpec:
         0.5 * smooth.L * corner**2 + float(np.linalg.norm(c)) * corner,
         smooth.L * corner + float(np.linalg.norm(c)),
     )
-    ledger = ConstantsLedger.from_components(
-        B0=B0,
-        B_c=float(np.linalg.norm(A, 2)),
-        B_i=Bi,
-        L_i=np.zeros(m),
-        rho_i=np.zeros(m),
-        D=box.diameter,
-    )
+    ledger = ConstantsLedger(B0=B0, B_c=float(np.linalg.norm(A, 2)), B_i=Bi, D=box.diameter)
     return ProblemSpec(
         smooth=smooth,
         nonsmooth=box_indicator(box),

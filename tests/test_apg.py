@@ -192,6 +192,7 @@ class TestApgErrors:
         G = quadratic(d, np.array([1.0, 1.0]))
         res = apg_solve(G.gradient, zero_function(), np.zeros(2), 1.0, 400.0, eps=1e-14, max_iter=3)
         assert not res.converged
+        assert res.stop == "max_iter"
         assert res.iterations == 3
         assert np.isfinite(res.stationarity)
 
@@ -267,7 +268,7 @@ class TestApgErrors:
         eps = 1e-150
         res = apg_solve(lambda x: x - 0.3 + 1e-100, box, np.zeros(1), 1.0, 1.0, eps, max_iter=20_000)
         bound = worst_case_iteration_bound(1.0, 1.0, eps, 4.0, 4.0)
-        assert not res.converged
+        assert not res.converged and res.stop == "stall_guard"
         assert res.iterations == 2 * bound < 20_000
         assert res.stationarity >= 1e-100
 
@@ -361,6 +362,7 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
                 grad_evals=evals,
                 gradient=g_next,
                 L=L,
+                stop="converged",
             )
         if float(dx @ (x_next - x_prev)) > 0.0:
             x_bar, g_bar = x_next, g_next
@@ -379,6 +381,9 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
         grad_evals=evals,
         gradient=best_g,
         L=L,
+        # The reference predates the stop reasons; the test checks the lean
+        # loop's own.
+        stop=None,
     )
 
 
@@ -412,9 +417,12 @@ def replay_case(name):
         box = BoxSet(inst.lower, inst.upper)
         return problem, 10.0, problem.nonsmooth, fancy_index_box(box), 1.0, False
     if name == "zero_ev":
-        problem = gen_ev(20, 0).to_problem()
-        rho_hat, _ = problem.default_curvature(1.0, 0.0)
-        return problem, 1.0, problem.nonsmooth, zero_function(), rho_hat, False
+        inst = gen_ev(20, 0)
+        problem = inst.to_problem()
+        # mu is EV's former tuned weak-convexity cap at beta = 1,
+        # 0.2 |lambda_min(Q)| + 0.25 beta.
+        mu = 0.2 * max(0.0, -float(np.linalg.eigvalsh(inst.Q)[0])) + 0.25 * 1.0
+        return problem, 1.0, problem.nonsmooth, zero_function(), mu, False
     # At mu = 0.1 a step pair of this nonconvex model fails the test at
     # iteration 27.
     problem = gen_ev(20, 0).to_problem()
@@ -450,3 +458,4 @@ class TestApgReplay:
         )
         # The convexity case stops at a failing pair; the others certify.
         assert lean.converged is not test_mu
+        assert lean.stop == ("pair_test" if test_mu else "converged")

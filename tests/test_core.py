@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from almkit.core import (
-    ConstantsLedger,
     ConstraintOracle,
     DimensionMismatch,
     KktResidual,
@@ -12,10 +9,8 @@ from almkit.core import (
     ProblemSpec,
     ProxCapableFunction,
     SmoothOracle,
-    aggregate_constants,
     al_gradient_smooth,
     al_value,
-    al_weak_convexity,
     as_vector,
     kkt_residual,
 )
@@ -128,22 +123,6 @@ class TestAlGradient:
         assert prob.smooth.grad_evals == before + 1
 
 
-class TestCurvatureParams:
-    def test_affine_case_keeps_rho0(self):
-        ledger = ConstantsLedger.from_components(1.0, 1.0, [2.0], [0.0], [0.0], 1.0)
-        for beta in (0.01, 1.0, 1e6):
-            rho_hat = al_weak_convexity(beta, 5.0, ledger, rho0=0.7)
-            assert rho_hat == pytest.approx(0.7)
-
-    def test_rho_example(self):
-        # rho0=1, L_bar=3, ||y||=2, beta=10, rho_c=2 -> 1 + 6 + 20 = 27
-        ledger = ConstantsLedger(
-            B0=0.0, B_c=0.0, B_i=np.array([1.0]), B_bar_c=1.0, L_bar=3.0, rho_c=2.0, L_c=0.0, D=1.0
-        )
-        rho_hat = al_weak_convexity(10.0, 2.0, ledger, rho0=1.0)
-        assert rho_hat == pytest.approx(27.0)
-
-
 class TestKktResidual:
     def test_equality_residual_has_no_hinge_parts(self):
         res = kkt_residual(np.array([2.0]), np.array([3.0]), scalar_problem())
@@ -209,54 +188,6 @@ class TestKktResidual:
             flagged = kkt_residual(x, y, surrogate_prob)
             assert flagged.dres_is_upper_bound
             assert exact.dres <= flagged.dres + 1e-12
-
-
-class TestAggregateConstants:
-    def test_single_constraint_example(self):
-        assert aggregate_constants([2.0], [3.0], [1.0]) == pytest.approx((2.0, 3.0, 2.0, 10.0))
-
-    def test_affine_case(self):
-        B = [1.0, 2.0, 3.0]
-        B_bar, L_bar, rho_c, L_c = aggregate_constants(B, [0.0] * 3, [0.0] * 3)
-        assert L_bar == 0.0 and rho_c == 0.0
-        assert L_c == pytest.approx(sum(b * b for b in B))
-        assert B_bar == pytest.approx(np.sqrt(sum(b * b for b in B)))
-
-    def test_empty_sequences(self):
-        assert aggregate_constants([], [], []) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            aggregate_constants([1.0], [1.0, 2.0], [0.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(0, 100, allow_nan=False),
-                st.floats(0, 100, allow_nan=False),
-                st.floats(0, 100, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    def test_ledger_identities_hold(self, rows):
-        B = [r[0] for r in rows]
-        L = [r[1] for r in rows]
-        rho = [r[2] for r in rows]
-        ledger = ConstantsLedger.from_components(1.0, 1.0, B, L, rho, 1.0)
-        ssq = float(np.sum(np.asarray(B) ** 2))
-        assert abs(ledger.B_bar_c**2 - ssq) <= 1e-12 * max(1.0, ssq)
-        assert ledger.rho_c == pytest.approx(float(np.dot(B, rho)))
-        assert ledger.L_c == pytest.approx(float(np.dot(B, L) + ssq))
-
-    def test_inconsistent_ledger_rejected(self):
-        with pytest.raises(ValueError):
-            ConstantsLedger(
-                B0=0.0, B_c=0.0, B_i=np.array([1.0]), B_bar_c=2.0,
-                L_bar=0.0, rho_c=0.0, L_c=0.0, D=1.0,
-            )
 
 
 class TestProblemSpec:

@@ -142,16 +142,19 @@ class TestIalmSolve:
         assert rep.kkt == kkt_residual(rep.x, rep.y, problem)
 
     def test_oracles_alone_certify(self):
-        # Neither a schedule nor a ledger: both caps are inf, and the
-        # adaptive estimates do all the work.
+        # Neither an override nor a ledger: both caps are inf, and the
+        # measured estimates do all the work, exactly as under an explicit
+        # (inf, inf) override.
         prob, x_star = toy_eq_qp()
         prob.constants = None
-        prob.default_curvature = None
         rep = ialm_solve(prob, IalmConfig())
         assert rep.success
         assert rep.kkt == kkt_residual(rep.x, rep.y, prob)
         assert max(rep.kkt.pres, rep.kkt.dres) <= IalmConfig().eps
         assert np.linalg.norm(rep.x - x_star) <= 1e-2
+        uncapped = IalmConfig(curvature_override=lambda beta, y_norm: (math.inf, math.inf))
+        explicit = ialm_solve(prob, uncapped)
+        assert np.array_equal(explicit.x, rep.x) and explicit.grad_evals == rep.grad_evals
 
     def test_finite_override_caps_every_curvature_estimate(self, monkeypatch):
         # A finite L_hat caps APG's estimate of the model phi + rho||. - c||^2
@@ -206,32 +209,35 @@ class TestFeasibilityDecay:
 
 class TestPenaltyMode:
     def test_matches_zero_step_loop_bitwise(self, small_lcqp_problem):
-        cfg = IalmConfig(penalty_mode=True, max_outer=40)
-        rep = ialm_solve(small_lcqp_problem, cfg)
-        assert rep.success
-
-        # Re-run the outer loop by hand with every dual step forced to zero;
-        # each subproblem after the first is solved to max(eps, 0.1 pres)
-        # of the previous record, and starts APG where the previous ended.
+        # Without an override both caps are inf; an override's values cap
+        # the estimates (here rho at the instance's exact weak convexity).
         prob = small_lcqp_problem
-        curvature = prob.default_curvature
-        h = prob.nonsmooth
-        x = prob.x0
-        y = np.zeros(prob.constraints.n_constraints)
-        beta = cfg.beta0
-        eps_k = cfg.eps
-        L_k = prob.smooth.L
-        for rec in rep.records:
-            rho_hat, L_hat = curvature(beta, 0.0)
-            sub = ippm_solve(
-                lambda u: al_gradient_smooth(u, y, beta, prob), h, x,
-                max(rho_hat, RHO_FLOOR), L_hat, eps_k, max_inner=cfg.max_inner, L_init=L_k,
-            )
-            x, L_k = sub.x, sub.L
-            assert np.array_equal(rec.x, x)
-            assert rec.w == 0.0
-            beta *= cfg.sigma
-            eps_k = max(cfg.eps, 0.1 * rec.pres)
+        for override in (None, lambda beta, y_norm: (1.0, math.inf)):
+            cfg = IalmConfig(penalty_mode=True, max_outer=40, curvature_override=override)
+            rep = ialm_solve(prob, cfg)
+            assert rep.success
+            curvature = override or (lambda beta, y_norm: (math.inf, math.inf))
+
+            # Re-run the outer loop by hand with every dual step forced to
+            # zero; each subproblem after the first is solved to
+            # max(eps, 0.1 pres) of the previous record, and starts APG where
+            # the previous ended.
+            x = prob.x0
+            y = np.zeros(prob.constraints.n_constraints)
+            beta = cfg.beta0
+            eps_k = cfg.eps
+            L_k = prob.smooth.L
+            for rec in rep.records:
+                rho_hat, L_hat = curvature(beta, 0.0)
+                sub = ippm_solve(
+                    lambda u: al_gradient_smooth(u, y, beta, prob), prob.nonsmooth, x,
+                    max(rho_hat, RHO_FLOOR), L_hat, eps_k, max_inner=cfg.max_inner, L_init=L_k,
+                )
+                x, L_k = sub.x, sub.L
+                assert np.array_equal(rec.x, x)
+                assert rec.w == 0.0
+                beta *= cfg.sigma
+                eps_k = max(cfg.eps, 0.1 * rec.pres)
 
     def test_penalty_mode_never_updates_multiplier(self, small_lcqp_problem):
         rep = ialm_solve(small_lcqp_problem, IalmConfig(penalty_mode=True, max_outer=40))
@@ -279,26 +285,19 @@ class TestSharedOuterLoop:
         assert rep.grad_evals == calls[0]
         assert [rec.grad_evals for rec in rep.records] == before_subsolve[1:] + [calls[0]]
 
-    def test_records_carry_the_capped_rho_estimate(self, block, monkeypatch):
+    def test_records_carry_the_capped_rho_estimate(self, block):
         # Each record's rho is iPPM's final estimate, which starts at the
-        # floor and is capped by the schedule's rho_hat.
-        cls = {"equality": almkit.ialm._EqualityBlock, "hinge": _HingeBlock}[block]
-        default_curvature = cls.default_curvature
+        # floor and is capped by the override's rho_hat, here the declared
+        # weak convexity of g (exact for both blocks' subproblems).
+        make, solve = SOLVERS[block]
+        problem = make()
         rho_hats = []
 
-        def recorded(self):
-            schedule = default_curvature(self)
+        def capped(beta, norm):
+            rho_hats.append(problem.smooth.rho)
+            return problem.smooth.rho, math.inf
 
-            def wrapped(beta, norm):
-                rho_hat, L_hat = schedule(beta, norm)
-                rho_hats.append(rho_hat)
-                return rho_hat, L_hat
-
-            return wrapped
-
-        monkeypatch.setattr(cls, "default_curvature", recorded)
-        make, solve = SOLVERS[block]
-        rep = solve(make(), IalmConfig())
+        rep = solve(problem, IalmConfig(curvature_override=capped))
         assert rep.success and len(rho_hats) == len(rep.records)
         for rec, rho_hat in zip(rep.records, rho_hats):
             assert RHO_FLOOR <= rec.rho <= max(rho_hat, RHO_FLOOR)

@@ -50,25 +50,41 @@ class TestIppmExamples:
         assert outer_iteration_bound(rho=1.0, eps=0.1, gap=1.0) == 3200
 
 
+def recorded_apg_calls(monkeypatch):
+    """Record (mu, result) of each APG call iPPM makes."""
+    calls = []
+    apg = almkit.ippm.apg_solve
+
+    def recorded(grad, H, x, mu, *args, **kwargs):
+        res = apg(grad, H, x, mu, *args, **kwargs)
+        calls.append((mu, res))
+        return res
+
+    monkeypatch.setattr(almkit.ippm, "apg_solve", recorded)
+    return calls
+
+
 class TestIppmProperties:
-    def test_monotone_proximal_descent(self):
+    def test_monotone_proximal_descent(self, monkeypatch):
+        # Each converged APG call ends one proximal step; its mu is the
+        # step's rho, and its model is mu-strongly convex on every pair
+        # APG tested.
+        calls = recorded_apg_calls(monkeypatch)
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
         phi = concave_scalar(1.0, b=0.3)
         eps = 1e-6
-        rho = 1.0
-        res = ippm_solve(
-            phi.gradient, psi, np.array([-0.9]), rho=rho, L_phi=1.0, eps=eps, keep_trace=True
-        )
-        assert res.converged
+        res = ippm_solve(phi.gradient, psi, np.array([-0.9]), rho=1.0, L_phi=1.0, eps=eps)
+        steps = [(r.x, r.stationarity, mu) for mu, r in calls if r.converged]
+        assert res.converged and len(steps) == res.outer_iterations
 
         def total(x):
             return phi.value(x) + psi.value(x)
 
         prev = np.array([-0.9])
-        budget = (eps / 4.0) ** 2 / (2.0 * rho)
-        for x_next, _, _ in res.trace:
+        for x_next, stat, rho in steps:
+            assert stat <= eps / 4.0
             lhs = total(x_next) + rho * float(np.sum((x_next - prev) ** 2))
-            assert lhs <= total(prev) + budget + 1e-12
+            assert lhs <= total(prev) + (eps / 4.0) ** 2 / (2.0 * rho) + 1e-12
             prev = x_next
 
     def test_outer_count_within_bound_when_optimum_known(self):
@@ -101,10 +117,11 @@ class TestIppmProperties:
             assert exact <= eps
             assert exact <= res.stationarity + 1e-12
 
-    def test_grad_evals_are_real_calls_and_centre_gradients_are_reused(self):
-        # Every APG call after the first reuses the gradient at its centre,
-        # so the total stays below one centre gradient plus two per APG
-        # iteration for each call.
+    def test_grad_evals_are_real_calls_and_centre_gradients_are_reused(self, monkeypatch):
+        # Every APG call after the first reuses the gradient at its start
+        # point (a step's centre, or a redo's warm start), so the total
+        # stays below one gradient per proximal step plus two per APG
+        # iteration.
         rng = np.random.default_rng(3)
         d = np.array([-2.0, 0.5, 3.0, 10.0, 40.0])
         b = rng.standard_normal(5)
@@ -114,9 +131,11 @@ class TestIppmProperties:
             calls[0] += 1
             return d * x + b
 
+        apg_calls = recorded_apg_calls(monkeypatch)
         psi = box_indicator(BoxSet.cube(-1.0, 1.0, 5))
         res = ippm_solve(grad, psi, np.zeros(5), rho=2.0, L_phi=40.0, eps=1e-6)
-        assert res.converged and res.outer_iterations > 10
+        assert res.converged and len(apg_calls) > 10
+        assert len(apg_calls) == res.outer_iterations + res.rho_doublings
         assert res.grad_evals == calls[0]
         assert res.grad_evals < res.outer_iterations + 2 * res.apg_iterations
 
@@ -162,6 +181,67 @@ class TestAdaptiveWeakConvexity:
         assert res.rho_doublings <= math.ceil(math.log2(2.0 / RHO_FLOOR))
         assert normal_cone_distance_box(res.x, -grad(res.x), box) <= eps
 
+    def test_warm_redo_starts_at_the_failed_iterate_without_a_gradient(self, monkeypatch):
+        evaluated = []
+        grad, _, psi = box_qp(np.array([-2.0, 0.5, 3.0, 10.0, 40.0]), 3)
+
+        def logged(x):
+            evaluated.append(x.tobytes())
+            return grad(x)
+
+        calls = []
+        apg = almkit.ippm.apg_solve
+
+        def recorded(grad, H, x, mu, *args, **kwargs):
+            first = len(evaluated)
+            res = apg(grad, H, x, mu, *args, **kwargs)
+            calls.append((x, mu, kwargs["grad_init"], res, evaluated[first:]))
+            return res
+
+        monkeypatch.setattr(almkit.ippm, "apg_solve", recorded)
+        res = ippm_solve(logged, psi, np.zeros(5), rho=math.inf, L_phi=math.inf, eps=1e-6,
+                         L_init=40.0)
+        assert res.converged
+        assert len(evaluated) == res.grad_evals == 1 + sum(c[3].grad_evals for c in calls)
+        centre, warm = np.zeros(5), 0
+        for (_, mu, _, failed, _), (x, mu_next, g, _, points) in zip(calls, calls[1:]):
+            if failed.converged:
+                centre = failed.x
+            elif failed.x is not None:
+                # A redo after a failed pair test starts at the failed call's
+                # best iterate, with the new model's gradient there handed
+                # in, and evaluates no gradient at that start.
+                warm += 1
+                assert failed.stop == "pair_test" and mu_next == 2.0 * mu
+                assert x is failed.x
+                model = grad(x) + 2.0 * mu_next * (x - centre)
+                assert np.allclose(g, model, rtol=0.0, atol=1e-12)
+                assert x.tobytes() not in points
+        assert warm > 0
+
+    def test_only_failed_pair_tests_double_rho_and_steps_halve_it(self, monkeypatch):
+        calls = recorded_apg_calls(monkeypatch)
+        grad, _, psi = box_qp(np.array([-2.0, 0.5, 3.0, 10.0, 40.0]), 3)
+        res = ippm_solve(grad, psi, np.zeros(5), rho=math.inf, L_phi=math.inf, eps=1e-6,
+                         L_init=40.0)
+        assert res.converged and res.rho_doublings > 0
+        stops = [r.stop for _, r in calls]
+        assert set(stops) == {"converged", "pair_test"}
+        assert stops.count("pair_test") == res.rho_doublings
+        # No pair fails once rho reaches grad phi's Lipschitz constant (40),
+        # and decay adds at most one failed call per further step.
+        bound = math.ceil(math.log2(2.0 * 40.0 / RHO_FLOOR)) + res.outer_iterations - 1
+        assert max(mu for mu, _ in calls) < 2.0 * 40.0 and res.rho_doublings <= bound
+        steps = [(mu, r.converged) for mu, r in calls]
+        # After a converged step the next call runs at half its rho (not
+        # below the floor); after a failed pair test, at twice it.
+        for (mu, converged), (mu_next, _) in zip(steps, steps[1:]):
+            assert mu_next == (max(RHO_FLOOR, 0.5 * mu) if converged else 2.0 * mu)
+        # So a step that ran at a doubled rho is followed by a smaller one.
+        assert any(
+            converged and mu_next < mu for (mu, converged), (mu_next, _) in zip(steps, steps[1:])
+        )
+
 
 class TestIppmErrors:
     def test_invalid_inputs_rejected(self):
@@ -189,11 +269,29 @@ class TestIppmErrors:
     def test_tiny_eps_stalls_instead_of_dividing_by_zero(self):
         # (eps/4)^2 underflows to 0 at eps = 1e-170; APG's stall budget is
         # formed in log space and stays finite.  No float iterate is
-        # stationary to 2.5e-171, so every call stops unconverged (here at
-        # max_inner), rho doubles to its cap and the cap stalls.
+        # stationary to 2.5e-171, so the first call stops unconverged (here
+        # at max_inner) and raises.
         psi = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
         with pytest.raises(SubsolverStall, match="rho"):
             ippm_solve(lambda x: x - 0.3, psi, np.zeros(1), 1.0, 1.0, 1e-170, max_inner=50)
+
+    def test_stall_raises_after_one_apg_call(self, monkeypatch):
+        # Below any cap, a call that stops at max_inner raises at once
+        # instead of doubling rho and trying again.
+        calls = recorded_apg_calls(monkeypatch)
+        evals = [0]
+
+        def grad(x):
+            evals[0] += 1
+            return x - 0.3
+
+        psi = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
+        with pytest.raises(SubsolverStall, match="max_inner"):
+            ippm_solve(grad, psi, np.zeros(1), 1.0, 1.0, 1e-170, max_inner=10_000)
+        assert len(calls) == 1 and calls[0][0] == RHO_FLOOR
+        # The centre gradient, and at most three per APG iteration: the
+        # extrapolated point, a step rejected at 0.9 L_G and one at L_G.
+        assert evals[0] <= 1 + 3 * 10_000
 
     def test_max_outer_exhaustion_flags_failure(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))

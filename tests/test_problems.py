@@ -73,11 +73,15 @@ class TestGenLcqp:
         inst = gen_lcqp(3, 12, 1.0, seed=2)
         prob = inst.to_problem()
         ledger = prob.constants
-        assert ledger.L_bar == 0.0 and ledger.rho_c == 0.0
-        assert ledger.L_c == pytest.approx(float(np.sum(ledger.B_i**2)))
-        for beta in (0.01, 1.0, 5.0, 300.0):
-            rho_hat, _ = prob.default_curvature(beta, 0.0)
-            assert rho_hat == 1.0
+        box = BoxSet(inst.lower, inst.upper)
+        assert np.array_equal(ledger.B_i, lcqp_row_bounds(inst.A, inst.b, box))
+        assert ledger.B_c == pytest.approx(float(np.linalg.norm(inst.A, 2)))
+        assert ledger.D == box.diameter
+        # The AL is rho-weakly convex for every beta, which the smooth
+        # oracle declares; as an override cap it bounds every estimate.
+        assert prob.smooth.rho == pytest.approx(1.0)
+        rep = ialm_solve(prob, IalmConfig(curvature_override=lambda beta, y: (1.0, math.inf)))
+        assert rep.success and all(rec.rho <= 1.0 for rec in rep.records)
 
 
 class TestGenEv:
@@ -118,42 +122,37 @@ LOOSE_CAP_CASES = {
 class TestCurvatureSchedules:
     @pytest.mark.parametrize("family", sorted(LOOSE_CAP_CASES))
     def test_loose_smoothness_cap_costs_few_extra_gradients(self, family):
-        # The bundled schedules leave APG's curvature estimate uncapped; a
-        # finite L_hat through the override only caps it, and no longer
-        # seeds it, so a cap 16x above every estimate the uncapped solve
-        # ended a subproblem with may cost at most 25% more #Grad (seeding
-        # APG at a 16x cap once cost up to 18%).
+        # Without an override APG's curvature estimate is uncapped; a finite
+        # L_hat through the override only caps it, and does not seed it, so
+        # a cap 16x above every estimate the uncapped solve ended a
+        # subproblem with may cost at most 25% more #Grad (seeding APG at a
+        # 16x cap once cost up to 18%).
         problem, config = LOOSE_CAP_CASES[family]()
-        schedule = problem.default_curvature
         default = ialm_solve(problem, config)
         L_cap = 16.0 * max(rec.L for rec in default.records)
-
-        def capped(beta, y_norm):
-            rho_hat, L_hat = schedule(beta, y_norm)
-            assert L_hat == math.inf
-            return rho_hat, L_cap
-
-        capped_run = ialm_solve(problem, dataclasses.replace(config, curvature_override=capped))
+        capped = dataclasses.replace(config, curvature_override=lambda beta, y: (math.inf, L_cap))
+        capped_run = ialm_solve(problem, capped)
         assert default.success and capped_run.success
         assert capped_run.grad_evals <= 1.25 * default.grad_evals
 
     def test_loose_weak_convexity_cap_costs_few_extra_gradients(self):
-        # rho_hat only caps iPPM's adaptive weak-convexity estimate, so a
-        # 16x looser rho_hat may cost at most 25% more #Grad (a fixed
-        # rho = 16 rho_hat costs about 2.7x).  EV's tuned rho_hat lies below
-        # the weak convexity the estimate measures, and clustering's first
-        # subproblem is chaotic, so only LCQP is gated.
+        # rho_hat only caps iPPM's measured weak-convexity estimate, so
+        # against the quadratic program's exact rho, a 16x looser cap and no
+        # cap at all may each cost at most 25% more #Grad (a fixed
+        # rho = 16 rho costs about 2.7x).
         problem, config = LOOSE_CAP_CASES["lcqp"]()
-        schedule = problem.default_curvature
+        rho = problem.smooth.rho
 
-        def loose(beta, y_norm):
-            rho_hat, L_hat = schedule(beta, y_norm)
-            return 16.0 * rho_hat, L_hat
+        def run(rho_hat):
+            def override(beta, y_norm):
+                return rho_hat, math.inf
 
-        default = ialm_solve(problem, config)
-        loose_run = ialm_solve(problem, dataclasses.replace(config, curvature_override=loose))
-        assert default.success and loose_run.success
-        assert loose_run.grad_evals <= 1.25 * default.grad_evals
+            return ialm_solve(problem, dataclasses.replace(config, curvature_override=override))
+
+        exact = run(rho)
+        for loose in (run(16.0 * rho), ialm_solve(problem, config)):
+            assert exact.success and loose.success
+            assert loose.grad_evals <= 1.25 * exact.grad_evals
 
 
 class TestGenClustering:
