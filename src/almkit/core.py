@@ -9,8 +9,9 @@ and c is a smooth vector map.  This module provides the oracle types, the
 constants ledger the diagnostics read, augmented-Lagrangian evaluation, and
 KKT residual measurement.
 
-All vectors are dense float64.  Validation happens at two places only, so
-oracle bugs fail fast without re-checking what the solver computed itself:
+All vectors are dense float64.  Validation happens at three places only,
+so oracle bugs fail fast without re-checking what the solver computed
+itself:
 
 * entry points (the public oracle methods, ``al_*``, ``kkt_residual``, and
   the solver entry points) check shape and finiteness of their inputs; the
@@ -19,7 +20,17 @@ oracle bugs fail fast without re-checking what the solver computed itself:
 * every call into a user callable checks its output, through the oracle's
   private method (``SmoothOracle._gradient``, ``ConstraintOracle._evaluate``,
   ``ProxCapableFunction._prox``, ...), which the public method wraps after
-  ``as_vector`` and which the solver's hot path calls directly.
+  ``as_vector`` and which the solver's hot path calls directly;
+* affine rows held as data (``ConstraintOracle.affine`` and the hinge
+  problem's ``A``, ``b``) are checked when the oracle or problem is built;
+  ``IneqProblemSpec.for_solve`` builds a copy, which checks them again.
+  Their products in the AL gradient are computed by the solver and not
+  re-checked.
+
+Each subproblem's smooth AL gradient is one closure, built once per
+subproblem for its fixed multipliers and beta: the smooth gradient through
+``SmoothOracle._gradient``, affine rows straight from their data, and
+callback rows through their checked private methods.
 
 A vector's finiteness is checked through one dot product (``all_finite``):
 a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
@@ -30,7 +41,9 @@ rejected vectors, and the messages, are those of the entrywise check.
 
 The one remaining guard inside the inner loops is APG's finiteness check on
 its stationarity measure, which catches a NaN iterate that reached a
-gradient that ignores its input.
+gradient that ignores its input, and a NaN or Inf that the affine products
+made.  NaN therefore still fails fast: at the gradient's output check, or
+at APG's stationarity check.
 
 #Grad, the paper's complexity measure, is counted at one point:
 ``SmoothOracle.grad_evals``, which every call into the smooth gradient
@@ -204,7 +217,13 @@ class ProxCapableFunction:
 
 
 class ConstraintOracle:
-    """Smooth vector map c with matrix-free Jacobian-transpose products."""
+    """Smooth vector map c with matrix-free Jacobian-transpose products.
+
+    ``affine_data`` is ``(A, b)`` for an oracle built by ``affine``, whose
+    rows the solver reads as data, and None for callback rows.
+    """
+
+    affine_data: Optional[tuple[Array, Array]] = None
 
     def __init__(
         self,
@@ -266,20 +285,39 @@ class ConstraintOracle:
         return out
 
     @staticmethod
-    def affine(A: Array, b: Array) -> "ConstraintOracle":
-        """Oracle for c(x) = A x - b with exact per-row constants left to the caller."""
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise DimensionMismatch("affine constraint shapes inconsistent")
-        return ConstraintOracle(
+    def affine(
+        A: Array, b: Array, component_bounds: Optional[Sequence[float]] = None
+    ) -> "ConstraintOracle":
+        """Oracle for c(x) = A x - b whose rows are kept as data.
+
+        ``A`` and ``b`` are checked once, here; the solver's AL gradient
+        then computes A'(y + beta (Ax - b)) from them without callbacks.
+        ``jacobian_norm_bound`` is ||A||_2; per-row bounds are the caller's.
+        """
+        A, b = _affine_rows(A, b)
+        m = A.shape[0]
+        oracle = ConstraintOracle(
             evaluate_fn=lambda x: A @ x - b,
             jacobian_t_apply_fn=lambda x, v: A.T @ v,
-            n_constraints=A.shape[0],
-            component_smoothness=np.zeros(A.shape[0]),
-            component_weak_convexity=np.zeros(A.shape[0]),
+            n_constraints=m,
+            component_smoothness=np.zeros(m),
+            component_weak_convexity=np.zeros(m),
+            component_bounds=component_bounds,
             jacobian_norm_bound=float(np.linalg.norm(A, 2)) if A.size else 0.0,
         )
+        oracle.affine_data = (A, b)
+        return oracle
+
+
+def _affine_rows(A: Array, b: Array) -> tuple[Array, Array]:
+    """``A`` and ``b`` as float64 arrays with consistent shapes and finite
+    entries: the one check of affine rows held as data."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim != 2 or b.shape != (A.shape[0],):
+        raise DimensionMismatch("affine constraint shapes inconsistent")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise NonFiniteValue("affine constraint data contains NaN or Inf")
+    return A, b
 
 
 @dataclass(frozen=True)
@@ -381,11 +419,44 @@ def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
     return x, y
 
 
-def _al_smooth_part_gradient(x: Array, y: Array, beta: float, problem: ProblemSpec) -> Array:
-    """The smooth AL gradient at validated (x, y, beta); each user callable
-    is called once, through its output-checked private oracle method."""
-    c = problem.constraints._evaluate(x)
-    return problem.smooth._gradient(x) + problem.constraints._jac_t(x, y + beta * c)
+def _equality_gradient(problem: ProblemSpec, y: Array, beta: float) -> Callable[[Array], Array]:
+    """The equality block's smooth AL gradient at fixed (y, beta):
+    x -> grad g(x) + J_c(x)'(y + beta c(x)), one closure per subproblem.
+
+    The smooth gradient goes through ``SmoothOracle._gradient``, the one
+    #Grad counter, once per call.  Rows of ``ConstraintOracle.affine`` are
+    read from their data, and their products are not re-checked; callback
+    rows go through their output-checked private methods.
+    """
+    if problem.constraints.affine_data is None:
+        return _callback_rows_gradient(problem.smooth, problem.constraints, y, beta)
+    A, b = problem.constraints.affine_data
+    return _affine_rows_gradient(problem.smooth, A, b, y, beta)
+
+
+def _affine_rows_gradient(
+    smooth: SmoothOracle, A: Array, b: Array, y: Array, beta: float
+) -> Callable[[Array], Array]:
+    """x -> grad g(x) + A'(y + beta (Ax - b)), affine rows as data."""
+    grad, At = smooth._gradient, A.T
+
+    def kernel(x: Array) -> Array:
+        return grad(x) + At @ (y + beta * (A @ x - b))
+
+    return kernel
+
+
+def _callback_rows_gradient(
+    smooth: SmoothOracle, constraints: ConstraintOracle, y: Array, beta: float
+) -> Callable[[Array], Array]:
+    """x -> grad g(x) + J_c(x)'(y + beta c(x)), rows through callbacks."""
+    grad, evaluate, jac_t = smooth._gradient, constraints._evaluate, constraints._jac_t
+
+    def kernel(x: Array) -> Array:
+        c = evaluate(x)
+        return grad(x) + jac_t(x, y + beta * c)
+
+    return kernel
 
 
 def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
@@ -406,7 +477,7 @@ def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
 def al_gradient_smooth(x: Array, y: Array, beta: float, problem: ProblemSpec) -> Array:
     """Gradient of the smooth AL part: grad g(x) + J_c(x)' (y + beta c(x))."""
     x, y = _check_al_inputs(x, y, beta, problem)
-    return _al_smooth_part_gradient(x, y, beta, problem)
+    return _equality_gradient(problem, y, beta)(x)
 
 
 def dual_residual(

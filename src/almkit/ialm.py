@@ -56,7 +56,7 @@ from .core import (
     CurvatureSchedule,
     KktResidual,
     ProblemSpec,
-    _al_smooth_part_gradient,
+    _equality_gradient,
     _equality_kkt,
 )
 from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
@@ -381,8 +381,7 @@ class _EqualityBlock:
         return float(np.linalg.norm(self.y))
 
     def subproblem(self, beta):
-        problem, y = self.problem, self.y
-        return lambda x: _al_smooth_part_gradient(x, y, beta, problem)
+        return _equality_gradient(self.problem, self.y, beta)
 
     def certify(self, x, beta):
         # c(x) and grad g(x) once per outer iteration: they serve the

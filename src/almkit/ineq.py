@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +32,8 @@ from .core import (
     ProblemSpec,
     ProxCapableFunction,
     SmoothOracle,
+    _affine_rows,
+    _affine_rows_gradient,
     as_vector,
     dual_residual,
 )
@@ -73,12 +76,11 @@ class IneqProblemSpec:
     x0: np.ndarray
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+        self.A, self.b = _affine_rows(self.A, self.b)
         self.x0 = as_vector(self.x0, name="x0")
-        if self.A.ndim != 2 or self.A.shape[0] != self.b.shape[0]:
-            raise DimensionMismatch("affine part shapes inconsistent")
-        if self.A.shape[0] > 0 and self.A.shape[1] != self.x0.shape[0]:
+        if self.A.shape[0] == 0:
+            self.A = np.zeros((0, self.dim))
+        elif self.A.shape[1] != self.dim:
             raise DimensionMismatch("affine part column count must match dim")
         if self.rho0 < 0:
             raise ValueError("rho0 must be nonnegative")
@@ -111,23 +113,29 @@ def _check_ineq_inputs(x, y, z, beta, problem):
     return x, y, z
 
 
-def _ineq_smooth_gradient(x, y, z, beta, problem) -> Array:
-    """The smooth hinge-AL gradient at validated (x, y, z, beta); each user
-    callable is called once, through its output-checked private oracle
-    method."""
-    g = problem.smooth._gradient(x)
+def _hinge_gradient(
+    problem: IneqProblemSpec, y: Array, z: Array, beta: float
+) -> Callable[[Array], Array]:
+    """The hinge block's smooth AL gradient at fixed (y, z, beta):
+    x -> grad g(x) + A'(y + beta (Ax - b)) + J_f(x)'[z + beta f(x)]_+, one
+    closure per subproblem; the affine rows are read as data, the
+    inequality rows go through their output-checked callbacks."""
+    grad = problem.smooth._gradient
     if problem.n_eq:
-        r = problem.A @ x - problem.b
-        g = g + problem.A.T @ (y + beta * r)
-    f = problem.ineq._evaluate(x)
-    hinge = np.maximum(z + beta * f, 0.0)
-    return g + problem.ineq._jac_t(x, hinge)
+        grad = _affine_rows_gradient(problem.smooth, problem.A, problem.b, y, beta)
+    evaluate, jac_t = problem.ineq._evaluate, problem.ineq._jac_t
+
+    def kernel(x: Array) -> Array:
+        g = grad(x)
+        return g + jac_t(x, np.maximum(z + beta * evaluate(x), 0.0))
+
+    return kernel
 
 
 def al_ineq_value(x: Array, y: Array, z: Array, beta: float, problem: IneqProblemSpec) -> float:
     """Hinge-penalized augmented Lagrangian value (includes the h term)."""
     x, y, z = _check_ineq_inputs(x, y, z, beta, problem)
-    r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
+    r = problem.A @ x - problem.b
     f = problem.ineq._evaluate(x)
     hinge = np.maximum(z + beta * f, 0.0)
     val = (
@@ -148,7 +156,7 @@ def al_ineq_gradient_smooth(
     """Gradient of the smooth AL part:
     grad g + A'(y + beta (Ax-b)) + J_f' [z + beta f(x)]_+."""
     x, y, z = _check_ineq_inputs(x, y, z, beta, problem)
-    return _ineq_smooth_gradient(x, y, z, beta, problem)
+    return _hinge_gradient(problem, y, z, beta)(x)
 
 
 def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> KktResidual:
@@ -178,8 +186,7 @@ def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) ->
     and its two parts, the complementarity residual, and the dual residual,
     measured by ``dual_residual``."""
     x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
-    r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
-    return _hinge_kkt(x, y, z, problem, r, problem.ineq.evaluate(x))
+    return _hinge_kkt(x, y, z, problem, problem.A @ x - problem.b, problem.ineq.evaluate(x))
 
 
 def ineq_dual_step_size(policy, k: int, max_res: float, gamma_k: float, beta: float) -> float:
@@ -211,23 +218,19 @@ class _HingeBlock:
         # the scale of the max(pres_eq, pres_ineq) the dual step divides
         # by.  (The smallest would be 0 whenever x0 satisfies one block,
         # freezing the damped policy's multipliers at 0.)
-        parts = [0.0]
-        if problem.n_eq:
-            parts.append(float(np.linalg.norm(problem.A @ x - problem.b)))
-        if problem.n_ineq:
-            parts.append(float(np.linalg.norm(np.maximum(problem.ineq.evaluate(x), 0.0))))
-        self.damping = max(parts)
+        pres_eq = np.linalg.norm(problem.A @ x - problem.b)
+        pres_ineq = np.linalg.norm(np.maximum(problem.ineq.evaluate(x), 0.0))
+        self.damping = float(max(pres_eq, pres_ineq))
 
     def multiplier_norm(self) -> float:
         return float(math.hypot(np.linalg.norm(self.y), np.linalg.norm(self.z)))
 
     def subproblem(self, beta):
-        problem, y, z = self.problem, self.y, self.z
-        return lambda x: _ineq_smooth_gradient(x, y, z, beta, problem)
+        return _hinge_gradient(self.problem, self.y, self.z, beta)
 
     def certify(self, x, beta):
         problem = self.problem
-        self.r = problem.A @ x - problem.b if problem.n_eq else np.zeros(0)
+        self.r = problem.A @ x - problem.b
         self.f = problem.ineq.evaluate(x)
         self.y_cert = self.y + beta * self.r
         self.z_cert = np.maximum(self.z + beta * self.f, 0.0)

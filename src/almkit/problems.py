@@ -106,24 +106,17 @@ class LcqpInstance:
             smoothness=_spectrum(Q)[1],
             weak_convexity=self.rho,
         )
-        m = A.shape[0]
-        A_norm = float(np.linalg.norm(A, 2))
-        constraints = ConstraintOracle(
-            evaluate_fn=lambda x: A @ x - b,
-            jacobian_t_apply_fn=lambda x, v: A.T @ v,
-            n_constraints=m,
-            component_smoothness=np.zeros(m),
-            component_weak_convexity=np.zeros(m),
-            component_bounds=lcqp_row_bounds(A, b, box),
-            jacobian_norm_bound=A_norm,
-        )
+        constraints = ConstraintOracle.affine(A, b, component_bounds=lcqp_row_bounds(A, b, box))
         corner = float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
         B0 = max(
             0.5 * smooth.L * corner**2 + float(np.linalg.norm(c)) * corner,
             smooth.L * corner + float(np.linalg.norm(c)),
         )
         ledger = ConstantsLedger(
-            B0=B0, B_c=A_norm, B_i=constraints.component_bounds, D=box.diameter
+            B0=B0,
+            B_c=constraints.jacobian_norm_bound,
+            B_i=constraints.component_bounds,
+            D=box.diameter,
         )
         return ProblemSpec(
             smooth=smooth,

@@ -212,6 +212,42 @@ class TestProblemSpec:
         assert prob.smooth.grad_evals == 1
 
 
+class TestAffineOracle:
+    def test_rows_are_kept_as_validated_data(self):
+        A = np.array([[1.0, 2.0], [0.0, -1.0]])
+        oracle = ConstraintOracle.affine(A.tolist(), [1.0, 2.0])
+        data_A, data_b = oracle.affine_data
+        assert data_A.dtype == data_b.dtype == np.float64
+        assert np.array_equal(data_A, A) and np.array_equal(data_b, [1.0, 2.0])
+        assert oracle.jacobian_norm_bound == float(np.linalg.norm(A, 2))
+        assert np.array_equal(oracle.evaluate(np.ones(2)), [2.0, -3.0])
+        assert np.array_equal(oracle.jacobian_transpose_apply(np.ones(2), [1.0, 1.0]), [1.0, 1.0])
+
+    def test_callback_oracles_carry_no_data(self):
+        prob, _ = toy_eq_qp()
+        assert prob.constraints.affine_data is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_non_finite_data_raises_at_construction(self, bad, where):
+        A, b = np.ones((2, 3)), np.ones(2)
+        (A[1] if where == "A" else b)[1] = bad
+        with pytest.raises(NonFiniteValue, match="^affine constraint data contains NaN or Inf$"):
+            ConstraintOracle.affine(A, b)
+
+    def test_inconsistent_shapes_raise(self):
+        with pytest.raises(DimensionMismatch):
+            ConstraintOracle.affine(np.ones((2, 3)), np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            ConstraintOracle.affine(np.ones(3), np.ones(3))
+
+    def test_lcqp_ledger_and_oracle_share_one_norm(self):
+        problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
+        A = problem.constraints.affine_data[0]
+        assert problem.constraints.jacobian_norm_bound == problem.constants.B_c
+        assert problem.constants.B_c == float(np.linalg.norm(A, 2))
+
+
 def constant_oracles(out):
     """Oracles whose gradient, constraint value and Jacobian-transpose
     product all return ``out``."""

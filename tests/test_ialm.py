@@ -27,7 +27,7 @@ from almkit.ialm import (
 )
 from almkit.ineq import _HingeBlock, al_ineq_gradient_smooth, ialm_ineq_solve
 from almkit.ippm import SubsolverStall, ippm_solve
-from almkit.problems import gen_lcqp
+from almkit.problems import gen_clustering, gen_ev, gen_lcqp
 from almkit.prox import zero_function
 from helpers import box_qp_problem, toy_eq_qp, toy_ineq_qp
 from test_ineq import two_constraint_problem
@@ -385,11 +385,22 @@ class TestSharedOuterLoop:
         assert public["evaluate"] <= len(rep.records) + 1
 
 
-def equality_subproblem_case(rng):
-    problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
+def equality_subproblem_case(rng, make=lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem()):
+    problem = make()
     block = _EqualityBlock(problem.for_solve())
     block.y = rng.standard_normal(problem.constraints.n_constraints)
     return problem, block, lambda x, beta: al_gradient_smooth(x, block.y, beta, problem)
+
+
+def ev_subproblem_case(rng):
+    return equality_subproblem_case(rng, lambda: gen_ev(40, 0).to_problem())
+
+
+def cluster_subproblem_case(rng):
+    points = np.random.default_rng(0).standard_normal((12, 2))
+    return equality_subproblem_case(
+        rng, lambda: gen_clustering(points, r=3, s=100.0).to_problem()
+    )
 
 
 def hinge_subproblem_case(rng, make=lambda: toy_ineq_qp()[0]):
@@ -406,9 +417,18 @@ def hinge_affine_subproblem_case(rng):
     return hinge_subproblem_case(rng, two_constraint_problem)
 
 
-@pytest.mark.parametrize(
-    "case", [equality_subproblem_case, hinge_subproblem_case, hinge_affine_subproblem_case]
-)
+# LCQP (affine rows as data), EV and clustering (callback rows), and the
+# hinge block without and with affine rows.
+SUBPROBLEM_CASES = [
+    equality_subproblem_case,
+    ev_subproblem_case,
+    cluster_subproblem_case,
+    hinge_subproblem_case,
+    hinge_affine_subproblem_case,
+]
+
+
+@pytest.mark.parametrize("case", SUBPROBLEM_CASES)
 def test_subproblem_gradient_equals_public_al_gradient(case):
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -418,3 +438,66 @@ def test_subproblem_gradient_equals_public_al_gradient(case):
         for _ in range(3):
             x = rng.uniform(-1.0, 1.0, problem.dim)
             assert np.array_equal(grad(x), public(x, beta))
+
+
+def replayed_gradient(problem, block, beta):
+    """The AL gradient as written before the per-subproblem closures: the
+    equality block's rows all through the constraint oracle's checked
+    private methods, the hinge block's affine rows from its data."""
+    if isinstance(block, _EqualityBlock):
+        def grad(x):
+            c = problem.constraints._evaluate(x)
+            return problem.smooth._gradient(x) + problem.constraints._jac_t(x, block.y + beta * c)
+
+        return grad
+
+    def grad(x):
+        g = problem.smooth._gradient(x)
+        if problem.n_eq:
+            r = problem.A @ x - problem.b
+            g = g + problem.A.T @ (block.y + beta * r)
+        f = problem.ineq._evaluate(x)
+        return g + problem.ineq._jac_t(x, np.maximum(block.z + beta * f, 0.0))
+
+    return grad
+
+
+@pytest.mark.parametrize("case", SUBPROBLEM_CASES)
+def test_subproblem_gradient_replays_the_old_formula_bitwise(case):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        problem, block, _ = case(rng)
+        beta = 10.0 ** rng.uniform(-2, 2)
+        kernel = block.subproblem(beta)
+        for _ in range(3):
+            x = rng.uniform(-1.0, 1.0, problem.dim)
+            before = block.problem.smooth.grad_evals
+            got = kernel(x)
+            assert block.problem.smooth.grad_evals == before + 1
+            assert got.tobytes() == replayed_gradient(problem, block, beta)(x).tobytes()
+
+
+def test_lcqp_rows_are_read_as_data():
+    # The affine path calls no constraint callback: only the gradient.
+    problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
+    A, b = problem.constraints.affine_data
+    assert A.shape == (3, 20) and b.shape == (3,)
+
+    def refused(*args):
+        raise AssertionError("constraint callback called")
+
+    problem.constraints._evaluate_fn = problem.constraints._jac_t_fn = refused
+    y = np.ones(3)
+    g = al_gradient_smooth(problem.x0, y, 2.0, problem)
+    expected = problem.smooth.gradient(problem.x0) + A.T @ (y + 2.0 * (A @ problem.x0 - b))
+    assert g.tobytes() == expected.tobytes()
+
+
+def test_nan_gradient_on_affine_rows_raises():
+    problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
+    problem.smooth._gradient_fn = lambda x: np.full_like(x, np.nan)
+    kernel = _EqualityBlock(problem).subproblem(1.0)
+    with pytest.raises(NonFiniteValue, match="^smooth oracle gradient overflowed$"):
+        kernel(problem.x0)
+    with pytest.raises(NonFiniteValue):
+        al_gradient_smooth(problem.x0, np.zeros(3), 1.0, problem)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from almkit.core import ConstraintOracle, SmoothOracle
+from almkit.core import ConstraintOracle, NonFiniteValue, SmoothOracle
 from almkit.ialm import IalmConfig, PracticalDual, TheoreticalDual, ialm_solve
 from almkit.ineq import (
     IneqConstants,
@@ -68,6 +69,24 @@ def two_constraint_problem():
         rho0=0.0,
         x0=np.zeros(2),
     )
+
+
+class TestIneqProblemSpec:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["A", "b"])
+    def test_non_finite_affine_data_raises_at_construction(self, bad, where):
+        problem = two_constraint_problem()
+        A, b = problem.A.copy(), problem.b.copy()
+        (A[0] if where == "A" else b)[0] = bad
+        with pytest.raises(NonFiniteValue, match="^affine constraint data contains NaN or Inf$"):
+            dataclasses.replace(problem, A=A, b=b)
+
+    def test_no_equality_rows_get_the_problem_width(self):
+        problem = dataclasses.replace(hinge_scalar_problem(), A=np.zeros((0, 0)))
+        assert problem.A.shape == (0, 1) and problem.n_eq == 0
+        assert np.array_equal(
+            al_ineq_gradient_smooth(np.ones(1), np.zeros(0), np.ones(1), 2.0, problem), [3.0]
+        )
 
 
 class TestAlIneqValue:

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from almkit.core import DimensionMismatch
+from almkit.core import DimensionMismatch, norm
 from helpers import fancy_index_box_distance, fancy_index_nonneg_distance
 from almkit.prox import (
+    _box_bounds,
+    _box_distance,
+    _nonneg_ball_distance,
+    _nonneg_distance,
     BallSet,
     BoxSet,
     NonnegBallSet,
@@ -237,6 +241,62 @@ class TestMaskedKernels:
             assert h.subdiff_distance(x, v) == expected
             assert h._subdiff(x, v) == expected
             assert v.tobytes() == v_before
+
+
+def accepts(distance, *args) -> bool:
+    try:
+        distance(*args)
+    except ValueError as err:
+        assert "outside" in str(err)
+        return False
+    return True
+
+
+def membership_variants(x, lo, hi, rng):
+    """x itself, and copies with one coordinate just below ``lo``, just above
+    ``hi``, exactly at either, or NaN."""
+    yield x
+    for make in (
+        lambda i: np.nextafter(lo[i], -np.inf),
+        lambda i: np.nextafter(hi[i], np.inf),
+        lambda i: lo[i],
+        lambda i: hi[i],
+        lambda i: np.nan,
+    ):
+        out = x.copy()
+        i = int(rng.integers(x.size))
+        out[i] = make(i)
+        yield out
+
+
+class TestMembershipCount:
+    # The kernels count the coordinates that pass instead of reducing with
+    # .all(); they must accept exactly the points the reductions accepted.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_box_matches_the_all_reductions(self, seed):
+        rng = np.random.default_rng(seed + 10)
+        for box, x0, v in kernel_box_and_points(seed):
+            bounds = _box_bounds(box)
+            lo_tol, hi_tol = bounds[:2]
+            for x in membership_variants(x0, lo_tol, hi_tol, rng):
+                old = bool((x >= lo_tol).all() and (x <= hi_tol).all())
+                assert accepts(_box_distance, x, v, *bounds) == old
+
+    def test_orthant_and_orthant_ball_match_the_all_reductions(self):
+        rng = np.random.default_rng(5)
+        atol, radius = 1e-12, 2.0
+        lo, hi = np.full(30, -atol), np.full(30, np.inf)
+        seen = set()
+        for _ in range(40):
+            x0 = rng.choice([0.0, -0.0, -0.5e-12, -2e-12, 0.1, 0.3], 30)
+            v = rng.standard_normal(30)
+            for x in membership_variants(x0, lo, hi, rng):
+                old = bool((x >= -atol).all())
+                assert accepts(_nonneg_distance, x, v) == old
+                inside = norm(x) <= radius * (1 + 1e-10) + atol
+                assert accepts(_nonneg_ball_distance, x, v, radius) == (inside and old)
+                seen.add(old)
+        assert seen == {True, False}
 
 
 class TestNormalConeBall:
