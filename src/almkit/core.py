@@ -19,18 +19,29 @@ itself:
   callables and check only their start point;
 * every call into a user callable checks its output, through the oracle's
   private method (``SmoothOracle._gradient``, ``ConstraintOracle._evaluate``,
-  ``ProxCapableFunction._prox``, ...), which the public method wraps after
-  ``as_vector`` and which the solver's hot path calls directly;
+  ``ConstraintOracle._linearize``, ``ProxCapableFunction._prox``, ...), which
+  the public method wraps after ``as_vector`` and which the solver's hot
+  path calls directly;
 * affine rows held as data (``ConstraintOracle.affine`` and the hinge
   problem's ``A``, ``b``) are checked when the oracle or problem is built;
   ``IneqProblemSpec.for_solve`` builds a copy, which checks them again.
   Their products in the AL gradient are computed by the solver and not
   re-checked.
 
+Constraint rows come in three shapes:
+
+* rows as data, ``ConstraintOracle.affine(A, b)``;
+* one linearizing callback, ``ConstraintOracle.linearized(fn)``, where
+  ``fn(x)`` returns c(x) and a function v -> J(x)'v at the same x, so the
+  work the two share (EV's ``B @ x``) is done once;
+* two callbacks, ``ConstraintOracle(evaluate_fn, jacobian_t_apply_fn)``.
+
 Each subproblem's smooth AL gradient is one closure, built once per
 subproblem for its fixed multipliers and beta: the smooth gradient through
 ``SmoothOracle._gradient``, affine rows straight from their data, and
-callback rows through their checked private methods.
+callback rows of either shape through one call of the checked
+``ConstraintOracle._linearize``, whose value and product are checked as
+the public ``evaluate`` and ``jacobian_transpose_apply`` check them.
 
 A vector's finiteness is checked through one dot product (``all_finite``):
 a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
@@ -55,6 +66,7 @@ the solvers evaluate none.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -124,7 +136,8 @@ class SmoothOracle:
         smoothness: float,
         weak_convexity: float = 0.0,
     ):
-        if smoothness < 0 or weak_convexity < 0:
+        # Written so that NaN fails.
+        if not (smoothness >= 0 and weak_convexity >= 0):
             raise ValueError("smoothness and weak convexity must be nonnegative")
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
@@ -180,7 +193,8 @@ class ProxCapableFunction:
         self._subdiff_fn = subdiff_distance_fn
         self.diameter = float(diameter)
         self.cone_subdiff = bool(cone_subdiff)
-        if self.diameter <= 0:
+        # Written so that NaN fails.
+        if not self.diameter > 0:
             raise ValueError("diameter must be positive (use inf for unbounded domains)")
 
     def prox(self, v: Array, step: float) -> Array:
@@ -216,14 +230,23 @@ class ProxCapableFunction:
         return d
 
 
+# Signature: x -> (c(x), v -> J(x)'v), one linearization of constraint rows.
+Linearization = Callable[[Array], tuple[Array, Callable[[Array], Array]]]
+
+
 class ConstraintOracle:
     """Smooth vector map c with matrix-free Jacobian-transpose products.
 
-    ``affine_data`` is ``(A, b)`` for an oracle built by ``affine``, whose
-    rows the solver reads as data, and None for callback rows.
+    Rows come in one of three shapes, and the solver checks every user
+    output of each: rows as data (``affine``), one linearizing callback
+    (``linearized``), or two callbacks (``evaluate_fn`` and
+    ``jacobian_t_apply_fn``, this constructor).  ``affine_data`` is
+    ``(A, b)`` for an oracle built by ``affine``, whose rows the solver
+    reads as data, and None for callback rows.
     """
 
     affine_data: Optional[tuple[Array, Array]] = None
+    _linearize_fn: Optional[Linearization] = None
 
     def __init__(
         self,
@@ -247,7 +270,8 @@ class ConstraintOracle:
             a = np.asarray(arr, dtype=float)
             if a.shape != (self.n_constraints,):
                 raise DimensionMismatch("per-constraint constant length mismatch")
-            if np.any(a < 0):
+            # Written so that NaN fails.
+            if not np.all(a >= 0):
                 raise ValueError("per-constraint constants must be nonnegative")
             return a
 
@@ -257,12 +281,18 @@ class ConstraintOracle:
         self.jacobian_norm_bound = (
             None if jacobian_norm_bound is None else float(jacobian_norm_bound)
         )
+        # Written so that NaN fails.
+        if self.jacobian_norm_bound is not None and not self.jacobian_norm_bound >= 0:
+            raise ValueError("Jacobian norm bound must be nonnegative")
 
     def evaluate(self, x: Array) -> Array:
         return self._evaluate(as_vector(x))
 
     def _evaluate(self, x: Array) -> Array:
-        c = np.asarray(self._evaluate_fn(x), dtype=float)
+        return self._checked_value(self._evaluate_fn(x))
+
+    def _checked_value(self, c) -> Array:
+        c = np.asarray(c, dtype=float)
         if c.ndim == 0:
             c = c.reshape(1)
         if c.shape != (self.n_constraints,):
@@ -277,12 +307,44 @@ class ConstraintOracle:
         return self._jac_t(as_vector(x), as_vector(v, self.n_constraints, "v"))
 
     def _jac_t(self, x: Array, v: Array) -> Array:
-        out = np.asarray(self._jac_t_fn(x, v), dtype=float)
-        if out.shape != x.shape:
-            raise DimensionMismatch("Jacobian-transpose product dimension mismatch")
-        if not all_finite(out):
-            raise NonFiniteValue("Jacobian-transpose product overflowed")
-        return out
+        return _checked_product(self._jac_t_fn(x, v), x)
+
+    def _linearize(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
+        """(c(x), v -> J(x)'v) at the validated ``x``, both outputs checked
+        as ``_evaluate`` and ``_jac_t`` check them: the solver's one entry
+        to callback rows.  A linearized oracle calls its callback once; a
+        two-callback oracle evaluates c now and defers the product."""
+        if self._linearize_fn is None:
+            return self._evaluate(x), functools.partial(self._jac_t, x)
+        c, jt = self._linearize_fn(x)
+        return self._checked_value(c), lambda v: _checked_product(jt(v), x)
+
+    @staticmethod
+    def linearized(
+        linearize_fn: Linearization,
+        n_constraints: int,
+        component_smoothness: Optional[Sequence[float]] = None,
+        component_weak_convexity: Optional[Sequence[float]] = None,
+        component_bounds: Optional[Sequence[float]] = None,
+    ) -> "ConstraintOracle":
+        """Oracle whose one callback ``linearize_fn(x)`` returns ``(c, jt)``,
+        c(x) and a function ``jt(v)`` = J(x)'v at the same x.
+
+        The callback keeps what c and J(x)' share (EV's ``B @ x``), so the
+        solver's AL gradient calls it once.  The public ``evaluate`` and
+        ``jacobian_transpose_apply`` are derived from it, one callback call
+        each, and every output is checked as for two callbacks.
+        """
+        oracle = ConstraintOracle(
+            evaluate_fn=lambda x: linearize_fn(x)[0],
+            jacobian_t_apply_fn=lambda x, v: linearize_fn(x)[1](v),
+            n_constraints=n_constraints,
+            component_smoothness=component_smoothness,
+            component_weak_convexity=component_weak_convexity,
+            component_bounds=component_bounds,
+        )
+        oracle._linearize_fn = linearize_fn
+        return oracle
 
     @staticmethod
     def affine(
@@ -307,6 +369,17 @@ class ConstraintOracle:
         )
         oracle.affine_data = (A, b)
         return oracle
+
+
+def _checked_product(out, x: Array) -> Array:
+    """A Jacobian-transpose product at ``x`` as float64, checked for shape
+    and finiteness."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != x.shape:
+        raise DimensionMismatch("Jacobian-transpose product dimension mismatch")
+    if not all_finite(out):
+        raise NonFiniteValue("Jacobian-transpose product overflowed")
+    return out
 
 
 def _affine_rows(A: Array, b: Array) -> tuple[Array, Array]:
@@ -336,7 +409,8 @@ class ConstantsLedger:
 
     def __post_init__(self):
         for name in ("B0", "B_c"):
-            if getattr(self, name) < 0:
+            # Written so that NaN fails.
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         object.__setattr__(self, "B_i", np.asarray(self.B_i, dtype=float))
 
@@ -426,7 +500,8 @@ def _equality_gradient(problem: ProblemSpec, y: Array, beta: float) -> Callable[
     The smooth gradient goes through ``SmoothOracle._gradient``, the one
     #Grad counter, once per call.  Rows of ``ConstraintOracle.affine`` are
     read from their data, and their products are not re-checked; callback
-    rows go through their output-checked private methods.
+    rows are linearized once per call through the output-checked
+    ``ConstraintOracle._linearize``.
     """
     if problem.constraints.affine_data is None:
         return _callback_rows_gradient(problem.smooth, problem.constraints, y, beta)
@@ -450,11 +525,11 @@ def _callback_rows_gradient(
     smooth: SmoothOracle, constraints: ConstraintOracle, y: Array, beta: float
 ) -> Callable[[Array], Array]:
     """x -> grad g(x) + J_c(x)'(y + beta c(x)), rows through callbacks."""
-    grad, evaluate, jac_t = smooth._gradient, constraints._evaluate, constraints._jac_t
+    grad, linearize = smooth._gradient, constraints._linearize
 
     def kernel(x: Array) -> Array:
-        c = evaluate(x)
-        return grad(x) + jac_t(x, y + beta * c)
+        c, jt = linearize(x)
+        return grad(x) + jt(y + beta * c)
 
     return kernel
 

@@ -53,7 +53,8 @@ class IneqConstants:
 
     def __post_init__(self):
         for name in ("B0", "B_f", "B_bar_c", "AtA_norm"):
-            if getattr(self, name) < 0:
+            # Written so that NaN fails.
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -119,15 +120,17 @@ def _hinge_gradient(
     """The hinge block's smooth AL gradient at fixed (y, z, beta):
     x -> grad g(x) + A'(y + beta (Ax - b)) + J_f(x)'[z + beta f(x)]_+, one
     closure per subproblem; the affine rows are read as data, the
-    inequality rows go through their output-checked callbacks."""
+    inequality rows are linearized once per call through the checked
+    ``ConstraintOracle._linearize``."""
     grad = problem.smooth._gradient
     if problem.n_eq:
         grad = _affine_rows_gradient(problem.smooth, problem.A, problem.b, y, beta)
-    evaluate, jac_t = problem.ineq._evaluate, problem.ineq._jac_t
+    linearize = problem.ineq._linearize
 
     def kernel(x: Array) -> Array:
         g = grad(x)
-        return g + jac_t(x, np.maximum(z + beta * evaluate(x), 0.0))
+        f, jt = linearize(x)
+        return g + jt(np.maximum(z + beta * f, 0.0))
 
     return kernel
 
@@ -326,7 +329,8 @@ def slack_reformulate(problem: IneqProblemSpec) -> SlackReformulation:
     # The slack smooth oracle calls the user's callables directly: its own
     # output check covers the concatenated gradient, and a solve on the slack
     # problem counts its #Grad on its own smooth oracle, never on
-    # ``problem``'s.  The constraint parts keep their shape checks, which the
+    # ``problem``'s.  The inequality part is linearized once per call through
+    # its checked ``_linearize``, which keeps the shape checks that the
     # concatenation would hide.
     g = problem.smooth
     g_value, g_gradient = g._value_fn, g._gradient_fn
@@ -339,22 +343,21 @@ def slack_reformulate(problem: IneqProblemSpec) -> SlackReformulation:
 
     smooth = SmoothOracle(value, gradient, g.L, g.rho)
 
-    def evaluate(xs):
+    def linearize(xs):
         x, s = xs[:n], xs[n:]
+        f, jt = ineq._linearize(x)
         eq = A @ x - b if l else np.zeros(0)
-        return np.concatenate([eq, ineq._evaluate(x) + s])
 
-    def jac_t_apply(xs, v):
-        x = xs[:n]
-        v_eq, v_in = v[:l], v[l:]
-        top = ineq._jac_t(x, v_in)
-        if l:
-            top = top + A.T @ v_eq
-        return np.concatenate([top, v_in])
+        def jt_full(v):
+            v_eq, v_in = v[:l], v[l:]
+            top = jt(v_in)
+            if l:
+                top = top + A.T @ v_eq
+            return np.concatenate([top, v_in])
 
-    constraints = ConstraintOracle(
-        evaluate_fn=evaluate, jacobian_t_apply_fn=jac_t_apply, n_constraints=l + m
-    )
+        return np.concatenate([eq, f + s]), jt_full
+
+    constraints = ConstraintOracle.linearized(linearize, n_constraints=l + m)
 
     nonsmooth = stacked(problem.nonsmooth, nonneg_indicator(), n)
     f0 = ineq.evaluate(problem.x0)

@@ -177,7 +177,8 @@ class EvInstance:
 
         No closed-form ledger exists (the domain is unbounded).  The solver
         measures both curvature estimates, starting APG's first subproblem
-        at ``smooth.L`` = 2 ||Q||.
+        at ``smooth.L`` = 2 ||Q||.  The constraint is linearized: one
+        ``B @ x`` serves both c(x) and J(x)'v.
         """
         Q, B = self.Q, self.B
         lam_min_Q, norm_Q = _spectrum(Q)
@@ -187,11 +188,12 @@ class EvInstance:
             smoothness=2.0 * norm_Q,
             weak_convexity=2.0 * max(0.0, -lam_min_Q),
         )
-        constraints = ConstraintOracle(
-            evaluate_fn=lambda x: np.array([float(x @ (B @ x)) - 1.0]),
-            jacobian_t_apply_fn=lambda x, v: (2.0 * v[0]) * (B @ x),
-            n_constraints=1,
-        )
+
+        def linearize(x):
+            Bx = B @ x
+            return np.array([float(x @ Bx) - 1.0]), lambda v: (2.0 * v[0]) * Bx
+
+        constraints = ConstraintOracle.linearized(linearize, n_constraints=1)
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=zero_function(),
@@ -239,7 +241,8 @@ class ClusteringInstance:
         """Build the ProblemSpec with its constants ledger.
 
         The solver measures both curvature estimates, starting APG's first
-        subproblem at ``smooth.L`` = 2 ||D||.
+        subproblem at ``smooth.L`` = 2 ||D||.  The constraints are
+        linearized: one column sum of X serves both c(x) and J(x)'v.
         """
         D = self.D
         n, r = D.shape[0], self.r
@@ -260,14 +263,10 @@ class ClusteringInstance:
             weak_convexity=2.0 * max(0.0, -lam_min_D),
         )
 
-        def evaluate(xflat):
-            X = xflat.reshape(n, r)
-            return X @ X.sum(axis=0) - 1.0
-
-        def jac_t_apply(xflat, v):
+        def linearize(xflat):
             X = xflat.reshape(n, r)
             col = X.sum(axis=0)
-            return (np.outer(v, col) + (X.T @ v)[None, :]).ravel()
+            return X @ col - 1.0, lambda v: (np.outer(v, col) + (X.T @ v)[None, :]).ravel()
 
         # Per-row constraint Hessian is (e_i 1' + 1 e_i') kron I_r.
         Ln = 1.0 + math.sqrt(n)
@@ -280,9 +279,8 @@ class ClusteringInstance:
             B_i=np.full(n, Bi),
             D=2.0 * s,
         )
-        constraints = ConstraintOracle(
-            evaluate_fn=evaluate,
-            jacobian_t_apply_fn=jac_t_apply,
+        constraints = ConstraintOracle.linearized(
+            linearize,
             n_constraints=n,
             component_smoothness=np.full(n, Ln),
             component_weak_convexity=np.full(n, rho_n),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from almkit.core import (
+    ConstantsLedger,
     ConstraintOracle,
     DimensionMismatch,
     KktResidual,
@@ -14,6 +15,7 @@ from almkit.core import (
     as_vector,
     kkt_residual,
 )
+from almkit.ialm import _EqualityBlock
 from almkit.problems import gen_lcqp
 from almkit.prox import BoxSet, project_box, zero_function
 from helpers import box_qp_problem, finite_difference_gradient, toy_eq_qp
@@ -295,3 +297,134 @@ class TestOutputFiniteness:
         assert np.array_equal(scalar.evaluate(x), [2.5])
         with pytest.raises(NonFiniteValue):
             ConstraintOracle(lambda x: np.nan, lambda x, v: x, 1).evaluate(x)
+
+
+def counted_linearized(value, product, n_constraints):
+    """Linearized oracle returning ``value(x)`` and v -> ``product(x, v)``,
+    with the calls into its callback and into jt counted in ``calls``."""
+    calls = {"linearize": 0, "jt": 0}
+
+    def linearize(x):
+        calls["linearize"] += 1
+
+        def jt(v):
+            calls["jt"] += 1
+            return product(x, v)
+
+        return value(x), jt
+
+    return ConstraintOracle.linearized(linearize, n_constraints), calls
+
+
+def quadratic_row(x):
+    """c(x) = x'x - 1, one row, whose Jacobian is 2x'."""
+    return np.array([float(x @ x) - 1.0])
+
+
+class TestLinearizedOracle:
+    def test_one_callback_call_per_al_gradient(self):
+        cons, calls = counted_linearized(quadratic_row, lambda x, v: 2.0 * v[0] * x, 1)
+        smooth = SmoothOracle(lambda x: 0.0, lambda x: x.copy(), 1.0)
+        problem = ProblemSpec(smooth, zero_function(), cons, None, np.ones(3))
+        kernel = _EqualityBlock(problem).subproblem(2.0)
+        calls.update(linearize=0, jt=0)  # the block read c(x0) once
+        x, y = np.array([0.5, -1.0, 2.0]), np.array([0.25])
+        for k in range(1, 4):
+            g = kernel(x)
+            assert calls == {"linearize": k, "jt": k}
+            assert smooth.grad_evals == k
+        assert g.tobytes() == (x + 2.0 * (2.0 * (quadratic_row(x)[0])) * x).tobytes()
+        public = al_gradient_smooth(x, y, 2.0, problem)
+        assert calls == {"linearize": 4, "jt": 4} and smooth.grad_evals == 4
+        c = quadratic_row(x)
+        assert public.tobytes() == (x + (2.0 * (y + 2.0 * c)[0]) * x).tobytes()
+
+    def test_public_methods_derive_from_the_callback(self):
+        cons, calls = counted_linearized(quadratic_row, lambda x, v: 2.0 * v[0] * x, 1)
+        x = np.array([1.0, 2.0])
+        assert np.array_equal(cons.evaluate(x), [4.0])
+        assert np.array_equal(cons.jacobian_transpose_apply(x, [0.5]), [1.0, 2.0])
+        assert calls == {"linearize": 2, "jt": 1}
+        assert cons.affine_data is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_or_product_raises(self, bad):
+        x = np.ones(3)
+        nan_value, _ = counted_linearized(lambda x: np.array([bad]), lambda x, v: x, 1)
+        with pytest.raises(NonFiniteValue, match="^constraint oracle overflowed$"):
+            nan_value._linearize(x)
+        with pytest.raises(NonFiniteValue, match="^constraint oracle overflowed$"):
+            nan_value.evaluate(x)
+        nan_product, _ = counted_linearized(quadratic_row, lambda x, v: np.full(3, bad), 1)
+        c, jt = nan_product._linearize(x)
+        assert np.array_equal(c, [2.0])
+        with pytest.raises(NonFiniteValue, match="^Jacobian-transpose product overflowed$"):
+            jt(np.ones(1))
+        with pytest.raises(NonFiniteValue, match="^Jacobian-transpose product overflowed$"):
+            nan_product.jacobian_transpose_apply(x, np.ones(1))
+        smooth = SmoothOracle(lambda x: 0.0, lambda x: x.copy(), 1.0)
+        problem = ProblemSpec(smooth, zero_function(), nan_product, None, x)
+        with pytest.raises(NonFiniteValue, match="^Jacobian-transpose product overflowed$"):
+            _EqualityBlock(problem).subproblem(1.0)(x)
+
+    def test_wrong_shapes_raise(self):
+        x = np.ones(3)
+        long_value, _ = counted_linearized(lambda x: np.zeros(2), lambda x, v: x, 1)
+        with pytest.raises(DimensionMismatch, match="^constraint value has shape"):
+            long_value._linearize(x)
+        short_product, _ = counted_linearized(quadratic_row, lambda x, v: x[:2], 1)
+        _, jt = short_product._linearize(x)
+        with pytest.raises(DimensionMismatch, match="^Jacobian-transpose product dimension"):
+            jt(np.ones(1))
+        with pytest.raises(DimensionMismatch):
+            short_product.jacobian_transpose_apply(x, np.ones(1))
+
+    def test_scalar_value_accepted_for_one_row(self):
+        cons, _ = counted_linearized(lambda x: 2.5, lambda x, v: v[0] * x, 1)
+        c, jt = cons._linearize(np.ones(3))
+        assert c.shape == (1,) and np.array_equal(c, [2.5])
+        assert np.array_equal(jt(np.array([2.0])), [2.0, 2.0, 2.0])
+        assert np.array_equal(cons.evaluate(np.ones(3)), [2.5])
+
+    def test_two_callback_oracle_linearizes_through_its_private_methods(self):
+        prob, _ = toy_eq_qp()
+        x, v = np.array([0.3, -1.2]), np.array([0.7])
+        c, jt = prob.constraints._linearize(x)
+        assert c.tobytes() == prob.constraints._evaluate(x).tobytes()
+        assert jt(v).tobytes() == prob.constraints._jac_t(x, v).tobytes()
+
+
+class TestConstantsRejectNaN:
+    """Each constructor rejects a NaN constant, which a ``< 0`` test lets
+    through."""
+
+    @pytest.mark.parametrize("field", ["smoothness", "weak_convexity"])
+    def test_smooth_oracle(self, field):
+        kwargs = {"smoothness": 1.0, "weak_convexity": 0.0, field: np.nan}
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            SmoothOracle(lambda x: 0.0, lambda x: x, **kwargs)
+
+    @pytest.mark.parametrize(
+        "field", ["component_smoothness", "component_weak_convexity", "component_bounds"]
+    )
+    def test_constraint_oracle_rows(self, field):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            ConstraintOracle(lambda x: x, lambda x, v: v, 2, **{field: [1.0, np.nan]})
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            ConstraintOracle.linearized(lambda x: (x, None), 2, **{field: [np.nan, 1.0]})
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    def test_constraint_oracle_jacobian_norm_bound(self, bad):
+        with pytest.raises(ValueError, match="^Jacobian norm bound must be nonnegative$"):
+            ConstraintOracle(lambda x: x, lambda x, v: v, 2, jacobian_norm_bound=bad)
+        assert ConstraintOracle(lambda x: x, lambda x, v: v, 2, jacobian_norm_bound=0.0)
+
+    def test_prox_diameter(self):
+        with pytest.raises(ValueError, match="^diameter must be positive"):
+            ProxCapableFunction(lambda v, t: v, lambda x: 0.0, diameter=np.nan)
+
+    @pytest.mark.parametrize("field", ["B0", "B_c"])
+    def test_constants_ledger(self, field):
+        kwargs = {"B0": 1.0, "B_c": 1.0, "B_i": np.ones(2), "D": 1.0, field: np.nan}
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
+            ConstantsLedger(**kwargs)

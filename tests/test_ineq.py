@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from almkit.core import ConstraintOracle, NonFiniteValue, SmoothOracle
+from almkit.ialm import _EqualityBlock
 from almkit.ialm import IalmConfig, PracticalDual, TheoreticalDual, ialm_solve
 from almkit.ineq import (
     IneqConstants,
@@ -69,6 +70,84 @@ def two_constraint_problem():
         rho0=0.0,
         x0=np.zeros(2),
     )
+
+
+def linearized_twin(problem):
+    """``problem`` with its inequality oracle rebuilt as one linearizing
+    callback over the same two callbacks, and the calls into it counted."""
+    two = problem.ineq
+    calls = [0]
+
+    def linearize(x):
+        calls[0] += 1
+        return two._evaluate_fn(x), lambda v: two._jac_t_fn(x, v)
+
+    ineq = ConstraintOracle.linearized(
+        linearize,
+        two.n_constraints,
+        component_smoothness=two.component_smoothness,
+        component_weak_convexity=two.component_weak_convexity,
+        component_bounds=two.component_bounds,
+    )
+    return dataclasses.replace(problem, ineq=ineq), calls
+
+
+class TestLinearizedInequalities:
+    """A linearized inequality oracle gives the hinge block and the slack
+    bridge the same gradients, bit for bit, as its two-callback twin, with
+    one call into its callback per gradient."""
+
+    @pytest.mark.parametrize("make", [hinge_scalar_problem, two_constraint_problem])
+    def test_hinge_gradient_equals_the_two_callback_twin(self, make):
+        two = make()
+        lin, calls = linearized_twin(two)
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            x = rng.uniform(-2.0, 2.0, two.dim)
+            y = rng.standard_normal(two.n_eq)
+            z = np.abs(rng.standard_normal(two.n_ineq))
+            beta = float(10.0 ** rng.uniform(-1, 1))
+            kernels = []
+            for problem in (lin, two):
+                block = _HingeBlock(problem)
+                block.y, block.z = y, z
+                kernels.append(block.subproblem(beta))
+            before = calls[0]
+            assert kernels[0](x).tobytes() == kernels[1](x).tobytes()
+            assert calls[0] == before + 1
+            public = al_ineq_gradient_smooth(x, y, z, beta, lin)
+            assert public.tobytes() == al_ineq_gradient_smooth(x, y, z, beta, two).tobytes()
+
+    def test_slack_bridge_gradient_equals_the_two_callback_twin(self):
+        two = two_constraint_problem()
+        lin, calls = linearized_twin(two)
+        slack_lin, slack_two = slack_reformulate(lin).problem, slack_reformulate(two).problem
+        rng = np.random.default_rng(4)
+        for _ in range(6):
+            xs = rng.uniform(-2.0, 2.0, slack_two.dim)
+            y = rng.standard_normal(slack_two.constraints.n_constraints)
+            beta = float(10.0 ** rng.uniform(-1, 1))
+            kernels = []
+            for problem in (slack_lin, slack_two):
+                block = _EqualityBlock(problem)
+                block.y = y
+                kernels.append(block.subproblem(beta))
+            before = calls[0]
+            assert kernels[0](xs).tobytes() == kernels[1](xs).tobytes()
+            assert calls[0] == before + 1
+            c = slack_lin.constraints.evaluate(xs)
+            assert c.tobytes() == slack_two.constraints.evaluate(xs).tobytes()
+            v = rng.standard_normal(y.shape[0])
+            jt = slack_lin.constraints.jacobian_transpose_apply(xs, v)
+            assert jt.tobytes() == slack_two.constraints.jacobian_transpose_apply(xs, v).tobytes()
+
+
+class TestIneqConstants:
+    @pytest.mark.parametrize("field", ["B0", "B_f", "B_bar_c", "AtA_norm"])
+    def test_nan_constant_rejected(self, field):
+        kwargs = {"B0": 1.0, "B_f": 1.0, "B_bar_c": 1.0, "AtA_norm": 1.0, "D": 1.0, field: np.nan}
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
+            IneqConstants(**kwargs)
 
 
 class TestIneqProblemSpec:

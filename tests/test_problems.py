@@ -299,3 +299,36 @@ class TestInstanceSerialization:
         inst = gen_lcqp(2, 4, 1.0, seed=0)
         data = instance_to_dict(inst)
         assert data["A"][0] == inst.A[0].tolist()
+
+
+class TestLinearizedConstraints:
+    """EV and clustering build their constraints with one linearizing
+    callback; its public value and product equal the two former callbacks
+    bit for bit."""
+
+    def test_ev_matches_the_two_callbacks(self):
+        inst = gen_ev(30, 2)
+        cons, B = inst.to_problem().constraints, inst.B
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            x, v = rng.standard_normal(30), rng.standard_normal(1)
+            old_c = np.array([float(x @ (B @ x)) - 1.0])
+            old_jt = (2.0 * v[0]) * (B @ x)
+            assert cons.evaluate(x).tobytes() == old_c.tobytes()
+            assert cons.jacobian_transpose_apply(x, v).tobytes() == old_jt.tobytes()
+            c, jt = cons._linearize(x)
+            assert c.tobytes() == old_c.tobytes() and jt(v).tobytes() == old_jt.tobytes()
+
+    def test_clustering_matches_the_two_callbacks(self):
+        rng = np.random.default_rng(9)
+        n, r = 7, 3
+        cons = gen_clustering(rng.standard_normal((n, 2)), r=r, s=5.0).to_problem().constraints
+        for _ in range(5):
+            x, v = np.abs(rng.standard_normal(n * r)), rng.standard_normal(n)
+            X = x.reshape(n, r)
+            old_c = X @ X.sum(axis=0) - 1.0
+            old_jt = (np.outer(v, X.sum(axis=0)) + (X.T @ v)[None, :]).ravel()
+            assert cons.evaluate(x).tobytes() == old_c.tobytes()
+            assert cons.jacobian_transpose_apply(x, v).tobytes() == old_jt.tobytes()
+            c, jt = cons._linearize(x)
+            assert c.tobytes() == old_c.tobytes() and jt(v).tobytes() == old_jt.tobytes()
