@@ -140,7 +140,8 @@ def apg_solve(
     L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
     if not (0 < mu <= L_G and math.isfinite(L)):
         raise ValueError(f"need 0 < mu <= L_G and a finite start, got {mu=}, {L_G=}, {L_init=}")
-    if eps <= 0 or max_iter < 1:
+    # Written so that NaN fails.
+    if not (eps > 0 and max_iter >= 1):
         raise ValueError("eps and max_iter must be positive")
     x_init = as_vector(x_init, name="x_init")
     if not math.isfinite(H.value(x_init)):

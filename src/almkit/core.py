@@ -9,39 +9,36 @@ and c is a smooth vector map.  This module provides the oracle types, the
 constants ledger the diagnostics read, augmented-Lagrangian evaluation, and
 KKT residual measurement.
 
-All vectors are dense float64.  Validation happens at three places only,
-so oracle bugs fail fast without re-checking what the solver computed
-itself:
+All vectors are dense float64.  Inputs are checked at the entry points
+(the public oracle methods, ``al_*``, ``kkt_residual``, and the solver
+entry points: shape and finiteness); the inner solvers (``ippm_solve``,
+``apg_solve``) take plain gradient callables and check only their start
+point.  Past an entry point, every call into a user callable checks its
+output through the oracle's private method (``SmoothOracle._gradient``,
+``ConstraintOracle._linearize``, ``ProxCapableFunction._prox``,
+``ProxCapableFunction._subdiff``), which the public method wraps after
+``as_vector`` and which the AL gradient and the KKT certificates call
+directly, on points they have validated once.
 
-* entry points (the public oracle methods, ``al_*``, ``kkt_residual``, and
-  the solver entry points) check shape and finiteness of their inputs; the
-  inner solvers (``ippm_solve``, ``apg_solve``) take plain gradient
-  callables and check only their start point;
-* every call into a user callable checks its output, through the oracle's
-  private method (``SmoothOracle._gradient``, ``ConstraintOracle._evaluate``,
-  ``ConstraintOracle._linearize``, ``ProxCapableFunction._prox``, ...), which
-  the public method wraps after ``as_vector`` and which the solver's hot
-  path calls directly;
-* affine rows held as data (``ConstraintOracle.affine`` and the hinge
-  problem's ``A``, ``b``) are checked when the oracle or problem is built;
-  ``IneqProblemSpec.for_solve`` builds a copy, which checks them again.
-  Their products in the AL gradient are computed by the solver and not
-  re-checked.
+Constraint rows have three constructors feeding one checked path.  Each
+``ConstraintOracle`` holds one callback x -> (c(x), v -> J(x)'v):
 
-Constraint rows come in three shapes:
+* ``ConstraintOracle.affine(A, b)`` builds it from rows kept as data;
+* ``ConstraintOracle.linearized(fn)`` stores ``fn``, which keeps what c and
+  J(x)' share (EV's ``B @ x``) so it is computed once;
+* ``ConstraintOracle(evaluate_fn, jacobian_t_apply_fn)`` pairs its two
+  callbacks.
 
-* rows as data, ``ConstraintOracle.affine(A, b)``;
-* one linearizing callback, ``ConstraintOracle.linearized(fn)``, where
-  ``fn(x)`` returns c(x) and a function v -> J(x)'v at the same x, so the
-  work the two share (EV's ``B @ x``) is done once;
-* two callbacks, ``ConstraintOracle(evaluate_fn, jacobian_t_apply_fn)``.
-
-Each subproblem's smooth AL gradient is one closure, built once per
-subproblem for its fixed multipliers and beta: the smooth gradient through
-``SmoothOracle._gradient``, affine rows straight from their data, and
-callback rows of either shape through one call of the checked
-``ConstraintOracle._linearize``, whose value and product are checked as
-the public ``evaluate`` and ``jacobian_transpose_apply`` check them.
+``ConstraintOracle._linearize`` calls it and checks c(x) and each product,
+and every reader of callback rows goes through it once per point, reusing
+the product for every multiplier at that point: the AL gradient, the
+certificates of both blocks (and the equality block's running-multiplier
+dual residual), ``al_value`` and the regularity diagnostics.  The one
+exception is affine data (``ConstraintOracle.affine`` and the hinge
+problem's ``A``, ``b``), checked once when the oracle or problem is built
+(``IneqProblemSpec.for_solve`` builds a copy, which checks them again),
+from which each subproblem's smooth AL gradient computes the affine
+products itself, without re-checking them.
 
 A vector's finiteness is checked through one dot product (``all_finite``):
 a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
@@ -119,10 +116,13 @@ class SmoothOracle:
     value_fn, gradient_fn:
         Callables evaluating the function and its gradient.
     smoothness:
-        Gradient Lipschitz constant L (an estimate is fine: the solver only
-        starts its adaptive curvature estimate there).
+        Gradient Lipschitz constant L (an estimate is fine).  ``L`` is the
+        one constant the solver reads: the first subproblem's APG starts
+        its adaptive curvature estimate there.
     weak_convexity:
-        Constant rho >= 0 such that the function plus (rho/2)||.||^2 is convex.
+        Constant rho >= 0 such that the function plus (rho/2)||.||^2 is
+        convex.  Recorded as ``rho`` but read by no solver code: iPPM
+        measures the weak convexity itself.
 
     ``grad_evals`` is the #Grad count: every call into the gradient callable
     adds one, whether it serves an augmented Lagrangian gradient or a KKT
@@ -237,16 +237,21 @@ Linearization = Callable[[Array], tuple[Array, Callable[[Array], Array]]]
 class ConstraintOracle:
     """Smooth vector map c with matrix-free Jacobian-transpose products.
 
-    Rows come in one of three shapes, and the solver checks every user
-    output of each: rows as data (``affine``), one linearizing callback
-    (``linearized``), or two callbacks (``evaluate_fn`` and
-    ``jacobian_t_apply_fn``, this constructor).  ``affine_data`` is
-    ``(A, b)`` for an oracle built by ``affine``, whose rows the solver
-    reads as data, and None for callback rows.
+    The oracle holds one callback x -> (c(x), v -> J(x)'v), which each of
+    its three constructors builds from its input: two callbacks
+    (``evaluate_fn`` and ``jacobian_t_apply_fn``, this constructor), one
+    linearizing callback (``linearized``) or rows as data (``affine``).
+    ``_linearize`` checks every output of it.  ``affine_data`` is ``(A, b)``
+    for an oracle built by ``affine``, whose rows the AL gradient reads as
+    data, and None for callback rows.
+
+    The per-row constants are recorded, not used to solve:
+    ``component_smoothness`` and ``component_weak_convexity`` are read by
+    no solver code, and ``component_bounds`` and ``jacobian_norm_bound``
+    only feed the constants ledger the diagnostics read.
     """
 
     affine_data: Optional[tuple[Array, Array]] = None
-    _linearize_fn: Optional[Linearization] = None
 
     def __init__(
         self,
@@ -258,8 +263,7 @@ class ConstraintOracle:
         component_bounds: Optional[Sequence[float]] = None,
         jacobian_norm_bound: Optional[float] = None,
     ):
-        self._evaluate_fn = evaluate_fn
-        self._jac_t_fn = jacobian_t_apply_fn
+        self._linearize_fn = lambda x: (evaluate_fn(x), functools.partial(jacobian_t_apply_fn, x))
         self.n_constraints = int(n_constraints)
         if self.n_constraints < 0:
             raise ValueError("constraint count must be nonnegative")
@@ -286,12 +290,21 @@ class ConstraintOracle:
             raise ValueError("Jacobian norm bound must be nonnegative")
 
     def evaluate(self, x: Array) -> Array:
-        return self._evaluate(as_vector(x))
+        return self._linearize(as_vector(x))[0]
 
-    def _evaluate(self, x: Array) -> Array:
-        return self._checked_value(self._evaluate_fn(x))
+    def jacobian_transpose_apply(self, x: Array, v: Array) -> Array:
+        """J(x)'v; only the product is checked, not the c(x) the callback
+        returns alongside it."""
+        x = as_vector(x)
+        v = as_vector(v, self.n_constraints, "v")
+        return _checked_product(self._linearize_fn(x)[1](v), x)
 
-    def _checked_value(self, c) -> Array:
+    def _linearize(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
+        """(c(x), v -> J(x)'v) at the validated ``x``, from one callback
+        call, with c(x) checked now and each product when it is taken: the
+        one entry to callback rows for the solver, the certificates and the
+        diagnostics."""
+        c, jt = self._linearize_fn(x)
         c = np.asarray(c, dtype=float)
         if c.ndim == 0:
             c = c.reshape(1)
@@ -301,23 +314,7 @@ class ConstraintOracle:
             )
         if not all_finite(c):
             raise NonFiniteValue("constraint oracle overflowed")
-        return c
-
-    def jacobian_transpose_apply(self, x: Array, v: Array) -> Array:
-        return self._jac_t(as_vector(x), as_vector(v, self.n_constraints, "v"))
-
-    def _jac_t(self, x: Array, v: Array) -> Array:
-        return _checked_product(self._jac_t_fn(x, v), x)
-
-    def _linearize(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
-        """(c(x), v -> J(x)'v) at the validated ``x``, both outputs checked
-        as ``_evaluate`` and ``_jac_t`` check them: the solver's one entry
-        to callback rows.  A linearized oracle calls its callback once; a
-        two-callback oracle evaluates c now and defers the product."""
-        if self._linearize_fn is None:
-            return self._evaluate(x), functools.partial(self._jac_t, x)
-        c, jt = self._linearize_fn(x)
-        return self._checked_value(c), lambda v: _checked_product(jt(v), x)
+        return c, lambda v: _checked_product(jt(v), x)
 
     @staticmethod
     def linearized(
@@ -330,14 +327,13 @@ class ConstraintOracle:
         """Oracle whose one callback ``linearize_fn(x)`` returns ``(c, jt)``,
         c(x) and a function ``jt(v)`` = J(x)'v at the same x.
 
-        The callback keeps what c and J(x)' share (EV's ``B @ x``), so the
-        solver's AL gradient calls it once.  The public ``evaluate`` and
-        ``jacobian_transpose_apply`` are derived from it, one callback call
-        each, and every output is checked as for two callbacks.
+        The callback keeps what c and J(x)' share (EV's ``B @ x``), so each
+        AL gradient and each certificate calls it once.  The public
+        ``evaluate`` and ``jacobian_transpose_apply`` call it once each.
         """
         oracle = ConstraintOracle(
-            evaluate_fn=lambda x: linearize_fn(x)[0],
-            jacobian_t_apply_fn=lambda x, v: linearize_fn(x)[1](v),
+            None,
+            None,
             n_constraints=n_constraints,
             component_smoothness=component_smoothness,
             component_weak_convexity=component_weak_convexity,
@@ -353,8 +349,10 @@ class ConstraintOracle:
         """Oracle for c(x) = A x - b whose rows are kept as data.
 
         ``A`` and ``b`` are checked once, here; the solver's AL gradient
-        then computes A'(y + beta (Ax - b)) from them without callbacks.
-        ``jacobian_norm_bound`` is ||A||_2; per-row bounds are the caller's.
+        then computes A'(y + beta (Ax - b)) from them without callbacks,
+        and every other reader linearizes (A x - b, v -> A'v) from the
+        same data.  ``jacobian_norm_bound`` is ||A||_2; per-row bounds are
+        the caller's.
         """
         A, b = _affine_rows(A, b)
         m = A.shape[0]
@@ -537,7 +535,7 @@ def _callback_rows_gradient(
 def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
     """Augmented Lagrangian g(x) + h(x) + y'c(x) + (beta/2)||c(x)||^2."""
     x, y = _check_al_inputs(x, y, beta, problem)
-    c = problem.constraints._evaluate(x)
+    c = problem.constraints._linearize(x)[0]
     val = (
         problem.smooth._value(x)
         + float(y @ c)
@@ -562,8 +560,9 @@ def dual_residual(
     h: ProxCapableFunction,
     L: float,
 ) -> tuple[float, bool]:
-    """dist(0, v + subdiff h(x)) for v = lagrangian_gradient(x), and whether
-    the value is a certified upper bound rather than exact.
+    """dist(0, v + subdiff h(x)) for v = lagrangian_gradient(x) at the
+    validated ``x``, and whether the value is a certified upper bound rather
+    than exact.
 
     Uses h's exact subdifferential distance when available.  Otherwise it
     bounds the distance by ||v|| for cone-subdifferential terms (zero always
@@ -571,23 +570,23 @@ def dual_residual(
     which certifies the prox-forward point of x with step 1/max(L, 1) and is
     the only case that calls ``lagrangian_gradient``.
     """
-    exact = h.subdiff_distance(x, -v)
-    if exact is not None:
-        return exact, False
+    if h.has_exact_subdiff:
+        return h._subdiff(x, -v), False
     if h.cone_subdiff:
         return float(np.linalg.norm(v)), True
     L = max(L, 1.0)
-    x_fwd = h.prox(x - v / L, 1.0 / L)
+    x_fwd = h._prox(x - v / L, 1.0 / L)
     return float(np.linalg.norm(lagrangian_gradient(x_fwd) - v + L * (x - x_fwd))), True
 
 
-def _equality_kkt(x: Array, y: Array, problem: ProblemSpec, c: Array, g: Array) -> KktResidual:
-    """``kkt_residual`` at validated (x, y), given c(x) and grad g(x)."""
-    J_t = problem.constraints.jacobian_transpose_apply
+def _equality_kkt(x, y, problem: ProblemSpec, c, jt, g) -> KktResidual:
+    """``kkt_residual`` at validated (x, y), given the linearization
+    (c(x), jt) and grad g(x) at x; the prox surrogate alone linearizes
+    again, at its prox-forward point."""
     dres, flagged = dual_residual(
         x,
-        g + J_t(x, y),
-        lambda u: problem.smooth.gradient(u) + J_t(u, y),
+        g + jt(y),
+        lambda u: problem.smooth._gradient(u) + problem.constraints._linearize(u)[1](y),
         problem.nonsmooth,
         problem.smooth.L,
     )
@@ -599,4 +598,5 @@ def kkt_residual(x: Array, y: Array, problem: ProblemSpec) -> KktResidual:
     with the dual distance measured by ``dual_residual``."""
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
-    return _equality_kkt(x, y, problem, problem.constraints.evaluate(x), problem.smooth.gradient(x))
+    c, jt = problem.constraints._linearize(x)
+    return _equality_kkt(x, y, problem, c, jt, problem.smooth._gradient(x))

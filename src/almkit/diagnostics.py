@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import ProblemSpec
+from .core import ProblemSpec, as_vector
 from .ialm import LOG2_SQ, SolveReport
 
 # Iterates closer to feasibility than this have no meaningful ratio.
@@ -47,7 +47,9 @@ def estimate_regularity_v(
 
     Requires the nonsmooth term's subdifferential to be a cone with an exact
     distance oracle (indicators of simple sets, or the zero function), which
-    makes the right-hand side independent of the penalty scale.
+    makes the right-hand side independent of the penalty scale.  Each
+    iterate is linearized once, through the checked
+    ``ConstraintOracle._linearize``.
     """
     h = problem.nonsmooth
     if not (h.cone_subdiff and h.has_exact_subdiff):
@@ -60,13 +62,13 @@ def estimate_regularity_v(
     values = []
     finite = []
     for x, _beta_prev in trajectory:
-        c = problem.constraints.evaluate(x)
+        x = as_vector(x, problem.dim, "x")
+        c, jt = problem.constraints._linearize(x)
         c_norm = float(np.linalg.norm(c))
         if c_norm < _FEASIBLE_ATOL:
             values.append(None)
             continue
-        w = problem.constraints.jacobian_transpose_apply(x, c)
-        v_hat = h.subdiff_distance(x, -w) / c_norm
+        v_hat = h._subdiff(x, -jt(c)) / c_norm
         values.append(v_hat)
         finite.append(v_hat)
     return RegularityTrace(

@@ -46,6 +46,7 @@ the two estimates; without it both run uncapped.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -82,7 +83,8 @@ class TheoreticalDual:
     w0: float = 1.0
 
     def __post_init__(self):
-        if self.w0 <= 0:
+        # Written so that NaN fails.
+        if not self.w0 > 0:
             raise ValueError("w0 must be positive")
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
@@ -105,9 +107,10 @@ class PowerGrowthDual:
     q: int = 0
 
     def __post_init__(self):
-        if self.M <= 0:
+        # Written so that NaN fails.
+        if not self.M > 0:
             raise ValueError("M must be positive")
-        if self.q < 0 or int(self.q) != self.q:
+        if not (self.q >= 0 and float(self.q).is_integer()):
             raise ValueError("q must be a nonnegative integer")
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
@@ -181,16 +184,16 @@ class IalmConfig:
     curvature_override: Optional[CurvatureSchedule] = None
 
     def __post_init__(self):
-        if self.beta0 <= 0:
+        # Written so that NaN fails.
+        if not self.beta0 > 0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
-        if self.sigma <= 1:
+        if not self.sigma > 1:
             raise ValueError(f"sigma must exceed 1, got {self.sigma}")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError(
-                f"iteration limits must be positive, got {self.max_outer} and {self.max_inner}"
-            )
+        limits = (self.max_outer, self.max_inner)
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in limits):
+            raise ValueError(f"iteration limits must be positive integers, got {limits}")
 
 
 @dataclass(frozen=True)
@@ -384,14 +387,14 @@ class _EqualityBlock:
         return _equality_gradient(self.problem, self.y, beta)
 
     def certify(self, x, beta):
-        # c(x) and grad g(x) once per outer iteration: they serve the
-        # certificate, the dual update and the running multiplier's dres.
+        # One linearization and grad g(x) per outer iteration: they serve
+        # the certificate, the dual update and the running multiplier's dres.
         problem = self.problem
-        self.c = problem.constraints.evaluate(x)
-        self.g = problem.smooth.gradient(x)
+        self.c, self.jt = problem.constraints._linearize(x)
+        self.g = problem.smooth._gradient(x)
         self.c_norm = float(np.linalg.norm(self.c))
         self.y_cert = self.y + beta * self.c
-        return _equality_kkt(x, self.y_cert, problem, self.c, self.g)
+        return _equality_kkt(x, self.y_cert, problem, self.c, self.jt, self.g)
 
     def dual_update(self, policy, k, gamma_k, beta) -> float:
         w = dual_step_size(policy, k, self.c_norm, gamma_k)
@@ -400,7 +403,8 @@ class _EqualityBlock:
         return w
 
     def record_fields(self, x, kkt) -> dict:
-        return {"dres_running": _equality_kkt(x, self.y, self.problem, self.c, self.g).dres}
+        running = _equality_kkt(x, self.y, self.problem, self.c, self.jt, self.g)
+        return {"dres_running": running.dres}
 
 
 def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:

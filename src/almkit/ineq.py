@@ -139,7 +139,7 @@ def al_ineq_value(x: Array, y: Array, z: Array, beta: float, problem: IneqProble
     """Hinge-penalized augmented Lagrangian value (includes the h term)."""
     x, y, z = _check_ineq_inputs(x, y, z, beta, problem)
     r = problem.A @ x - problem.b
-    f = problem.ineq._evaluate(x)
+    f = problem.ineq._linearize(x)[0]
     hinge = np.maximum(z + beta * f, 0.0)
     val = (
         problem.smooth._value(x)
@@ -162,17 +162,23 @@ def al_ineq_gradient_smooth(
     return _hinge_gradient(problem, y, z, beta)(x)
 
 
-def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r: Array, f: Array) -> KktResidual:
-    """``kkt_residual_ineq`` at validated (x, y, z), given Ax-b and f(x)."""
+def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r, f, jt) -> KktResidual:
+    """``kkt_residual_ineq`` at validated (x, y, z), given Ax-b and the
+    linearization (f(x), jt) at x; the prox surrogate alone linearizes
+    again, at its prox-forward point."""
     pres_eq = float(np.linalg.norm(r))
     pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
 
-    def lagrangian_gradient(u):
-        v = problem.smooth.gradient(u) + problem.ineq.jacobian_transpose_apply(u, z)
+    def lagrangian_gradient(g, product):
+        v = g + product(z)
         return v + problem.A.T @ y if problem.n_eq else v
 
     dres, flagged = dual_residual(
-        x, lagrangian_gradient(x), lagrangian_gradient, problem.nonsmooth, problem.smooth.L
+        x,
+        lagrangian_gradient(problem.smooth._gradient(x), jt),
+        lambda u: lagrangian_gradient(problem.smooth._gradient(u), problem.ineq._linearize(u)[1]),
+        problem.nonsmooth,
+        problem.smooth.L,
     )
     return KktResidual(
         pres=float(math.hypot(pres_eq, pres_ineq)),
@@ -189,7 +195,8 @@ def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) ->
     and its two parts, the complementarity residual, and the dual residual,
     measured by ``dual_residual``."""
     x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
-    return _hinge_kkt(x, y, z, problem, problem.A @ x - problem.b, problem.ineq.evaluate(x))
+    f, jt = problem.ineq._linearize(x)
+    return _hinge_kkt(x, y, z, problem, problem.A @ x - problem.b, f, jt)
 
 
 def ineq_dual_step_size(policy, k: int, max_res: float, gamma_k: float, beta: float) -> float:
@@ -234,10 +241,10 @@ class _HingeBlock:
     def certify(self, x, beta):
         problem = self.problem
         self.r = problem.A @ x - problem.b
-        self.f = problem.ineq.evaluate(x)
+        self.f, jt = problem.ineq._linearize(x)
         self.y_cert = self.y + beta * self.r
         self.z_cert = np.maximum(self.z + beta * self.f, 0.0)
-        self.kkt = _hinge_kkt(x, self.y_cert, self.z_cert, problem, self.r, self.f)
+        self.kkt = _hinge_kkt(x, self.y_cert, self.z_cert, problem, self.r, self.f, jt)
         return self.kkt
 
     def dual_update(self, policy, k, gamma_k, beta) -> float:
@@ -303,8 +310,8 @@ class SlackReformulation:
     def translate(self, x_full: Array, y_full: Array, ineq: ConstraintOracle) -> SlackCertificate:
         n, m = self.n_original, self.n_ineq
         x_full = as_vector(x_full, n + m, "x_full")
+        y_full = as_vector(y_full, self.problem.constraints.n_constraints, "y_full")
         l = y_full.shape[0] - m
-        y_full = as_vector(y_full, l + m, "y_full")
         x, s = x_full[:n], x_full[n:]
         y_eq, z_raw = y_full[:l], y_full[l:]
         z_hat = np.maximum(z_raw, 0.0)

@@ -139,7 +139,8 @@ def ippm_solve(
     Raises SubsolverStall when an inner APG call stops on its stall guard
     (bounded domains) or exhausts ``max_inner``, at any rho.
     """
-    if rho <= 0 or L_phi <= 0 or eps <= 0:
+    # Written so that NaN fails; L_phi = inf (no cap) passes.
+    if not (rho > 0 and L_phi > 0 and eps > 0):
         raise ValueError("rho, L_phi, eps must be positive")
     x0 = as_vector(x0, name="x0")
     if not math.isfinite(psi.value(x0)):

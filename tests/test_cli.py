@@ -94,6 +94,8 @@ class TestBenchCampaign:
         (["bench-lcqp", *TINY, "--seeds", ","], "','"),
         (["bench-lcqp", *TINY, "--seeds", "1,1"], "[1, 1]"),
         (["bench-lcqp", *TINY, "--eps", "-1"], "-1"),
+        (["bench-lcqp", "--eps", "nan"], "eps must be positive, got nan"),
+        (["bench-lcqp", *TINY, "--max-outer", "0"], "got (0, 1000000)"),
         (["bench-lcqp", *TINY, "--sigma", "0.5"], "0.5"),
         (["bench-lcqp", *TINY, "--jobs", "0"], "got 0"),
         (["solve", "CONFIG"], '"experiment"'),

@@ -387,11 +387,15 @@ class TestLinearizedOracle:
         assert np.array_equal(cons.evaluate(np.ones(3)), [2.5])
 
     def test_two_callback_oracle_linearizes_through_its_private_methods(self):
+        # The pair is wrapped into the one callback; _linearize and the
+        # public methods all return what the two callbacks return.
         prob, _ = toy_eq_qp()
+        A, b = np.array([[1.0, 1.0]]), np.zeros(1)
         x, v = np.array([0.3, -1.2]), np.array([0.7])
         c, jt = prob.constraints._linearize(x)
-        assert c.tobytes() == prob.constraints._evaluate(x).tobytes()
-        assert jt(v).tobytes() == prob.constraints._jac_t(x, v).tobytes()
+        assert c.tobytes() == prob.constraints.evaluate(x).tobytes() == (A @ x - b).tobytes()
+        product = prob.constraints.jacobian_transpose_apply(x, v)
+        assert jt(v).tobytes() == product.tobytes() == (A.T @ v).tobytes()
 
 
 class TestConstantsRejectNaN:

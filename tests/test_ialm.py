@@ -6,6 +6,7 @@ import pytest
 
 import almkit.ialm
 import almkit.ippm
+from almkit.apg import apg_solve
 from almkit.core import (
     ConstraintOracle,
     NonFiniteValue,
@@ -13,7 +14,12 @@ from almkit.core import (
     al_gradient_smooth,
     kkt_residual,
 )
-from almkit.diagnostics import check_feasibility_decay, dual_norm_bound
+from almkit.diagnostics import (
+    check_feasibility_decay,
+    dual_norm_bound,
+    estimate_regularity_v,
+    trajectory_from_report,
+)
 from almkit.ialm import (
     RHO_FLOOR,
     IalmConfig,
@@ -25,12 +31,12 @@ from almkit.ialm import (
     gamma_schedule,
     ialm_solve,
 )
-from almkit.ineq import _HingeBlock, al_ineq_gradient_smooth, ialm_ineq_solve
+from almkit.ineq import _HingeBlock, al_ineq_gradient_smooth, ialm_ineq_solve, kkt_residual_ineq
 from almkit.ippm import SubsolverStall, ippm_solve
 from almkit.problems import gen_clustering, gen_ev, gen_lcqp
 from almkit.prox import zero_function
 from helpers import box_qp_problem, toy_eq_qp, toy_ineq_qp
-from test_ineq import two_constraint_problem
+from test_ineq import linearized_twin, two_constraint_problem
 from almkit.prox import BoxSet
 
 
@@ -69,6 +75,40 @@ class TestDualStepSize:
             TheoreticalDual(w0=0.0)
         with pytest.raises(ValueError):
             PowerGrowthDual(M=-1.0, q=0)
+
+
+def inner_call(solver, *params):
+    """``solver`` on a 2-D zero-function problem whose gradient must not be
+    called, with the given positional parameters."""
+
+    def never_called(x):
+        raise AssertionError("gradient called")
+
+    return lambda: solver(never_called, zero_function(), np.zeros(2), *params)
+
+
+# Each builds a solver object, or calls an inner solver, with one NaN or
+# fractional parameter, which a "<= 0" test or a later range() let through.
+BAD_PARAMETERS = {
+    "eps": lambda: IalmConfig(eps=math.nan),
+    "beta0": lambda: IalmConfig(beta0=math.nan),
+    "sigma": lambda: IalmConfig(sigma=math.nan),
+    "max_outer": lambda: IalmConfig(max_outer=2.5),
+    "max_inner": lambda: IalmConfig(max_inner=1e6),
+    "w0": lambda: TheoreticalDual(w0=math.nan),
+    "M": lambda: PowerGrowthDual(M=math.nan),
+    "q": lambda: PowerGrowthDual(q=math.nan),
+    "ippm_eps": inner_call(ippm_solve, 1.0, 1.0, math.nan),
+    "ippm_rho": inner_call(ippm_solve, math.nan, 1.0, 1.0),
+    "ippm_L_phi": inner_call(ippm_solve, 1.0, math.nan, 1.0),
+    "apg_eps": inner_call(apg_solve, 1.0, 1.0, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PARAMETERS))
+def test_nan_or_fractional_solver_parameter_rejected(name):
+    with pytest.raises(ValueError, match="must be positive|must exceed 1|nonnegative integer"):
+        BAD_PARAMETERS[name]()
 
 
 class TestIalmSolve:
@@ -359,12 +399,10 @@ class TestSharedOuterLoop:
         assert 50 <= calls[0] < 100
 
     def test_public_gradient_calls_are_certificate_calls_only(self, block, monkeypatch):
-        # The solver's own gradients go through the oracles' private,
-        # output-checked methods; only certificates use the public
-        # SmoothOracle.gradient, once per record for either block (the
-        # equality block's running-multiplier dres shares the certificate's
-        # gradient).  Each certificate also evaluates the constraints once,
-        # and the damping scale once more at x0.
+        # The solver's gradients and certificates go through the oracles'
+        # private, output-checked methods, so no public SmoothOracle.gradient
+        # is called; the public ConstraintOracle.evaluate reads the damping
+        # scale once, at x0.
         make, solve = SOLVERS[block]
         public = {"gradient": 0, "evaluate": 0}
 
@@ -381,8 +419,70 @@ class TestSharedOuterLoop:
         counting(ConstraintOracle, "evaluate")
         rep = solve(make(), IalmConfig())
         assert rep.success
-        assert public["gradient"] <= len(rep.records)
-        assert public["evaluate"] <= len(rep.records) + 1
+        assert public == {"gradient": 0, "evaluate": 1}
+
+
+def counted_ev(n=12, seed=0):
+    """gen_ev(n, seed) with its constraint rebuilt as a counting linearized
+    oracle: c(x) = x'Bx - 1 and v -> 2 v Bx from one B @ x."""
+    inst = gen_ev(n, seed)
+    calls = [0]
+
+    def linearize(x):
+        calls[0] += 1
+        Bx = inst.B @ x
+        return np.array([float(x @ Bx) - 1.0]), lambda v: (2.0 * v[0]) * Bx
+
+    constraints = ConstraintOracle.linearized(linearize, n_constraints=1)
+    return dataclasses.replace(inst.to_problem(), constraints=constraints), calls
+
+
+class TestOneLinearizationPerCertificate:
+    """Every certificate and diagnostic linearizes the constraint rows once
+    per point and reuses the product for each multiplier there."""
+
+    def test_kkt_residual(self):
+        problem, calls = counted_ev()
+        kkt_residual(problem.x0, np.array([0.5]), problem)
+        assert calls[0] == 1
+
+    def test_equality_certificate_and_running_dres(self):
+        problem, calls = counted_ev()
+        block = _EqualityBlock(problem)
+        block.y = np.array([0.3])
+        x = problem.x0 + 0.1
+        calls[0] = 0
+        kkt = block.certify(x, 2.0)
+        fields = block.record_fields(x, kkt)
+        assert calls[0] == 1
+        # The reused product gives what a fresh certificate measures.
+        assert kkt == kkt_residual(x, block.y_cert, problem)
+        assert fields["dres_running"] == kkt_residual(x, block.y, problem).dres
+
+    def test_each_outer_iteration_linearizes_once_besides_its_gradients(self):
+        # Each AL gradient linearizes once and counts one #Grad, each
+        # certificate likewise, and the damping scale reads c(x0) once more.
+        problem, calls = counted_ev()
+        rep = ialm_solve(problem, IalmConfig())
+        assert rep.success and len(rep.records) >= 2
+        assert calls[0] == rep.grad_evals + 1
+
+    def test_kkt_residual_ineq_and_hinge_certificate(self):
+        problem, calls = linearized_twin(two_constraint_problem())
+        x, y, z = np.array([0.9, 0.4]), np.array([0.2]), np.array([0.5, 0.0])
+        kkt_residual_ineq(x, y, z, problem)
+        assert calls[0] == 1
+        block = _HingeBlock(problem)
+        calls[0] = 0
+        block.certify(x, 2.0)
+        assert calls[0] == 1
+
+    def test_each_record_of_the_regularity_estimate(self):
+        problem, calls = counted_ev()
+        rep = ialm_solve(problem, IalmConfig())
+        calls[0] = 0
+        trace = estimate_regularity_v(trajectory_from_report(rep), problem)
+        assert trace.supported and calls[0] == len(rep.records)
 
 
 def equality_subproblem_case(rng, make=lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem()):
@@ -442,22 +542,23 @@ def test_subproblem_gradient_equals_public_al_gradient(case):
 
 def replayed_gradient(problem, block, beta):
     """The AL gradient as written before the per-subproblem closures: the
-    equality block's rows all through the constraint oracle's checked
-    private methods, the hinge block's affine rows from its data."""
+    equality block's rows all through the constraint oracle's public value
+    and product, the hinge block's affine rows from its data."""
     if isinstance(block, _EqualityBlock):
         def grad(x):
-            c = problem.constraints._evaluate(x)
-            return problem.smooth._gradient(x) + problem.constraints._jac_t(x, block.y + beta * c)
+            c = problem.constraints.evaluate(x)
+            jt = problem.constraints.jacobian_transpose_apply
+            return problem.smooth.gradient(x) + jt(x, block.y + beta * c)
 
         return grad
 
     def grad(x):
-        g = problem.smooth._gradient(x)
+        g = problem.smooth.gradient(x)
         if problem.n_eq:
             r = problem.A @ x - problem.b
             g = g + problem.A.T @ (block.y + beta * r)
-        f = problem.ineq._evaluate(x)
-        return g + problem.ineq._jac_t(x, np.maximum(block.z + beta * f, 0.0))
+        f = problem.ineq.evaluate(x)
+        return g + problem.ineq.jacobian_transpose_apply(x, np.maximum(block.z + beta * f, 0.0))
 
     return grad
 
@@ -486,7 +587,7 @@ def test_lcqp_rows_are_read_as_data():
     def refused(*args):
         raise AssertionError("constraint callback called")
 
-    problem.constraints._evaluate_fn = problem.constraints._jac_t_fn = refused
+    problem.constraints._linearize_fn = refused
     y = np.ones(3)
     g = al_gradient_smooth(problem.x0, y, 2.0, problem)
     expected = problem.smooth.gradient(problem.x0) + A.T @ (y + 2.0 * (A @ problem.x0 - b))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from almkit.core import ConstraintOracle, NonFiniteValue, SmoothOracle
+from almkit.core import ConstraintOracle, DimensionMismatch, NonFiniteValue, SmoothOracle
 from almkit.ialm import _EqualityBlock
 from almkit.ialm import IalmConfig, PracticalDual, TheoreticalDual, ialm_solve
 from almkit.ineq import (
@@ -74,13 +74,14 @@ def two_constraint_problem():
 
 def linearized_twin(problem):
     """``problem`` with its inequality oracle rebuilt as one linearizing
-    callback over the same two callbacks, and the calls into it counted."""
+    callback over the two-callback oracle's public value and product, and
+    the calls into it counted."""
     two = problem.ineq
     calls = [0]
 
     def linearize(x):
         calls[0] += 1
-        return two._evaluate_fn(x), lambda v: two._jac_t_fn(x, v)
+        return two.evaluate(x), lambda v: two.jacobian_transpose_apply(x, v)
 
     ineq = ConstraintOracle.linearized(
         linearize,
@@ -390,6 +391,22 @@ class TestSlackReformulation:
         assert cert.z_hat == pytest.approx([0.5, 0.0])
         assert cert.neg_part_norm == pytest.approx(4e-4)
         assert cert.neg_part_norm <= 1e-3
+
+    @pytest.mark.parametrize("length", [1, 5])
+    def test_translator_rejects_multipliers_of_the_wrong_length(self, length):
+        # One equality and two inequalities: y_full has 3 entries, and a
+        # longer or shorter one must not split into y_eq and z_raw.
+        prob = two_constraint_problem()
+        ref = slack_reformulate(prob)
+        with pytest.raises(DimensionMismatch, match=f"^y_full has length {length}, expected 3$"):
+            ref.translate(np.full(4, 0.3), np.zeros(length), prob.ineq)
+
+    def test_translator_accepts_a_list(self):
+        prob = two_constraint_problem()
+        ref = slack_reformulate(prob)
+        cert = ref.translate([0.5, 0.5, 0.3, 0.3], [0.0, 0.5, -0.0004], prob.ineq)
+        assert cert.y_eq.shape == (1,) and cert.z_raw.shape == (2,)
+        assert cert.z_hat == pytest.approx([0.5, 0.0])
 
     def test_slack_path_agrees_with_direct_path(self):
         prob, x_star, _ = toy_ineq_qp()
