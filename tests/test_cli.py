@@ -94,8 +94,6 @@ class TestBenchCampaign:
         (["bench-lcqp", *TINY, "--seeds", ","], "','"),
         (["bench-lcqp", *TINY, "--seeds", "1,1"], "[1, 1]"),
         (["bench-lcqp", *TINY, "--eps", "-1"], "-1"),
-        (["bench-lcqp", "--eps", "nan"], "eps must be positive, got nan"),
-        (["bench-lcqp", *TINY, "--max-outer", "0"], "got (0, 1000000)"),
         (["bench-lcqp", *TINY, "--sigma", "0.5"], "0.5"),
         (["bench-lcqp", *TINY, "--jobs", "0"], "got 0"),
         (["solve", "CONFIG"], '"experiment"'),
@@ -105,6 +103,8 @@ class TestBenchCampaign:
         (["solve", {"experiment": "cluster", "points_path": "p.csv", "sizes": {"r": 2}}], "'s'"),
         (["solve", {"experiment": "cluster", "sizes": {"r": 2, "s": 5}}], '"points_path"'),
         (["solve", {"experiment": "custom"}], '"instance_path"'),
+        (["bench-lcqp", "--eps", "nan"], "eps must be positive, got nan"),
+        (["bench-lcqp", *TINY, "--max-outer", "0"], "got (0, 1000000)"),
     ],
 )
 def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
