@@ -59,7 +59,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, NonFiniteValue, ProxCapableFunction, as_vector, norm
+from .core import (
+    Array,
+    NonFiniteValue,
+    ProxCapableFunction,
+    as_vector,
+    check_iteration_limits,
+    norm,
+)
 
 DEFAULT_MAX_ITER = 10**6
 
@@ -141,8 +148,9 @@ def apg_solve(
     if not (0 < mu <= L_G and math.isfinite(L)):
         raise ValueError(f"need 0 < mu <= L_G and a finite start, got {mu=}, {L_G=}, {L_init=}")
     # Written so that NaN fails.
-    if not (eps > 0 and max_iter >= 1):
-        raise ValueError("eps and max_iter must be positive")
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    check_iteration_limits(max_iter)
     x_init = as_vector(x_init, name="x_init")
     if not math.isfinite(H.value(x_init)):
         raise ValueError("x_init lies outside dom(H)")

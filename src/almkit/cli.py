@@ -7,8 +7,13 @@ Subcommands:
 
 Each trial writes ``trial_<seed>.json`` (outer-iteration trajectory,
 diagnostics verdicts, and enough instance information to rebuild the
-problem).  ``report`` re-measures the final KKT residuals from the trial
-files instead of trusting the solver's own numbers, and a campaign ends by
+problem); its records carry every field the solver sets on an
+``OuterIterationRecord``.  Config files, trial files and the solver flags
+read their keys, types and defaults from ``IalmConfig`` and the dual
+policies, so a value of the wrong JSON type is a usage error.
+
+``report`` re-measures the final KKT residuals from the trial files
+instead of trusting the solver's own numbers, and a campaign ends by
 writing that same re-verified report of its trial files to ``summary.csv``:
 one row per trial plus an ``avg`` row.  Since ``report`` reads every trial
 file in a directory, a campaign exits 2 before solving when its output
@@ -28,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +52,9 @@ from .ialm import (
 from .ippm import SubsolverStall
 from .problems import (
     FORMAT_VERSION,
+    field_from_json,
+    fields_from_json,
+    fields_to_json,
     gen_clustering,
     gen_ev,
     gen_lcqp,
@@ -60,41 +68,36 @@ ENV_OUTPUT_DIR = "ALMKIT_OUTPUT_DIR"
 SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "success")
 # The ``sizes`` keys each experiment's instances are built from.
 SIZE_KEYS = {"lcqp": ("m", "n"), "ev": ("n",), "cluster": ("r", "s"), "custom": ()}
+# The IalmConfig fields that config files, trial files and the solver flags
+# carry; a curvature override is code, not data.
+SOLVER_FIELDS = tuple(f for f in fields(IalmConfig) if f.name != "curvature_override")
+DEFAULT_SOLVER = IalmConfig()
+# Each dual policy class under the variant name its own to_dict() writes.
+POLICIES = {
+    cls().to_dict()["variant"]: cls for cls in (PracticalDual, TheoreticalDual, PowerGrowthDual)
+}
 
 
 def policy_from_dict(data: dict):
-    variant = data.get("variant", "practical")
-    if variant == "practical":
-        return PracticalDual()
-    if variant == "theoretical":
-        return TheoreticalDual(w0=float(data.get("w0", 1.0)))
-    if variant == "power":
-        return PowerGrowthDual(M=float(data.get("M", 1.0)), q=int(data.get("q", 0)))
-    raise ValueError(f"unknown dual policy variant {variant!r}")
+    if not isinstance(data, dict):
+        raise ValueError(f"'policy' needs a JSON object, got {data!r}")
+    variant = data.get("variant", DEFAULT_SOLVER.policy.to_dict()["variant"])
+    if variant not in POLICIES:
+        raise ValueError(f"unknown dual policy variant {variant!r}")
+    return fields_from_json(POLICIES[variant], data, required=False)
 
 
 def solver_to_dict(cfg: IalmConfig) -> dict:
-    return {
-        "beta0": cfg.beta0,
-        "sigma": cfg.sigma,
-        "eps": cfg.eps,
-        "policy": cfg.policy.to_dict(),
-        "penalty_mode": cfg.penalty_mode,
-        "max_outer": cfg.max_outer,
-        "max_inner": cfg.max_inner,
-    }
+    return {f.name: getattr(cfg, f.name) for f in SOLVER_FIELDS} | {"policy": cfg.policy.to_dict()}
 
 
 def solver_from_dict(data: dict) -> IalmConfig:
-    return IalmConfig(
-        beta0=float(data.get("beta0", 0.01)),
-        sigma=float(data.get("sigma", 3.0)),
-        eps=float(data.get("eps", 1e-3)),
-        policy=policy_from_dict(data.get("policy", {})),
-        penalty_mode=bool(data.get("penalty_mode", False)),
-        max_outer=int(data.get("max_outer", 40)),
-        max_inner=int(data.get("max_inner", 10**6)),
-    )
+    if not isinstance(data, dict):
+        raise ValueError(f"'solver' needs a JSON object, got {data!r}")
+    values = {f.name: field_from_json(f, data[f.name]) for f in SOLVER_FIELDS if f.name in data}
+    if "policy" in data:
+        values["policy"] = policy_from_dict(data["policy"])
+    return IalmConfig(**values)
 
 
 @dataclass
@@ -164,48 +167,17 @@ def build_problem(instance_ref: dict) -> ProblemSpec:
     raise ValueError("instance_ref must contain 'generator' or 'inline'")
 
 
-def _record_to_dict(rec) -> dict:
-    return {
-        "k": rec.k,
-        "beta": rec.beta,
-        "w": rec.w,
-        "pres": rec.pres,
-        "dres": rec.dres,
-        "dres_running": rec.dres_running,
-        "y_norm": rec.y_norm,
-        "grad_evals": rec.grad_evals,
-        "seconds": rec.seconds,
-        "rho": rec.rho,
-        "L": rec.L,
-        "sub_eps": rec.sub_eps,
-        "ippm_steps": rec.ippm_steps,
-        "apg_iters": rec.apg_iters,
-        "sub_s": rec.sub_s,
-        "cert_s": rec.cert_s,
-        "x": rec.x.tolist(),
-    }
-
-
 def _diagnostics_dict(report: SolveReport, problem: ProblemSpec, config: RunConfig) -> dict:
     out: dict = {}
     trace = diag.estimate_regularity_v(diag.trajectory_from_report(report), problem)
-    out["regularity"] = {
-        "supported": trace.supported,
-        "v_min": trace.v_min,
-        "values": [v for v in trace.values],
-        "reason": trace.reason,
-    }
+    out["regularity"] = asdict(trace)
     if len(report.records) >= 3:
         verdict = diag.check_feasibility_decay(report, config.solver.sigma)
-        out["feasibility_decay"] = {
-            "passed": verdict.passed,
-            "constant": verdict.constant,
-            "max_product": verdict.max_product,
-        }
-    policy = config.solver.policy.to_dict()
-    if policy["variant"] == "theoretical" and not config.solver.penalty_mode:
+        kept = ("passed", "constant", "max_product")
+        out["feasibility_decay"] = {key: getattr(verdict, key) for key in kept}
+    if isinstance(config.solver.policy, TheoreticalDual) and not config.solver.penalty_mode:
         c0 = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
-        y_max = diag.dual_norm_bound(policy["w0"], c0)
+        y_max = diag.dual_norm_bound(config.solver.policy.w0, c0)
         observed = max((rec.y_norm for rec in report.records), default=0.0)
         out["dual_bound"] = {"y_max": y_max, "max_y_norm": observed, "holds": observed <= y_max}
     return out
@@ -245,7 +217,7 @@ def run_trial(config: RunConfig, seed: int) -> dict:
         grad_evals=report.grad_evals,
         final_x=report.x.tolist(),
         final_y=report.y.tolist(),
-        records=[_record_to_dict(rec) for rec in report.records],
+        records=[fields_to_json(rec) for rec in report.records],
         diagnostics=_diagnostics_dict(report, problem, config),
     )
     return payload
@@ -365,19 +337,22 @@ def _default_out() -> str:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser):
-    p.add_argument("--eps", type=float, default=None, help="KKT tolerance (default 1e-3)")
-    p.add_argument("--beta0", type=float, default=None, help="initial penalty (default 0.01)")
-    p.add_argument("--sigma", type=float, default=None, help="penalty growth factor (default 3)")
+    d = DEFAULT_SOLVER
+    p.add_argument("--eps", type=float, help=f"KKT tolerance (default {d.eps:g})")
+    p.add_argument("--beta0", type=float, help=f"initial penalty (default {d.beta0:g})")
+    p.add_argument("--sigma", type=float, help=f"penalty growth factor (default {d.sigma:g})")
     p.add_argument(
         "--policy",
-        choices=("practical", "theoretical", "power"),
-        default=None,
-        help="dual step-size policy (default practical)",
+        choices=tuple(POLICIES),
+        help=f"dual step-size policy (default {d.policy.to_dict()['variant']})",
     )
-    p.add_argument("--w0", type=float, default=1.0, help="w0 for the theoretical policy")
-    p.add_argument("--growth-M", type=float, default=1.0, help="M for the power policy")
-    p.add_argument("--growth-q", type=int, default=0, help="q for the power policy")
-    p.add_argument("--penalty-mode", action="store_true", help="freeze multipliers at zero")
+    p.add_argument("--w0", type=float, help="w0 for the theoretical policy")
+    p.add_argument("--growth-M", type=float, help="M for the power policy")
+    p.add_argument("--growth-q", type=int, help="q for the power policy")
+    # None, not False, when absent, so that a config file's penalty_mode stands.
+    p.add_argument(
+        "--penalty-mode", action="store_true", default=None, help="freeze multipliers at zero"
+    )
     p.add_argument("--max-outer", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
     p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
@@ -388,24 +363,11 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 def _solver_from_args(args, base: Optional[IalmConfig] = None) -> IalmConfig:
     cfg = base if base is not None else IalmConfig()
-    updates = {}
-    if args.eps is not None:
-        updates["eps"] = args.eps
-    if args.beta0 is not None:
-        updates["beta0"] = args.beta0
-    if args.sigma is not None:
-        updates["sigma"] = args.sigma
-    if args.max_outer is not None:
-        updates["max_outer"] = args.max_outer
-    if args.max_inner is not None:
-        updates["max_inner"] = args.max_inner
-    if args.penalty_mode:
-        updates["penalty_mode"] = True
+    flags = {f.name: getattr(args, f.name) for f in SOLVER_FIELDS if f.name != "policy"}
     if args.policy is not None:
-        updates["policy"] = policy_from_dict(
-            {"variant": args.policy, "w0": args.w0, "M": args.growth_M, "q": args.growth_q}
-        )
-    return replace(cfg, **updates) if updates else cfg
+        policy = {"variant": args.policy, "w0": args.w0, "M": args.growth_M, "q": args.growth_q}
+        flags["policy"] = policy_from_dict({k: v for k, v in policy.items() if v is not None})
+    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _seeds_from_args(args, default: tuple = (0,)) -> tuple:

@@ -65,6 +65,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -106,6 +107,12 @@ def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
     if not all_finite(v):
         raise NonFiniteValue(f"{name} contains NaN or Inf")
     return v
+
+
+def check_iteration_limits(*limits) -> None:
+    """Raise ValueError unless every limit is an integer of at least 1."""
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in limits):
+        raise ValueError(f"iteration limits must be positive integers, got {limits}")
 
 
 class SmoothOracle:
@@ -198,7 +205,8 @@ class ProxCapableFunction:
             raise ValueError("diameter must be positive (use inf for unbounded domains)")
 
     def prox(self, v: Array, step: float) -> Array:
-        if step <= 0:
+        # Written so that NaN fails.
+        if not step > 0:
             raise ValueError("prox step must be positive")
         return self._prox(as_vector(v), float(step))
 
@@ -486,7 +494,8 @@ class KktResidual:
 def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
-    if beta <= 0:
+    # Written so that NaN fails.
+    if not beta > 0:
         raise ValueError("penalty parameter beta must be positive")
     return x, y
 

@@ -46,7 +46,6 @@ the two estimates; without it both run uncapped.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -59,6 +58,7 @@ from .core import (
     ProblemSpec,
     _equality_gradient,
     _equality_kkt,
+    check_iteration_limits,
 )
 from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
 
@@ -191,9 +191,7 @@ class IalmConfig:
             raise ValueError(f"sigma must exceed 1, got {self.sigma}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        limits = (self.max_outer, self.max_inner)
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in limits):
-            raise ValueError(f"iteration limits must be positive integers, got {limits}")
+        check_iteration_limits(self.max_outer, self.max_inner)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,8 @@ class IneqProblemSpec:
             self.A = np.zeros((0, self.dim))
         elif self.A.shape[1] != self.dim:
             raise DimensionMismatch("affine part column count must match dim")
-        if self.rho0 < 0:
+        # Written so that NaN fails.
+        if not self.rho0 >= 0:
             raise ValueError("rho0 must be nonnegative")
         if not math.isfinite(self.nonsmooth.value(self.x0)):
             raise ValueError("x0 lies outside the domain of the nonsmooth term")
@@ -109,7 +110,8 @@ def _check_ineq_inputs(x, y, z, beta, problem):
     z = as_vector(z, problem.n_ineq, "z")
     if np.any(z < 0):
         raise ValueError("inequality multipliers z must be nonnegative")
-    if beta <= 0:
+    # Written so that NaN fails.
+    if not beta > 0:
         raise ValueError("beta must be positive")
     return x, y, z
 

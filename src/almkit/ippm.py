@@ -67,7 +67,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .apg import DEFAULT_MAX_ITER, apg_solve
-from .core import Array, ProxCapableFunction, as_vector, norm
+from .core import Array, ProxCapableFunction, as_vector, check_iteration_limits, norm
 
 # Starting weak-convexity estimate: the model of a convex phi is still
 # strongly convex for any positive rho, so "convex" starts just above 0.
@@ -142,6 +142,7 @@ def ippm_solve(
     # Written so that NaN fails; L_phi = inf (no cap) passes.
     if not (rho > 0 and L_phi > 0 and eps > 0):
         raise ValueError("rho, L_phi, eps must be positive")
+    check_iteration_limits(max_outer, max_inner)
     x0 = as_vector(x0, name="x0")
     if not math.isfinite(psi.value(x0)):
         raise ValueError("x0 lies outside dom(psi)")

@@ -17,8 +17,10 @@ determines an instance across runs and platforms.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -357,41 +359,54 @@ def load_points_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+# The instance file's "kind" of each instance class.
+INSTANCE_KINDS = {"lcqp": LcqpInstance, "ev": EvInstance, "cluster": ClusteringInstance}
+# The JSON type each scalar field annotation takes.
+JSON_TYPES = {"bool": "boolean", "int": "integer", "float": "number"}
+
+
+def fields_to_json(obj) -> dict:
+    """The fields of dataclass ``obj`` that are set (not None), arrays as
+    row-major nested lists."""
+    values = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values if v is not None}
+
+
+def field_from_json(f: dataclasses.Field, value):
+    """``value``, read from JSON, as dataclass field ``f`` by its annotation
+    as written (the modules postpone annotations, so ``f.type`` is text):
+    an ``np.ndarray`` as a float64 array, a ``bool`` only from a JSON
+    boolean, an ``int`` only from an integral number (40 or 40.0) and a
+    ``float`` from any number but a boolean.  Other fields pass through.
+    A value of the wrong type raises ValueError naming the key."""
+    if f.type == "np.ndarray":
+        return np.asarray(value, dtype=float)
+    if f.type not in JSON_TYPES:
+        return value
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if f.type == "bool" and isinstance(value, bool):
+        return value
+    if f.type == "int" and number and (isinstance(value, numbers.Integral) or value.is_integer()):
+        return int(value)
+    if f.type == "float" and number:
+        return float(value)
+    got = json.dumps(value, default=repr)
+    raise ValueError(f"{f.name!r} needs a JSON {JSON_TYPES[f.type]}, got {got}")
+
+
+def fields_from_json(cls, data: dict, required: bool = True):
+    """Build dataclass ``cls`` from the JSON keys named after its fields;
+    with ``required=False`` a missing key keeps the field's default."""
+    given = [f for f in dataclasses.fields(cls) if required or f.name in data]
+    return cls(**{f.name: field_from_json(f, data[f.name]) for f in given})
+
+
 def instance_to_dict(instance) -> dict:
     """Versioned JSON-ready dict; matrices as row-major nested lists."""
-    if isinstance(instance, LcqpInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "lcqp",
-            "seed": instance.seed,
-            "rho": instance.rho,
-            "Q": instance.Q.tolist(),
-            "c": instance.c.tolist(),
-            "A": instance.A.tolist(),
-            "b": instance.b.tolist(),
-            "lower": instance.lower.tolist(),
-            "upper": instance.upper.tolist(),
-            "x0": instance.x0.tolist(),
-        }
-    if isinstance(instance, EvInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "ev",
-            "seed": instance.seed,
-            "Q": instance.Q.tolist(),
-            "B": instance.B.tolist(),
-            "x0": instance.x0.tolist(),
-        }
-    if isinstance(instance, ClusteringInstance):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "cluster",
-            "D": instance.D.tolist(),
-            "r": instance.r,
-            "s": instance.s,
-            "x0": instance.x0.tolist(),
-        }
-    raise TypeError(f"unknown instance type {type(instance)!r}")
+    kinds = [kind for kind, cls in INSTANCE_KINDS.items() if type(instance) is cls]
+    if not kinds:
+        raise TypeError(f"unknown instance type {type(instance)!r}")
+    return {"format_version": FORMAT_VERSION, "kind": kinds[0], **fields_to_json(instance)}
 
 
 def instance_from_dict(data: dict):
@@ -399,33 +414,9 @@ def instance_from_dict(data: dict):
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format_version {version!r}")
     kind = data.get("kind")
-    if kind == "lcqp":
-        return LcqpInstance(
-            Q=np.asarray(data["Q"], dtype=float),
-            c=np.asarray(data["c"], dtype=float),
-            A=np.asarray(data["A"], dtype=float),
-            b=np.asarray(data["b"], dtype=float),
-            lower=np.asarray(data["lower"], dtype=float),
-            upper=np.asarray(data["upper"], dtype=float),
-            rho=float(data["rho"]),
-            seed=int(data["seed"]),
-            x0=np.asarray(data["x0"], dtype=float),
-        )
-    if kind == "ev":
-        return EvInstance(
-            Q=np.asarray(data["Q"], dtype=float),
-            B=np.asarray(data["B"], dtype=float),
-            seed=int(data["seed"]),
-            x0=np.asarray(data["x0"], dtype=float),
-        )
-    if kind == "cluster":
-        return ClusteringInstance(
-            D=np.asarray(data["D"], dtype=float),
-            r=int(data["r"]),
-            s=float(data["s"]),
-            x0=np.asarray(data["x0"], dtype=float),
-        )
-    raise ValueError(f"unknown instance kind {kind!r}")
+    if kind not in INSTANCE_KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    return fields_from_json(INSTANCE_KINDS[kind], data)
 
 
 def save_instance(instance, path: str) -> None:

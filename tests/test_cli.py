@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,9 +9,12 @@ import pytest
 
 from almkit import cli
 from almkit.core import kkt_residual
+from almkit.ialm import IalmConfig, PowerGrowthDual, PracticalDual, TheoreticalDual
 from almkit.problems import gen_lcqp, save_instance
 
 TINY = ["--m", "3", "--n", "12"]
+# The TINY lcqp experiment as a config file's keys.
+LCQP = {"experiment": "lcqp", "sizes": {"m": 3, "n": 12}}
 # A structurally complete trial file for the TINY lcqp instance.
 VALID_TRIAL = {
     "seed": 0,
@@ -105,6 +109,12 @@ class TestBenchCampaign:
         (["solve", {"experiment": "custom"}], '"instance_path"'),
         (["bench-lcqp", "--eps", "nan"], "eps must be positive, got nan"),
         (["bench-lcqp", *TINY, "--max-outer", "0"], "got (0, 1000000)"),
+        (["solve", {**LCQP, "solver": {"penalty_mode": "false"}}], "'penalty_mode' needs"),
+        (["solve", {**LCQP, "solver": {"max_outer": 40.7}}], "'max_outer' needs"),
+        (["solve", {**LCQP, "solver": {"policy": {"variant": "power", "q": 1.5}}}], "'q' needs"),
+        (["solve", {**LCQP, "solver": {"eps": True}}], "'eps' needs"),
+        (["solve", {**LCQP, "solver": {"policy": "power"}}], "'policy' needs"),
+        (["solve", {**LCQP, "solver": [1]}], "'solver' needs"),
     ],
 )
 def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
@@ -124,6 +134,37 @@ def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
     assert rc == 2
     assert bad in err and err.count("\n") == 1
     assert not list(tmp_path.rglob("trial_*.json"))
+
+
+class TestSolverCodec:
+    @pytest.mark.parametrize("penalty_mode", [False, True])
+    @pytest.mark.parametrize(
+        "policy",
+        [PracticalDual(), TheoreticalDual(w0=2.5), PowerGrowthDual(M=0.5, q=2)],
+    )
+    def test_round_trip_through_json(self, policy, penalty_mode):
+        cfg = IalmConfig(
+            beta0=0.5, sigma=2.0, eps=1e-4, policy=policy, penalty_mode=penalty_mode,
+            max_outer=7, max_inner=500,
+        )
+        data = json.loads(json.dumps(cli.solver_to_dict(cfg)))
+        assert cli.solver_from_dict(data) == cfg
+
+    def test_defaults_come_from_the_config_class(self):
+        assert cli.solver_from_dict({}) == IalmConfig()
+        assert cli.policy_from_dict({"variant": "power"}) == PowerGrowthDual()
+        assert cli.solver_from_dict({"max_outer": 40.0}).max_outer == 40
+
+    def test_trial_records_carry_every_field_the_solver_sets(self, tmp_path):
+        config = cli.RunConfig("lcqp", {"m": 3, "n": 12}, output_dir=str(tmp_path))
+        payload = cli.run_trial(config, 0)
+        report = cli.ialm_solve(cli.build_problem(payload["instance_ref"]), config.solver)
+        expected = [
+            {f.name for f in dataclasses.fields(rec) if getattr(rec, f.name) is not None}
+            for rec in report.records
+        ]
+        assert [set(rec) for rec in payload["records"]] == expected
+        assert payload["records"][-1]["x"] == report.records[-1].x.tolist()
 
 
 class TestTrialPayload:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,10 @@ from almkit.core import (
     kkt_residual,
 )
 from almkit.ialm import _EqualityBlock
+from almkit.ineq import al_ineq_gradient_smooth, al_ineq_value
 from almkit.problems import gen_lcqp
 from almkit.prox import BoxSet, project_box, zero_function
-from helpers import box_qp_problem, finite_difference_gradient, toy_eq_qp
+from helpers import box_qp_problem, finite_difference_gradient, toy_eq_qp, toy_ineq_qp
 
 
 def scalar_problem():
@@ -432,3 +435,40 @@ class TestConstantsRejectNaN:
         kwargs = {"B0": 1.0, "B_c": 1.0, "B_i": np.ones(2), "D": 1.0, field: np.nan}
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
             ConstantsLedger(**kwargs)
+
+
+# Each public AL entry point at x = 2 (equality) or x = 0 (hinge) of a
+# one-dimensional problem, with the penalty parameter given.
+AL_CALLS = {
+    "al_value": lambda beta: al_value(np.array([2.0]), np.zeros(1), beta, scalar_problem()),
+    "al_gradient_smooth": lambda beta: al_gradient_smooth(
+        np.array([2.0]), np.zeros(1), beta, scalar_problem()
+    ),
+    "al_ineq_value": lambda beta: al_ineq_value(
+        np.zeros(1), np.zeros(0), np.zeros(1), beta, toy_ineq_qp()[0]
+    ),
+    "al_ineq_gradient_smooth": lambda beta: al_ineq_gradient_smooth(
+        np.zeros(1), np.zeros(0), np.zeros(1), beta, toy_ineq_qp()[0]
+    ),
+}
+
+
+class TestNaNParametersFail:
+    """A NaN step or penalty parameter fails where a ``<= 0`` test let it
+    through."""
+
+    @pytest.mark.parametrize("beta", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", sorted(AL_CALLS))
+    def test_al_entry_points_reject_beta(self, name, beta):
+        with pytest.raises(ValueError, match="beta must be positive$"):
+            AL_CALLS[name](beta)
+
+    def test_ineq_spec_rejects_nan_rho0(self):
+        problem = toy_ineq_qp()[0]
+        with pytest.raises(ValueError, match="^rho0 must be nonnegative$"):
+            dataclasses.replace(problem, rho0=np.nan)
+
+    @pytest.mark.parametrize("step", [np.nan, 0.0])
+    def test_prox_rejects_nan_step(self, step):
+        with pytest.raises(ValueError, match="^prox step must be positive$"):
+            zero_function().prox(np.zeros(2), step)

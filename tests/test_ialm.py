@@ -102,6 +102,10 @@ BAD_PARAMETERS = {
     "ippm_rho": inner_call(ippm_solve, math.nan, 1.0, 1.0),
     "ippm_L_phi": inner_call(ippm_solve, 1.0, math.nan, 1.0),
     "apg_eps": inner_call(apg_solve, 1.0, 1.0, math.nan),
+    "ippm_max_outer": inner_call(ippm_solve, 1.0, 1.0, 1e-6, 2.5),
+    "ippm_max_inner": inner_call(ippm_solve, 1.0, 1.0, 1e-6, 10, 2.5),
+    "apg_max_iter": inner_call(apg_solve, 1.0, 1.0, 1e-6, 2.5),
+    "apg_max_iter_zero": inner_call(apg_solve, 1.0, 1.0, 1e-6, 0),
 }
 
 

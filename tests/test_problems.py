@@ -289,6 +289,20 @@ class TestInstanceSerialization:
         assert isinstance(back, ClusteringInstance)
         assert np.array_equal(cl.D, back.D)
 
+    def test_cluster_sizes_keep_their_types(self):
+        points = np.random.default_rng(0).standard_normal((5, 2))
+        data = json.loads(json.dumps(instance_to_dict(gen_clustering(points, r=2, s=3))))
+        back = instance_from_dict(data)
+        assert type(back.r) is int and back.r == 2
+        assert type(back.s) is float and back.s == 3.0
+
+    @pytest.mark.parametrize("key, bad", [("r", 2.5), ("s", "3"), ("r", True)])
+    def test_wrongly_typed_size_rejected(self, key, bad):
+        points = np.random.default_rng(0).standard_normal((5, 2))
+        data = instance_to_dict(gen_clustering(points, r=2, s=3.0)) | {key: bad}
+        with pytest.raises(ValueError, match=f"^'{key}' needs a JSON"):
+            instance_from_dict(data)
+
     def test_format_version_enforced(self):
         data = instance_to_dict(gen_ev(5, seed=0))
         data["format_version"] = 99
