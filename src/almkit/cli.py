@@ -10,7 +10,12 @@ diagnostics verdicts, and enough instance information to rebuild the
 problem); its records carry every field the solver sets on an
 ``OuterIterationRecord``.  Config files, trial files and the solver flags
 read their keys, types and defaults from ``IalmConfig`` and the dual
-policies, so a value of the wrong JSON type is a usage error.
+policies.  A campaign's keys, from a ``solve`` file or from the bench
+flags, pass one reader that types them from ``RunConfig``'s fields and
+``SIZE_KEYS``: an unknown key or a value of the wrong JSON type, at the top
+level or in ``sizes``, ``solver`` or ``policy``, is a usage error, and so is
+an unreadable points or instance file, each named before anything is
+written.
 
 ``report`` re-measures the final KKT residuals from the trial files
 instead of trusting the solver's own numbers, and a campaign ends by
@@ -52,6 +57,7 @@ from .ialm import (
 from .ippm import SubsolverStall
 from .problems import (
     FORMAT_VERSION,
+    check_keys,
     field_from_json,
     fields_from_json,
     fields_to_json,
@@ -66,8 +72,14 @@ from .problems import (
 
 ENV_OUTPUT_DIR = "ALMKIT_OUTPUT_DIR"
 SUMMARY_COLUMNS = ("trial", "pres", "dres", "time", "grad_evals", "success")
-# The ``sizes`` keys each experiment's instances are built from.
-SIZE_KEYS = {"lcqp": ("m", "n"), "ev": ("n",), "cluster": ("r", "s"), "custom": ()}
+# The ``sizes`` keys each experiment's instances are built from, with the
+# annotation each is read as; a custom experiment's instance file holds its
+# sizes, and its ``sizes`` key is not read.
+SIZE_KEYS = {"lcqp": {"m": "int", "n": "int"}, "ev": {"n": "int"},
+             "cluster": {"r": "int", "s": "float"}, "custom": None}
+# The generator of each experiment whose trial files refer to an instance by
+# the generator's keyword arguments.
+GENERATORS = {"lcqp": gen_lcqp, "ev": gen_ev}
 # The IalmConfig fields that config files, trial files and the solver flags
 # carry; a curvature override is code, not data.
 SOLVER_FIELDS = tuple(f for f in fields(IalmConfig) if f.name != "curvature_override")
@@ -79,11 +91,11 @@ POLICIES = {
 
 
 def policy_from_dict(data: dict):
-    if not isinstance(data, dict):
-        raise ValueError(f"'policy' needs a JSON object, got {data!r}")
+    data = field_from_json("policy", "dict", data)
     variant = data.get("variant", DEFAULT_SOLVER.policy.to_dict()["variant"])
     if variant not in POLICIES:
         raise ValueError(f"unknown dual policy variant {variant!r}")
+    check_keys(data, ["variant", *(f.name for f in fields(POLICIES[variant]))], "'policy'")
     return fields_from_json(POLICIES[variant], data, required=False)
 
 
@@ -92,34 +104,42 @@ def solver_to_dict(cfg: IalmConfig) -> dict:
 
 
 def solver_from_dict(data: dict) -> IalmConfig:
-    if not isinstance(data, dict):
-        raise ValueError(f"'solver' needs a JSON object, got {data!r}")
-    values = {f.name: field_from_json(f, data[f.name]) for f in SOLVER_FIELDS if f.name in data}
+    data = field_from_json("solver", "dict", data)
+    check_keys(data, [f.name for f in SOLVER_FIELDS], "'solver'")
     if "policy" in data:
-        values["policy"] = policy_from_dict(data["policy"])
-    return IalmConfig(**values)
+        data = data | {"policy": policy_from_dict(data["policy"])}
+    return fields_from_json(IalmConfig, data, required=False)
 
 
 @dataclass
 class RunConfig:
-    """One benchmark campaign: an experiment family, seeds, and solver setup."""
+    """One benchmark campaign: an experiment family, seeds, and solver setup.
+
+    A cluster or custom experiment reads its points or instance file once,
+    when the config is built, into ``source``.
+    """
 
     experiment: str
-    sizes: dict
+    sizes: dict = field(default_factory=dict)
     rho: float = 1.0
     seeds: tuple = (0,)
     solver: IalmConfig = field(default_factory=IalmConfig)
-    output_dir: str = "."
+    output_dir: str = field(default_factory=lambda: os.environ.get(ENV_OUTPUT_DIR, "."))
     jobs: int = 1
     instance_path: Optional[str] = None
     points_path: Optional[str] = None
+    source: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.experiment not in SIZE_KEYS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for key in SIZE_KEYS[self.experiment]:
-            if key not in self.sizes:
-                raise ValueError(f"{self.experiment} experiment needs sizes key {key!r}")
+        kinds = SIZE_KEYS[self.experiment]
+        if kinds is not None:
+            check_keys(self.sizes, kinds, "'sizes'")
+            for key in kinds:
+                if key not in self.sizes:
+                    raise ValueError(f"{self.experiment} experiment needs sizes key {key!r}")
+            self.sizes = {k: field_from_json(k, kind, self.sizes[k]) for k, kind in kinds.items()}
         if self.experiment == "cluster" and self.points_path is None:
             raise ValueError("cluster experiment needs \"points_path\"")
         if self.experiment == "custom" and self.instance_path is None:
@@ -130,38 +150,50 @@ class RunConfig:
             raise ValueError(f"duplicate trial seeds in {list(self.seeds)}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if self.experiment == "cluster":
+            self.source = load_points_csv(self.points_path)
+        elif self.experiment == "custom":
+            self.source = instance_to_dict(load_instance(self.instance_path))
+
+
+# The keys of a campaign config, each read as the RunConfig field it names.
+CONFIG_FIELDS = {f.name: f.type for f in fields(RunConfig) if f.init}
+
+
+def _config_values(data: dict) -> dict:
+    """RunConfig's keyword arguments from the JSON-shaped keys of a config
+    file or of the command-line flags.  Each key names a RunConfig field and
+    holds a value of its JSON type; ``seeds`` holds integers and ``solver``
+    what ``solver_from_dict`` reads (RunConfig itself reads ``sizes`` by its
+    experiment's SIZE_KEYS).  An unknown key or a value of the wrong type
+    raises ValueError naming the key."""
+    check_keys(data, CONFIG_FIELDS, "config")
+    values = {key: field_from_json(key, CONFIG_FIELDS[key], value) for key, value in data.items()}
+    if "seeds" in values:
+        values["seeds"] = tuple(field_from_json("seeds", "int", seed) for seed in values["seeds"])
+    if "solver" in values:
+        values["solver"] = solver_from_dict(values["solver"])
+    return values
 
 
 def _instance_ref(config: RunConfig, seed: int) -> dict:
-    if config.experiment == "lcqp":
-        return {
-            "generator": {
-                "kind": "lcqp",
-                "m": int(config.sizes["m"]),
-                "n": int(config.sizes["n"]),
-                "rho": float(config.rho),
-                "seed": int(seed),
-            }
-        }
-    if config.experiment == "ev":
-        return {"generator": {"kind": "ev", "n": int(config.sizes["n"]), "seed": int(seed)}}
+    if config.experiment == "custom":
+        return {"inline": config.source}
     if config.experiment == "cluster":
-        points = load_points_csv(config.points_path)
-        inst = gen_clustering(points, int(config.sizes["r"]), float(config.sizes["s"]), seed)
+        inst = gen_clustering(config.source, **config.sizes, seed=seed)
         return {"inline": instance_to_dict(inst)}
-    inst = load_instance(config.instance_path)
-    return {"inline": instance_to_dict(inst)}
+    rho = {"rho": config.rho} if config.experiment == "lcqp" else {}
+    return {"generator": {"kind": config.experiment, **config.sizes, **rho, "seed": seed}}
 
 
 def build_problem(instance_ref: dict) -> ProblemSpec:
     """Rebuild the ProblemSpec a trial file refers to (deterministic)."""
     if "generator" in instance_ref:
-        gen = instance_ref["generator"]
-        if gen["kind"] == "lcqp":
-            return gen_lcqp(gen["m"], gen["n"], gen["rho"], gen["seed"]).to_problem()
-        if gen["kind"] == "ev":
-            return gen_ev(gen["n"], gen["seed"]).to_problem()
-        raise ValueError(f"unknown generator kind {gen.get('kind')!r}")
+        kwargs = dict(instance_ref["generator"])
+        kind = kwargs.pop("kind", None)
+        if kind not in GENERATORS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        return GENERATORS[kind](**kwargs).to_problem()
     if "inline" in instance_ref:
         return instance_from_dict(instance_ref["inline"]).to_problem()
     raise ValueError("instance_ref must contain 'generator' or 'inline'")
@@ -190,7 +222,7 @@ def run_trial(config: RunConfig, seed: int) -> dict:
     problem = build_problem(ref)
     payload = {
         "format_version": FORMAT_VERSION,
-        "seed": int(seed),
+        "seed": seed,
         "instance_ref": ref,
         "solver": solver_to_dict(config.solver),
     }
@@ -332,10 +364,6 @@ def emit_report(paths: list[Path], fmt: str = "csv", out=None) -> int:
     return 0 if all(r["success"] for r in rows) else 1
 
 
-def _default_out() -> str:
-    return os.environ.get(ENV_OUTPUT_DIR, ".")
-
-
 def _add_solver_flags(p: argparse.ArgumentParser):
     d = DEFAULT_SOLVER
     p.add_argument("--eps", type=float, help=f"KKT tolerance (default {d.eps:g})")
@@ -358,34 +386,35 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
     p.add_argument("--trials", type=int, default=None, help="number of trials (seeds 0..t-1)")
     p.add_argument("--out", type=str, default=None, help=f"output dir (env {ENV_OUTPUT_DIR})")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent trials (default 1)")
+    p.add_argument("--jobs", type=int, default=None, help="concurrent trials (default 1)")
 
 
-def _solver_from_args(args, base: Optional[IalmConfig] = None) -> IalmConfig:
-    cfg = base if base is not None else IalmConfig()
+def _solver_from_args(args, base: IalmConfig) -> IalmConfig:
     flags = {f.name: getattr(args, f.name) for f in SOLVER_FIELDS if f.name != "policy"}
     if args.policy is not None:
         policy = {"variant": args.policy, "w0": args.w0, "M": args.growth_M, "q": args.growth_q}
         flags["policy"] = policy_from_dict({k: v for k, v in policy.items() if v is not None})
-    return replace(cfg, **{name: value for name, value in flags.items() if value is not None})
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
 
 
-def _seeds_from_args(args, default: tuple = (0,)) -> tuple:
+def _seeds_from_args(args) -> Optional[list]:
     if args.seeds is not None:
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
         if not seeds:
             raise ValueError(f"--seeds {args.seeds!r} names no seed")
         return seeds
     if args.trials is not None:
         if args.trials < 1:
             raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        return tuple(range(args.trials))
-    return default
+        return list(range(args.trials))
+    return None
 
 
 def _campaign_config(args) -> RunConfig:
-    """The campaign a bench-* or solve command asks for; raises ValueError
-    on a usage error."""
+    """The campaign a bench-* or solve command asks for: the config file's
+    keys, or the bench command's, with the keys its flags set over them.
+    Raises ValueError on a usage error and OSError on an unreadable points
+    or instance file."""
     if args.command == "solve":
         try:
             with open(args.config) as fh:
@@ -394,38 +423,23 @@ def _campaign_config(args) -> RunConfig:
             raise ValueError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError(f"config {args.config} is not a JSON object")
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"unsupported config format_version {data.get('format_version')!r}")
+        version = data.pop("format_version", None)
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported config format_version {version!r}")
         if "experiment" not in data:
             raise ValueError(f"config {args.config} has no \"experiment\" key")
-        return RunConfig(
-            experiment=data["experiment"],
-            sizes=data.get("sizes", {}),
-            rho=float(data.get("rho", 1.0)),
-            seeds=_seeds_from_args(args, tuple(data.get("seeds", [0]))),
-            solver=_solver_from_args(args, solver_from_dict(data.get("solver", {}))),
-            output_dir=args.out or data.get("output_dir", _default_out()),
-            jobs=args.jobs if args.jobs != 1 else int(data.get("jobs", 1)),
-            instance_path=data.get("instance_path"),
-            points_path=data.get("points_path"),
-        )
-    if args.command == "bench-lcqp":
-        family = {"experiment": "lcqp", "sizes": {"m": args.m, "n": args.n}, "rho": args.rho}
-        seeds = tuple(range(10))
+    elif args.command == "bench-lcqp":
+        data = {"experiment": "lcqp", "sizes": {"m": args.m, "n": args.n}, "rho": args.rho,
+                "seeds": list(range(10))}
     elif args.command == "bench-ev":
-        family = {"experiment": "ev", "sizes": {"n": args.n}}
-        seeds = tuple(range(10))
+        data = {"experiment": "ev", "sizes": {"n": args.n}, "seeds": list(range(10))}
     else:
-        family = {"experiment": "cluster", "sizes": {"r": args.r, "s": args.s},
-                  "points_path": args.points}
-        seeds = (0,)
-    return RunConfig(
-        **family,
-        seeds=_seeds_from_args(args, seeds),
-        solver=_solver_from_args(args),
-        output_dir=args.out or _default_out(),
-        jobs=args.jobs,
-    )
+        data = {"experiment": "cluster", "sizes": {"r": args.r, "s": args.s},
+                "points_path": args.points}
+    flags = {"seeds": _seeds_from_args(args), "output_dir": args.out, "jobs": args.jobs}
+    values = _config_values(data) | _config_values({k: v for k, v in flags.items() if v is not None})
+    values["solver"] = _solver_from_args(args, values.get("solver", DEFAULT_SOLVER))
+    return RunConfig(**values)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -471,7 +485,7 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         config = _campaign_config(args)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"almkit {args.command}: {exc}", file=sys.stderr)
         return 2
     try:

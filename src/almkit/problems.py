@@ -144,8 +144,9 @@ def gen_lcqp(m: int, n: int, rho: float, seed: int) -> LcqpInstance:
     b = A xhat for xhat in the inner half of the box [-5, 5]^n."""
     if not 0 < m < n:
         raise ValueError("need 0 < m < n")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    # Written so that NaN fails.
+    if not rho > 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     G = _rng(seed, STREAM_Q).standard_normal((n, n))
     Q = 0.5 * (G + G.T)
     w_min = float(np.linalg.eigvalsh(Q)[0])
@@ -309,8 +310,9 @@ def gen_clustering(points: np.ndarray, r: int, s: float, seed: int = 0) -> Clust
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("points must be an n x d matrix with n >= 2")
-    if r < 1 or s <= 0:
-        raise ValueError("need r >= 1 and s > 0")
+    # Written so that NaN fails.
+    if not (r >= 1 and s > 0):
+        raise ValueError(f"need r >= 1 and s > 0, got r = {r} and s = {s}")
     D = distance_matrix(points)
     n = D.shape[0]
     X0 = np.abs(_rng(seed, STREAM_X0).standard_normal((n, r))) / math.sqrt(n * r)
@@ -361,8 +363,11 @@ def load_points_csv(path: str) -> np.ndarray:
 
 # The instance file's "kind" of each instance class.
 INSTANCE_KINDS = {"lcqp": LcqpInstance, "ev": EvInstance, "cluster": ClusteringInstance}
-# The JSON type each scalar field annotation takes.
-JSON_TYPES = {"bool": "boolean", "int": "integer", "float": "number"}
+# The JSON type each field annotation takes.
+JSON_TYPES = {"bool": "boolean", "int": "integer", "float": "number",
+              "str": "string", "dict": "object", "tuple": "array"}
+# The Python type JSON decodes a boolean, string, object or array to.
+DECODED = {"bool": bool, "str": str, "dict": dict, "tuple": list}
 
 
 def fields_to_json(obj) -> dict:
@@ -372,33 +377,45 @@ def fields_to_json(obj) -> dict:
     return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values if v is not None}
 
 
-def field_from_json(f: dataclasses.Field, value):
-    """``value``, read from JSON, as dataclass field ``f`` by its annotation
-    as written (the modules postpone annotations, so ``f.type`` is text):
-    an ``np.ndarray`` as a float64 array, a ``bool`` only from a JSON
-    boolean, an ``int`` only from an integral number (40 or 40.0) and a
-    ``float`` from any number but a boolean.  Other fields pass through.
-    A value of the wrong type raises ValueError naming the key."""
-    if f.type == "np.ndarray":
+def field_from_json(name: str, annotation: str, value):
+    """``value``, read from JSON, as a field ``name`` annotated ``annotation``
+    (the modules postpone annotations, so a field's type is text): an
+    ``np.ndarray`` as a float64 array, a ``bool`` only from a JSON boolean,
+    an ``int`` only from an integral number (40 or 40.0), a ``float`` from
+    any number but a boolean, a ``str``, ``dict`` or ``tuple`` from a JSON
+    string, object or array, and an ``Optional[...]`` from null as well.
+    Other fields pass through.  A value of the wrong type raises ValueError
+    naming the key."""
+    if annotation == "np.ndarray":
         return np.asarray(value, dtype=float)
-    if f.type not in JSON_TYPES:
+    if annotation.startswith("Optional["):
+        inner = annotation.removeprefix("Optional[")[:-1]
+        return None if value is None else field_from_json(name, inner, value)
+    if annotation not in JSON_TYPES:
         return value
     number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if f.type == "bool" and isinstance(value, bool):
-        return value
-    if f.type == "int" and number and (isinstance(value, numbers.Integral) or value.is_integer()):
+    if annotation == "int" and number and value % 1 == 0:
         return int(value)
-    if f.type == "float" and number:
+    if annotation == "float" and number:
         return float(value)
+    if isinstance(value, DECODED.get(annotation, ())):
+        return tuple(value) if annotation == "tuple" else value
     got = json.dumps(value, default=repr)
-    raise ValueError(f"{f.name!r} needs a JSON {JSON_TYPES[f.type]}, got {got}")
+    raise ValueError(f"{name!r} needs a JSON {JSON_TYPES[annotation]}, got {got}")
 
 
 def fields_from_json(cls, data: dict, required: bool = True):
     """Build dataclass ``cls`` from the JSON keys named after its fields;
     with ``required=False`` a missing key keeps the field's default."""
     given = [f for f in dataclasses.fields(cls) if required or f.name in data]
-    return cls(**{f.name: field_from_json(f, data[f.name]) for f in given})
+    return cls(**{f.name: field_from_json(f.name, f.type, data[f.name]) for f in given})
+
+
+def check_keys(data: dict, known, where: str) -> None:
+    """Raise ValueError naming the first key of ``data`` not in ``known``."""
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} key {unknown[0]!r}")
 
 
 def instance_to_dict(instance) -> dict:

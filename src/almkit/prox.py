@@ -34,8 +34,9 @@ class BoxSet:
         hi = np.asarray(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise DimensionMismatch("box bounds must be equal-length 1-D arrays")
-        if np.any(lo > hi):
-            raise ValueError("box is empty: some lower bound exceeds its upper bound")
+        # Written so that NaN fails.
+        if not np.all(lo <= hi):
+            raise ValueError("box bounds must not be NaN, nor a lower bound exceed its upper bound")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +117,27 @@ class TestBenchCampaign:
         (["solve", {**LCQP, "solver": {"eps": True}}], "'eps' needs"),
         (["solve", {**LCQP, "solver": {"policy": "power"}}], "'policy' needs"),
         (["solve", {**LCQP, "solver": [1]}], "'solver' needs"),
+        (["solve", {**LCQP, "sizes": {"m": 3, "n": 12.9}}], "'n' needs a JSON integer"),
+        (["solve", {**LCQP, "sizes": {"m": "3", "n": 12}}], "'m' needs a JSON integer"),
+        (["solve", {**LCQP, "sizes": {"m": 3, "n": 12, "k": 5}}], "unknown 'sizes' key 'k'"),
+        (["solve", {**LCQP, "jobs": 1.7}], "'jobs' needs a JSON integer"),
+        (["solve", {**LCQP, "rho": True}], "'rho' needs a JSON number"),
+        (["solve", {**LCQP, "rho": "2"}], "'rho' needs a JSON number"),
+        (["solve", {**LCQP, "seeds": [0.5]}], "'seeds' needs a JSON integer"),
+        (["solve", {**LCQP, "seeds": [True]}], "'seeds' needs a JSON integer"),
+        (["solve", {**LCQP, "seeds": ["1"]}], "'seeds' needs a JSON integer"),
+        (["solve", {**LCQP, "seeds": 3}], "'seeds' needs a JSON array"),
+        (["solve", {**LCQP, "seed": [4]}], "unknown config key 'seed'"),
+        (["solve", {**LCQP, "solver": {"epsilon": 1e-6}}], "unknown 'solver' key 'epsilon'"),
+        (["solve", {**LCQP, "solver": {"policy": {"variant": "theoretical", "W0": 2}}}], "'W0'"),
+        (["solve", {**LCQP, "jobs": 2}, "--jobs", "0"], "got 0"),
+        (["solve", {**LCQP, "points_path": 5}], "'points_path' needs a JSON string"),
+        (["solve", {"experiment": 5}], "'experiment' needs a JSON string"),
+        (["bench-lcqp", *TINY, "--policy", "practical", "--w0", "2"], "unknown 'policy' key 'w0'"),
+        (["bench-cluster", "--points", "no_such_points.csv"], "no_such_points.csv"),
+        (["solve", {"experiment": "custom", "instance_path": "no_such_instance.json"}],
+         "no_such_instance.json"),
+        (["bench-lcqp", *TINY, "--rho", "nan"], "rho must be positive, got nan"),
     ],
 )
 def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
@@ -409,6 +432,59 @@ class TestSolveConfig:
         assert rc == 0
         data = json.loads((tmp_path / "out" / "trial_0.json").read_text())
         assert data["instance_ref"]["inline"]["kind"] == "lcqp"
+
+    def test_jobs_flag_overrides_config(self, tmp_path):
+        # An explicit --jobs 1 wins over the file's value, here one that
+        # would be a usage error of its own.
+        path = self.write_config(tmp_path, jobs=0)
+        assert cli.main(["solve", str(path), "--jobs", "1"]) == 0
+
+    def test_bench_and_solve_write_the_same_trial(self, tmp_path):
+        cli.main(["bench-lcqp", *TINY, "--seeds", "0", "--out", str(tmp_path / "bench")])
+        path = self.write_config(tmp_path, solver={})
+        cli.main(["solve", str(path)])
+        bench = json.loads((tmp_path / "bench" / "trial_0.json").read_text())
+        solve = json.loads((tmp_path / "out" / "trial_0.json").read_text())
+        assert bench["instance_ref"] == solve["instance_ref"]
+        assert list(bench["instance_ref"]["generator"]) == ["kind", "m", "n", "rho", "seed"]
+        assert bench["solver"] == solve["solver"]
+
+    def test_readme_schema_example_is_accepted(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Config file schema", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        data = json.loads(re.sub(r"//.*", "", example))
+        path = tmp_path / "readme.json"
+        path.write_text(json.dumps(data))
+        rc = cli.main(["solve", str(path), "--seeds", "0", "--max-outer", "1",
+                       "--out", str(tmp_path / "out")])
+        assert rc in (0, 1)
+        trial = json.loads((tmp_path / "out" / "trial_0.json").read_text())
+        assert trial["solver"] == data["solver"] | {"max_outer": 1}
+        assert trial["instance_ref"]["generator"] == {
+            "kind": data["experiment"], **data["sizes"], "rho": data["rho"], "seed": 0
+        }
+
+    @pytest.mark.parametrize("experiment, key", [("cluster", "points_path"),
+                                                 ("custom", "instance_path")])
+    def test_unreadable_input_file_writes_nothing(self, tmp_path, capsys, experiment, key):
+        path = self.write_config(
+            tmp_path, experiment=experiment, sizes={"r": 2, "s": 4.0}, **{key: "missing.file"}
+        )
+        assert cli.main(["solve", str(path)]) == 2
+        assert "missing.file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_points_file_read_once_per_campaign(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "pts.csv"
+        csv_path.write_text("0,0\n1,0\n0,1\n1,1\n")
+        reads = []
+        load = cli.load_points_csv
+        monkeypatch.setattr(cli, "load_points_csv", lambda path: reads.append(path) or load(path))
+        cli.main(["bench-cluster", "--points", str(csv_path), "--r", "2", "--s", "4",
+                  "--trials", "3", "--max-outer", "1", "--out", str(tmp_path / "out")])
+        assert reads == [str(csv_path)]
+        assert len(list((tmp_path / "out").glob("trial_*.json"))) == 3
 
     def test_unsupported_config_version_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path, format_version=2)

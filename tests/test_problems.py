@@ -69,6 +69,10 @@ class TestGenLcqp:
         with pytest.raises(ValueError):
             gen_lcqp(2, 10, 0.0, seed=0)
 
+    def test_nan_rho_rejected_by_its_own_check(self):
+        with pytest.raises(ValueError, match="rho must be positive, got nan"):
+            gen_lcqp(2, 10, math.nan, seed=0)
+
     def test_problem_ledger_consistency(self):
         inst = gen_lcqp(3, 12, 1.0, seed=2)
         prob = inst.to_problem()
@@ -156,6 +160,11 @@ class TestCurvatureSchedules:
 
 
 class TestGenClustering:
+    def test_nan_radius_rejected_by_its_own_check(self):
+        points = np.random.default_rng(0).standard_normal((5, 2))
+        with pytest.raises(ValueError, match="s = nan"):
+            gen_clustering(points, r=2, s=math.nan)
+
     def test_distance_matrix_properties(self):
         rng = np.random.default_rng(0)
         pts = rng.standard_normal((12, 3))

@@ -73,6 +73,11 @@ class TestProjectBox:
         with pytest.raises(ValueError):
             BoxSet(np.array([1.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("lower, upper", [([0.0, math.nan], [1.0, 1.0]), ([0.0], [math.nan])])
+    def test_nan_bound_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            BoxSet(lower, upper)
+
 
 class TestProjectBall:
     def test_radial_scaling(self):
