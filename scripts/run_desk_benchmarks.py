@@ -29,7 +29,7 @@ def main() -> int:
             "--out", str(out / "lcqp_m10_n200"),
         ],
         "lcqp_m10_n200_penalty": [
-            "bench-lcqp", "--m", "10", "--n", "200", "--rho", "1.0", "--penalty-mode",
+            "bench-lcqp", "--m", "10", "--n", "200", "--rho", "1.0", "--policy", "penalty",
             "--trials", str(args.trials), "--jobs", str(args.jobs),
             "--out", str(out / "lcqp_m10_n200_penalty"),
         ],

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """Fingerprint of the certification sweep: one line per solve.
 
-Solves the sweep with the default configuration and prints, for each
-instance, #Grad (real calls into the smooth gradient), the outer-iteration
-count, ``success`` and the first 12 hex digits of the sha256 of the returned
-``x``.  The sweep is `gen_lcqp(10, 200, 1, s)` for s = 0..9, `gen_ev(200, s)`
-for s = 0..4, and the clusterings of 12 standard-normal points in the plane
-drawn by `default_rng(0..3)` (r = 3, s = 100) at eps 1e-2.  The hinge
-block is covered by `ialm_ineq_solve` on `gen_lcqp(10, 200, 1, s)` for
+Solves the sweep and prints, for each solve, #Grad (real calls into the
+smooth gradient), the outer-iteration count, ``success`` and the first 12
+hex digits of the sha256 of the returned ``x``.  The sweep is
+`gen_lcqp(10, 200, 1, s)` for s = 0..9, `gen_ev(200, s)` for s = 0..4, and
+the clusterings of 12 standard-normal points in the plane drawn by
+`default_rng(0..3)` (r = 3, s = 100) at eps 1e-2.  The hinge block is
+covered by `ialm_ineq_solve` on `gen_lcqp(10, 200, 1, s)` for
 s = 0..2 split as the `ineq` benchmark workload splits it: the first 5 rows
 are the equalities `A x = b` held as data, the last 5 the inequalities of a
 two-callback `ConstraintOracle`.  One more line solves the slack-variable
-reformulation of the s = 0 split with `ialm_solve`.  Every solve uses the
-default configuration, except the clusterings' eps.
+reformulation of the s = 0 split with `ialm_solve`.  These 23 solves use
+the default configuration, except the clusterings' eps.  The last four
+cover the other dual policies: `gen_ev(200, 0)` under
+`TheoreticalDual(w0=1)`, `PracticalDual(M=0.5, q=2)` and `PenaltyDual()`,
+and the s = 0 split under `TheoreticalDual(w0=1)`, 27 solves in all.
 
 Two runs print the same lines exactly when every solve returns the same
 iterate after the same number of gradients, so diffing the output of two
@@ -35,7 +38,13 @@ import hashlib  # noqa: E402
 import numpy as np  # noqa: E402
 
 from almkit.core import ConstraintOracle  # noqa: E402
-from almkit.ialm import IalmConfig, ialm_solve  # noqa: E402
+from almkit.ialm import (  # noqa: E402
+    IalmConfig,
+    PenaltyDual,
+    PracticalDual,
+    TheoreticalDual,
+    ialm_solve,
+)
 from almkit.ineq import (  # noqa: E402
     IneqConstants,
     IneqProblemSpec,
@@ -96,6 +105,13 @@ def sweep():
         yield f"ineq(gen_lcqp(10,200,1,{s}))", ialm_ineq_solve, lcqp_split(s), IalmConfig()
     slack = slack_reformulate(lcqp_split(0)).problem
     yield "slack(gen_lcqp(10,200,1,0))", ialm_solve, slack, IalmConfig()
+    theoretical = IalmConfig(policy=TheoreticalDual(w0=1.0))
+    yield "gen_ev(200,0) theoretical", ialm_solve, gen_ev(200, 0).to_problem(), theoretical
+    growing = IalmConfig(policy=PracticalDual(M=0.5, q=2))
+    yield "gen_ev(200,0) practical(.5,2)", ialm_solve, gen_ev(200, 0).to_problem(), growing
+    penalty = IalmConfig(policy=PenaltyDual())
+    yield "gen_ev(200,0) penalty", ialm_solve, gen_ev(200, 0).to_problem(), penalty
+    yield "ineq(gen_lcqp s=0) theoretical", ialm_ineq_solve, lcqp_split(0), theoretical
 
 
 def main() -> int:

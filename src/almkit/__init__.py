@@ -18,7 +18,7 @@ from .core import (
 from .ialm import (
     IalmConfig,
     OuterIterationRecord,
-    PowerGrowthDual,
+    PenaltyDual,
     PracticalDual,
     SolveReport,
     TheoreticalDual,
@@ -50,7 +50,7 @@ __all__ = [
     "KktResidual",
     "NonFiniteValue",
     "OuterIterationRecord",
-    "PowerGrowthDual",
+    "PenaltyDual",
     "PracticalDual",
     "ProblemSpec",
     "ProxCapableFunction",

@@ -10,12 +10,17 @@ diagnostics verdicts, and enough instance information to rebuild the
 problem); its records carry every field the solver sets on an
 ``OuterIterationRecord``.  Config files, trial files and the solver flags
 read their keys, types and defaults from ``IalmConfig`` and the dual
-policies.  A campaign's keys, from a ``solve`` file or from the bench
+policies.  ``--policy`` picks the dual policy (``penalty`` is the pure
+penalty method), and ``--w0``, ``--growth-M`` and ``--growth-q`` set its
+parameters: over the file's (or the default) policy when ``--policy`` is
+absent or names that policy's variant, over the named variant's defaults
+otherwise.  A campaign's keys, from a ``solve`` file or from the bench
 flags, pass one reader that types them from ``RunConfig``'s fields and
 ``SIZE_KEYS``: an unknown key or a value of the wrong JSON type, at the top
-level or in ``sizes``, ``solver`` or ``policy``, is a usage error, and so is
-an unreadable points or instance file, each named before anything is
-written.
+level or in ``sizes``, ``solver`` or ``policy`` (a policy flag the policy
+does not take included), is a usage error, and so is an unreadable points
+or instance file or an instance file that lacks a field, each named before
+anything is written.
 
 ``report`` re-measures the final KKT residuals from the trial files
 instead of trusting the solver's own numbers, and a campaign ends by
@@ -48,7 +53,7 @@ from . import diagnostics as diag
 from .core import ProblemSpec, as_vector, kkt_residual
 from .ialm import (
     IalmConfig,
-    PowerGrowthDual,
+    PenaltyDual,
     PracticalDual,
     SolveReport,
     TheoreticalDual,
@@ -86,7 +91,7 @@ SOLVER_FIELDS = tuple(f for f in fields(IalmConfig) if f.name != "curvature_over
 DEFAULT_SOLVER = IalmConfig()
 # Each dual policy class under the variant name its own to_dict() writes.
 POLICIES = {
-    cls().to_dict()["variant"]: cls for cls in (PracticalDual, TheoreticalDual, PowerGrowthDual)
+    cls().to_dict()["variant"]: cls for cls in (PracticalDual, TheoreticalDual, PenaltyDual)
 }
 
 
@@ -207,7 +212,7 @@ def _diagnostics_dict(report: SolveReport, problem: ProblemSpec, config: RunConf
         verdict = diag.check_feasibility_decay(report, config.solver.sigma)
         kept = ("passed", "constant", "max_product")
         out["feasibility_decay"] = {key: getattr(verdict, key) for key in kept}
-    if isinstance(config.solver.policy, TheoreticalDual) and not config.solver.penalty_mode:
+    if isinstance(config.solver.policy, TheoreticalDual):
         c0 = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
         y_max = diag.dual_norm_bound(config.solver.policy.w0, c0)
         observed = max((rec.y_norm for rec in report.records), default=0.0)
@@ -268,7 +273,6 @@ def run_benchmark(config: RunConfig) -> int:
     stray = sorted(p for p in out_dir.glob("trial_*.json") if p.name not in own)
     if stray:
         raise ValueError(f"{stray[0]} is not a trial of this campaign; use another output directory")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if config.jobs == 1:
         payloads = [run_trial(config, seed) for seed in config.seeds]
@@ -276,6 +280,9 @@ def run_benchmark(config: RunConfig) -> int:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
             payloads = list(pool.map(lambda s: run_trial(config, s), config.seeds))
 
+    # Made only now, so that a trial that raises (a generator's parameter
+    # error) leaves no directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"trial_{seed}.json" for seed in config.seeds]
     for path, payload in zip(paths, payloads):
         with open(path, "w") as fh:
@@ -375,12 +382,8 @@ def _add_solver_flags(p: argparse.ArgumentParser):
         help=f"dual step-size policy (default {d.policy.to_dict()['variant']})",
     )
     p.add_argument("--w0", type=float, help="w0 for the theoretical policy")
-    p.add_argument("--growth-M", type=float, help="M for the power policy")
-    p.add_argument("--growth-q", type=int, help="q for the power policy")
-    # None, not False, when absent, so that a config file's penalty_mode stands.
-    p.add_argument(
-        "--penalty-mode", action="store_true", default=None, help="freeze multipliers at zero"
-    )
+    p.add_argument("--growth-M", type=float, help="M for the practical policy")
+    p.add_argument("--growth-q", type=int, help="q for the practical policy")
     p.add_argument("--max-outer", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
     p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
@@ -390,10 +393,15 @@ def _add_solver_flags(p: argparse.ArgumentParser):
 
 
 def _solver_from_args(args, base: IalmConfig) -> IalmConfig:
+    """``base`` with the solver flags set over it.  The policy flags lay over
+    ``base.policy``, or over the defaults of the variant ``--policy`` names
+    when that differs from ``base.policy``'s."""
     flags = {f.name: getattr(args, f.name) for f in SOLVER_FIELDS if f.name != "policy"}
-    if args.policy is not None:
-        policy = {"variant": args.policy, "w0": args.w0, "M": args.growth_M, "q": args.growth_q}
-        flags["policy"] = policy_from_dict({k: v for k, v in policy.items() if v is not None})
+    policy = base.policy.to_dict()
+    if args.policy not in (None, policy["variant"]):
+        policy = {"variant": args.policy}
+    params = {"w0": args.w0, "M": args.growth_M, "q": args.growth_q}
+    flags["policy"] = policy_from_dict(policy | {k: v for k, v in params.items() if v is not None})
     return replace(base, **{name: value for name, value in flags.items() if value is not None})
 
 

@@ -1,6 +1,7 @@
 """Outer inexact augmented Lagrangian loop, with geometric penalty growth
-beta_k = beta0 * sigma^k, a choice of dual step-size policies, and a
-pure-penalty ablation mode that freezes the multipliers at zero.
+beta_k = beta0 * sigma^k and a choice of dual step-size policies; the
+pure-penalty ablation is the policy whose step is 0, which freezes the
+multipliers at zero.
 
 One loop serves two constraint blocks: the equality block c(x) = 0 here,
 and the hinge block (affine equalities plus convex inequalities) in
@@ -71,8 +72,9 @@ SUBPROBLEM_TOL_FACTOR = 0.1
 
 
 # Each policy gives the step size w_k for a residual norm r > 0 (at r = 0
-# the limit: w0, or inf for the residual-normalized rules), the equality
-# block's ascent step, and its CLI/JSON form.
+# the limit: w0, inf for the residual-normalized rule, or 0), the equality
+# block's ascent step, and its CLI/JSON form.  Neither block updates its
+# multipliers when w_k = 0, so the penalty policy has no ascent step.
 
 
 @dataclass(frozen=True)
@@ -100,8 +102,9 @@ class TheoreticalDual:
 
 
 @dataclass(frozen=True)
-class PowerGrowthDual:
-    """w_k = M (k+1)^q / ||c(x_{k+1})||: dual increments of norm M (k+1)^q."""
+class PracticalDual:
+    """w_k = M (k+1)^q / ||c(x_{k+1})||: dual increments of norm M (k+1)^q,
+    unit-norm by default."""
 
     M: float = 1.0
     q: int = 0
@@ -117,29 +120,26 @@ class PowerGrowthDual:
         return self.M * (k + 1) ** self.q / res if res > 0.0 else math.inf
 
     def ascend(self, y, c, c_norm: float, w: float, k: int):
+        # Increment of norm M (k+1)^q along c/||c||, stable however small
+        # the residual is.
         return y + self.M * (k + 1) ** self.q * (c / c_norm)
 
     def to_dict(self) -> dict:
-        return {"variant": "power", "M": self.M, "q": self.q}
+        return {"variant": "practical", "M": self.M, "q": self.q}
 
 
 @dataclass(frozen=True)
-class PracticalDual:
-    """w_k = 1 / ||c(x_{k+1})||: unit-norm dual increments."""
+class PenaltyDual:
+    """w_k = 0: the pure penalty method, whose multipliers stay at zero."""
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
-        return 1.0 / res if res > 0.0 else math.inf
-
-    def ascend(self, y, c, c_norm: float, w: float, k: int):
-        # Unit-norm increment along c/||c||, stable however small the
-        # residual is.
-        return y + c / c_norm
+        return 0.0
 
     def to_dict(self) -> dict:
-        return {"variant": "practical"}
+        return {"variant": "penalty"}
 
 
-DualStepPolicy = Union[TheoreticalDual, PowerGrowthDual, PracticalDual]
+DualStepPolicy = Union[TheoreticalDual, PracticalDual, PenaltyDual]
 
 
 def gamma_schedule(k: int, c0_norm: float) -> float:
@@ -155,7 +155,7 @@ def dual_step_size(
     """Step size w_k for the multiplier update y <- y + w_k c(x_{k+1}).
 
     When the residual vanishes the increment w_k c is zero regardless of
-    w_k; the residual-normalized policies return 0 there so the recorded
+    w_k; the residual-normalized policy returns 0 there so the recorded
     step stays finite.
     """
     if c_norm_next < 0 or gamma_k < 0:
@@ -178,7 +178,6 @@ class IalmConfig:
     sigma: float = 3.0
     eps: float = 1e-3
     policy: DualStepPolicy = field(default_factory=PracticalDual)
-    penalty_mode: bool = False
     max_outer: int = 40
     max_inner: int = 10**6
     curvature_override: Optional[CurvatureSchedule] = None
@@ -322,10 +321,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         t_done = time.perf_counter()
         converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
 
-        if config.penalty_mode:
-            w = 0.0
-        else:
-            w = block.dual_update(config.policy, k, gamma_schedule(k, block.damping), beta)
+        w = block.dual_update(config.policy, k, gamma_schedule(k, block.damping), beta)
         fields = block.record_fields(x, kkt)
         records.append(
             OuterIterationRecord(

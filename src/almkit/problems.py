@@ -364,10 +364,9 @@ def load_points_csv(path: str) -> np.ndarray:
 # The instance file's "kind" of each instance class.
 INSTANCE_KINDS = {"lcqp": LcqpInstance, "ev": EvInstance, "cluster": ClusteringInstance}
 # The JSON type each field annotation takes.
-JSON_TYPES = {"bool": "boolean", "int": "integer", "float": "number",
-              "str": "string", "dict": "object", "tuple": "array"}
-# The Python type JSON decodes a boolean, string, object or array to.
-DECODED = {"bool": bool, "str": str, "dict": dict, "tuple": list}
+JSON_TYPES = {"int": "integer", "float": "number", "str": "string", "dict": "object", "tuple": "array"}
+# The Python type JSON decodes a string, object or array to.
+DECODED = {"str": str, "dict": dict, "tuple": list}
 
 
 def fields_to_json(obj) -> dict:
@@ -380,12 +379,11 @@ def fields_to_json(obj) -> dict:
 def field_from_json(name: str, annotation: str, value):
     """``value``, read from JSON, as a field ``name`` annotated ``annotation``
     (the modules postpone annotations, so a field's type is text): an
-    ``np.ndarray`` as a float64 array, a ``bool`` only from a JSON boolean,
-    an ``int`` only from an integral number (40 or 40.0), a ``float`` from
-    any number but a boolean, a ``str``, ``dict`` or ``tuple`` from a JSON
-    string, object or array, and an ``Optional[...]`` from null as well.
-    Other fields pass through.  A value of the wrong type raises ValueError
-    naming the key."""
+    ``np.ndarray`` as a float64 array, an ``int`` only from an integral
+    number (40 or 40.0), a ``float`` from any number but a boolean, a
+    ``str``, ``dict`` or ``tuple`` from a JSON string, object or array, and
+    an ``Optional[...]`` from null as well.  Other fields pass through.  A
+    value of the wrong type raises ValueError naming the key."""
     if annotation == "np.ndarray":
         return np.asarray(value, dtype=float)
     if annotation.startswith("Optional["):
@@ -406,8 +404,12 @@ def field_from_json(name: str, annotation: str, value):
 
 def fields_from_json(cls, data: dict, required: bool = True):
     """Build dataclass ``cls`` from the JSON keys named after its fields;
-    with ``required=False`` a missing key keeps the field's default."""
+    with ``required=False`` a missing key keeps the field's default, and
+    otherwise raises ValueError naming the key."""
     given = [f for f in dataclasses.fields(cls) if required or f.name in data]
+    missing = [f.name for f in given if f.name not in data]
+    if missing:
+        raise ValueError(f"{cls.__name__} needs key {missing[0]!r}")
     return cls(**{f.name: field_from_json(f.name, f.type, data[f.name]) for f in given})
 
 

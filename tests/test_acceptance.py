@@ -14,7 +14,7 @@ import pytest
 from almkit.apg import apg_solve, worst_case_iteration_bound
 from almkit.core import SmoothOracle
 from almkit.diagnostics import check_feasibility_decay, dual_norm_bound
-from almkit.ialm import IalmConfig, PracticalDual, TheoreticalDual, ialm_solve
+from almkit.ialm import IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual, ialm_solve
 from almkit.ineq import ialm_ineq_solve, slack_reformulate
 from almkit.ippm import ippm_solve
 from almkit.problems import gen_ev, gen_lcqp
@@ -47,7 +47,7 @@ def lcqp_penalty():
     runs = []
     for seed in SEEDS:
         problem = gen_lcqp(10, 200, 1.0, seed).to_problem()
-        runs.append((problem, ialm_solve(problem, IalmConfig(penalty_mode=True))))
+        runs.append((problem, ialm_solve(problem, IalmConfig(policy=PenaltyDual()))))
     return runs
 
 

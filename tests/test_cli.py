@@ -11,8 +11,8 @@ import pytest
 
 from almkit import cli
 from almkit.core import kkt_residual
-from almkit.ialm import IalmConfig, PowerGrowthDual, PracticalDual, TheoreticalDual
-from almkit.problems import gen_lcqp, save_instance
+from almkit.ialm import IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual
+from almkit.problems import gen_lcqp, instance_to_dict, save_instance
 
 TINY = ["--m", "3", "--n", "12"]
 # The TINY lcqp experiment as a config file's keys.
@@ -25,6 +25,13 @@ VALID_TRIAL = {
     "final_y": [0.0] * 3,
     "success": True,
 }
+
+
+def write_instance_without_q(path):
+    """Write the TINY lcqp instance file of seed 0 without its "Q" field."""
+    instance = instance_to_dict(gen_lcqp(3, 12, 1.0, 0))
+    path.write_text(json.dumps({k: v for k, v in instance.items() if k != "Q"}))
+    return path
 
 
 def read_csv(path):
@@ -111,11 +118,12 @@ class TestBenchCampaign:
         (["solve", {"experiment": "custom"}], '"instance_path"'),
         (["bench-lcqp", "--eps", "nan"], "eps must be positive, got nan"),
         (["bench-lcqp", *TINY, "--max-outer", "0"], "got (0, 1000000)"),
-        (["solve", {**LCQP, "solver": {"penalty_mode": "false"}}], "'penalty_mode' needs"),
+        (["solve", {**LCQP, "solver": {"penalty_mode": "false"}}],
+         "unknown 'solver' key 'penalty_mode'"),
         (["solve", {**LCQP, "solver": {"max_outer": 40.7}}], "'max_outer' needs"),
-        (["solve", {**LCQP, "solver": {"policy": {"variant": "power", "q": 1.5}}}], "'q' needs"),
+        (["solve", {**LCQP, "solver": {"policy": {"variant": "practical", "q": 1.5}}}], "'q' needs"),
         (["solve", {**LCQP, "solver": {"eps": True}}], "'eps' needs"),
-        (["solve", {**LCQP, "solver": {"policy": "power"}}], "'policy' needs"),
+        (["solve", {**LCQP, "solver": {"policy": "practical"}}], "'policy' needs"),
         (["solve", {**LCQP, "solver": [1]}], "'solver' needs"),
         (["solve", {**LCQP, "sizes": {"m": 3, "n": 12.9}}], "'n' needs a JSON integer"),
         (["solve", {**LCQP, "sizes": {"m": "3", "n": 12}}], "'m' needs a JSON integer"),
@@ -138,16 +146,22 @@ class TestBenchCampaign:
         (["solve", {"experiment": "custom", "instance_path": "no_such_instance.json"}],
          "no_such_instance.json"),
         (["bench-lcqp", *TINY, "--rho", "nan"], "rho must be positive, got nan"),
+        (["solve", {**LCQP, "solver": {"policy": {"variant": "power"}}}],
+         "unknown dual policy variant 'power'"),
+        (["bench-lcqp", *TINY, "--w0", "2"], "unknown 'policy' key 'w0'"),
+        (["solve", {"experiment": "custom", "instance_path": "NO_Q"}], "needs key 'Q'"),
     ],
 )
 def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
     # "CONFIG" names a config without an experiment; a dict is written to a
-    # config file of its own.
+    # config file of its own, with "NO_Q" naming an instance file without Q.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"format_version": 1, "sizes": {"m": 3, "n": 12}}))
+    no_q = write_instance_without_q(tmp_path / "no_q.json")
     args = list(args)
     for i, a in enumerate(args):
         if isinstance(a, dict):
+            a = {k: str(no_q) if v == "NO_Q" else v for k, v in a.items()}
             path = tmp_path / f"config_{i}.json"
             path.write_text(json.dumps({"format_version": 1, **a}))
             args[i] = str(path)
@@ -160,22 +174,20 @@ def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
 
 
 class TestSolverCodec:
-    @pytest.mark.parametrize("penalty_mode", [False, True])
     @pytest.mark.parametrize(
         "policy",
-        [PracticalDual(), TheoreticalDual(w0=2.5), PowerGrowthDual(M=0.5, q=2)],
+        [PracticalDual(), PracticalDual(M=0.5, q=2), TheoreticalDual(w0=2.5), PenaltyDual()],
     )
-    def test_round_trip_through_json(self, policy, penalty_mode):
+    def test_round_trip_through_json(self, policy):
         cfg = IalmConfig(
-            beta0=0.5, sigma=2.0, eps=1e-4, policy=policy, penalty_mode=penalty_mode,
-            max_outer=7, max_inner=500,
+            beta0=0.5, sigma=2.0, eps=1e-4, policy=policy, max_outer=7, max_inner=500,
         )
         data = json.loads(json.dumps(cli.solver_to_dict(cfg)))
         assert cli.solver_from_dict(data) == cfg
 
     def test_defaults_come_from_the_config_class(self):
         assert cli.solver_from_dict({}) == IalmConfig()
-        assert cli.policy_from_dict({"variant": "power"}) == PowerGrowthDual()
+        assert cli.policy_from_dict({"variant": "practical"}) == PracticalDual()
         assert cli.solver_from_dict({"max_outer": 40.0}).max_outer == 40
 
     def test_trial_records_carry_every_field_the_solver_sets(self, tmp_path):
@@ -474,6 +486,35 @@ class TestSolveConfig:
         assert cli.main(["solve", str(path)]) == 2
         assert "missing.file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["generator", "instance"])
+    def test_input_error_leaves_no_output_directory(self, tmp_path, capsys, case):
+        # A generator's parameter error is raised while the trials are built,
+        # and an instance file's missing field while the config is read.
+        if case == "generator":
+            argv = ["bench-lcqp", *TINY, "--rho", "nan", "--trials", "1"]
+        else:
+            inst_path = write_instance_without_q(tmp_path / "inst.json")
+            argv = ["solve", str(self.write_config(tmp_path, experiment="custom",
+                                                   instance_path=str(inst_path)))]
+        assert cli.main([*argv, "--out", str(tmp_path / "o3")]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "o3").exists()
+
+    def test_policy_flag_overlays_the_files_policy(self, tmp_path):
+        theoretical = {"policy": {"variant": "theoretical", "w0": 2}}
+        path = self.write_config(tmp_path, solver=theoretical)
+        assert cli.main(["solve", str(path), "--w0", "5"]) == 0
+        trial = json.loads((tmp_path / "out" / "trial_0.json").read_text())
+        assert trial["solver"]["policy"] == {"variant": "theoretical", "w0": 5.0}
+        # The file's own variant keeps the overlay; another starts from its
+        # defaults.
+        assert cli.main(["solve", str(path), "--policy", "theoretical", "--w0", "3"]) == 0
+        trial = json.loads((tmp_path / "out" / "trial_0.json").read_text())
+        assert trial["solver"]["policy"] == {"variant": "theoretical", "w0": 3.0}
+        assert cli.main(["solve", str(path), "--policy", "practical", "--growth-q", "1"]) == 0
+        trial = json.loads((tmp_path / "out" / "trial_0.json").read_text())
+        assert trial["solver"]["policy"] == {"variant": "practical", "M": 1.0, "q": 1}
 
     def test_points_file_read_once_per_campaign(self, tmp_path, monkeypatch):
         csv_path = tmp_path / "pts.csv"

@@ -24,7 +24,7 @@ from almkit.ialm import (
     RHO_FLOOR,
     IalmConfig,
     _EqualityBlock,
-    PowerGrowthDual,
+    PenaltyDual,
     PracticalDual,
     TheoreticalDual,
     dual_step_size,
@@ -61,11 +61,22 @@ class TestDualStepSize:
         assert dual_step_size(PracticalDual(), 0, 0.5, 0.0) == pytest.approx(2.0)
 
     def test_power_growth_example(self):
-        assert dual_step_size(PowerGrowthDual(M=1.0, q=1), 2, 0.1, 0.0) == pytest.approx(30.0)
+        assert dual_step_size(PracticalDual(M=1.0, q=1), 2, 0.1, 0.0) == pytest.approx(30.0)
+
+    def test_default_practical_step_is_the_unit_norm_rule_bitwise(self):
+        y = np.array([0.3, -1.7, 2.2])
+        c = np.array([1e-9, 3.0, -0.7])
+        c_norm = float(np.linalg.norm(c))
+        for policy in (PracticalDual(), PracticalDual(M=1.0, q=0)):
+            for k in range(5):
+                for r in (1e-12, 0.37, c_norm, 5e3):
+                    assert policy.step_size(k, r, 0.0) == 1.0 / r
+                got = policy.ascend(y, c, c_norm, 1.0 / c_norm, k)
+                assert np.array_equal(got, y + c / c_norm)
 
     def test_residual_normalized_policies_vanish_at_zero(self):
         assert dual_step_size(PracticalDual(), 0, 0.0, 0.0) == 0.0
-        assert dual_step_size(PowerGrowthDual(M=1.0, q=2), 3, 0.0, 0.0) == 0.0
+        assert dual_step_size(PracticalDual(M=1.0, q=2), 3, 0.0, 0.0) == 0.0
 
     def test_gamma_schedule_starts_at_initial_residual(self):
         assert gamma_schedule(0, 7.5) == pytest.approx(7.5)
@@ -74,7 +85,7 @@ class TestDualStepSize:
         with pytest.raises(ValueError):
             TheoreticalDual(w0=0.0)
         with pytest.raises(ValueError):
-            PowerGrowthDual(M=-1.0, q=0)
+            PracticalDual(M=-1.0, q=0)
 
 
 def inner_call(solver, *params):
@@ -96,8 +107,8 @@ BAD_PARAMETERS = {
     "max_outer": lambda: IalmConfig(max_outer=2.5),
     "max_inner": lambda: IalmConfig(max_inner=1e6),
     "w0": lambda: TheoreticalDual(w0=math.nan),
-    "M": lambda: PowerGrowthDual(M=math.nan),
-    "q": lambda: PowerGrowthDual(q=math.nan),
+    "M": lambda: PracticalDual(M=math.nan),
+    "q": lambda: PracticalDual(q=math.nan),
     "ippm_eps": inner_call(ippm_solve, 1.0, 1.0, math.nan),
     "ippm_rho": inner_call(ippm_solve, math.nan, 1.0, 1.0),
     "ippm_L_phi": inner_call(ippm_solve, 1.0, math.nan, 1.0),
@@ -257,7 +268,7 @@ class TestPenaltyMode:
         # the estimates (here rho at the instance's exact weak convexity).
         prob = small_lcqp_problem
         for override in (None, lambda beta, y_norm: (1.0, math.inf)):
-            cfg = IalmConfig(penalty_mode=True, max_outer=40, curvature_override=override)
+            cfg = IalmConfig(policy=PenaltyDual(), max_outer=40, curvature_override=override)
             rep = ialm_solve(prob, cfg)
             assert rep.success
             curvature = override or (lambda beta, y_norm: (math.inf, math.inf))
@@ -284,7 +295,7 @@ class TestPenaltyMode:
                 eps_k = max(cfg.eps, 0.1 * rec.pres)
 
     def test_penalty_mode_never_updates_multiplier(self, small_lcqp_problem):
-        rep = ialm_solve(small_lcqp_problem, IalmConfig(penalty_mode=True, max_outer=40))
+        rep = ialm_solve(small_lcqp_problem, IalmConfig(policy=PenaltyDual(), max_outer=40))
         assert all(rec.y_norm == 0.0 for rec in rep.records)
         assert np.array_equal(rep.y_running, np.zeros(small_lcqp_problem.constraints.n_constraints))
 

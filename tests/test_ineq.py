@@ -6,7 +6,7 @@ import pytest
 
 from almkit.core import ConstraintOracle, DimensionMismatch, NonFiniteValue, SmoothOracle
 from almkit.ialm import _EqualityBlock
-from almkit.ialm import IalmConfig, PracticalDual, TheoreticalDual, ialm_solve
+from almkit.ialm import IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual, ialm_solve
 from almkit.ineq import (
     IneqConstants,
     IneqProblemSpec,
@@ -347,7 +347,7 @@ class TestIneqSolve:
 
     def test_penalty_mode_freezes_both_multipliers(self):
         prob, _, _ = toy_ineq_qp()
-        rep = ialm_ineq_solve(prob, IalmConfig(penalty_mode=True, eps=1e-3, max_outer=40))
+        rep = ialm_ineq_solve(prob, IalmConfig(policy=PenaltyDual(), eps=1e-3, max_outer=40))
         assert all(rec.z_norm == 0.0 for rec in rep.records)
         assert np.array_equal(rep.z_running, np.zeros(1))
 
