@@ -174,15 +174,23 @@ def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
 
 
 class TestSolverCodec:
+    @pytest.mark.parametrize("drop_defaults", [False, True])
     @pytest.mark.parametrize(
         "policy",
-        [PracticalDual(), PracticalDual(M=0.5, q=2), TheoreticalDual(w0=2.5), PenaltyDual()],
+        [PracticalDual(), TheoreticalDual(w0=2.5), PracticalDual(M=0.5, q=2), PenaltyDual()],
     )
-    def test_round_trip_through_json(self, policy):
+    def test_round_trip_through_json(self, policy, drop_defaults):
         cfg = IalmConfig(
             beta0=0.5, sigma=2.0, eps=1e-4, policy=policy, max_outer=7, max_inner=500,
         )
         data = json.loads(json.dumps(cli.solver_to_dict(cfg)))
+        if drop_defaults:
+            # Leave out every value the decoder fills in from the config classes.
+            default = cli.solver_to_dict(IalmConfig())
+            policy_default = type(policy)().to_dict() | {"variant": default["policy"]["variant"]}
+            data = {k: v for k, v in data.items() if v != default[k]} | {
+                "policy": {k: v for k, v in data["policy"].items() if v != policy_default[k]}
+            }
         assert cli.solver_from_dict(data) == cfg
 
     def test_defaults_come_from_the_config_class(self):
