@@ -152,8 +152,7 @@ def apg_solve(
         raise ValueError("eps must be positive")
     check_iteration_limits(max_iter)
     x_init = as_vector(x_init, name="x_init")
-    if not math.isfinite(H.value(x_init)):
-        raise ValueError("x_init lies outside dom(H)")
+    H._check_domain(x_init, "x_init")
     evals = 0
     if grad_init is None:
         grad_init = grad(x_init)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import errno
 import io
 import json
 import math
@@ -266,9 +267,14 @@ def run_benchmark(config: RunConfig) -> int:
 
     Raises ValueError, before solving, when the output directory holds a
     trial file of another seed, which ``report`` would mix into this
-    campaign; trial files of the campaign's own seeds are overwritten.
+    campaign (trial files of the campaign's own seeds are overwritten), and
+    NotADirectoryError when the output path, or the nearest of its parents
+    that exists, is not a directory.
     """
     out_dir = Path(config.output_dir)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "output path is not a directory", str(existing))
     own = {f"trial_{seed}.json" for seed in config.seeds}
     stray = sorted(p for p in out_dir.glob("trial_*.json") if p.name not in own)
     if stray:
@@ -326,9 +332,9 @@ def reverify_trial(path: Path) -> dict:
         x = as_vector(data["final_x"], problem.dim, "final_x")
         y = as_vector(data["final_y"], problem.constraints.n_constraints, "final_y")
         eps = float(data.get("solver", {}).get("eps", math.nan))
+        kkt = kkt_residual(x, y, problem)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed report file {path}: {exc!r}") from None
-    kkt = kkt_residual(x, y, problem)
     row["pres"], row["dres"] = kkt.pres, kkt.dres
     row["success"] = bool(data.get("success", False)) and max(kkt.pres, kkt.dres) <= eps
     return row

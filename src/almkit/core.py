@@ -20,6 +20,14 @@ output through the oracle's private method (``SmoothOracle._gradient``,
 ``as_vector`` and which the AL gradient and the KKT certificates call
 directly, on points they have validated once.
 
+Membership in dom h is checked once, where a point enters from outside:
+the problem's ``x0``, the inner solvers' start point, the public
+``subdiff_distance``, the KKT certificates and the regularity diagnostics
+call ``ProxCapableFunction._check_domain``, which reads h's value oracle
+(+inf off the domain).  The built-in distance kernels trust it: inside the
+solvers they see only such points and the output of their own prox, which
+is finite whenever its input is.
+
 Constraint rows have three constructors feeding one checked path.  Each
 ``ConstraintOracle`` holds one callback x -> (c(x), v -> J(x)'v):
 
@@ -50,8 +58,9 @@ rejected vectors, and the messages, are those of the entrywise check.
 The one remaining guard inside the inner loops is APG's finiteness check on
 its stationarity measure, which catches a NaN iterate that reached a
 gradient that ignores its input, and a NaN or Inf that the affine products
-made.  NaN therefore still fails fast: at the gradient's output check, or
-at APG's stationarity check.
+made.  NaN therefore still fails fast: at the gradient's output check, at
+the subdifferential distance's output check, or at APG's stationarity
+check.
 
 #Grad, the paper's complexity measure, is counted at one point:
 ``SmoothOracle.grad_evals``, which every call into the smooth gradient
@@ -225,11 +234,21 @@ class ProxCapableFunction:
         return self._subdiff_fn is not None
 
     def subdiff_distance(self, x: Array, v: Array) -> Optional[float]:
-        """Exact dist(v, subdiff h(x)), or None when unavailable."""
+        """Exact dist(v, subdiff h(x)), or None when unavailable; raises
+        ValueError when x lies outside dom h."""
         if self._subdiff_fn is None:
             return None
         x = as_vector(x)
-        return self._subdiff(x, as_vector(v, x.shape[0], "v"))
+        v = as_vector(v, x.shape[0], "v")
+        self._check_domain(x)
+        return self._subdiff(x, v)
+
+    def _check_domain(self, x: Array, name: str = "x") -> None:
+        """Raise ValueError unless the validated ``x`` lies in dom h, where
+        the value oracle is finite: the one domain check, made where a
+        point enters from outside."""
+        if not math.isfinite(self._value_fn(x)):
+            raise ValueError(f"{name} lies outside the domain of the nonsmooth term")
 
     def _subdiff(self, x: Array, v: Array) -> float:
         d = float(self._subdiff_fn(x, v))
@@ -445,8 +464,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0, name="x0")
-        if not math.isfinite(self.nonsmooth.value(self.x0)):
-            raise ValueError("x0 lies outside the domain of the nonsmooth term")
+        self.nonsmooth._check_domain(self.x0, "x0")
 
     @property
     def dim(self) -> int:
@@ -604,8 +622,10 @@ def _equality_kkt(x, y, problem: ProblemSpec, c, jt, g) -> KktResidual:
 
 def kkt_residual(x: Array, y: Array, problem: ProblemSpec) -> KktResidual:
     """Measure the KKT residual pair (||c(x)||, dist(0, subdiff f0(x) + J_c(x)'y)),
-    with the dual distance measured by ``dual_residual``."""
+    with the dual distance measured by ``dual_residual``; raises ValueError
+    when x lies outside dom h."""
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
+    problem.nonsmooth._check_domain(x)
     c, jt = problem.constraints._linearize(x)
     return _equality_kkt(x, y, problem, c, jt, problem.smooth._gradient(x))

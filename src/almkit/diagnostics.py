@@ -63,6 +63,7 @@ def estimate_regularity_v(
     finite = []
     for x, _beta_prev in trajectory:
         x = as_vector(x, problem.dim, "x")
+        h._check_domain(x)
         c, jt = problem.constraints._linearize(x)
         c_norm = float(np.linalg.norm(c))
         if c_norm < _FEASIBLE_ATOL:

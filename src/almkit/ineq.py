@@ -86,8 +86,7 @@ class IneqProblemSpec:
         # Written so that NaN fails.
         if not self.rho0 >= 0:
             raise ValueError("rho0 must be nonnegative")
-        if not math.isfinite(self.nonsmooth.value(self.x0)):
-            raise ValueError("x0 lies outside the domain of the nonsmooth term")
+        self.nonsmooth._check_domain(self.x0, "x0")
 
     @property
     def dim(self) -> int:
@@ -195,8 +194,10 @@ def _hinge_kkt(x, y, z, problem: IneqProblemSpec, r, f, jt) -> KktResidual:
 def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: IneqProblemSpec) -> KktResidual:
     """Measure the inequality-KKT residuals at (x, y, z): the primal residual
     and its two parts, the complementarity residual, and the dual residual,
-    measured by ``dual_residual``."""
+    measured by ``dual_residual``; raises ValueError when x lies outside
+    dom h."""
     x, y, z = _check_ineq_inputs(x, y, z, 1.0, problem)
+    problem.nonsmooth._check_domain(x)
     f, jt = problem.ineq._linearize(x)
     return _hinge_kkt(x, y, z, problem, problem.A @ x - problem.b, f, jt)
 

@@ -144,8 +144,7 @@ def ippm_solve(
         raise ValueError("rho, L_phi, eps must be positive")
     check_iteration_limits(max_outer, max_inner)
     x0 = as_vector(x0, name="x0")
-    if not math.isfinite(psi.value(x0)):
-        raise ValueError("x0 lies outside dom(psi)")
+    psi._check_domain(x0, "x0")
 
     rho_cap, rho_start = rho, min(RHO_FLOOR, rho)
     rho = rho_start

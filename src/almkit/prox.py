@@ -1,7 +1,16 @@
-"""Closed-form projections, proximal operators, and exact normal-cone
-distances for the constraint sets used by the bundled experiments: boxes,
-origin-centered balls, and the intersection of the nonnegative orthant with
-a ball.
+"""Prox-capable nonsmooth terms for the bundled experiments: the zero
+function, and the indicators of boxes, of the nonnegative orthant and of
+its intersection with a ball, each with a closed-form projection and an
+exact normal-cone distance.
+
+The public API is the ``ProxCapableFunction`` each constructor returns.
+Its ``prox`` and ``subdiff_distance`` check their inputs, the point's
+membership in the set included (through the indicator's value oracle, see
+``ProxCapableFunction._check_domain``), and then call the kernels below.
+The distance kernels trust that x lies in the set, within the membership
+tolerance: the solvers call them, through ``ProxCapableFunction._subdiff``,
+on points that entered through a checked boundary or that the same
+indicator's prox produced.
 
 Matrix-shaped domains are handled by flattening to vectors; all operations
 here are stateless and safe for unrestricted concurrent use.
@@ -14,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, DimensionMismatch, ProxCapableFunction, as_vector, norm
+from .core import Array, DimensionMismatch, ProxCapableFunction, norm
 
 # Relative tolerance for deciding whether an iterate sits on a ball boundary.
 _BOUNDARY_RTOL = 1e-10
@@ -54,17 +63,6 @@ class BoxSet:
 
 
 @dataclass(frozen=True)
-class BallSet:
-    """Euclidean ball of radius r centered at the origin."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("ball radius must be finite and positive")
-
-
-@dataclass(frozen=True)
 class NonnegBallSet:
     """Intersection of the nonnegative orthant with a ball of radius s."""
 
@@ -75,31 +73,13 @@ class NonnegBallSet:
             raise ValueError("radius must be finite and positive")
 
 
-def project_box(x: Array, box: BoxSet) -> Array:
-    """Coordinatewise clamp onto the box."""
-    return np.clip(as_vector(x, box.dim), box.lower, box.upper)
-
-
-def project_ball(x: Array, ball: BallSet) -> Array:
-    """Radial scaling onto the ball; identity inside."""
-    x = as_vector(x)
-    nrm = norm(x)
-    if nrm <= ball.radius:
-        return x.copy()
-    return (ball.radius / nrm) * x
-
-
-def project_nonneg_ball(x: Array, s: NonnegBallSet) -> Array:
-    """Exact projection onto {x >= 0, ||x|| <= s}.
+def _project_nonneg_ball(x: Array, radius: float) -> Array:
+    """Exact projection onto {x >= 0, ||x|| <= radius}.
 
     Zeroing the negative part commutes with the radial scaling because both
     the orthant and the ball are invariant under coordinate sign projection,
     so the composition is the exact Euclidean projection.
     """
-    return _project_nonneg_ball(as_vector(x), s.radius)
-
-
-def _project_nonneg_ball(x: Array, radius: float) -> Array:
     y = np.maximum(x, 0.0)
     nrm = norm(y)
     if nrm > radius:
@@ -108,9 +88,9 @@ def _project_nonneg_ball(x: Array, radius: float) -> Array:
 
 
 def _box_bounds(box: BoxSet) -> tuple[Array, Array, Array, Array]:
-    """The bounds the box distance kernel tests against: the box widened by
-    the membership tolerance (scaled per coordinate), then the bounds at or
-    beyond which a coordinate is active.  A pinned coordinate
+    """The box widened by the membership tolerance (scaled per coordinate),
+    which the box's value tests against, then the bounds at or beyond which
+    the distance kernel counts a coordinate active.  A pinned coordinate
     (lower == upper) is active at both, wherever it sits within tolerance."""
     scale = np.maximum(1.0, np.maximum(np.abs(box.lower), np.abs(box.upper)))
     pinned = box.lower == box.upper
@@ -122,26 +102,8 @@ def _box_bounds(box: BoxSet) -> tuple[Array, Array, Array, Array]:
     )
 
 
-def normal_cone_distance_box(x: Array, v: Array, box: BoxSet) -> float:
-    """dist(v, N_X(x)) for the box X, with x in X (clamped within tolerance).
-
-    Coordinatewise: interior coordinates contribute |v_i|; at an active upper
-    bound the cone is [0, inf) so only the negative part of v_i contributes;
-    symmetric at lower bounds; a pinned coordinate (lower == upper) absorbs
-    everything.
-    """
-    x = as_vector(x, box.dim)
-    v = as_vector(v, box.dim, "v")
-    return _box_distance(x, v, *_box_bounds(box))
-
-
-def _box_distance(
-    x: Array, v: Array, lo_tol: Array, hi_tol: Array, lo_act: Array, hi_act: Array
-) -> float:
-    # Written so that NaN coordinates fail the membership check; counting
-    # the True entries is cheaper than two .all() reductions.
-    if not (np.count_nonzero(x >= lo_tol) == x.size and np.count_nonzero(x <= hi_tol) == x.size):
-        raise ValueError("point lies outside the box beyond tolerance")
+def _box_distance(x: Array, v: Array, lo_act: Array, hi_act: Array) -> float:
+    """dist(v, N_X(x)) for the box X, with x in X within tolerance."""
     # The residual of v's projection onto the cone, up to signs, which the
     # norm ignores: v_i inside, [v_i]_+ at an active lower bound, -[-v_i]_+
     # at an active upper bound, and 0 at a pinned coordinate (both).
@@ -150,55 +112,22 @@ def _box_distance(
     return norm(r)
 
 
-def normal_cone_distance_ball(x: Array, v: Array, ball: BallSet) -> float:
-    """dist(v, N_X(x)) for the ball X.
-
-    Interior points have N = {0}; boundary points have the outward ray
-    {lam * x : lam >= 0}, onto which v is projected.
-    """
-    x = as_vector(x)
-    v = as_vector(v, x.shape[0], "v")
-    nrm = norm(x)
-    if nrm > ball.radius * (1 + _BOUNDARY_RTOL) + _MEMBERSHIP_ATOL:
-        raise ValueError("point lies outside the ball beyond tolerance")
-    if nrm < ball.radius * (1 - _BOUNDARY_RTOL):
-        return norm(v)
-    lam = max(0.0, float(v @ x) / (nrm * nrm))
-    return norm(v - lam * x)
-
-
-def normal_cone_distance_nonneg(x: Array, v: Array) -> float:
-    """dist(v, N(x)) for the nonnegative orthant at x >= 0."""
-    x = as_vector(x)
-    return _nonneg_distance(x, as_vector(v, x.shape[0], "v"))
-
-
 def _nonneg_distance(x: Array, v: Array) -> float:
-    # Written so that NaN coordinates fail the membership check.
-    if np.count_nonzero(x >= -_MEMBERSHIP_ATOL) != x.size:
-        raise ValueError("point lies outside the orthant beyond tolerance")
+    """dist(v, N(x)) for the nonnegative orthant, with x >= 0 within
+    tolerance."""
     # At active coordinates the cone is (-inf, 0]; only positive v_i costs.
     return norm(np.maximum(v, 0.0, where=x <= _MEMBERSHIP_ATOL, out=v.copy()))
 
 
-def normal_cone_distance_nonneg_ball(x: Array, v: Array, s: NonnegBallSet) -> float:
-    """dist(v, N_C(x)) for C = orthant intersect ball of radius s.
+def _nonneg_ball_distance(x: Array, v: Array, radius: float) -> float:
+    """dist(v, N_C(x)) for C = orthant intersect ball of radius ``radius``,
+    with x in C within tolerance.
 
     N_C(x) = {u + lam x : u_i <= 0 where x_i = 0, u_i = 0 where x_i > 0,
     lam >= 0 only on the sphere}.  For fixed lam the best u is closed form,
     and the minimization over lam >= 0 is a 1-D quadratic clamp.
     """
-    x = as_vector(x)
-    v = as_vector(v, x.shape[0], "v")
-    return _nonneg_ball_distance(x, v, s.radius)
-
-
-def _nonneg_ball_distance(x: Array, v: Array, radius: float) -> float:
     nrm = norm(x)
-    # Written so that NaN coordinates fail the membership check.
-    inside = nrm <= radius * (1 + _BOUNDARY_RTOL) + _MEMBERSHIP_ATOL
-    if not (inside and np.count_nonzero(x >= -_MEMBERSHIP_ATOL) == x.size):
-        raise ValueError("point lies outside the set beyond tolerance")
     active = x <= _MEMBERSHIP_ATOL
     free = ~active
     x_free, v_free = x[free], v[free]
@@ -225,8 +154,10 @@ def zero_function() -> ProxCapableFunction:
 def box_indicator(box: BoxSet) -> ProxCapableFunction:
     """Indicator of a box, with exact normal-cone distances.
 
-    Its callables receive inputs the oracle already validated, so they call
-    the clamp and distance kernels directly.
+    Coordinatewise: interior coordinates contribute |v_i|; at an active upper
+    bound the cone is [0, inf) so only the negative part of v_i contributes;
+    symmetric at lower bounds; a pinned coordinate (lower == upper) absorbs
+    everything.
     """
     lower, upper = box.lower, box.upper
     lo_tol, hi_tol, lo_act, hi_act = _box_bounds(box)
@@ -238,23 +169,8 @@ def box_indicator(box: BoxSet) -> ProxCapableFunction:
     return ProxCapableFunction(
         prox_fn=lambda v, step: np.minimum(np.maximum(v, lower), upper),
         value_fn=value,
-        subdiff_distance_fn=lambda x, v: _box_distance(x, v, lo_tol, hi_tol, lo_act, hi_act),
+        subdiff_distance_fn=lambda x, v: _box_distance(x, v, lo_act, hi_act),
         diameter=box.diameter,
-        cone_subdiff=True,
-    )
-
-
-def ball_indicator(ball: BallSet) -> ProxCapableFunction:
-    """Indicator of an origin-centered ball."""
-
-    def value(x):
-        return 0.0 if norm(x) <= ball.radius * (1 + _BOUNDARY_RTOL) else math.inf
-
-    return ProxCapableFunction(
-        prox_fn=lambda v, step: project_ball(v, ball),
-        value_fn=value,
-        subdiff_distance_fn=lambda x, v: normal_cone_distance_ball(x, v, ball),
-        diameter=2.0 * ball.radius,
         cone_subdiff=True,
     )
 
@@ -265,7 +181,7 @@ def nonneg_ball_indicator(s: NonnegBallSet) -> ProxCapableFunction:
     def value(x):
         ok = np.all(x >= -_MEMBERSHIP_ATOL) and norm(x) <= s.radius * (
             1 + _BOUNDARY_RTOL
-        )
+        ) + _MEMBERSHIP_ATOL
         return 0.0 if ok else math.inf
 
     return ProxCapableFunction(

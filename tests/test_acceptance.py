@@ -18,7 +18,7 @@ from almkit.ialm import IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual,
 from almkit.ineq import ialm_ineq_solve, slack_reformulate
 from almkit.ippm import ippm_solve
 from almkit.problems import gen_ev, gen_lcqp
-from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, zero_function
+from almkit.prox import BoxSet, box_indicator, zero_function
 from helpers import toy_eq_qp, toy_ineq_qp
 
 LCQP_REFERENCE_GRADS = 34294
@@ -156,7 +156,7 @@ def test_criterion_4_subsolver_certificates(capsys):
             eps=eps,
         )
         assert res.converged
-        exact = normal_cone_distance_box(res.x, -phi.gradient(res.x), box)
+        exact = box_indicator(box).subdiff_distance(res.x, -phi.gradient(res.x))
         worst = max(worst, exact)
         assert exact <= eps
 

@@ -13,7 +13,7 @@ from almkit.apg import (
 )
 from almkit.core import NonFiniteValue, ProxCapableFunction, SmoothOracle, al_gradient_smooth, as_vector
 from almkit.problems import gen_ev, gen_lcqp
-from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, project_box, zero_function
+from almkit.prox import BoxSet, box_indicator, zero_function
 from helpers import fancy_index_box_distance
 
 
@@ -134,7 +134,7 @@ class TestApgProperties:
     def test_surrogate_upper_bounds_exact_distance(self):
         box = BoxSet.cube(-1.0, 1.0, 4)
         blind = ProxCapableFunction(
-            prox_fn=lambda v, step: project_box(v, box),
+            prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
             value_fn=lambda x: 0.0,
             subdiff_distance_fn=None,
             diameter=box.diameter,
@@ -148,7 +148,7 @@ class TestApgProperties:
                 G.gradient, blind, np.zeros(4), mu=float(np.min(d)), L_G=float(np.max(d)), eps=1e-6
             )
             assert res.converged and not res.stationarity_is_exact
-            exact = normal_cone_distance_box(res.x, -G.gradient(res.x), box)
+            exact = box_indicator(box).subdiff_distance(res.x, -G.gradient(res.x))
             assert exact <= res.stationarity + 1e-12
 
     def test_deterministic(self):

@@ -409,6 +409,19 @@ class TestReport:
         assert rc == 2
         assert "trial_0.json" in capsys.readouterr().err
 
+    def test_iterate_outside_the_domain_names_the_file(self, tmp_path, capsys):
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        path = tmp_path / "trial_0.json"
+        data = json.loads(path.read_text())
+        data["final_x"][0] = 99.0
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = cli.main(["report", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"malformed report file {path}" in err and "outside the domain" in err
+
 
 class TestSolveConfig:
     def write_config(self, tmp_path, **overrides):
@@ -546,12 +559,16 @@ class TestSolveConfig:
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
 
-    def test_unwritable_output_dir_exits_nonzero(self, tmp_path, capsys):
+    def test_unwritable_output_dir_exits_nonzero(self, tmp_path, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cli, "run_trial", lambda config, seed: solved.append(seed))
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")
-        rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(blocker)])
-        assert rc == 2
-        assert "I/O failure" in capsys.readouterr().err
+        for out in (blocker, blocker / "sub"):
+            rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(out)])
+            assert rc == 2
+            assert "I/O failure" in capsys.readouterr().err
+        assert solved == []
 
     def test_bench_cluster_from_csv(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -20,8 +20,14 @@ from almkit.core import (
 from almkit.ialm import _EqualityBlock
 from almkit.ineq import al_ineq_gradient_smooth, al_ineq_value
 from almkit.problems import gen_lcqp
-from almkit.prox import BoxSet, project_box, zero_function
-from helpers import box_qp_problem, finite_difference_gradient, toy_eq_qp, toy_ineq_qp
+from almkit.prox import BoxSet, zero_function
+from helpers import (
+    box_qp_problem,
+    finite_difference_gradient,
+    interval_without_subdiff,
+    toy_eq_qp,
+    toy_ineq_qp,
+)
 
 
 def scalar_problem():
@@ -172,7 +178,7 @@ class TestKktResidual:
         prob, _ = toy_eq_qp()
         box = BoxSet.cube(-5, 5, 2)
         no_exact = ProxCapableFunction(
-            prox_fn=lambda v, step: project_box(v, box),
+            prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
             value_fn=lambda x: 0.0,
             subdiff_distance_fn=None,
             diameter=box.diameter,
@@ -187,12 +193,27 @@ class TestKktResidual:
         )
         rng = np.random.default_rng(11)
         for _ in range(50):
-            x = project_box(rng.uniform(-6, 6, size=2), box)
+            x = np.clip(rng.uniform(-6, 6, size=2), box.lower, box.upper)
             y = rng.standard_normal(1)
             exact = kkt_residual(x, y, prob)
             flagged = kkt_residual(x, y, surrogate_prob)
             assert flagged.dres_is_upper_bound
             assert exact.dres <= flagged.dres + 1e-12
+
+    def test_rejects_x_outside_the_domain(self):
+        prob, _ = toy_eq_qp()
+        with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
+            kkt_residual(np.array([9.0, 0.0]), np.zeros(1), prob)
+
+    @pytest.mark.parametrize("cone_subdiff", [True, False])
+    def test_rejects_x_outside_the_domain_without_an_exact_subdiff(self, cone_subdiff):
+        # The surrogate is certified only on dom h, so no surrogate is given
+        # off it.
+        prob, _ = toy_eq_qp()
+        prob = dataclasses.replace(prob, nonsmooth=interval_without_subdiff(5.0, cone_subdiff))
+        assert kkt_residual(np.array([5.0, -5.0]), np.zeros(1), prob).dres_is_upper_bound
+        with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
+            kkt_residual(np.array([9.0, 0.0]), np.zeros(1), prob)
 
 
 class TestProblemSpec:

@@ -1,0 +1,52 @@
+"""Guard against orphans: every name a module of ``almkit`` imports is used
+in that module, and every name in ``almkit.__all__`` resolves.  Read from
+the modules' syntax trees, so deleting a function cannot leave its imports
+behind unnoticed."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import almkit
+
+PACKAGE = Path(almkit.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Each name an import statement binds, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set:
+    """Names the module reads, and the strings it lists in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = {name: line for name, line in imported_names(tree).items() if name not in used}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in almkit.__all__ if not hasattr(almkit, name)]
+    assert missing == []
+    assert len(set(almkit.__all__)) == len(almkit.__all__)

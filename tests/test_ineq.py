@@ -20,7 +20,7 @@ from almkit.ineq import (
     slack_reformulate,
 )
 from almkit.prox import zero_function
-from helpers import finite_difference_gradient, toy_eq_qp, toy_ineq_qp
+from helpers import finite_difference_gradient, interval_without_subdiff, toy_eq_qp, toy_ineq_qp
 
 
 def hinge_scalar_problem():
@@ -373,6 +373,14 @@ class TestKktResidualIneq:
         res = kkt_residual_ineq(np.array([1.1]), np.zeros(0), np.array([2.0]), prob)
         # f(1.1) = -0.1, z = 2 -> contribution 0.2
         assert res.compl == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("cone_subdiff", [True, False])
+    def test_rejects_x_outside_the_domain(self, cone_subdiff):
+        prob, _, _ = toy_ineq_qp()
+        prob = dataclasses.replace(prob, nonsmooth=interval_without_subdiff(2.0, cone_subdiff))
+        assert kkt_residual_ineq(np.array([2.0]), np.zeros(0), np.ones(1), prob).dres_is_upper_bound
+        with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
+            kkt_residual_ineq(np.array([3.0]), np.zeros(0), np.ones(1), prob)
 
 
 class TestSlackReformulation:

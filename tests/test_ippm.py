@@ -6,7 +6,7 @@ import pytest
 import almkit.ippm
 from almkit.core import SmoothOracle
 from almkit.ippm import RHO_FLOOR, SubsolverStall, ippm_solve, outer_iteration_bound
-from almkit.prox import BoxSet, box_indicator, normal_cone_distance_box, zero_function
+from almkit.prox import BoxSet, box_indicator, zero_function
 
 
 def concave_scalar(a, b=0.0):
@@ -43,7 +43,7 @@ class TestIppmExamples:
         assert res.x == pytest.approx([1.0], abs=1e-6)
         # Independently recomputed stationarity at the output.
         grad = -res.x
-        exact = normal_cone_distance_box(res.x, -grad, BoxSet(np.array([-1.0]), np.array([1.0])))
+        exact = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0]))).subdiff_distance(res.x, -grad)
         assert exact <= 1e-6
 
     def test_worst_case_outer_bound_value(self):
@@ -113,7 +113,7 @@ class TestIppmProperties:
                 phi.gradient, psi, np.zeros(2), rho=max(phi.rho, 0.5), L_phi=phi.L, eps=eps
             )
             assert res.converged
-            exact = normal_cone_distance_box(res.x, -phi.gradient(res.x), box)
+            exact = box_indicator(box).subdiff_distance(res.x, -phi.gradient(res.x))
             assert exact <= eps
             assert exact <= res.stationarity + 1e-12
 
@@ -179,7 +179,7 @@ class TestAdaptiveWeakConvexity:
         assert res.converged
         assert res.rho_doublings >= 1 and RHO_FLOOR < res.rho <= 2.0
         assert res.rho_doublings <= math.ceil(math.log2(2.0 / RHO_FLOOR))
-        assert normal_cone_distance_box(res.x, -grad(res.x), box) <= eps
+        assert box_indicator(box).subdiff_distance(res.x, -grad(res.x)) <= eps
 
     def test_warm_redo_starts_at_the_failed_iterate_without_a_gradient(self, monkeypatch):
         evaluated = []

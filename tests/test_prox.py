@@ -6,34 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from almkit.core import DimensionMismatch, norm
+from almkit.core import DimensionMismatch, NonFiniteValue, norm
 from helpers import fancy_index_box_distance, fancy_index_nonneg_distance
 from almkit.prox import (
     _box_bounds,
-    _box_distance,
-    _nonneg_ball_distance,
-    _nonneg_distance,
-    BallSet,
     BoxSet,
     NonnegBallSet,
-    ball_indicator,
     box_indicator,
     nonneg_ball_indicator,
     nonneg_indicator,
-    normal_cone_distance_ball,
-    normal_cone_distance_box,
-    normal_cone_distance_nonneg,
-    normal_cone_distance_nonneg_ball,
-    project_ball,
-    project_box,
-    project_nonneg_ball,
     stacked,
     zero_function,
 )
 
 BOX2 = BoxSet.cube(-5.0, 5.0, 2)
-BALL1 = BallSet(1.0)
 NNBALL1 = NonnegBallSet(1.0)
+H_BOX2 = box_indicator(BOX2)
+H_NNBALL1 = nonneg_ball_indicator(NNBALL1)
 
 finite_vec2 = hnp.arrays(
     np.float64, 2, elements=st.floats(-50, 50, allow_nan=False, allow_infinity=False)
@@ -42,11 +31,11 @@ finite_vec2 = hnp.arrays(
 
 class TestProjectBox:
     def test_clamp_example(self):
-        assert project_box(np.array([7.0, -8.0]), BOX2) == pytest.approx([5.0, -5.0])
+        assert H_BOX2.prox(np.array([7.0, -8.0]), 1.0) == pytest.approx([5.0, -5.0])
 
     def test_identity_inside(self):
         x = np.array([1.0, -2.0])
-        assert project_box(x, BOX2) == pytest.approx(x)
+        assert H_BOX2.prox(x, 1.0) == pytest.approx(x)
 
     def test_grid_distance_minimality(self):
         g = np.linspace(-5.0, 5.0, 1001)
@@ -55,7 +44,7 @@ class TestProjectBox:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.uniform(-10, 10, size=2)
-            p = project_box(x, BOX2)
+            p = H_BOX2.prox(x, 1.0)
             best = float(np.min(np.linalg.norm(grid - x, axis=1)))
             # No feasible grid point may beat the projection by more than
             # the grid resolution.
@@ -65,8 +54,8 @@ class TestProjectBox:
     @settings(max_examples=100, deadline=None)
     @given(finite_vec2, finite_vec2)
     def test_idempotent_and_nonexpansive(self, x, y):
-        px, py = project_box(x, BOX2), project_box(y, BOX2)
-        assert project_box(px, BOX2) == pytest.approx(px, abs=0)
+        px, py = H_BOX2.prox(x, 1.0), H_BOX2.prox(y, 1.0)
+        assert H_BOX2.prox(px, 1.0) == pytest.approx(px, abs=0)
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
     def test_empty_box_rejected(self):
@@ -79,31 +68,12 @@ class TestProjectBox:
             BoxSet(lower, upper)
 
 
-class TestProjectBall:
-    def test_radial_scaling(self):
-        assert project_ball(np.array([3.0, 4.0]), BALL1) == pytest.approx([0.6, 0.8])
-
-    def test_interior_identity(self):
-        x = np.array([0.2, -0.3])
-        assert project_ball(x, BALL1) == pytest.approx(x)
-
-    def test_center(self):
-        assert project_ball(np.zeros(2), BALL1) == pytest.approx([0.0, 0.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(finite_vec2, finite_vec2)
-    def test_idempotent_and_nonexpansive(self, x, y):
-        px, py = project_ball(x, BALL1), project_ball(y, BALL1)
-        assert np.linalg.norm(project_ball(px, BALL1) - px) <= 1e-12
-        assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-
-
 class TestProjectNonnegBall:
     def test_positive_point_scales(self):
-        assert project_nonneg_ball(np.array([3.0, 4.0]), NNBALL1) == pytest.approx([0.6, 0.8])
+        assert H_NNBALL1.prox(np.array([3.0, 4.0]), 1.0) == pytest.approx([0.6, 0.8])
 
     def test_negative_part_zeroed(self):
-        assert project_nonneg_ball(np.array([-2.0, 0.5]), NNBALL1) == pytest.approx([0.0, 0.5])
+        assert H_NNBALL1.prox(np.array([-2.0, 0.5]), 1.0) == pytest.approx([0.0, 0.5])
 
     def test_matches_grid_oracle_on_random_points(self):
         g = np.linspace(0.0, 1.0, 201)
@@ -114,7 +84,7 @@ class TestProjectNonnegBall:
         rng = np.random.default_rng(1)
         for _ in range(100):
             x = rng.uniform(-2, 2, size=2)
-            p = project_nonneg_ball(x, NNBALL1)
+            p = H_NNBALL1.prox(x, 1.0)
             assert np.all(p >= 0) and np.linalg.norm(p) <= 1.0 + 1e-12
             best = float(np.min(np.linalg.norm(grid - x, axis=1)))
             assert np.linalg.norm(x - p) <= best + 1e-12
@@ -123,9 +93,9 @@ class TestProjectNonnegBall:
     @settings(max_examples=100, deadline=None)
     @given(finite_vec2, finite_vec2)
     def test_idempotent_and_nonexpansive(self, x, y):
-        px = project_nonneg_ball(x, NNBALL1)
-        py = project_nonneg_ball(y, NNBALL1)
-        assert np.linalg.norm(project_nonneg_ball(px, NNBALL1) - px) <= 1e-12
+        px = H_NNBALL1.prox(x, 1.0)
+        py = H_NNBALL1.prox(y, 1.0)
+        assert np.linalg.norm(H_NNBALL1.prox(px, 1.0) - px) <= 1e-12
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -144,23 +114,23 @@ def box_cone_membership(x, v, box):
 class TestNormalConeBox:
     def test_upper_bound_example(self):
         box = BoxSet.cube(-1.0, 1.0, 2)
-        d = normal_cone_distance_box(np.array([1.0, 0.0]), np.array([2.0, -3.0]), box)
+        d = box_indicator(box).subdiff_distance(np.array([1.0, 0.0]), np.array([2.0, -3.0]))
         assert d == pytest.approx(3.0)
 
     def test_interior_gives_norm(self):
         box = BoxSet.cube(-1.0, 1.0, 2)
         v = np.array([0.3, -0.4])
-        assert normal_cone_distance_box(np.zeros(2), v, box) == pytest.approx(0.5)
+        assert box_indicator(box).subdiff_distance(np.zeros(2), v) == pytest.approx(0.5)
 
     def test_mixed_corner_example(self):
         box = BoxSet.cube(-1.0, 1.0, 2)
-        d = normal_cone_distance_box(np.array([-1.0, 1.0]), np.array([3.0, -2.0]), box)
+        d = box_indicator(box).subdiff_distance(np.array([-1.0, 1.0]), np.array([3.0, -2.0]))
         assert d == pytest.approx(math.sqrt(13.0))
 
     def test_outside_box_rejected(self):
         box = BoxSet.cube(-1.0, 1.0, 2)
         with pytest.raises(ValueError):
-            normal_cone_distance_box(np.array([2.0, 0.0]), np.zeros(2), box)
+            box_indicator(box).subdiff_distance(np.array([2.0, 0.0]), np.zeros(2))
 
     def test_zero_iff_membership(self):
         box = BoxSet.cube(-1.0, 1.0, 2)
@@ -169,7 +139,7 @@ class TestNormalConeBox:
         for x in points:
             for _ in range(40):
                 v = rng.standard_normal(2) * rng.choice([0.0, 1.0], size=2)
-                d = normal_cone_distance_box(x, v, box)
+                d = box_indicator(box).subdiff_distance(x, v)
                 assert (d <= 1e-12) == box_cone_membership(x, v, box)
 
     def test_matches_discretized_cone_search(self):
@@ -183,7 +153,7 @@ class TestNormalConeBox:
         x = np.array([1.0, -1.0])
         for _ in range(20):
             v = rng.uniform(-4, 4, size=2)
-            d = normal_cone_distance_box(x, v, box)
+            d = box_indicator(box).subdiff_distance(x, v)
             sampled = float(np.min(np.linalg.norm(cone - v, axis=1)))
             assert d <= sampled + 1e-12
             assert sampled <= d + 0.05
@@ -220,19 +190,11 @@ class TestMaskedKernels:
             h = box_indicator(box)
             v_before = v.tobytes()
             expected = fancy_index_box_distance(x, v, box)
-            assert normal_cone_distance_box(x, v, box) == expected
             assert h.subdiff_distance(x, v) == expected
             assert h._subdiff(x, v) == expected
             assert v.tobytes() == v_before
             assert h.prox(v, 1.0).tobytes() == np.clip(v, box.lower, box.upper).tobytes()
             assert h.prox(x, 1.0).tobytes() == np.clip(x, box.lower, box.upper).tobytes()
-
-    @pytest.mark.parametrize("where", [0, 20, 39])
-    def test_nan_point_is_outside(self, where):
-        box, x, v = next(kernel_box_and_points(0))
-        x[where] = np.nan
-        with pytest.raises(ValueError, match="outside"):
-            box_indicator(box)._subdiff(x, v)
 
     def test_orthant_matches_the_fancy_index_formula_bitwise(self):
         rng = np.random.default_rng(4)
@@ -242,17 +204,21 @@ class TestMaskedKernels:
             v = rng.standard_normal(50) * rng.choice([1.0, 0.0, -0.0], 50, p=[0.6, 0.2, 0.2])
             v_before = v.tobytes()
             expected = fancy_index_nonneg_distance(x, v)
-            assert normal_cone_distance_nonneg(x, v) == expected
             assert h.subdiff_distance(x, v) == expected
             assert h._subdiff(x, v) == expected
             assert v.tobytes() == v_before
 
 
-def accepts(distance, *args) -> bool:
+def accepts(h, x, v) -> bool:
+    """Whether h's public ``subdiff_distance`` accepts the point x; a
+    rejected point must fail as non-finite or as outside the domain."""
     try:
-        distance(*args)
+        h.subdiff_distance(x, v)
+    except NonFiniteValue:
+        assert not np.isfinite(x).all()
+        return False
     except ValueError as err:
-        assert "outside" in str(err)
+        assert "outside the domain" in str(err)
         return False
     return True
 
@@ -275,66 +241,59 @@ def membership_variants(x, lo, hi, rng):
 
 
 class TestMembershipCount:
-    # The kernels count the coordinates that pass instead of reducing with
-    # .all(); they must accept exactly the points the reductions accepted.
+    # The distance kernels test no membership; the public subdiff_distance
+    # checks it once, and must accept exactly the points that the kernels'
+    # old .all() reductions accepted.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_box_matches_the_all_reductions(self, seed):
         rng = np.random.default_rng(seed + 10)
         for box, x0, v in kernel_box_and_points(seed):
-            bounds = _box_bounds(box)
-            lo_tol, hi_tol = bounds[:2]
+            h = box_indicator(box)
+            lo_tol, hi_tol = _box_bounds(box)[:2]
             for x in membership_variants(x0, lo_tol, hi_tol, rng):
                 old = bool((x >= lo_tol).all() and (x <= hi_tol).all())
-                assert accepts(_box_distance, x, v, *bounds) == old
+                assert accepts(h, x, v) == old
 
     def test_orthant_and_orthant_ball_match_the_all_reductions(self):
         rng = np.random.default_rng(5)
         atol, radius = 1e-12, 2.0
-        lo, hi = np.full(30, -atol), np.full(30, np.inf)
+        bound = radius * (1 + 1e-10) + atol
+        orthant, ball = nonneg_indicator(), nonneg_ball_indicator(NonnegBallSet(radius))
+        lo, hi = np.full(30, -atol), np.full(30, bound)
         seen = set()
         for _ in range(40):
-            x0 = rng.choice([0.0, -0.0, -0.5e-12, -2e-12, 0.1, 0.3], 30)
+            x0 = rng.choice([0.0, -0.0, -0.5e-12, -2e-12, 0.1, 0.3], 30,
+                            p=[0.2, 0.2, 0.2, 0.01, 0.2, 0.19])
+            # Half the points are scaled onto the sphere of radius ``bound``.
+            x0 *= rng.choice([1.0, bound / max(norm(x0), 1.0)])
             v = rng.standard_normal(30)
             for x in membership_variants(x0, lo, hi, rng):
                 old = bool((x >= -atol).all())
-                assert accepts(_nonneg_distance, x, v) == old
-                inside = norm(x) <= radius * (1 + 1e-10) + atol
-                assert accepts(_nonneg_ball_distance, x, v, radius) == (inside and old)
-                seen.add(old)
-        assert seen == {True, False}
+                assert accepts(orthant, x, v) == old
+                inside = bool(norm(x) <= bound)
+                assert accepts(ball, x, v) == (inside and old)
+                seen.add((old, inside))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
-
-class TestNormalConeBall:
-    def test_ray_projection(self):
-        d = normal_cone_distance_ball(np.array([1.0, 0.0]), np.array([2.0, 1.0]), BALL1)
-        assert d == pytest.approx(1.0)
-
-    def test_obtuse_case(self):
-        d = normal_cone_distance_ball(np.array([1.0, 0.0]), np.array([-1.0, 1.0]), BALL1)
-        assert d == pytest.approx(math.sqrt(2.0))
-
-    def test_interior_gives_norm(self):
-        d = normal_cone_distance_ball(np.array([0.1, 0.1]), np.array([1.0, 1.0]), BALL1)
-        assert d == pytest.approx(math.sqrt(2.0))
-
-    def test_matches_discretized_ray_search(self):
-        x = np.array([0.6, 0.8])
-        lams = np.linspace(0.0, 10.0, 2001)
-        ray = lams[:, None] * x[None, :]
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            v = rng.uniform(-3, 3, size=2)
-            d = normal_cone_distance_ball(x, v, BALL1)
-            sampled = float(np.min(np.linalg.norm(ray - v, axis=1)))
-            assert d <= sampled + 1e-12
-            assert sampled <= d + 0.01
+    def test_orthant_ball_value_accepts_what_its_kernel_accepted(self):
+        # Norms in (r (1 + rtol), r (1 + rtol) + atol] lie in the set.
+        radius, rtol, atol = 2.0, 1e-10, 1e-12
+        h = nonneg_ball_indicator(NonnegBallSet(radius))
+        u = np.array([0.6, 0.8])
+        for t, inside in [(radius * (1 + rtol) + 0.5 * atol, True),
+                          (radius * (1 + rtol) + 2.0 * atol, False)]:
+            x = t * u
+            assert norm(x) > radius * (1 + rtol)
+            assert (norm(x) <= radius * (1 + rtol) + atol) == inside
+            assert (h.value(x) == 0.0) == inside
+            assert accepts(h, x, np.ones(2)) == inside
 
 
 class TestNormalConeNonnegBall:
     def test_interior_gives_norm(self):
         x = np.array([0.2, 0.3])
         v = np.array([1.0, -2.0])
-        d = normal_cone_distance_nonneg_ball(x, v, NNBALL1)
+        d = H_NNBALL1.subdiff_distance(x, v)
         assert d == pytest.approx(np.linalg.norm(v))
 
     def test_matches_discretized_cone_on_sphere_with_active_coordinate(self):
@@ -347,13 +306,13 @@ class TestNormalConeNonnegBall:
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = rng.uniform(-4, 4, size=2)
-            d = normal_cone_distance_nonneg_ball(x, v, NNBALL1)
+            d = H_NNBALL1.subdiff_distance(x, v)
             sampled = float(np.min(np.linalg.norm(cone - v, axis=1)))
             assert d <= sampled + 1e-12
             assert sampled <= d + 0.06
 
     def test_orthant_distance(self):
-        d = normal_cone_distance_nonneg(np.array([0.0, 1.0]), np.array([2.0, -3.0]))
+        d = nonneg_indicator().subdiff_distance(np.array([0.0, 1.0]), np.array([2.0, -3.0]))
         assert d == pytest.approx(math.sqrt(4.0 + 9.0))
 
 
@@ -370,8 +329,6 @@ class TestProxFunctions:
         assert h.value(np.array([0.0, 0.0])) == 0.0
         assert math.isinf(h.value(np.array([9.0, 0.0])))
         assert h.diameter == pytest.approx(10.0 * math.sqrt(2))
-        hb = ball_indicator(BALL1)
-        assert hb.value(np.array([2.0, 0.0])) == math.inf
         hn = nonneg_ball_indicator(NNBALL1)
         assert hn.value(np.array([0.5, 0.5])) == 0.0
 
@@ -386,30 +343,8 @@ class TestProxFunctions:
         assert math.isinf(h.diameter)
 
     @pytest.mark.parametrize(
-        "h, project, distance",
-        [
-            (box_indicator(BOX2), lambda v: project_box(v, BOX2),
-             lambda x, v: normal_cone_distance_box(x, v, BOX2)),
-            (nonneg_ball_indicator(NNBALL1), lambda v: project_nonneg_ball(v, NNBALL1),
-             lambda x, v: normal_cone_distance_nonneg_ball(x, v, NNBALL1)),
-        ],
-    )
-    def test_indicator_kernels_match_public_functions(self, h, project, distance):
-        rng = np.random.default_rng(3)
-        for scale in (0.5, 3.0, 10.0):
-            for _ in range(20):
-                v = scale * rng.standard_normal(2)
-                x = project(scale * rng.standard_normal(2))
-                assert np.array_equal(h.prox(v, 1.0), project(v))
-                assert h.subdiff_distance(x, v) == distance(x, v)
-
-    @pytest.mark.parametrize(
         "h", [box_indicator(BOX2), nonneg_ball_indicator(NNBALL1), nonneg_indicator()]
     )
     def test_indicator_distance_rejects_nan_and_mismatched_input(self, h):
-        # The solver calls the output-checked private method on iterates it
-        # computed itself; the membership check still rejects a NaN point.
-        with pytest.raises(ValueError, match="outside"):
-            h._subdiff(np.array([np.nan, 0.0]), np.zeros(2))
         with pytest.raises(DimensionMismatch):
             h.subdiff_distance(np.zeros(2), np.zeros(3))
