@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """How #Grad grows as the tolerance tightens.
 
-Solves `gen_lcqp(10, 200, 1, 0)`, `gen_ev(100, 0)` and the clustering of
+Solves `gen_lcqp(10, 200, 1, 0)`, `gen_ev(100, 0)`, the clustering of
 12 standard-normal points in the plane drawn by `default_rng(1)` (r = 3,
-s = 100; the nonconvex-constraint family) at eps 1e-2, 1e-3 and 1e-4 with
-the default configuration, prints #Grad (real calls into
+s = 100; the nonconvex-constraint family) and the hinge family, the
+`gen_lcqp(10, 200, 1, 0)` split into 5 equalities and 5 inequality rows
+(`lcqp_split(0)` of `sweep_fingerprint.py`), at eps 1e-2, 1e-3 and 1e-4
+with the default configuration, prints #Grad (real calls into
 the smooth gradient), the outer-iteration count and success for each, and
 the least-squares slope of log #Grad against log(1/eps) per family.  The
 paper's analysis bounds the growth polynomially in 1/eps; a slope well
@@ -20,6 +22,7 @@ import numpy as np
 
 from almkit.ialm import IalmConfig, ialm_solve
 from almkit.problems import gen_clustering, gen_ev, gen_lcqp
+from sweep_fingerprint import lcqp_split
 
 EPS = (1e-2, 1e-3, 1e-4)
 FAMILIES = {
@@ -28,6 +31,7 @@ FAMILIES = {
     "cluster": lambda: gen_clustering(
         np.random.default_rng(1).standard_normal((12, 2)), r=3, s=100.0
     ).to_problem(),
+    "hinge": lambda: lcqp_split(0),
 }
 
 

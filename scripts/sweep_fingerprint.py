@@ -6,12 +6,12 @@ smooth gradient), the outer-iteration count, ``success`` and the first 12
 hex digits of the sha256 of the returned ``x``.  The sweep is
 `gen_lcqp(10, 200, 1, s)` for s = 0..9, `gen_ev(200, s)` for s = 0..4, and
 the clusterings of 12 standard-normal points in the plane drawn by
-`default_rng(0..3)` (r = 3, s = 100) at eps 1e-2.  The hinge block is
-covered by `ialm_ineq_solve` on `gen_lcqp(10, 200, 1, s)` for
-s = 0..2 split as the `ineq` benchmark workload splits it: the first 5 rows
-are the equalities `A x = b` held as data, the last 5 the inequalities of a
-two-callback `ConstraintOracle`.  One more line solves the slack-variable
-reformulation of the s = 0 split with `ialm_solve`.  These 23 solves use
+`default_rng(0..3)` (r = 3, s = 100) at eps 1e-2.  Inequality rows are
+covered by `gen_lcqp(10, 200, 1, s)` for s = 0..2 split as the `ineq`
+benchmark workload splits it: a `ProblemSpec` whose first 5 rows are the
+equalities `A x = b` held as data, and whose last 5 are the inequalities
+of a two-callback `ConstraintOracle` given as its `ineq`.  One more line solves the slack-variable
+reformulation of the s = 0 split.  These 23 solves use
 the default configuration, except the clusterings' eps.  The last four
 cover the other dual policies: `gen_ev(200, 0)` under
 `TheoreticalDual(w0=1)`, `PracticalDual(M=0.5, q=2)` and `PenaltyDual()`,
@@ -37,7 +37,7 @@ import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from almkit.core import ConstraintOracle  # noqa: E402
+from almkit.core import ConstraintOracle, ProblemSpec  # noqa: E402
 from almkit.ialm import (  # noqa: E402
     IalmConfig,
     PenaltyDual,
@@ -45,79 +45,59 @@ from almkit.ialm import (  # noqa: E402
     TheoreticalDual,
     ialm_solve,
 )
-from almkit.ineq import (  # noqa: E402
-    IneqConstants,
-    IneqProblemSpec,
-    ialm_ineq_solve,
-    slack_reformulate,
-)
-from almkit.problems import gen_clustering, gen_ev, gen_lcqp, lcqp_row_bounds  # noqa: E402
-from almkit.prox import BoxSet  # noqa: E402
+from almkit.ineq import slack_reformulate  # noqa: E402
+from almkit.problems import gen_clustering, gen_ev, gen_lcqp  # noqa: E402
 
 
-def lcqp_split(seed: int) -> IneqProblemSpec:
+def lcqp_split(seed: int) -> ProblemSpec:
     """`gen_lcqp(10, 200, 1, seed)` with rows 0-4 as equalities held as data
     and rows 5-9 as inequalities a_i'x <= b_i through two callbacks."""
     inst = gen_lcqp(10, 200, 1.0, seed)
     base = inst.to_problem()
-    box = BoxSet(inst.lower, inst.upper)
-    A_eq, b_eq = inst.A[:5], inst.b[:5]
     A_in, b_in = inst.A[5:], inst.b[5:]
     ineq = ConstraintOracle(
         evaluate_fn=lambda x: A_in @ x - b_in,
         jacobian_t_apply_fn=lambda x, v: A_in.T @ v,
         n_constraints=5,
-        component_smoothness=np.zeros(5),
-        component_weak_convexity=np.zeros(5),
-        component_bounds=lcqp_row_bounds(A_in, b_in, box),
-        jacobian_norm_bound=float(np.linalg.norm(A_in, 2)),
     )
-    return IneqProblemSpec(
+    return ProblemSpec(
         smooth=base.smooth,
         nonsmooth=base.nonsmooth,
-        A=A_eq,
-        b=b_eq,
-        ineq=ineq,
-        constants=IneqConstants(
-            B0=base.constants.B0,
-            B_f=float(np.linalg.norm(ineq.component_bounds)),
-            B_bar_c=float(np.linalg.norm(lcqp_row_bounds(A_eq, b_eq, box))),
-            AtA_norm=float(np.linalg.norm(A_eq.T @ A_eq, 2)),
-            D=box.diameter,
-        ),
-        rho0=inst.rho,
+        constraints=ConstraintOracle.affine(inst.A[:5], inst.b[:5]),
+        constants=None,
         x0=inst.x0,
+        ineq=ineq,
     )
 
 
 def sweep():
-    """(label, solve, problem, config) for every solve of the sweep."""
+    """(label, problem, config) for every solve of the sweep."""
     for s in range(10):
         problem = gen_lcqp(10, 200, 1.0, s).to_problem()
-        yield f"gen_lcqp(10,200,1,{s})", ialm_solve, problem, IalmConfig()
+        yield f"gen_lcqp(10,200,1,{s})", problem, IalmConfig()
     for s in range(5):
-        yield f"gen_ev(200,{s})", ialm_solve, gen_ev(200, s).to_problem(), IalmConfig()
+        yield f"gen_ev(200,{s})", gen_ev(200, s).to_problem(), IalmConfig()
     for s in range(4):
         points = np.random.default_rng(s).standard_normal((12, 2))
         problem = gen_clustering(points, r=3, s=100.0).to_problem()
-        yield f"cluster(default_rng({s}))", ialm_solve, problem, IalmConfig(eps=1e-2)
+        yield f"cluster(default_rng({s}))", problem, IalmConfig(eps=1e-2)
     for s in range(3):
-        yield f"ineq(gen_lcqp(10,200,1,{s}))", ialm_ineq_solve, lcqp_split(s), IalmConfig()
+        yield f"ineq(gen_lcqp(10,200,1,{s}))", lcqp_split(s), IalmConfig()
     slack = slack_reformulate(lcqp_split(0)).problem
-    yield "slack(gen_lcqp(10,200,1,0))", ialm_solve, slack, IalmConfig()
+    yield "slack(gen_lcqp(10,200,1,0))", slack, IalmConfig()
     theoretical = IalmConfig(policy=TheoreticalDual(w0=1.0))
-    yield "gen_ev(200,0) theoretical", ialm_solve, gen_ev(200, 0).to_problem(), theoretical
+    yield "gen_ev(200,0) theoretical", gen_ev(200, 0).to_problem(), theoretical
     growing = IalmConfig(policy=PracticalDual(M=0.5, q=2))
-    yield "gen_ev(200,0) practical(.5,2)", ialm_solve, gen_ev(200, 0).to_problem(), growing
+    yield "gen_ev(200,0) practical(.5,2)", gen_ev(200, 0).to_problem(), growing
     penalty = IalmConfig(policy=PenaltyDual())
-    yield "gen_ev(200,0) penalty", ialm_solve, gen_ev(200, 0).to_problem(), penalty
-    yield "ineq(gen_lcqp s=0) theoretical", ialm_ineq_solve, lcqp_split(0), theoretical
+    yield "gen_ev(200,0) penalty", gen_ev(200, 0).to_problem(), penalty
+    yield "ineq(gen_lcqp s=0) theoretical", lcqp_split(0), theoretical
 
 
 def main() -> int:
     print(f"{'instance':<30}{'#Grad':>8}{'outer':>7}  {'success':<8}x sha256")
-    for label, solve, problem, config in sweep():
-        report = solve(problem, config)
+    for label, problem, config in sweep():
+        report = ialm_solve(problem, config)
         digest = hashlib.sha256(np.ascontiguousarray(report.x).tobytes()).hexdigest()[:12]
         print(
             f"{label:<30}{report.grad_evals:>8}{len(report.records):>7}"

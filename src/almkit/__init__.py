@@ -1,5 +1,6 @@
-"""almkit: first-order augmented Lagrangian solvers for nonconvex composite
-problems with nonlinear equality (and convex inequality) constraints."""
+"""almkit: a first-order augmented Lagrangian solver for nonconvex composite
+problems with nonlinear equality and, optionally, convex inequality
+constraints."""
 
 from .apg import ApgResult, apg_solve
 from .core import (

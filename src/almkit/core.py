@@ -1,13 +1,22 @@
-"""Core abstractions for equality-constrained composite minimization.
+"""Core abstractions for constrained composite minimization.
 
 Problems have the form
 
-    minimize  g(x) + h(x)   subject to  c(x) = 0,
+    minimize  g(x) + h(x)   subject to  c(x) = 0,  f(x) <= 0,
 
 where g is smooth (possibly nonconvex), h is closed convex and prox-capable,
-and c is a smooth vector map.  This module provides the oracle types, the
-constants ledger the diagnostics read, augmented-Lagrangian evaluation, and
-KKT residual measurement.
+c is a smooth vector map and each f_i is smooth and convex; the inequality
+rows are optional.  One ``ProblemSpec`` holds both row blocks, and one
+augmented Lagrangian, the Powell-Hestenes-Rockafellar form
+
+    L_beta(x; y, z) = g(x) + h(x) + y'c(x) + (beta/2)||c(x)||^2
+                      + (||[z + beta f(x)]_+||^2 - ||z||^2) / (2 beta),
+
+serves every problem (the hinge term only with inequality rows; it keeps
+the smooth part continuously differentiable, which is all the inner solver
+needs).  This module provides the oracle types, the constants ledger the
+diagnostics read, augmented-Lagrangian evaluation, and KKT residual
+measurement.
 
 All vectors are dense float64.  Inputs are checked at the entry points
 (the public oracle methods, ``al_*``, ``kkt_residual``, and the solver
@@ -22,11 +31,11 @@ directly, on points they have validated once.
 
 Membership in dom h is checked once, where a point enters from outside:
 the problem's ``x0``, the inner solvers' start point, the public
-``subdiff_distance``, the KKT certificates and the regularity diagnostics
-call ``ProxCapableFunction._check_domain``, which reads h's value oracle
-(+inf off the domain).  The built-in distance kernels trust it: inside the
-solvers they see only such points and the output of their own prox, which
-is finite whenever its input is.
+``subdiff_distance``, the KKT certificates, ``al_value`` and the
+regularity diagnostics call ``ProxCapableFunction._check_domain``, which
+reads h's value oracle (+inf off the domain).  The built-in distance
+kernels trust it: inside the solvers they see only such points and the
+output of their own prox, which is finite whenever its input is.
 
 Constraint rows have three constructors feeding one checked path.  Each
 ``ConstraintOracle`` holds one callback x -> (c(x), v -> J(x)'v):
@@ -40,13 +49,11 @@ Constraint rows have three constructors feeding one checked path.  Each
 ``ConstraintOracle._linearize`` calls it and checks c(x) and each product,
 and every reader of callback rows goes through it once per point, reusing
 the product for every multiplier at that point: the AL gradient, the
-certificates of both blocks (and the equality block's running-multiplier
-dual residual), ``al_value`` and the regularity diagnostics.  The one
-exception is affine data (``ConstraintOracle.affine`` and the hinge
-problem's ``A``, ``b``), checked once when the oracle or problem is built
-(``IneqProblemSpec.for_solve`` builds a copy, which checks them again),
-from which each subproblem's smooth AL gradient computes the affine
-products itself, without re-checking them.
+certificates (and the running-multiplier dual residual), ``al_value`` and
+the regularity diagnostics.  The one exception is the affine data of
+equality rows built by ``ConstraintOracle.affine``, checked once when the
+oracle is built, from which each subproblem's smooth AL gradient computes
+the affine products itself, without re-checking them.
 
 A vector's finiteness is checked through one dot product (``all_finite``):
 a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
@@ -243,12 +250,14 @@ class ProxCapableFunction:
         self._check_domain(x)
         return self._subdiff(x, v)
 
-    def _check_domain(self, x: Array, name: str = "x") -> None:
-        """Raise ValueError unless the validated ``x`` lies in dom h, where
-        the value oracle is finite: the one domain check, made where a
-        point enters from outside."""
-        if not math.isfinite(self._value_fn(x)):
+    def _check_domain(self, x: Array, name: str = "x") -> float:
+        """h(x), after raising ValueError unless the validated ``x`` lies in
+        dom h, where the value oracle is finite: the one domain check, made
+        where a point enters from outside."""
+        v = float(self._value_fn(x))
+        if not math.isfinite(v):
             raise ValueError(f"{name} lies outside the domain of the nonsmooth term")
+        return v
 
     def _subdiff(self, x: Array, v: Array) -> float:
         d = float(self._subdiff_fn(x, v))
@@ -449,7 +458,11 @@ CurvatureSchedule = Callable[[float, float], tuple[float, float]]
 class ProblemSpec:
     """One problem instance: oracles, constants, and a starting point.
 
-    A problem needs only its oracles; ``constants`` serves the
+    ``constraints`` holds the equality rows c(x) = 0, from any
+    ``ConstraintOracle`` constructor.  ``ineq``, when set, holds inequality
+    rows f(x) <= 0, each f_i convex (assumed, not checked); a problem built
+    with it, even with zero rows, is solved with the dual step capped at
+    beta_k.  A problem needs only its oracles; ``constants`` serves the
     diagnostics.  ``smooth.L`` is where the first subproblem's curvature
     estimate starts (later ones start where the previous one ended).  A
     solve runs on ``for_solve()``, so its #Grad starts at 0 and concurrent
@@ -461,6 +474,7 @@ class ProblemSpec:
     constraints: ConstraintOracle
     constants: Optional[ConstantsLedger]
     x0: np.ndarray
+    ineq: Optional[ConstraintOracle] = None
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0, name="x0")
@@ -482,11 +496,11 @@ class ProblemSpec:
 class KktResidual:
     """Residuals of the approximate KKT certificate.
 
-    ``pres`` is the primal residual: ||c(x)|| for equality constraints, and
-    sqrt(||Ax-b||^2 + ||[f(x)]_+||^2) for the hinge block, which also sets
-    its two parts ``pres_eq`` and ``pres_ineq`` (None otherwise) and the
-    complementarity residual ``compl`` = sum_i |z_i f_i(x)| (0 for
-    equality constraints, which have none).  ``dres_is_upper_bound`` is set
+    ``pres`` is the primal residual: ||c(x)|| without inequality rows, and
+    sqrt(||c(x)||^2 + ||[f(x)]_+||^2) with them, which also sets its two
+    parts ``pres_eq`` and ``pres_ineq`` (None otherwise) and the
+    complementarity residual ``compl`` = sum_i |z_i f_i(x)| (0 without
+    inequality rows).  ``dres_is_upper_bound`` is set
     when the dual residual was obtained from a certified surrogate rather
     than an exact subdifferential distance.
     """
@@ -509,75 +523,98 @@ class KktResidual:
                 raise ValueError(f"KKT residual {name} must be nonnegative")
 
 
-def _check_al_inputs(x: Array, y: Array, beta: float, problem: ProblemSpec):
+def _check_inputs(x, y, z, problem: ProblemSpec, beta: float = 1.0):
+    """``x``, ``y`` and (with inequality rows) ``z`` validated against the
+    problem's dimensions, z >= 0, and beta > 0; z must be None without
+    inequality rows."""
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
+    if problem.ineq is not None:
+        z = as_vector(z, problem.ineq.n_constraints, "z")
+        if np.any(z < 0):
+            raise ValueError("inequality multipliers z must be nonnegative")
+    elif z is not None:
+        raise ValueError("z is given but the problem has no inequality rows")
     # Written so that NaN fails.
     if not beta > 0:
         raise ValueError("penalty parameter beta must be positive")
-    return x, y
+    return x, y, z
 
 
-def _equality_gradient(problem: ProblemSpec, y: Array, beta: float) -> Callable[[Array], Array]:
-    """The equality block's smooth AL gradient at fixed (y, beta):
-    x -> grad g(x) + J_c(x)'(y + beta c(x)), one closure per subproblem.
+def _al_gradient(
+    problem: ProblemSpec, y: Array, z: Optional[Array], beta: float
+) -> Callable[[Array], Array]:
+    """The smooth AL gradient at fixed (y, z, beta), one closure per
+    subproblem:
+
+        x -> grad g(x) + J_c(x)'(y + beta c(x)) + J_f(x)'[z + beta f(x)]_+,
+
+    the last term only with inequality rows (z is None without them).
 
     The smooth gradient goes through ``SmoothOracle._gradient``, the one
     #Grad counter, once per call.  Rows of ``ConstraintOracle.affine`` are
     read from their data, and their products are not re-checked; callback
-    rows are linearized once per call through the output-checked
-    ``ConstraintOracle._linearize``.
+    rows, and every inequality row, are linearized once per call through
+    the output-checked ``ConstraintOracle._linearize``.  With no equality
+    rows the equality term is left out, not added as a zero product (which
+    would turn -0.0 entries of the gradient into +0.0).
     """
-    if problem.constraints.affine_data is None:
-        return _callback_rows_gradient(problem.smooth, problem.constraints, y, beta)
-    A, b = problem.constraints.affine_data
-    return _affine_rows_gradient(problem.smooth, A, b, y, beta)
+    grad, rows = problem.smooth._gradient, problem.constraints
+    if not rows.n_constraints:
+        smooth_and_eq = grad
+    elif rows.affine_data is not None:
+        A, b = rows.affine_data
+        At = A.T
 
+        def smooth_and_eq(x: Array) -> Array:
+            return grad(x) + At @ (y + beta * (A @ x - b))
 
-def _affine_rows_gradient(
-    smooth: SmoothOracle, A: Array, b: Array, y: Array, beta: float
-) -> Callable[[Array], Array]:
-    """x -> grad g(x) + A'(y + beta (Ax - b)), affine rows as data."""
-    grad, At = smooth._gradient, A.T
+    else:
+        linearize_c = rows._linearize
+
+        def smooth_and_eq(x: Array) -> Array:
+            c, jt = linearize_c(x)
+            return grad(x) + jt(y + beta * c)
+
+    if z is None:
+        return smooth_and_eq
+    linearize_f = problem.ineq._linearize
 
     def kernel(x: Array) -> Array:
-        return grad(x) + At @ (y + beta * (A @ x - b))
+        g = smooth_and_eq(x)
+        f, jt = linearize_f(x)
+        return g + jt(np.maximum(z + beta * f, 0.0))
 
     return kernel
 
 
-def _callback_rows_gradient(
-    smooth: SmoothOracle, constraints: ConstraintOracle, y: Array, beta: float
-) -> Callable[[Array], Array]:
-    """x -> grad g(x) + J_c(x)'(y + beta c(x)), rows through callbacks."""
-    grad, linearize = smooth._gradient, constraints._linearize
-
-    def kernel(x: Array) -> Array:
-        c, jt = linearize(x)
-        return grad(x) + jt(y + beta * c)
-
-    return kernel
-
-
-def al_value(x: Array, y: Array, beta: float, problem: ProblemSpec) -> float:
-    """Augmented Lagrangian g(x) + h(x) + y'c(x) + (beta/2)||c(x)||^2."""
-    x, y = _check_al_inputs(x, y, beta, problem)
-    c = problem.constraints._linearize(x)[0]
-    val = (
-        problem.smooth._value(x)
-        + float(y @ c)
-        + 0.5 * beta * float(c @ c)
-        + problem.nonsmooth.value(x)
-    )
+def al_value(
+    x: Array, y: Array, beta: float, problem: ProblemSpec, z: Optional[Array] = None
+) -> float:
+    """Augmented Lagrangian g(x) + h(x) + y'c(x) + (beta/2)||c(x)||^2, plus
+    the hinge term (||[z + beta f(x)]_+||^2 - ||z||^2) / (2 beta) when the
+    problem has inequality rows (then ``z`` is required); raises ValueError
+    when x lies outside dom h."""
+    x, y, z = _check_inputs(x, y, z, problem, beta)
+    h = problem.nonsmooth._check_domain(x)
+    c, _, f, _ = _linearize_rows(problem, x)
+    val = problem.smooth._value(x) + float(y @ c) + 0.5 * beta * float(c @ c)
+    if z is not None:
+        hinge = np.maximum(z + beta * f, 0.0)
+        val += (float(hinge @ hinge) - float(z @ z)) / (2.0 * beta)
+    val += h
     if not math.isfinite(val):
         raise NonFiniteValue("augmented Lagrangian value overflowed")
     return val
 
 
-def al_gradient_smooth(x: Array, y: Array, beta: float, problem: ProblemSpec) -> Array:
-    """Gradient of the smooth AL part: grad g(x) + J_c(x)' (y + beta c(x))."""
-    x, y = _check_al_inputs(x, y, beta, problem)
-    return _equality_gradient(problem, y, beta)(x)
+def al_gradient_smooth(
+    x: Array, y: Array, beta: float, problem: ProblemSpec, z: Optional[Array] = None
+) -> Array:
+    """Gradient of the smooth AL part: grad g(x) + J_c(x)'(y + beta c(x)),
+    plus J_f(x)'[z + beta f(x)]_+ when the problem has inequality rows."""
+    x, y, z = _check_inputs(x, y, z, problem, beta)
+    return _al_gradient(problem, y, z, beta)(x)
 
 
 def dual_residual(
@@ -606,26 +643,54 @@ def dual_residual(
     return float(np.linalg.norm(lagrangian_gradient(x_fwd) - v + L * (x - x_fwd))), True
 
 
-def _equality_kkt(x, y, problem: ProblemSpec, c, jt, g) -> KktResidual:
-    """``kkt_residual`` at validated (x, y), given the linearization
-    (c(x), jt) and grad g(x) at x; the prox surrogate alone linearizes
-    again, at its prox-forward point."""
-    dres, flagged = dual_residual(
-        x,
-        g + jt(y),
-        lambda u: problem.smooth._gradient(u) + problem.constraints._linearize(u)[1](y),
-        problem.nonsmooth,
-        problem.smooth.L,
-    )
-    return KktResidual(pres=float(np.linalg.norm(c)), dres=dres, dres_is_upper_bound=flagged)
-
-
-def kkt_residual(x: Array, y: Array, problem: ProblemSpec) -> KktResidual:
-    """Measure the KKT residual pair (||c(x)||, dist(0, subdiff f0(x) + J_c(x)'y)),
-    with the dual distance measured by ``dual_residual``; raises ValueError
-    when x lies outside dom h."""
-    x = as_vector(x, problem.dim, "x")
-    y = as_vector(y, problem.constraints.n_constraints, "y")
-    problem.nonsmooth._check_domain(x)
+def _linearize_rows(problem: ProblemSpec, x: Array) -> tuple:
+    """(c(x), v -> J_c(x)'v, f(x), v -> J_f(x)'v) at the validated ``x``,
+    each row block linearized once; the last two are None without
+    inequality rows."""
     c, jt = problem.constraints._linearize(x)
-    return _equality_kkt(x, y, problem, c, jt, problem.smooth._gradient(x))
+    f, jt_f = (None, None) if problem.ineq is None else problem.ineq._linearize(x)
+    return c, jt, f, jt_f
+
+
+def _kkt(problem: ProblemSpec, x, y, z, rows: tuple, g) -> KktResidual:
+    """``kkt_residual`` at validated (x, y, z), given the rows linearized
+    at x and grad g(x); the prox surrogate alone linearizes again, at its
+    prox-forward point."""
+
+    def lagrangian_gradient(g, jt, jt_f):
+        v = g if z is None else g + jt_f(z)
+        return v + jt(y) if y.size else v
+
+    def at(u):
+        _, jt, _, jt_f = _linearize_rows(problem, u)
+        return lagrangian_gradient(problem.smooth._gradient(u), jt, jt_f)
+
+    c, jt, f, jt_f = rows
+    dres, flagged = dual_residual(
+        x, lagrangian_gradient(g, jt, jt_f), at, problem.nonsmooth, problem.smooth.L
+    )
+    pres = float(np.linalg.norm(c))
+    if z is None:
+        return KktResidual(pres=pres, dres=dres, dres_is_upper_bound=flagged)
+    pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
+    return KktResidual(
+        pres=float(math.hypot(pres, pres_ineq)),
+        dres=dres,
+        compl=float(np.sum(np.abs(z * f))),
+        dres_is_upper_bound=flagged,
+        pres_eq=pres,
+        pres_ineq=pres_ineq,
+    )
+
+
+def kkt_residual(
+    x: Array, y: Array, problem: ProblemSpec, z: Optional[Array] = None
+) -> KktResidual:
+    """Measure the KKT residuals at (x, y), or (x, y, z) when the problem
+    has inequality rows: the primal residual (and its two parts), the
+    complementarity residual, and dist(0, grad g(x) + J_c(x)'y + J_f(x)'z
+    + subdiff h(x)), measured by ``dual_residual``; raises ValueError when
+    x lies outside dom h."""
+    x, y, z = _check_inputs(x, y, z, problem)
+    problem.nonsmooth._check_domain(x)
+    return _kkt(problem, x, y, z, _linearize_rows(problem, x), problem.smooth._gradient(x))

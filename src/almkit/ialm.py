@@ -3,14 +3,17 @@ beta_k = beta0 * sigma^k and a choice of dual step-size policies; the
 pure-penalty ablation is the policy whose step is 0, which freezes the
 multipliers at zero.
 
-One loop serves two constraint blocks: the equality block c(x) = 0 here,
-and the hinge block (affine equalities plus convex inequalities) in
-``almkit.ineq``.  Each outer iteration solves the AL subproblem to
-eps_k-stationarity with the proximal point method, then takes a damped dual
-ascent step y <- y + w_k c(x_{k+1}).  The loop stops at the first iterate
-whose independently re-measured KKT residuals, taken at the certificate
-multiplier (y_k + beta_k c(x_{k+1}) for the equality block), all fall
-below eps.
+One loop and one constraint block serve every problem: the equality rows
+c(x) = 0 with multiplier y and, when the problem has them, the convex
+inequality rows f(x) <= 0 with multiplier z >= 0.  Each outer iteration
+solves the AL subproblem to eps_k-stationarity with the proximal point
+method, then takes a damped dual ascent step of size
+w_k = min(policy step, cap): y <- y + w_k c(x_{k+1}) and
+z <- z + w_k max{-z/beta_k, f(x_{k+1})}.  The cap is beta_k for a problem
+built with inequality rows, which keeps z nonnegative, and inf otherwise.
+The loop stops at the first iterate whose independently re-measured KKT
+residuals, taken at the certificate multipliers y_k + beta_k c(x_{k+1})
+and [z_k + beta_k f(x_{k+1})]_+, all fall below eps.
 
 Loose early subproblems (the decreasing tolerances of practical ALMs:
 Birgin & Martinez, "Practical Augmented Lagrangian Methods", SIAM 2014;
@@ -54,11 +57,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import (
+    Array,
     CurvatureSchedule,
     KktResidual,
     ProblemSpec,
-    _equality_gradient,
-    _equality_kkt,
+    _al_gradient,
+    _kkt,
+    _linearize_rows,
     check_iteration_limits,
 )
 from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
@@ -66,21 +71,29 @@ from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
 LOG2_SQ = math.log(2.0) ** 2
 
 # eps_k = max(eps, SUBPROBLEM_TOL_FACTOR * pres_{k-1}) for k > 0.  On the
-# benchmark workloads 0.03 saves fewer gradients, 0.3 costs the hinge block
-# an extra outer iteration and 1.0 is erratic on clustering.
+# benchmark workloads 0.03 saves fewer gradients, 0.3 costs the ``ineq``
+# workload an extra outer iteration and 1.0 is erratic on clustering.
 SUBPROBLEM_TOL_FACTOR = 0.1
 
 
 # Each policy gives the step size w_k for a residual norm r > 0 (at r = 0
-# the limit: w0, inf for the residual-normalized rule, or 0), the equality
-# block's ascent step, and its CLI/JSON form.  Neither block updates its
-# multipliers when w_k = 0, so the penalty policy has no ascent step.
+# the limit: w0, inf for the residual-normalized rule, or 0), the ascent
+# step of a problem without inequality rows, and its CLI/JSON form.  The
+# loop caps w_k at beta_k for a problem with inequality rows, where y moves
+# by w_k c(x_{k+1}) whatever the policy, and updates no multiplier when
+# w_k = 0, so the penalty policy has no ascent step.  Capping only shrinks
+# an increment, so every bound a policy proves on ||y_k|| holds capped too.
 
 
 @dataclass(frozen=True)
 class TheoreticalDual:
     """w_k = w0 * min{1, gamma_k / ||c(x_{k+1})||}, the step size with a
-    certified uniform bound on ||y_k||."""
+    certified uniform bound on ||y_k||.
+
+    Increment bound: ||Delta y_k|| <= min(w_k, beta_k) ||c(x_{k+1})|| under
+    the beta_k cap, and w_k ||c(x_{k+1})|| <= w0 gamma_k without it, so
+    ``dual_norm_bound`` holds either way.
+    """
 
     w0: float = 1.0
 
@@ -104,7 +117,12 @@ class TheoreticalDual:
 @dataclass(frozen=True)
 class PracticalDual:
     """w_k = M (k+1)^q / ||c(x_{k+1})||: dual increments of norm M (k+1)^q,
-    unit-norm by default."""
+    unit-norm by default.
+
+    Increment bound: ||Delta y_k|| <= min(w_k, beta_k) ||c(x_{k+1})|| <=
+    M (k+1)^q under the beta_k cap, and ||Delta y_k|| = M (k+1)^q without
+    it, so the increments never exceed M (k+1)^q.
+    """
 
     M: float = 1.0
     q: int = 0
@@ -130,7 +148,11 @@ class PracticalDual:
 
 @dataclass(frozen=True)
 class PenaltyDual:
-    """w_k = 0: the pure penalty method, whose multipliers stay at zero."""
+    """w_k = 0: the pure penalty method, whose multipliers stay at zero.
+
+    Increment bound: ||Delta y_k|| <= min(w_k, beta_k) ||c(x_{k+1})|| = 0,
+    with or without the beta_k cap.
+    """
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
         return 0.0
@@ -152,7 +174,8 @@ def gamma_schedule(k: int, c0_norm: float) -> float:
 def dual_step_size(
     policy: DualStepPolicy, k: int, c_norm_next: float, gamma_k: float
 ) -> float:
-    """Step size w_k for the multiplier update y <- y + w_k c(x_{k+1}).
+    """Step size w_k for the multiplier update y <- y + w_k c(x_{k+1}) of
+    a problem without inequality rows, whose step is not capped.
 
     When the residual vanishes the increment w_k c is zero regardless of
     w_k; the residual-normalized policy returns 0 there so the recorded
@@ -160,8 +183,18 @@ def dual_step_size(
     """
     if c_norm_next < 0 or gamma_k < 0:
         raise ValueError("residual norm and gamma must be nonnegative")
-    w = policy.step_size(k, c_norm_next, gamma_k)
-    return 0.0 if c_norm_next == 0.0 and math.isinf(w) else w
+    return _capped_step(policy, k, c_norm_next, gamma_k, math.inf)
+
+
+def _capped_step(policy: DualStepPolicy, k: int, res: float, gamma_k: float, cap: float) -> float:
+    """w_k = min(policy step, cap) at the residual norm ``res``.
+
+    When the residual vanishes the increment w_k c is zero regardless of
+    w_k; an inf step there (the residual-normalized policy, uncapped) is
+    returned as 0 so the recorded step stays finite.
+    """
+    w = min(policy.step_size(k, res, gamma_k), cap)
+    return 0.0 if res == 0.0 and math.isinf(w) else w
 
 
 @dataclass
@@ -197,19 +230,19 @@ class IalmConfig:
 class OuterIterationRecord:
     """Trajectory entry for one outer iteration k (producing x_{k+1}).
 
-    ``dres`` is re-measured with the certificate multipliers.  Equality
-    records carry ``dres_running``, re-measured with the updated running
-    multiplier y_{k+1}; hinge records carry the split primal residual, the
-    complementarity residual and the running z.  The other block's fields
-    are None.  ``x`` is kept so diagnostics can re-trace the run, and
-    ``rho`` is the subproblem's final weak-convexity estimate, at most the
-    override's rho_hat (or RHO_FLOOR, if larger), and ``L`` the final
-    curvature estimate of its last APG call, where the next subproblem's
-    APG starts.  ``sub_eps`` is the
-    tolerance the subproblem was solved to, ``ippm_steps`` its proximal
+    ``dres`` is re-measured with the certificate multipliers.  Records of
+    a problem without inequality rows carry ``dres_running``, re-measured
+    with the updated running multiplier y_{k+1}; records of a problem with
+    them carry the split primal residual, the complementarity residual and
+    the running z instead.  The other kind's fields are None.  ``x`` is
+    kept so diagnostics can re-trace the run, and ``rho`` is the
+    subproblem's final weak-convexity estimate, at most the override's
+    rho_hat (or RHO_FLOOR, if larger), and ``L`` the final curvature
+    estimate of its last APG call, where the next subproblem's APG starts.
+    ``sub_eps`` is the tolerance the subproblem was solved to, ``ippm_steps`` its proximal
     point steps and ``apg_iters`` its APG iterations, redone steps included.
     ``sub_s`` is the wall time spent in the subproblem solve (``ippm_solve``)
-    and ``cert_s`` in the block's KKT certificate (``certify``), in seconds.
+    and ``cert_s`` in the KKT certificate (``certify``), in seconds.
     """
 
     k: int
@@ -240,8 +273,9 @@ class OuterIterationRecord:
 class SolveReport:
     """Full outcome of one solve: trajectory, certificate, and counts.
 
-    ``y`` (and ``z`` for the hinge block) are the certificate multipliers
-    backing ``kkt``; ``y_running`` (``z_running``) the last ascent iterates.
+    ``y`` (and ``z``, for a problem with inequality rows; None otherwise)
+    are the certificate multipliers backing ``kkt``; ``y_running``
+    (``z_running``) the last ascent iterates.
     ``success`` means every final residual was at or below the configured
     tolerance.  ``grad_evals`` counts every call into the smooth gradient,
     certificates included.
@@ -264,23 +298,97 @@ def _uncapped(beta: float, multiplier_norm: float) -> tuple[float, float]:
     return math.inf, math.inf
 
 
-def _outer_loop(block, config: IalmConfig) -> SolveReport:
-    """Run the outer iALM loop on one constraint block.
+def dual_update_z(z: Array, f_vals: Array, w: float, beta: float) -> Array:
+    """z_i <- z_i + w max{-z_i/beta, f_i(x)}, clamped to stay nonnegative.
 
-    A block holds the solve's copy of the problem (``for_solve()``: its
-    smooth oracle's ``grad_evals`` starts at 0 and is the #Grad recorded
-    here) and its multipliers: the running ``y`` (``z``) and the
-    certificate ``y_cert`` (``z_cert``; both None for the equality block).
-    It supplies the damping scale ``damping``, ``multiplier_norm()``,
-    ``subproblem(beta)`` (the subproblem's smooth
-    gradient, a plain callable), ``certify(x, beta)`` (which sets the
-    certificate multipliers and returns the ``KktResidual``),
-    ``dual_update(policy, k, gamma_k, beta)`` (which returns w_k) and
-    ``record_fields(x, kkt)``.  A subsolver stall propagates with the
-    #Grad spent so far as its ``grad_evals``.  APG's curvature estimate is
-    carried from each subproblem to the next, starting at ``smooth.L``.
-    The caps are ``config.curvature_override``'s, or (inf, inf).
+    The clamp only matters in floating point: with w <= beta the update is
+    nonnegative exactly.
     """
+    if w < 0 or w > beta:
+        raise ValueError("need 0 <= w <= beta to preserve z >= 0")
+    return np.maximum(z + w * np.maximum(-z / beta, f_vals), 0.0)
+
+
+class _ConstraintBlock:
+    """The solve's copy of the problem and its multipliers: y for c(x) = 0
+    and, when the problem has inequality rows, z >= 0 for f(x) <= 0 (z is
+    None without them).  ``certify`` sets the certificate multipliers
+    ``y_cert`` = y + beta c(x) and ``z_cert`` = [z + beta f(x)]_+."""
+
+    def __init__(self, problem: ProblemSpec):
+        self.problem = problem
+        c, _, f, _ = _linearize_rows(problem, problem.x0)
+        self.y = self.y_cert = np.zeros(c.shape[0])
+        self.z = self.z_cert = None if f is None else np.zeros(f.shape[0])
+        # Damping scale: the initial primal residual, or with inequality
+        # rows the larger of its two parts, the scale of the
+        # max(pres_eq, pres_ineq) the dual step divides by.  (The smaller
+        # would be 0 whenever x0 satisfies one block, freezing the damped
+        # policy's multipliers at 0.)
+        self.damping = float(np.linalg.norm(c))
+        if f is not None:
+            self.damping = max(self.damping, float(np.linalg.norm(np.maximum(f, 0.0))))
+
+    def multiplier_norm(self) -> float:
+        y_norm = float(np.linalg.norm(self.y))
+        return y_norm if self.z is None else float(math.hypot(y_norm, np.linalg.norm(self.z)))
+
+    def subproblem(self, beta):
+        return _al_gradient(self.problem, self.y, self.z, beta)
+
+    def certify(self, x, beta):
+        # One linearization of each row block and grad g(x) per outer
+        # iteration: they serve the certificate, the dual update and the
+        # running multiplier's dres.
+        problem = self.problem
+        self.rows = _linearize_rows(problem, x)
+        self.g = problem.smooth._gradient(x)
+        c, _, f, _ = self.rows
+        self.y_cert = self.y + beta * c
+        if self.z is not None:
+            self.z_cert = np.maximum(self.z + beta * f, 0.0)
+        self.kkt = _kkt(problem, x, self.y_cert, self.z_cert, self.rows, self.g)
+        return self.kkt
+
+    def ascend(self, policy, w: float, k: int, beta: float) -> None:
+        """Take the dual step w != 0 from the certified point.  Without
+        inequality rows y moves by the policy's ascent step; with them y
+        moves by w c(x) and z by ``dual_update_z``."""
+        c, f, kkt = self.rows[0], self.rows[2], self.kkt
+        if self.z is None:
+            if kkt.pres > 0.0:
+                self.y = policy.ascend(self.y, c, kkt.pres, w, k)
+            return
+        if kkt.pres_eq > 0.0:
+            self.y = self.y + w * c
+        self.z = dual_update_z(self.z, f, w, beta)
+
+    def record_fields(self, x, kkt) -> dict:
+        if self.z is None:
+            return {"dres_running": _kkt(self.problem, x, self.y, None, self.rows, self.g).dres}
+        return {
+            "pres_eq": kkt.pres_eq,
+            "pres_ineq": kkt.pres_ineq,
+            "compl": kkt.compl,
+            "z_norm": float(np.linalg.norm(self.z)),
+            "z": self.z.copy(),
+        }
+
+
+def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
+    """Drive the problem to an eps-KKT point.
+
+    The solve runs on ``problem.for_solve()``, whose smooth oracle's
+    ``grad_evals`` starts at 0 and is the report's #Grad.  With inequality
+    rows, subproblems are as weakly convex as g because the hinge
+    composition of a convex constraint is convex, and the report's ``kkt``
+    sets ``compl``, ``pres_eq`` and ``pres_ineq``.  A subsolver stall
+    propagates with the #Grad spent so far as its ``grad_evals``.  APG's
+    curvature estimate is carried from each subproblem to the next,
+    starting at ``smooth.L``; both curvature estimates are measured, capped
+    only by ``config.curvature_override`` when set.
+    """
+    block = _ConstraintBlock(problem.for_solve())
     problem = block.problem
     smooth = problem.smooth
     schedule = config.curvature_override or _uncapped
@@ -321,8 +429,13 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         t_done = time.perf_counter()
         converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
 
-        w = block.dual_update(config.policy, k, gamma_schedule(k, block.damping), beta)
-        fields = block.record_fields(x, kkt)
+        if block.z is None:
+            res, cap = kkt.pres, math.inf
+        else:
+            res, cap = max(kkt.pres_eq, kkt.pres_ineq), beta
+        w = _capped_step(config.policy, k, res, gamma_schedule(k, block.damping), cap)
+        if w != 0.0:
+            block.ascend(config.policy, w, k, beta)
         records.append(
             OuterIterationRecord(
                 k=k,
@@ -341,7 +454,7 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
                 apg_iters=sub.apg_iterations,
                 sub_s=t_cert - t_sub,
                 cert_s=t_done - t_cert,
-                **fields,
+                **block.record_fields(x, kkt),
             )
         )
         if converged:
@@ -362,45 +475,3 @@ def _outer_loop(block, config: IalmConfig) -> SolveReport:
         z=block.z_cert,
         z_running=block.z,
     )
-
-
-class _EqualityBlock:
-    """c(x) = 0 with multiplier y; certificate multiplier y + beta c(x)."""
-
-    z = z_cert = None
-
-    def __init__(self, problem: ProblemSpec):
-        self.problem = problem
-        self.y = self.y_cert = np.zeros(problem.constraints.n_constraints)
-        self.damping = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
-
-    def multiplier_norm(self) -> float:
-        return float(np.linalg.norm(self.y))
-
-    def subproblem(self, beta):
-        return _equality_gradient(self.problem, self.y, beta)
-
-    def certify(self, x, beta):
-        # One linearization and grad g(x) per outer iteration: they serve
-        # the certificate, the dual update and the running multiplier's dres.
-        problem = self.problem
-        self.c, self.jt = problem.constraints._linearize(x)
-        self.g = problem.smooth._gradient(x)
-        self.c_norm = float(np.linalg.norm(self.c))
-        self.y_cert = self.y + beta * self.c
-        return _equality_kkt(x, self.y_cert, problem, self.c, self.jt, self.g)
-
-    def dual_update(self, policy, k, gamma_k, beta) -> float:
-        w = dual_step_size(policy, k, self.c_norm, gamma_k)
-        if w != 0.0 and self.c_norm > 0.0:
-            self.y = policy.ascend(self.y, self.c, self.c_norm, w, k)
-        return w
-
-    def record_fields(self, x, kkt) -> dict:
-        running = _equality_kkt(x, self.y, self.problem, self.c, self.jt, self.g)
-        return {"dres_running": running.dres}
-
-
-def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
-    """Solve an equality-constrained composite problem to an eps-KKT point."""
-    return _outer_loop(_EqualityBlock(problem.for_solve()), config)

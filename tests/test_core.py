@@ -17,8 +17,8 @@ from almkit.core import (
     as_vector,
     kkt_residual,
 )
-from almkit.ialm import _EqualityBlock
-from almkit.ineq import al_ineq_gradient_smooth, al_ineq_value
+from almkit.ialm import _ConstraintBlock
+from almkit.ineq import IneqProblemSpec, al_ineq_gradient_smooth, al_ineq_value
 from almkit.problems import gen_lcqp
 from almkit.prox import BoxSet, zero_function
 from helpers import (
@@ -94,6 +94,20 @@ class TestAlValue:
             al_value(np.array([1.0]), np.array([0.0]), 0.0, prob)
         with pytest.raises(NonFiniteValue):
             al_value(np.array([np.nan]), np.array([0.0]), 1.0, prob)
+
+    @pytest.mark.parametrize("hinge", [False, True], ids=["equality", "hinge"])
+    def test_x_outside_the_domain_is_named(self, hinge):
+        # x = (9, 0) lies outside the box [-5, 5]^2: the domain check names
+        # it, where summing h's +inf into the value reported an overflow.
+        prob, _ = toy_eq_qp()
+        x, y = np.array([9.0, 0.0]), np.zeros(1)
+        row = ConstraintOracle.affine(np.array([[1.0, 0.0]]), np.array([10.0]))
+        with pytest.raises(ValueError, match="^x lies outside the domain") as info:
+            if hinge:
+                al_ineq_value(x, y, np.zeros(1), 1.0, dataclasses.replace(prob, ineq=row))
+            else:
+                al_value(x, y, 1.0, prob)
+        assert not isinstance(info.value, NonFiniteValue)
 
 
 class TestAlGradient:
@@ -350,7 +364,7 @@ class TestLinearizedOracle:
         cons, calls = counted_linearized(quadratic_row, lambda x, v: 2.0 * v[0] * x, 1)
         smooth = SmoothOracle(lambda x: 0.0, lambda x: x.copy(), 1.0)
         problem = ProblemSpec(smooth, zero_function(), cons, None, np.ones(3))
-        kernel = _EqualityBlock(problem).subproblem(2.0)
+        kernel = _ConstraintBlock(problem).subproblem(2.0)
         calls.update(linearize=0, jt=0)  # the block read c(x0) once
         x, y = np.array([0.5, -1.0, 2.0]), np.array([0.25])
         for k in range(1, 4):
@@ -389,7 +403,7 @@ class TestLinearizedOracle:
         smooth = SmoothOracle(lambda x: 0.0, lambda x: x.copy(), 1.0)
         problem = ProblemSpec(smooth, zero_function(), nan_product, None, x)
         with pytest.raises(NonFiniteValue, match="^Jacobian-transpose product overflowed$"):
-            _EqualityBlock(problem).subproblem(1.0)(x)
+            _ConstraintBlock(problem).subproblem(1.0)(x)
 
     def test_wrong_shapes_raise(self):
         x = np.ones(3)
@@ -486,8 +500,11 @@ class TestNaNParametersFail:
 
     def test_ineq_spec_rejects_nan_rho0(self):
         problem = toy_ineq_qp()[0]
+        empty = np.zeros((0, 1)), np.zeros(0)
         with pytest.raises(ValueError, match="^rho0 must be nonnegative$"):
-            dataclasses.replace(problem, rho0=np.nan)
+            IneqProblemSpec(
+                problem.smooth, problem.nonsmooth, *empty, problem.ineq, None, np.nan, problem.x0
+            )
 
     @pytest.mark.parametrize("step", [np.nan, 0.0])
     def test_prox_rejects_nan_step(self, step):

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import almkit.ialm
 import almkit.ippm
@@ -10,6 +13,7 @@ from almkit.apg import apg_solve
 from almkit.core import (
     ConstraintOracle,
     NonFiniteValue,
+    ProblemSpec,
     SmoothOracle,
     al_gradient_smooth,
     kkt_residual,
@@ -23,7 +27,8 @@ from almkit.diagnostics import (
 from almkit.ialm import (
     RHO_FLOOR,
     IalmConfig,
-    _EqualityBlock,
+    _capped_step,
+    _ConstraintBlock,
     PenaltyDual,
     PracticalDual,
     TheoreticalDual,
@@ -31,7 +36,7 @@ from almkit.ialm import (
     gamma_schedule,
     ialm_solve,
 )
-from almkit.ineq import _HingeBlock, al_ineq_gradient_smooth, ialm_ineq_solve, kkt_residual_ineq
+from almkit.ineq import al_ineq_gradient_smooth, ialm_ineq_solve, kkt_residual_ineq
 from almkit.ippm import SubsolverStall, ippm_solve
 from almkit.problems import gen_clustering, gen_ev, gen_lcqp
 from almkit.prox import zero_function
@@ -43,6 +48,51 @@ from almkit.prox import BoxSet
 @pytest.fixture(scope="module")
 def small_lcqp_problem():
     return gen_lcqp(3, 20, 1.0, seed=5).to_problem()
+
+
+def identity_rows_problem(capped: bool):
+    """g = 0.5||x||^2 in R^3 with c(x) = x, so that certifying at x makes
+    c(x) = x; ``capped`` adds an inequality oracle with no rows, which puts
+    the dual step under the beta cap and changes nothing else."""
+    smooth = SmoothOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
+    rows = ConstraintOracle.affine(np.eye(3), np.zeros(3))
+    ineq = ConstraintOracle.affine(np.zeros((0, 3)), np.zeros(0)) if capped else None
+    return ProblemSpec(smooth, zero_function(), rows, None, np.zeros(3), ineq)
+
+
+POLICIES = st.one_of(
+    st.builds(TheoreticalDual, w0=st.floats(1e-3, 1e3)),
+    st.builds(PracticalDual, M=st.floats(1e-3, 1e3), q=st.integers(0, 3)),
+    st.just(PenaltyDual()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    policy=POLICIES,
+    k=st.integers(0, 50),
+    c=hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
+    gamma=st.floats(0.0, 1e3),
+    beta=st.floats(1e-3, 1e3),
+)
+def test_capped_increment_never_exceeds_the_uncapped_one(policy, k, c, gamma, beta):
+    # The solver's own dual step, from y = 0 so that y_{k+1} is the
+    # increment exactly: min(w_k, beta_k) c under the cap, the policy's
+    # ascent step without it.  Up to rounding (the normalized and the
+    # capped practical increments round differently), the capped one is
+    # no longer, and within min(w_k, beta_k) ||c||.
+    res = float(np.linalg.norm(c))
+    increments = []
+    for capped in (False, True):
+        block = _ConstraintBlock(identity_rows_problem(capped))
+        block.certify(c, beta)
+        w = _capped_step(policy, k, res, gamma, beta if capped else math.inf)
+        if w != 0.0:
+            block.ascend(policy, w, k, beta)
+        increments.append(float(np.linalg.norm(block.y)))
+    uncapped, capped = increments
+    assert capped <= uncapped * (1.0 + 1e-12)
+    assert capped <= min(policy.step_size(k, res, gamma), beta) * res * (1.0 + 1e-12)
 
 
 class TestDualStepSize:
@@ -414,10 +464,9 @@ class TestSharedOuterLoop:
         assert 50 <= calls[0] < 100
 
     def test_public_gradient_calls_are_certificate_calls_only(self, block, monkeypatch):
-        # The solver's gradients and certificates go through the oracles'
-        # private, output-checked methods, so no public SmoothOracle.gradient
-        # is called; the public ConstraintOracle.evaluate reads the damping
-        # scale once, at x0.
+        # The solver's gradients, certificates and damping scale go through
+        # the oracles' private, output-checked methods, so no public
+        # SmoothOracle.gradient or ConstraintOracle.evaluate is called.
         make, solve = SOLVERS[block]
         public = {"gradient": 0, "evaluate": 0}
 
@@ -434,7 +483,7 @@ class TestSharedOuterLoop:
         counting(ConstraintOracle, "evaluate")
         rep = solve(make(), IalmConfig())
         assert rep.success
-        assert public == {"gradient": 0, "evaluate": 1}
+        assert public == {"gradient": 0, "evaluate": 0}
 
 
 def counted_ev(n=12, seed=0):
@@ -463,7 +512,7 @@ class TestOneLinearizationPerCertificate:
 
     def test_equality_certificate_and_running_dres(self):
         problem, calls = counted_ev()
-        block = _EqualityBlock(problem)
+        block = _ConstraintBlock(problem)
         block.y = np.array([0.3])
         x = problem.x0 + 0.1
         calls[0] = 0
@@ -487,7 +536,7 @@ class TestOneLinearizationPerCertificate:
         x, y, z = np.array([0.9, 0.4]), np.array([0.2]), np.array([0.5, 0.0])
         kkt_residual_ineq(x, y, z, problem)
         assert calls[0] == 1
-        block = _HingeBlock(problem)
+        block = _ConstraintBlock(problem)
         calls[0] = 0
         block.certify(x, 2.0)
         assert calls[0] == 1
@@ -502,7 +551,7 @@ class TestOneLinearizationPerCertificate:
 
 def equality_subproblem_case(rng, make=lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem()):
     problem = make()
-    block = _EqualityBlock(problem.for_solve())
+    block = _ConstraintBlock(problem.for_solve())
     block.y = rng.standard_normal(problem.constraints.n_constraints)
     return problem, block, lambda x, beta: al_gradient_smooth(x, block.y, beta, problem)
 
@@ -520,9 +569,9 @@ def cluster_subproblem_case(rng):
 
 def hinge_subproblem_case(rng, make=lambda: toy_ineq_qp()[0]):
     problem = make()
-    block = _HingeBlock(problem.for_solve())
-    block.y = rng.standard_normal(problem.n_eq)
-    block.z = rng.uniform(0.0, 3.0, problem.n_ineq)
+    block = _ConstraintBlock(problem.for_solve())
+    block.y = rng.standard_normal(problem.constraints.n_constraints)
+    block.z = rng.uniform(0.0, 3.0, problem.ineq.n_constraints)
     return problem, block, lambda x, beta: al_ineq_gradient_smooth(
         x, block.y, block.z, beta, problem
     )
@@ -533,7 +582,7 @@ def hinge_affine_subproblem_case(rng):
 
 
 # LCQP (affine rows as data), EV and clustering (callback rows), and the
-# hinge block without and with affine rows.
+# inequality rows without and with affine equality rows.
 SUBPROBLEM_CASES = [
     equality_subproblem_case,
     ev_subproblem_case,
@@ -557,9 +606,10 @@ def test_subproblem_gradient_equals_public_al_gradient(case):
 
 def replayed_gradient(problem, block, beta):
     """The AL gradient as written before the per-subproblem closures: the
-    equality block's rows all through the constraint oracle's public value
-    and product, the hinge block's affine rows from its data."""
-    if isinstance(block, _EqualityBlock):
+    rows of a problem without inequality rows all through the constraint
+    oracle's public value and product, the affine equality rows of one with
+    them from their data."""
+    if block.z is None:
         def grad(x):
             c = problem.constraints.evaluate(x)
             jt = problem.constraints.jacobian_transpose_apply
@@ -569,9 +619,10 @@ def replayed_gradient(problem, block, beta):
 
     def grad(x):
         g = problem.smooth.gradient(x)
-        if problem.n_eq:
-            r = problem.A @ x - problem.b
-            g = g + problem.A.T @ (block.y + beta * r)
+        if problem.constraints.n_constraints:
+            A, b = problem.constraints.affine_data
+            r = A @ x - b
+            g = g + A.T @ (block.y + beta * r)
         f = problem.ineq.evaluate(x)
         return g + problem.ineq.jacobian_transpose_apply(x, np.maximum(block.z + beta * f, 0.0))
 
@@ -612,7 +663,7 @@ def test_lcqp_rows_are_read_as_data():
 def test_nan_gradient_on_affine_rows_raises():
     problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
     problem.smooth._gradient_fn = lambda x: np.full_like(x, np.nan)
-    kernel = _EqualityBlock(problem).subproblem(1.0)
+    kernel = _ConstraintBlock(problem).subproblem(1.0)
     with pytest.raises(NonFiniteValue, match="^smooth oracle gradient overflowed$"):
         kernel(problem.x0)
     with pytest.raises(NonFiniteValue):

@@ -4,21 +4,33 @@ import math
 import numpy as np
 import pytest
 
-from almkit.core import ConstraintOracle, DimensionMismatch, NonFiniteValue, SmoothOracle
-from almkit.ialm import _EqualityBlock
-from almkit.ialm import IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual, ialm_solve
+from almkit.core import (
+    ConstraintOracle,
+    DimensionMismatch,
+    NonFiniteValue,
+    SmoothOracle,
+    kkt_residual,
+)
+from almkit.ialm import (
+    IalmConfig,
+    PenaltyDual,
+    PracticalDual,
+    TheoreticalDual,
+    _capped_step,
+    _ConstraintBlock,
+    dual_update_z,
+    ialm_solve,
+)
 from almkit.ineq import (
     IneqConstants,
     IneqProblemSpec,
-    _HingeBlock,
     al_ineq_gradient_smooth,
     al_ineq_value,
-    dual_update_z,
     ialm_ineq_solve,
-    ineq_dual_step_size,
     kkt_residual_ineq,
     slack_reformulate,
 )
+from almkit.problems import gen_ev
 from almkit.prox import zero_function
 from helpers import finite_difference_gradient, interval_without_subdiff, toy_eq_qp, toy_ineq_qp
 
@@ -94,7 +106,7 @@ def linearized_twin(problem):
 
 
 class TestLinearizedInequalities:
-    """A linearized inequality oracle gives the hinge block and the slack
+    """A linearized inequality oracle gives the solver and the slack
     bridge the same gradients, bit for bit, as its two-callback twin, with
     one call into its callback per gradient."""
 
@@ -105,12 +117,12 @@ class TestLinearizedInequalities:
         rng = np.random.default_rng(3)
         for _ in range(6):
             x = rng.uniform(-2.0, 2.0, two.dim)
-            y = rng.standard_normal(two.n_eq)
-            z = np.abs(rng.standard_normal(two.n_ineq))
+            y = rng.standard_normal(two.constraints.n_constraints)
+            z = np.abs(rng.standard_normal(two.ineq.n_constraints))
             beta = float(10.0 ** rng.uniform(-1, 1))
             kernels = []
             for problem in (lin, two):
-                block = _HingeBlock(problem)
+                block = _ConstraintBlock(problem)
                 block.y, block.z = y, z
                 kernels.append(block.subproblem(beta))
             before = calls[0]
@@ -130,7 +142,7 @@ class TestLinearizedInequalities:
             beta = float(10.0 ** rng.uniform(-1, 1))
             kernels = []
             for problem in (slack_lin, slack_two):
-                block = _EqualityBlock(problem)
+                block = _ConstraintBlock(problem)
                 block.y = y
                 kernels.append(block.subproblem(beta))
             before = calls[0]
@@ -156,14 +168,21 @@ class TestIneqProblemSpec:
     @pytest.mark.parametrize("where", ["A", "b"])
     def test_non_finite_affine_data_raises_at_construction(self, bad, where):
         problem = two_constraint_problem()
-        A, b = problem.A.copy(), problem.b.copy()
+        A, b = (a.copy() for a in problem.constraints.affine_data)
         (A[0] if where == "A" else b)[0] = bad
         with pytest.raises(NonFiniteValue, match="^affine constraint data contains NaN or Inf$"):
-            dataclasses.replace(problem, A=A, b=b)
+            IneqProblemSpec(
+                problem.smooth, problem.nonsmooth, A, b, problem.ineq, None, 0.0, problem.x0
+            )
 
     def test_no_equality_rows_get_the_problem_width(self):
-        problem = dataclasses.replace(hinge_scalar_problem(), A=np.zeros((0, 0)))
-        assert problem.A.shape == (0, 1) and problem.n_eq == 0
+        scalar = hinge_scalar_problem()
+        problem = IneqProblemSpec(
+            scalar.smooth, scalar.nonsmooth, np.zeros((0, 0)), np.zeros(0), scalar.ineq, None,
+            0.0, scalar.x0,
+        )
+        A = problem.constraints.affine_data[0]
+        assert A.shape == (0, 1) and problem.constraints.n_constraints == 0
         assert np.array_equal(
             al_ineq_gradient_smooth(np.ones(1), np.zeros(0), np.ones(1), 2.0, problem), [3.0]
         )
@@ -176,7 +195,7 @@ class TestAlIneqValue:
         y = np.array([0.7])
         beta = 2.0
         val = al_ineq_value(x, y, np.zeros(2), beta, prob)
-        r = prob.A @ x - prob.b
+        r = prob.constraints.evaluate(x)
         expected = 0.5 * float(x @ x) + float(y @ r) + 0.5 * beta * float(r @ r)
         assert val == pytest.approx(expected)
 
@@ -237,8 +256,9 @@ class TestAlIneqGradient:
         y = np.array([0.7])
         beta = 2.0
         g = al_ineq_gradient_smooth(x, y, np.zeros(2), beta, prob)
-        r = prob.A @ x - prob.b
-        assert g == pytest.approx(x + prob.A.T @ (y + beta * r))
+        A, b = prob.constraints.affine_data
+        r = A @ x - b
+        assert g == pytest.approx(x + A.T @ (y + beta * r))
 
     def test_single_active_constraint_example(self):
         # f(x) = x - 1 at x = 2, z = 0, beta = 1, g = 0: gradient is 1.
@@ -299,7 +319,7 @@ class TestDualUpdates:
 
     def test_step_size_capped_at_beta(self):
         for policy in (PracticalDual(), TheoreticalDual(w0=100.0)):
-            w = ineq_dual_step_size(policy, 0, 1e-9, 1.0, beta=0.5)
+            w = _capped_step(policy, 0, 1e-9, 1.0, 0.5)
             assert w <= 0.5
 
 
@@ -317,7 +337,7 @@ class TestIneqSolve:
         # is the equality residual, not 0, so the damped policy still
         # updates y instead of reducing to the penalty method.
         prob = two_constraint_problem()
-        assert _HingeBlock(prob).damping == 1.0
+        assert _ConstraintBlock(prob).damping == 1.0
         rep = ialm_ineq_solve(prob, IalmConfig(policy=TheoreticalDual(w0=1.0)))
         assert rep.success
         assert any(rec.w > 0.0 for rec in rep.records)
@@ -387,8 +407,9 @@ class TestSlackReformulation:
     def test_dimension_bookkeeping(self):
         prob = two_constraint_problem()
         ref = slack_reformulate(prob)
-        assert ref.problem.dim == prob.dim + prob.n_ineq
-        assert ref.problem.constraints.n_constraints == prob.n_eq + prob.n_ineq
+        n_eq, n_ineq = prob.constraints.n_constraints, prob.ineq.n_constraints
+        assert ref.problem.dim == prob.dim + n_ineq
+        assert ref.problem.constraints.n_constraints == n_eq + n_ineq
 
     def test_translator_drops_negative_part(self):
         prob = two_constraint_problem()
@@ -446,3 +467,34 @@ class TestSlackReformulation:
             assert rep.success
             assert rep.grad_evals == calls[0] - before > 0
         assert prob.smooth.grad_evals == 0
+
+
+@pytest.fixture(scope="module")
+def ev_nonnegative():
+    """gen_ev(20, 0), whose row x'Bx = 1 is a nonlinear equality, with
+    x >= 0 as 20 convex inequality rows -x <= 0, solved by the one block."""
+    n = 20
+    nonneg = ConstraintOracle.affine(-np.eye(n), np.zeros(n))
+    problem = dataclasses.replace(gen_ev(n, 0).to_problem(), ineq=nonneg)
+    return problem, ialm_solve(problem, IalmConfig())
+
+
+class TestNonlinearEqualityWithInequalities:
+    def test_report_is_the_remeasured_certificate(self, ev_nonnegative):
+        problem, rep = ev_nonnegative
+        assert rep.success
+        kkt = kkt_residual(rep.x, rep.y, problem, rep.z)
+        for name in ("pres", "dres", "compl", "pres_eq", "pres_ineq"):
+            assert math.isclose(getattr(kkt, name), getattr(rep.kkt, name), rel_tol=1e-9)
+        assert max(kkt.pres, kkt.dres, kkt.compl) <= 1e-3
+        # The rows bind: some coordinates sit at 0 with a positive multiplier.
+        assert np.any(rep.z > 0.0)
+
+    def test_slack_bridge_certifies_the_same_instance(self, ev_nonnegative):
+        problem, direct = ev_nonnegative
+        ref = slack_reformulate(problem)
+        lifted = ialm_solve(ref.problem, IalmConfig())
+        assert lifted.success
+        cert = ref.translate(lifted.x, lifted.y, problem.ineq)
+        assert cert.neg_part_norm <= 1e-3 and cert.compl <= 1e-2
+        assert np.linalg.norm(cert.x - direct.x) <= 1e-2
