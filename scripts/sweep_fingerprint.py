@@ -15,7 +15,9 @@ reformulation of the s = 0 split.  These 23 solves use
 the default configuration, except the clusterings' eps.  The last four
 cover the other dual policies: `gen_ev(200, 0)` under
 `TheoreticalDual(w0=1)`, `PracticalDual(M=0.5, q=2)` and `PenaltyDual()`,
-and the s = 0 split under `TheoreticalDual(w0=1)`, 27 solves in all.
+and the s = 0 split under `TheoreticalDual(w0=1)`, 27 solves in all.  A
+last line sums #Grad by family: `lcqp`, `ev`, `cluster`, `ineq`, `slack`
+and `policy` (the last four lines).
 
 Two runs print the same lines exactly when every solve returns the same
 iterate after the same number of gradients, so diffing the output of two
@@ -71,38 +73,41 @@ def lcqp_split(seed: int) -> ProblemSpec:
 
 
 def sweep():
-    """(label, problem, config) for every solve of the sweep."""
+    """(family, label, problem, config) for every solve of the sweep."""
     for s in range(10):
         problem = gen_lcqp(10, 200, 1.0, s).to_problem()
-        yield f"gen_lcqp(10,200,1,{s})", problem, IalmConfig()
+        yield "lcqp", f"gen_lcqp(10,200,1,{s})", problem, IalmConfig()
     for s in range(5):
-        yield f"gen_ev(200,{s})", gen_ev(200, s).to_problem(), IalmConfig()
+        yield "ev", f"gen_ev(200,{s})", gen_ev(200, s).to_problem(), IalmConfig()
     for s in range(4):
         points = np.random.default_rng(s).standard_normal((12, 2))
         problem = gen_clustering(points, r=3, s=100.0).to_problem()
-        yield f"cluster(default_rng({s}))", problem, IalmConfig(eps=1e-2)
+        yield "cluster", f"cluster(default_rng({s}))", problem, IalmConfig(eps=1e-2)
     for s in range(3):
-        yield f"ineq(gen_lcqp(10,200,1,{s}))", lcqp_split(s), IalmConfig()
+        yield "ineq", f"ineq(gen_lcqp(10,200,1,{s}))", lcqp_split(s), IalmConfig()
     slack = slack_reformulate(lcqp_split(0)).problem
-    yield "slack(gen_lcqp(10,200,1,0))", slack, IalmConfig()
+    yield "slack", "slack(gen_lcqp(10,200,1,0))", slack, IalmConfig()
     theoretical = IalmConfig(policy=TheoreticalDual(w0=1.0))
-    yield "gen_ev(200,0) theoretical", gen_ev(200, 0).to_problem(), theoretical
+    yield "policy", "gen_ev(200,0) theoretical", gen_ev(200, 0).to_problem(), theoretical
     growing = IalmConfig(policy=PracticalDual(M=0.5, q=2))
-    yield "gen_ev(200,0) practical(.5,2)", gen_ev(200, 0).to_problem(), growing
+    yield "policy", "gen_ev(200,0) practical(.5,2)", gen_ev(200, 0).to_problem(), growing
     penalty = IalmConfig(policy=PenaltyDual())
-    yield "gen_ev(200,0) penalty", gen_ev(200, 0).to_problem(), penalty
-    yield "ineq(gen_lcqp s=0) theoretical", lcqp_split(0), theoretical
+    yield "policy", "gen_ev(200,0) penalty", gen_ev(200, 0).to_problem(), penalty
+    yield "policy", "ineq(gen_lcqp s=0) theoretical", lcqp_split(0), theoretical
 
 
 def main() -> int:
     print(f"{'instance':<30}{'#Grad':>8}{'outer':>7}  {'success':<8}x sha256")
-    for label, problem, config in sweep():
+    sums = {}
+    for family, label, problem, config in sweep():
         report = ialm_solve(problem, config)
         digest = hashlib.sha256(np.ascontiguousarray(report.x).tobytes()).hexdigest()[:12]
         print(
             f"{label:<30}{report.grad_evals:>8}{len(report.records):>7}"
             f"  {str(report.success):<8}{digest}"
         )
+        sums[family] = sums.get(family, 0) + report.grad_evals
+    print("#Grad by family: " + "  ".join(f"{f} {n}" for f, n in sums.items()))
     return 0
 
 

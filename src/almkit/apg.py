@@ -7,6 +7,14 @@ xbar with a local curvature estimate L >= mu, and stops at the first
 iterate whose certified stationarity dist(-grad G(x+), subdiff H(x+)) falls
 below the tolerance.
 
+Relative stop.  Given a ``center`` c, the call stops at the first iterate
+whose stationarity is at most max(eps, mu ||x+ - c||): the relative error
+criterion of inexact proximal point methods, for a call that is one
+proximal step centred at c with mu its strong convexity (see ``ippm``).
+For c in dom H the relative test can fire before the absolute one only when
+mu D > eps, where D is the diameter of dom H, so it is evaluated only then;
+with mu D <= eps a call with a centre is the call without one, bit for bit.
+
 Step size.  The estimate is tested with the gradient at x+ that the
 certificate needs anyway: the step is accepted when
 ||grad G(x+) - grad G(xbar)|| <= L ||x+ - xbar||, and otherwise redone from
@@ -89,11 +97,13 @@ class ApgResult:
     ``stationarity_is_exact`` records whether it came from an exact
     subdifferential distance or the surrogate upper bound.  On failure
     (``converged`` False) ``x`` is the best iterate seen, None when the
-    convexity test stopped the first iteration.  For warm starts,
-    ``gradient`` is grad G(x), which the certificate computed, and ``L`` the
-    final curvature estimate: on success, the one the last step was accepted
-    with.  ``stop`` says why the call ended: "converged", "pair_test" (the
-    convexity test failed), "stall_guard" or "max_iter".
+    convexity test stopped the first iteration; ``converged`` means
+    ``stationarity`` <= eps, or, with a ``center``, <= mu ||x - center||.
+    For warm starts, ``gradient`` is grad G(x), which the certificate
+    computed, and ``L`` the final curvature estimate: on success, the one
+    the last step was accepted with.  ``stop`` says why the call ended:
+    "converged", "pair_test" (the convexity test failed), "stall_guard" or
+    "max_iter".
     """
 
     x: np.ndarray
@@ -135,6 +145,7 @@ def apg_solve(
     L_init: Optional[float] = None,
     grad_init: Optional[Array] = None,
     test_mu: bool = False,
+    center: Optional[Array] = None,
 ) -> ApgResult:
     """Run APG from ``x_init`` (which must lie in dom H) to eps-stationarity.
 
@@ -142,7 +153,8 @@ def apg_solve(
     [mu, L_G]), and must be given when ``L_G`` is inf; ``grad_init``, when
     given, is grad G(x_init) and saves the first call into ``grad``.
     ``test_mu`` stops the call, unconverged, at the first accepted step pair
-    on which G is not mu-strongly convex.
+    on which G is not mu-strongly convex.  ``center``, when given, adds the
+    relative stop stat <= mu ||x - center||.
     """
     L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
     if not (0 < mu <= L_G and math.isfinite(L)):
@@ -168,6 +180,10 @@ def apg_solve(
     best_x = best_g = None  # set by the first iteration, whose stat is finite
     best_stat = math.inf
     exact = H.has_exact_subdiff
+    if center is not None:
+        center = as_vector(center, x_init.shape[0], "center")
+    # The relative stop can beat the absolute one only if mu D > eps.
+    relative = center is not None and mu * H.diameter > eps
     # Stall guard: on a bounded domain the budget follows the largest
     # accepted estimate L_max; an unbounded one has none.
     D_sq = H.diameter**2
@@ -210,7 +226,7 @@ def apg_solve(
                 raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t}")
         if stat < best_stat:
             best_stat, best_x, best_g = stat, x_next, g_next
-        if stat <= eps:
+        if stat <= eps or (relative and stat <= mu * norm(x_next - center)):
             return ApgResult(
                 x=x_next,
                 iterations=t,

@@ -479,6 +479,11 @@ class ProblemSpec:
     def __post_init__(self):
         self.x0 = as_vector(self.x0, name="x0")
         self.nonsmooth._check_domain(self.x0, "x0")
+        for name in ("constraints", "ineq"):
+            rows = getattr(self, name)
+            if rows is not None and rows.affine_data is not None:
+                if rows.affine_data[0].shape[1] != self.dim:
+                    raise DimensionMismatch(f"affine {name} column count must match dim")
 
     @property
     def dim(self) -> int:

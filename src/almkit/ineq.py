@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     Array,
     ConstraintOracle,
-    DimensionMismatch,
     KktResidual,
     ProblemSpec,
     ProxCapableFunction,
@@ -81,8 +80,6 @@ def IneqProblemSpec(
     x0 = as_vector(x0, name="x0")
     if A.shape[0] == 0:
         A = np.zeros((0, x0.shape[0]))
-    elif A.shape[1] != x0.shape[0]:
-        raise DimensionMismatch("affine part column count must match dim")
     # Written so that NaN fails.
     if not rho0 >= 0:
         raise ValueError("rho0 must be nonnegative")

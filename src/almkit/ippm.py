@@ -2,10 +2,20 @@
 min phi(x) + psi(x), with phi smooth and rho-weakly convex.
 
 Each outer step adds rho||. - x_k||^2 to phi (giving a rho-strongly-convex
-model) and solves it with APG to tolerance eps/4; the loop stops once
-2 rho ||x_{k+1} - x_k|| <= eps/2, which combined with the inner certificate
-yields dist(0, subdiff(phi + psi)(x_out)) <= eps.  The gradient of phi is a
-plain callable, as in ``apg_solve``.
+model) and solves it with APG to the relative tolerance
+max(eps/4, rho ||x - x_k||); the loop stops once 2 rho ||x_{k+1} - x_k||
+<= eps/2, which combined with the inner certificate yields
+dist(0, subdiff(phi + psi)(x_out)) <= eps.  The gradient of phi is a plain
+callable, as in ``apg_solve``.
+
+Relative error.  APG stops each step at the first iterate x whose certified
+stationarity is at most eps/4 or at most rho ||x - x_k||, half the proximal
+shift 2 rho ||x - x_k|| that the loop tests, so the rule brings in no new
+constant.  Only the last step's accuracy enters the certificate, and a step
+far from the centre need not be solved to eps/4.  This is the relative
+error criterion of the inexact proximal point method (Rockafellar, SIAM J.
+Control Optim. 1976), as Paquette et al. (AISTATS 2018) use it for
+nonconvex prox subproblems: dist(0, subdiff f_kappa(x)) <= kappa ||x - y||.
 
 Measured weak convexity ("convex until proven guilty": Carmon, Duchi,
 Hinder & Sidford, ICML 2017; Paquette et al., "Catalyst for gradient-based
@@ -34,7 +44,17 @@ What survives of the guarantees:
 - The certificate is valid for any rho.  APG certifies the model's
   stationarity at x, and the model's gradient differs from phi's by
   2 rho (x - x_k), so stationarity + 2 rho ||x - x_k|| bounds
-  dist(0, subdiff(phi + psi)(x)).
+  dist(0, subdiff(phi + psi)(x)).  On the final step 2 rho d <= eps/2,
+  with d = ||x_{k+1} - x_k||, so the relative stop gives stationarity
+  <= max(eps/4, rho d) = eps/4 and the certificate is at most 3 eps/4.
+- The step bound survives the relative stop.  Where rho bounds the weak
+  convexity, the model M = Phi + rho ||. - x_k||^2 is rho-strongly convex.
+  On every non-final step rho d > eps/4, so stationarity <= rho d in both
+  branches, and strong convexity at x_{k+1} gives M(x_k) >= M(x_{k+1})
+  - rho d^2 + (rho/2) d^2.  With M(x_k) = Phi(x_k) and M(x_{k+1}) =
+  Phi(x_{k+1}) + rho d^2, that is Phi(x_k) - Phi(x_{k+1}) >= (rho/2) d^2
+  > eps^2 / (32 rho), so ``outer_iteration_bound`` = ceil(32 rho gap /
+  eps^2) still holds.
 - Failed calls are bounded.  The model's gradient is grad phi + 2 rho
   (. - x_k), so a pair fails only when <grad phi(x+) - grad phi(xbar),
   x+ - xbar> < -rho ||x+ - xbar||^2, which cannot happen once rho >= L,
@@ -167,7 +187,7 @@ def ippm_solve(
 
             inner = apg_solve(
                 shifted, psi, x_t, rho, L_phi + 2.0 * rho, eps / 4.0, max_inner,
-                L_init=L_t, grad_init=g_t, test_mu=rho < rho_cap,
+                L_init=L_t, grad_init=g_t, test_mu=rho < rho_cap, center=x_k,
             )
             apg_total += inner.iterations
             grad_total += inner.grad_evals

@@ -11,7 +11,15 @@ from almkit.apg import (
     apg_solve,
     worst_case_iteration_bound,
 )
-from almkit.core import NonFiniteValue, ProxCapableFunction, SmoothOracle, al_gradient_smooth, as_vector
+from almkit.core import (
+    DimensionMismatch,
+    NonFiniteValue,
+    ProxCapableFunction,
+    SmoothOracle,
+    al_gradient_smooth,
+    as_vector,
+    norm,
+)
 from almkit.problems import gen_ev, gen_lcqp
 from almkit.prox import BoxSet, box_indicator, zero_function
 from helpers import fancy_index_box_distance
@@ -271,6 +279,69 @@ class TestApgErrors:
         assert not res.converged and res.stop == "stall_guard"
         assert res.iterations == 2 * bound < 20_000
         assert res.stationarity >= 1e-100
+
+
+def logged_box(box: BoxSet, certified: list) -> ProxCapableFunction:
+    """The box indicator, appending each certified (x, stat) to ``certified``:
+    APG measures the exact distance once per accepted iterate, in order."""
+    exact = box_indicator(box)
+
+    def distance(x, v):
+        stat = exact.subdiff_distance(x, v)
+        certified.append((x, stat))
+        return stat
+
+    return ProxCapableFunction(
+        prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
+        value_fn=exact.value,
+        subdiff_distance_fn=distance,
+        diameter=box.diameter,
+        cone_subdiff=True,
+    )
+
+
+class TestRelativeStop:
+    def test_stops_at_the_first_iterate_meeting_the_relative_test(self):
+        G = quadratic([1.0, 4.0, 20.0, 60.0], [3.0, -2.0, 5.0, 0.5])
+        centre, mu, eps = np.zeros(4), 1.0, 1e-10
+        certified = []
+        H = logged_box(BoxSet.cube(-1.0, 1.0, 4), certified)
+        res = apg_solve(G.gradient, H, centre, mu, 60.0, eps, center=centre)
+        met = [stat <= eps or stat <= mu * norm(x - centre) for x, stat in certified]
+        assert res.converged and res.stop == "converged" and eps < res.stationarity
+        assert len(met) == res.iterations and met.index(True) == res.iterations - 1
+        assert np.array_equal(res.x, certified[-1][0])
+        # Without a centre the call runs on to eps along the same iterates.
+        relative = certified[:]
+        certified.clear()
+        full = apg_solve(G.gradient, H, centre, mu, 60.0, eps)
+        assert full.converged and full.stationarity <= eps < res.stationarity
+        assert full.iterations > res.iterations
+        for (x, stat), (x_full, stat_full) in zip(relative, certified):
+            assert x.tobytes() == x_full.tobytes() and stat == stat_full
+
+    def test_no_relative_test_when_mu_times_diameter_is_at_most_eps(self):
+        # mu D = 1e-3 * 4 <= eps: a centre in the box cannot stop the call
+        # before eps does, so the call with one replays the call without.
+        G = quadratic([1.0, 4.0, 20.0, 60.0], [3.0, -2.0, 5.0, 0.5])
+        H = box_indicator(BoxSet.cube(-1.0, 1.0, 4))
+        x_init = np.array([0.5, -0.5, 0.25, 1.0])
+        plain, centred = (
+            apg_solve(G.gradient, H, x_init, 1e-3, 60.0, 1e-2, center=c)
+            for c in (None, -np.ones(4))
+        )
+        assert plain.converged and plain.iterations > 1
+        assert plain.x.tobytes() == centred.x.tobytes()
+        assert plain.gradient.tobytes() == centred.gradient.tobytes()
+        assert plain.stationarity.hex() == centred.stationarity.hex()
+        assert (plain.iterations, plain.grad_evals, plain.L, plain.stop) == (
+            centred.iterations, centred.grad_evals, centred.L, centred.stop
+        )
+
+    def test_centre_of_another_length_rejected(self):
+        G = quadratic([1.0, 2.0], [0.0, 0.0])
+        with pytest.raises(DimensionMismatch, match="^center"):
+            apg_solve(G.gradient, zero_function(), np.zeros(2), 1.0, 2.0, 1e-6, center=np.zeros(3))
 
 
 class TestWorstCaseBound:

@@ -242,6 +242,18 @@ class TestProblemSpec:
                 x0=np.array([9.0, 0.0]),
             )
 
+    @pytest.mark.parametrize("block", ["constraints", "ineq"])
+    def test_affine_rows_of_another_width_rejected(self, block):
+        # Without the check this built, and ialm_solve then failed inside
+        # numpy's matmul.
+        smooth = SmoothOracle(lambda x: 0.0, np.zeros_like, 0.0, 0.0)
+        fits = ConstraintOracle.affine(np.ones((1, 2)), [0.0])
+        rows = {"constraints": fits, "ineq": fits}
+        rows[block] = ConstraintOracle.affine(np.ones((1, 3)), [0.0])
+        with pytest.raises(DimensionMismatch, match=f"^affine {block} column count must match"):
+            ProblemSpec(smooth, zero_function(), constants=None, x0=np.zeros(2), **rows)
+        assert ProblemSpec(smooth, zero_function(), fits, None, np.zeros(2), fits).dim == 2
+
     def test_fresh_counters_are_independent(self):
         prob, _ = toy_eq_qp()
         al_gradient_smooth(np.zeros(2), np.zeros(1), 1.0, prob)

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import almkit.ippm
 from almkit.core import SmoothOracle
@@ -178,7 +182,11 @@ class TestAdaptiveWeakConvexity:
         res = ippm_solve(grad, psi, np.zeros(5), rho=2.0, L_phi=40.0, eps=eps)
         assert res.converged
         assert res.rho_doublings >= 1 and RHO_FLOOR < res.rho <= 2.0
-        assert res.rho_doublings <= math.ceil(math.log2(2.0 / RHO_FLOOR))
+        # The bound the module docstring proves: an estimate that never
+        # shrinks doubles at most ceil(log2(cap / RHO_FLOOR)) times, and
+        # decay adds at most one failed call per further step.
+        bound = math.ceil(math.log2(2.0 / RHO_FLOOR)) + res.outer_iterations - 1
+        assert res.rho_doublings <= bound
         assert box_indicator(box).subdiff_distance(res.x, -grad(res.x)) <= eps
 
     def test_warm_redo_starts_at_the_failed_iterate_without_a_gradient(self, monkeypatch):
@@ -243,6 +251,45 @@ class TestAdaptiveWeakConvexity:
         )
 
 
+def box_qp_gap(d, seed):
+    """Phi(0) - min Phi for box_qp(d, seed): the minimum is separable, each
+    coordinate's at an end of [-1, 1] or at its stationary point inside."""
+    b = np.random.default_rng(seed).standard_normal(len(d))
+    lowest = np.minimum(0.5 * d - b, 0.5 * d + b)
+    inside = (d > 0) & (np.abs(b) < d)
+    lowest[inside] = -0.5 * b[inside] ** 2 / d[inside]
+    return -float(np.sum(lowest))
+
+
+class TestRelativeStopProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=hnp.arrays(float, st.integers(1, 5), elements=st.floats(-3.0, 3.0)),
+        seed=st.integers(0, 2**16),
+        eps=st.sampled_from([1e-1, 1e-3, 1e-6]),
+    )
+    @example(d=np.array([0.5, 1.0, 3.0]), seed=3, eps=1e-6)
+    @example(d=np.array([-2.0, 0.5, 3.0]), seed=3, eps=1e-6)
+    def test_converged_solve_certifies_and_meets_the_step_bound(self, d, seed, eps):
+        # Convex and nonconvex box QPs: the certificate of a converged solve
+        # bounds the re-measured stationarity, and at a pinned rho that
+        # bounds the weak convexity the step count meets
+        # outer_iteration_bound (the module docstring's descent argument).
+        grad, _, psi = box_qp(d, seed)
+        x0 = np.zeros(len(d))
+        L_phi = max(1.0, float(np.max(np.abs(d))))
+        rho = max(0.5, -float(np.min(d)))
+        adaptive = ippm_solve(grad, psi, x0, 2.0 * L_phi, L_phi, eps)
+        with mock.patch.object(almkit.ippm, "RHO_FLOOR", rho):
+            pinned = ippm_solve(grad, psi, x0, rho, L_phi, eps)
+        assert pinned.rho == rho and pinned.rho_doublings == 0
+        for res in (adaptive, pinned):
+            assert res.converged
+            remeasured = psi.subdiff_distance(res.x, -grad(res.x))
+            assert remeasured <= res.stationarity + 1e-12 and res.stationarity <= eps
+        assert pinned.outer_iterations <= outer_iteration_bound(rho, eps, box_qp_gap(d, seed))
+
+
 class TestIppmErrors:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -277,7 +324,8 @@ class TestIppmErrors:
 
     def test_stall_raises_after_one_apg_call(self, monkeypatch):
         # Below any cap, a call that stops at max_inner raises at once
-        # instead of doubling rho and trying again.
+        # instead of doubling rho and trying again.  The steps before it
+        # stop on the relative test, far above eps/4.
         calls = recorded_apg_calls(monkeypatch)
         evals = [0]
 
@@ -288,10 +336,13 @@ class TestIppmErrors:
         psi = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
         with pytest.raises(SubsolverStall, match="max_inner"):
             ippm_solve(grad, psi, np.zeros(1), 1.0, 1.0, 1e-170, max_inner=10_000)
-        assert len(calls) == 1 and calls[0][0] == RHO_FLOOR
+        *steps, (_, stalled) = calls
+        assert stalled.stop == "max_iter" and stalled.iterations == 10_000
+        assert all(r.converged and r.stationarity > 1e-170 / 4.0 for _, r in steps)
+        assert all(mu == RHO_FLOOR for mu, _ in calls)
         # The centre gradient, and at most three per APG iteration: the
         # extrapolated point, a step rejected at 0.9 L_G and one at L_G.
-        assert evals[0] <= 1 + 3 * 10_000
+        assert evals[0] <= 1 + 3 * sum(r.iterations for _, r in calls)
 
     def test_max_outer_exhaustion_flags_failure(self):
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
