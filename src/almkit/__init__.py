@@ -30,8 +30,6 @@ from .ialm import (
 from .ineq import (
     IneqConstants,
     IneqProblemSpec,
-    al_ineq_gradient_smooth,
-    al_ineq_value,
     ialm_ineq_solve,
     kkt_residual_ineq,
     slack_reformulate,
@@ -60,8 +58,6 @@ __all__ = [
     "SubsolverStall",
     "TheoreticalDual",
     "al_gradient_smooth",
-    "al_ineq_gradient_smooth",
-    "al_ineq_value",
     "al_value",
     "apg_solve",
     "dual_step_size",

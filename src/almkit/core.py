@@ -281,10 +281,9 @@ class ConstraintOracle:
     for an oracle built by ``affine``, whose rows the AL gradient reads as
     data, and None for callback rows.
 
-    The per-row constants are recorded, not used to solve:
-    ``component_smoothness`` and ``component_weak_convexity`` are read by
-    no solver code, and ``component_bounds`` and ``jacobian_norm_bound``
-    only feed the constants ledger the diagnostics read.
+    The per-row constants this constructor takes (``component_*`` and
+    ``jacobian_norm_bound``) are validated and recorded; no code in this
+    package reads them.
     """
 
     affine_data: Optional[tuple[Array, Array]] = None
@@ -353,13 +352,7 @@ class ConstraintOracle:
         return c, lambda v: _checked_product(jt(v), x)
 
     @staticmethod
-    def linearized(
-        linearize_fn: Linearization,
-        n_constraints: int,
-        component_smoothness: Optional[Sequence[float]] = None,
-        component_weak_convexity: Optional[Sequence[float]] = None,
-        component_bounds: Optional[Sequence[float]] = None,
-    ) -> "ConstraintOracle":
+    def linearized(linearize_fn: Linearization, n_constraints: int) -> "ConstraintOracle":
         """Oracle whose one callback ``linearize_fn(x)`` returns ``(c, jt)``,
         c(x) and a function ``jt(v)`` = J(x)'v at the same x.
 
@@ -367,40 +360,21 @@ class ConstraintOracle:
         AL gradient and each certificate calls it once.  The public
         ``evaluate`` and ``jacobian_transpose_apply`` call it once each.
         """
-        oracle = ConstraintOracle(
-            None,
-            None,
-            n_constraints=n_constraints,
-            component_smoothness=component_smoothness,
-            component_weak_convexity=component_weak_convexity,
-            component_bounds=component_bounds,
-        )
+        oracle = ConstraintOracle(None, None, n_constraints)
         oracle._linearize_fn = linearize_fn
         return oracle
 
     @staticmethod
-    def affine(
-        A: Array, b: Array, component_bounds: Optional[Sequence[float]] = None
-    ) -> "ConstraintOracle":
+    def affine(A: Array, b: Array) -> "ConstraintOracle":
         """Oracle for c(x) = A x - b whose rows are kept as data.
 
         ``A`` and ``b`` are checked once, here; the solver's AL gradient
         then computes A'(y + beta (Ax - b)) from them without callbacks,
         and every other reader linearizes (A x - b, v -> A'v) from the
-        same data.  ``jacobian_norm_bound`` is ||A||_2; per-row bounds are
-        the caller's.
+        same data.
         """
         A, b = _affine_rows(A, b)
-        m = A.shape[0]
-        oracle = ConstraintOracle(
-            evaluate_fn=lambda x: A @ x - b,
-            jacobian_t_apply_fn=lambda x, v: A.T @ v,
-            n_constraints=m,
-            component_smoothness=np.zeros(m),
-            component_weak_convexity=np.zeros(m),
-            component_bounds=component_bounds,
-            jacobian_norm_bound=float(np.linalg.norm(A, 2)) if A.size else 0.0,
-        )
+        oracle = ConstraintOracle(lambda x: A @ x - b, lambda x, v: A.T @ v, A.shape[0])
         oracle.affine_data = (A, b)
         return oracle
 
@@ -429,24 +403,20 @@ def _affine_rows(A: Array, b: Array) -> tuple[Array, Array]:
 
 @dataclass(frozen=True)
 class ConstantsLedger:
-    """Bounds over dom(h) that the diagnostics read.
+    """Bounds over dom(h) that ``predict_outer_iterations`` reads.
 
     B0 bounds both |g(x)+h(x)| and ||grad g(x)||; B_c bounds the Jacobian
-    norm of c; B_i bounds both |c_i| and ||grad c_i|| per constraint; D is
-    the diameter of dom(h).  Upper bounds are acceptable everywhere.
+    norm of c.  Upper bounds are acceptable.
     """
 
     B0: float
     B_c: float
-    B_i: np.ndarray
-    D: float
 
     def __post_init__(self):
         for name in ("B0", "B_c"):
             # Written so that NaN fails.
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        object.__setattr__(self, "B_i", np.asarray(self.B_i, dtype=float))
 
 
 # Signature: (beta, ||y||) -> (rho_hat, L_hat), caps on the smooth AL part's
@@ -501,13 +471,14 @@ class ProblemSpec:
 class KktResidual:
     """Residuals of the approximate KKT certificate.
 
-    ``pres`` is the primal residual: ||c(x)|| without inequality rows, and
-    sqrt(||c(x)||^2 + ||[f(x)]_+||^2) with them, which also sets its two
-    parts ``pres_eq`` and ``pres_ineq`` (None otherwise) and the
-    complementarity residual ``compl`` = sum_i |z_i f_i(x)| (0 without
-    inequality rows).  ``dres_is_upper_bound`` is set
-    when the dual residual was obtained from a certified surrogate rather
-    than an exact subdifferential distance.
+    ``pres`` is the primal residual sqrt(pres_eq^2 + pres_ineq^2), with
+    ``pres_eq`` = ||c(x)|| and ``pres_ineq`` = ||[f(x)]_+|| (0 without
+    inequality rows, so that ``pres`` = ``pres_eq``), and ``compl`` the
+    complementarity residual sum_i |z_i f_i(x)| (0 without inequality
+    rows).  Every measured certificate sets both parts; they are None only
+    on a residual built by hand.  ``dres_is_upper_bound`` is set when the
+    dual residual was obtained from a certified surrogate rather than an
+    exact subdifferential distance.
     """
 
     pres: float
@@ -560,14 +531,10 @@ def _al_gradient(
     #Grad counter, once per call.  Rows of ``ConstraintOracle.affine`` are
     read from their data, and their products are not re-checked; callback
     rows, and every inequality row, are linearized once per call through
-    the output-checked ``ConstraintOracle._linearize``.  With no equality
-    rows the equality term is left out, not added as a zero product (which
-    would turn -0.0 entries of the gradient into +0.0).
+    the output-checked ``ConstraintOracle._linearize``.
     """
     grad, rows = problem.smooth._gradient, problem.constraints
-    if not rows.n_constraints:
-        smooth_and_eq = grad
-    elif rows.affine_data is not None:
+    if rows.affine_data is not None:
         A, b = rows.affine_data
         At = A.T
 
@@ -664,7 +631,7 @@ def _kkt(problem: ProblemSpec, x, y, z, rows: tuple, g) -> KktResidual:
 
     def lagrangian_gradient(g, jt, jt_f):
         v = g if z is None else g + jt_f(z)
-        return v + jt(y) if y.size else v
+        return v + jt(y)
 
     def at(u):
         _, jt, _, jt_f = _linearize_rows(problem, u)
@@ -674,16 +641,19 @@ def _kkt(problem: ProblemSpec, x, y, z, rows: tuple, g) -> KktResidual:
     dres, flagged = dual_residual(
         x, lagrangian_gradient(g, jt, jt_f), at, problem.nonsmooth, problem.smooth.L
     )
-    pres = float(np.linalg.norm(c))
+    pres_eq = float(np.linalg.norm(c))
     if z is None:
-        return KktResidual(pres=pres, dres=dres, dres_is_upper_bound=flagged)
-    pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
+        pres_ineq = compl = 0.0
+    else:
+        pres_ineq = float(np.linalg.norm(np.maximum(f, 0.0)))
+        compl = float(np.sum(np.abs(z * f)))
+    # hypot(p, 0.0) == p exactly, so pres is ||c(x)|| without inequality rows.
     return KktResidual(
-        pres=float(math.hypot(pres, pres_ineq)),
+        pres=float(math.hypot(pres_eq, pres_ineq)),
         dres=dres,
-        compl=float(np.sum(np.abs(z * f))),
+        compl=compl,
         dres_is_upper_bound=flagged,
-        pres_eq=pres,
+        pres_eq=pres_eq,
         pres_ineq=pres_ineq,
     )
 

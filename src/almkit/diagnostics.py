@@ -108,7 +108,8 @@ def check_feasibility_decay(report: SolveReport, sigma: float) -> FeasibilityDec
     records = report.records
     if len(records) < 3:
         raise ValueError("need at least 3 outer records to check feasibility decay")
-    if sigma <= 1:
+    # Written so that NaN fails.
+    if not sigma > 1:
         raise ValueError("sigma must exceed 1")
     products = tuple(rec.pres * rec.beta for rec in records)
     tail = products[2:]
@@ -158,7 +159,8 @@ def dual_norm_bound(w0: float, c0_norm: float, horizon: int = CBAR_TERMS) -> flo
     1 / ((t+1) [log(t+2)]^2), over-approximated by a partial sum plus an
     integral tail bound.
     """
-    if w0 < 0 or c0_norm < 0:
+    # Written so that NaN fails.
+    if not (w0 >= 0 and c0_norm >= 0):
         raise ValueError("w0 and c0_norm must be nonnegative")
     if w0 == 0.0 or c0_norm == 0.0:
         return 0.0

@@ -3,17 +3,28 @@ beta_k = beta0 * sigma^k and a choice of dual step-size policies; the
 pure-penalty ablation is the policy whose step is 0, which freezes the
 multipliers at zero.
 
-One loop and one constraint block serve every problem: the equality rows
-c(x) = 0 with multiplier y and, when the problem has them, the convex
-inequality rows f(x) <= 0 with multiplier z >= 0.  Each outer iteration
-solves the AL subproblem to eps_k-stationarity with the proximal point
-method, then takes a damped dual ascent step of size
-w_k = min(policy step, cap): y <- y + w_k c(x_{k+1}) and
-z <- z + w_k max{-z/beta_k, f(x_{k+1})}.  The cap is beta_k for a problem
-built with inequality rows, which keeps z nonnegative, and inf otherwise.
-The loop stops at the first iterate whose independently re-measured KKT
-residuals, taken at the certificate multipliers y_k + beta_k c(x_{k+1})
-and [z_k + beta_k f(x_{k+1})]_+, all fall below eps.
+One loop serves every problem: the equality rows c(x) = 0 with multiplier
+y and, when the problem has them, the convex inequality rows f(x) <= 0
+with multiplier z >= 0.  Each outer iteration solves the AL subproblem to
+eps_k-stationarity with the proximal point method, linearizes the rows and
+takes grad g once at the new iterate, and from them measures the KKT
+certificate at the multipliers y_k + beta_k c(x_{k+1}) and
+[z_k + beta_k f(x_{k+1})]_+.  It then moves the multipliers by the paper's
+one rule, whatever the policy:
+
+    y <- y + w_k c(x_{k+1}),   z <- z + w_k max{-z/beta_k, f(x_{k+1})},
+
+with w_k = ``dual_step_size(policy, k, res, gamma_k, cap)`` at the residual
+res = max(pres_eq, pres_ineq).  The cap is beta_k for a problem built with
+inequality rows, which keeps z nonnegative, and inf otherwise.  No
+multiplier moves when w_k = 0.  The loop stops at the first iterate whose
+re-measured KKT residuals all fall below eps.
+
+The update stays finite.  Every policy's step is finite at res = 0 (w0 or
+0).  Otherwise res is at least about 2e-162, the square root of the
+smallest positive subnormal (a smaller c'c underflows to res = 0), so the
+residual-normalized step M (k+1)^q / res is finite too, and
+|w_k c_i| <= w_k res is at most M (k+1)^q, w0 gamma_k or beta_k res.
 
 Loose early subproblems (the decreasing tolerances of practical ALMs:
 Birgin & Martinez, "Practical Augmented Lagrangian Methods", SIAM 2014;
@@ -76,12 +87,10 @@ LOG2_SQ = math.log(2.0) ** 2
 SUBPROBLEM_TOL_FACTOR = 0.1
 
 
-# Each policy gives the step size w_k for a residual norm r > 0 (at r = 0
-# the limit: w0, inf for the residual-normalized rule, or 0), the ascent
-# step of a problem without inequality rows, and its CLI/JSON form.  The
-# loop caps w_k at beta_k for a problem with inequality rows, where y moves
-# by w_k c(x_{k+1}) whatever the policy, and updates no multiplier when
-# w_k = 0, so the penalty policy has no ascent step.  Capping only shrinks
+# Each policy gives the step size w_k for a residual norm r >= 0 (at r = 0,
+# where the increment w_k c vanishes whatever w_k is: w0, or 0) and its
+# CLI/JSON form; the step size is all the solver asks of it.  The loop caps
+# w_k at beta_k for a problem with inequality rows.  Capping only shrinks
 # an increment, so every bound a policy proves on ||y_k|| holds capped too.
 
 
@@ -107,9 +116,6 @@ class TheoreticalDual:
             return self.w0
         return self.w0 * min(1.0, gamma_k / res)
 
-    def ascend(self, y, c, c_norm: float, w: float, k: int):
-        return y + w * c
-
     def to_dict(self) -> dict:
         return {"variant": "theoretical", "w0": self.w0}
 
@@ -120,8 +126,7 @@ class PracticalDual:
     unit-norm by default.
 
     Increment bound: ||Delta y_k|| <= min(w_k, beta_k) ||c(x_{k+1})|| <=
-    M (k+1)^q under the beta_k cap, and ||Delta y_k|| = M (k+1)^q without
-    it, so the increments never exceed M (k+1)^q.
+    M (k+1)^q, equal to M (k+1)^q up to rounding without the beta_k cap.
     """
 
     M: float = 1.0
@@ -135,12 +140,7 @@ class PracticalDual:
             raise ValueError("q must be a nonnegative integer")
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
-        return self.M * (k + 1) ** self.q / res if res > 0.0 else math.inf
-
-    def ascend(self, y, c, c_norm: float, w: float, k: int):
-        # Increment of norm M (k+1)^q along c/||c||, stable however small
-        # the residual is.
-        return y + self.M * (k + 1) ** self.q * (c / c_norm)
+        return self.M * (k + 1) ** self.q / res if res > 0.0 else 0.0
 
     def to_dict(self) -> dict:
         return {"variant": "practical", "M": self.M, "q": self.q}
@@ -166,35 +166,22 @@ DualStepPolicy = Union[TheoreticalDual, PracticalDual, PenaltyDual]
 
 def gamma_schedule(k: int, c0_norm: float) -> float:
     """Damping sequence (log 2)^2 ||c(x0)|| / ((k+1) [log(k+2)]^2)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    # Written so that NaN fails.
+    if not (k >= 0 and c0_norm >= 0):
+        raise ValueError("k and c0_norm must be nonnegative")
     return LOG2_SQ * c0_norm / ((k + 1) * math.log(k + 2) ** 2)
 
 
 def dual_step_size(
-    policy: DualStepPolicy, k: int, c_norm_next: float, gamma_k: float
+    policy: DualStepPolicy, k: int, res: float, gamma_k: float, cap: float = math.inf
 ) -> float:
-    """Step size w_k for the multiplier update y <- y + w_k c(x_{k+1}) of
-    a problem without inequality rows, whose step is not capped.
-
-    When the residual vanishes the increment w_k c is zero regardless of
-    w_k; the residual-normalized policy returns 0 there so the recorded
-    step stays finite.
-    """
-    if c_norm_next < 0 or gamma_k < 0:
-        raise ValueError("residual norm and gamma must be nonnegative")
-    return _capped_step(policy, k, c_norm_next, gamma_k, math.inf)
-
-
-def _capped_step(policy: DualStepPolicy, k: int, res: float, gamma_k: float, cap: float) -> float:
-    """w_k = min(policy step, cap) at the residual norm ``res``.
-
-    When the residual vanishes the increment w_k c is zero regardless of
-    w_k; an inf step there (the residual-normalized policy, uncapped) is
-    returned as 0 so the recorded step stays finite.
-    """
-    w = min(policy.step_size(k, res, gamma_k), cap)
-    return 0.0 if res == 0.0 and math.isinf(w) else w
+    """Step size w_k = min(policy step, cap) of the multiplier update
+    y <- y + w_k c(x_{k+1}) at the residual norm ``res``; the solver caps
+    it at beta_k for a problem with inequality rows."""
+    # Written so that NaN fails.
+    if not (res >= 0 and gamma_k >= 0 and cap > 0):
+        raise ValueError("residual norm and gamma must be nonnegative, and the cap positive")
+    return min(policy.step_size(k, res, gamma_k), cap)
 
 
 @dataclass
@@ -230,11 +217,12 @@ class IalmConfig:
 class OuterIterationRecord:
     """Trajectory entry for one outer iteration k (producing x_{k+1}).
 
-    ``dres`` is re-measured with the certificate multipliers.  Records of
-    a problem without inequality rows carry ``dres_running``, re-measured
-    with the updated running multiplier y_{k+1}; records of a problem with
-    them carry the split primal residual, the complementarity residual and
-    the running z instead.  The other kind's fields are None.  ``x`` is
+    ``pres``, ``dres``, ``pres_eq``, ``pres_ineq`` and ``compl`` are the
+    certificate's (see ``KktResidual``), measured at the certificate
+    multipliers; ``dres_running`` is re-measured at the updated running
+    multipliers y_{k+1} and z_{k+1}, and ``w`` is the step that produced
+    them.  ``z`` is z_{k+1} for a problem with inequality rows and None
+    otherwise; every other field is set for every problem.  ``x`` is
     kept so diagnostics can re-trace the run, and ``rho`` is the
     subproblem's final weak-convexity estimate, at most the override's
     rho_hat (or RHO_FLOOR, if larger), and ``L`` the final curvature
@@ -265,7 +253,6 @@ class OuterIterationRecord:
     pres_eq: Optional[float] = None
     pres_ineq: Optional[float] = None
     compl: Optional[float] = None
-    z_norm: Optional[float] = None
     z: Optional[np.ndarray] = None
 
 
@@ -275,7 +262,8 @@ class SolveReport:
 
     ``y`` (and ``z``, for a problem with inequality rows; None otherwise)
     are the certificate multipliers backing ``kkt``; ``y_running``
-    (``z_running``) the last ascent iterates.
+    (``z_running``) the running multipliers after the last update;
+    ``y_running`` is the sum of the records' steps w_k c(x_{k+1}), in order.
     ``success`` means every final residual was at or below the configured
     tolerance.  ``grad_evals`` counts every call into the smooth gradient,
     certificates included.
@@ -304,75 +292,10 @@ def dual_update_z(z: Array, f_vals: Array, w: float, beta: float) -> Array:
     The clamp only matters in floating point: with w <= beta the update is
     nonnegative exactly.
     """
-    if w < 0 or w > beta:
+    # Written so that NaN fails.
+    if not 0 <= w <= beta:
         raise ValueError("need 0 <= w <= beta to preserve z >= 0")
     return np.maximum(z + w * np.maximum(-z / beta, f_vals), 0.0)
-
-
-class _ConstraintBlock:
-    """The solve's copy of the problem and its multipliers: y for c(x) = 0
-    and, when the problem has inequality rows, z >= 0 for f(x) <= 0 (z is
-    None without them).  ``certify`` sets the certificate multipliers
-    ``y_cert`` = y + beta c(x) and ``z_cert`` = [z + beta f(x)]_+."""
-
-    def __init__(self, problem: ProblemSpec):
-        self.problem = problem
-        c, _, f, _ = _linearize_rows(problem, problem.x0)
-        self.y = self.y_cert = np.zeros(c.shape[0])
-        self.z = self.z_cert = None if f is None else np.zeros(f.shape[0])
-        # Damping scale: the initial primal residual, or with inequality
-        # rows the larger of its two parts, the scale of the
-        # max(pres_eq, pres_ineq) the dual step divides by.  (The smaller
-        # would be 0 whenever x0 satisfies one block, freezing the damped
-        # policy's multipliers at 0.)
-        self.damping = float(np.linalg.norm(c))
-        if f is not None:
-            self.damping = max(self.damping, float(np.linalg.norm(np.maximum(f, 0.0))))
-
-    def multiplier_norm(self) -> float:
-        y_norm = float(np.linalg.norm(self.y))
-        return y_norm if self.z is None else float(math.hypot(y_norm, np.linalg.norm(self.z)))
-
-    def subproblem(self, beta):
-        return _al_gradient(self.problem, self.y, self.z, beta)
-
-    def certify(self, x, beta):
-        # One linearization of each row block and grad g(x) per outer
-        # iteration: they serve the certificate, the dual update and the
-        # running multiplier's dres.
-        problem = self.problem
-        self.rows = _linearize_rows(problem, x)
-        self.g = problem.smooth._gradient(x)
-        c, _, f, _ = self.rows
-        self.y_cert = self.y + beta * c
-        if self.z is not None:
-            self.z_cert = np.maximum(self.z + beta * f, 0.0)
-        self.kkt = _kkt(problem, x, self.y_cert, self.z_cert, self.rows, self.g)
-        return self.kkt
-
-    def ascend(self, policy, w: float, k: int, beta: float) -> None:
-        """Take the dual step w != 0 from the certified point.  Without
-        inequality rows y moves by the policy's ascent step; with them y
-        moves by w c(x) and z by ``dual_update_z``."""
-        c, f, kkt = self.rows[0], self.rows[2], self.kkt
-        if self.z is None:
-            if kkt.pres > 0.0:
-                self.y = policy.ascend(self.y, c, kkt.pres, w, k)
-            return
-        if kkt.pres_eq > 0.0:
-            self.y = self.y + w * c
-        self.z = dual_update_z(self.z, f, w, beta)
-
-    def record_fields(self, x, kkt) -> dict:
-        if self.z is None:
-            return {"dres_running": _kkt(self.problem, x, self.y, None, self.rows, self.g).dres}
-        return {
-            "pres_eq": kkt.pres_eq,
-            "pres_ineq": kkt.pres_ineq,
-            "compl": kkt.compl,
-            "z_norm": float(np.linalg.norm(self.z)),
-            "z": self.z.copy(),
-        }
 
 
 def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
@@ -381,17 +304,25 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
     The solve runs on ``problem.for_solve()``, whose smooth oracle's
     ``grad_evals`` starts at 0 and is the report's #Grad.  With inequality
     rows, subproblems are as weakly convex as g because the hinge
-    composition of a convex constraint is convex, and the report's ``kkt``
-    sets ``compl``, ``pres_eq`` and ``pres_ineq``.  A subsolver stall
+    composition of a convex constraint is convex.  A subsolver stall
     propagates with the #Grad spent so far as its ``grad_evals``.  APG's
     curvature estimate is carried from each subproblem to the next,
     starting at ``smooth.L``; both curvature estimates are measured, capped
     only by ``config.curvature_override`` when set.
     """
-    block = _ConstraintBlock(problem.for_solve())
-    problem = block.problem
+    problem = problem.for_solve()
     smooth = problem.smooth
     schedule = config.curvature_override or _uncapped
+    c, _, f, _ = _linearize_rows(problem, problem.x0)
+    y = np.zeros(c.shape[0])
+    z = z_cert = None if f is None else np.zeros(f.shape[0])
+    # Damping scale: the initial primal residual, or with inequality rows
+    # the larger of its two parts, the scale of the max(pres_eq, pres_ineq)
+    # the dual step divides by.  (The smaller would be 0 whenever x0
+    # satisfies one block, freezing the damped policy's multipliers at 0.)
+    damping = float(np.linalg.norm(c))
+    if f is not None:
+        damping = max(damping, float(np.linalg.norm(np.maximum(f, 0.0))))
 
     t0 = time.perf_counter()
     x = problem.x0
@@ -402,7 +333,10 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
     L_est = smooth.L
 
     for k in range(config.max_outer):
-        rho_hat, L_hat = schedule(beta, block.multiplier_norm())
+        mult_norm = float(np.linalg.norm(y))
+        if z is not None:
+            mult_norm = float(math.hypot(mult_norm, np.linalg.norm(z)))
+        rho_hat, L_hat = schedule(beta, mult_norm)
         # Written so that NaN fails; inf (no cap) passes.
         if not (L_hat > 0 and rho_hat >= 0):
             raise ValueError(f"curvature schedule returned invalid (rho, L)=({rho_hat}, {L_hat})")
@@ -411,7 +345,7 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
         t_sub = time.perf_counter()
         try:
             sub = ippm_solve(
-                block.subproblem(beta),
+                _al_gradient(problem, y, z, beta),
                 problem.nonsmooth,
                 x,
                 max(rho_hat, RHO_FLOOR),
@@ -424,18 +358,26 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
             exc.grad_evals = smooth.grad_evals
             raise
         x, L_est = sub.x, sub.L
+        # One linearization of each row block and one grad g(x) serve the
+        # certificate, the dual step and the running multipliers' dres.
         t_cert = time.perf_counter()
-        kkt = block.certify(x, beta)
+        rows = _linearize_rows(problem, x)
+        g = smooth._gradient(x)
+        c, _, f, _ = rows
+        y_cert = y + beta * c
+        if z is not None:
+            z_cert = np.maximum(z + beta * f, 0.0)
+        kkt = _kkt(problem, x, y_cert, z_cert, rows, g)
         t_done = time.perf_counter()
         converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
 
-        if block.z is None:
-            res, cap = kkt.pres, math.inf
-        else:
-            res, cap = max(kkt.pres_eq, kkt.pres_ineq), beta
-        w = _capped_step(config.policy, k, res, gamma_schedule(k, block.damping), cap)
+        res = max(kkt.pres_eq, kkt.pres_ineq)
+        cap = math.inf if z is None else beta
+        w = dual_step_size(config.policy, k, res, gamma_schedule(k, damping), cap)
         if w != 0.0:
-            block.ascend(config.policy, w, k, beta)
+            y = y + w * c
+            if z is not None:
+                z = dual_update_z(z, f, w, beta)
         records.append(
             OuterIterationRecord(
                 k=k,
@@ -443,7 +385,7 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
                 w=w,
                 pres=kkt.pres,
                 dres=kkt.dres,
-                y_norm=float(np.linalg.norm(block.y)),
+                y_norm=float(np.linalg.norm(y)),
                 grad_evals=smooth.grad_evals,
                 seconds=time.perf_counter() - t0,
                 x=x.copy(),
@@ -454,7 +396,11 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
                 apg_iters=sub.apg_iterations,
                 sub_s=t_cert - t_sub,
                 cert_s=t_done - t_cert,
-                **block.record_fields(x, kkt),
+                dres_running=_kkt(problem, x, y, z, rows, g).dres,
+                pres_eq=kkt.pres_eq,
+                pres_ineq=kkt.pres_ineq,
+                compl=kkt.compl,
+                z=None if z is None else z.copy(),
             )
         )
         if converged:
@@ -465,13 +411,13 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
     return SolveReport(
         records=records,
         x=x,
-        y=block.y_cert,
-        y_running=block.y,
+        y=y_cert,
+        y_running=y,
         kkt=kkt,
         success=converged,
         termination="converged" if converged else "max_outer_exhausted",
         grad_evals=smooth.grad_evals,
         seconds=time.perf_counter() - t0,
-        z=block.z_cert,
-        z_running=block.z,
+        z=z_cert,
+        z_running=z,
     )

@@ -5,10 +5,9 @@ A problem with convex inequality rows f(x) <= 0 is a ``ProblemSpec`` with
 ``ineq`` set; ``ialm_solve``, ``al_value``, ``al_gradient_smooth`` and
 ``kkt_residual`` solve and measure it (see ``almkit.core`` for the
 hinge-penalized augmented Lagrangian).  ``IneqProblemSpec`` builds such a
-problem from affine equalities given as ``A``, ``b``; ``ialm_ineq_solve``,
-``al_ineq_value``, ``al_ineq_gradient_smooth`` and ``kkt_residual_ineq``
-are the one solver and its measures under the signatures that take z
-explicitly.
+problem from affine equalities given as ``A``, ``b``; ``ialm_ineq_solve``
+and ``kkt_residual_ineq`` are the one solver and its certificate under
+their former names, the latter taking z positionally.
 
 ``slack_reformulate`` rewrites f(x) <= 0 as f(x) + s = 0 with s >= 0, an
 equality-only problem over (x, s), and translates its certificate back: a
@@ -30,8 +29,6 @@ from .core import (
     SmoothOracle,
     _affine_rows,
     _linearize_rows,
-    al_gradient_smooth,
-    al_value,
     as_vector,
     kkt_residual,
 )
@@ -84,18 +81,6 @@ def IneqProblemSpec(
     if not rho0 >= 0:
         raise ValueError("rho0 must be nonnegative")
     return ProblemSpec(smooth, nonsmooth, ConstraintOracle.affine(A, b), None, x0, ineq)
-
-
-def al_ineq_value(x: Array, y: Array, z: Array, beta: float, problem: ProblemSpec) -> float:
-    """``al_value`` at (x, y, z)."""
-    return al_value(x, y, beta, problem, z)
-
-
-def al_ineq_gradient_smooth(
-    x: Array, y: Array, z: Array, beta: float, problem: ProblemSpec
-) -> Array:
-    """``al_gradient_smooth`` at (x, y, z)."""
-    return al_gradient_smooth(x, y, beta, problem, z)
 
 
 def kkt_residual_ineq(x: Array, y: Array, z: Array, problem: ProblemSpec) -> KktResidual:

@@ -108,29 +108,25 @@ class LcqpInstance:
             smoothness=_spectrum(Q)[1],
             weak_convexity=self.rho,
         )
-        constraints = ConstraintOracle.affine(A, b, component_bounds=lcqp_row_bounds(A, b, box))
         corner = float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
         B0 = max(
             0.5 * smooth.L * corner**2 + float(np.linalg.norm(c)) * corner,
             smooth.L * corner + float(np.linalg.norm(c)),
         )
-        ledger = ConstantsLedger(
-            B0=B0,
-            B_c=constraints.jacobian_norm_bound,
-            B_i=constraints.component_bounds,
-            D=box.diameter,
-        )
+        ledger = ConstantsLedger(B0=B0, B_c=float(np.linalg.norm(A, 2)))
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=box_indicator(box),
-            constraints=constraints,
+            constraints=ConstraintOracle.affine(A, b),
             constants=ledger,
             x0=self.x0,
         )
 
 
 def lcqp_row_bounds(A: np.ndarray, b: np.ndarray, box: BoxSet) -> np.ndarray:
-    """Per-row max{max_box |a_i'x - b_i|, ||a_i||}, box maximum in closed form."""
+    """Per-row max{max_box |a_i'x - b_i|, ||a_i||}, box maximum in closed
+    form: the ``component_bounds`` of affine rows over a box, for a caller
+    that records them."""
     mid = 0.5 * (box.lower + box.upper)
     half = 0.5 * (box.upper - box.lower)
     center = A @ mid
@@ -271,28 +267,12 @@ class ClusteringInstance:
             col = X.sum(axis=0)
             return X @ col - 1.0, lambda v: (np.outer(v, col) + (X.T @ v)[None, :]).ravel()
 
-        # Per-row constraint Hessian is (e_i 1' + 1 e_i') kron I_r.
-        Ln = 1.0 + math.sqrt(n)
-        rho_n = max(0.0, math.sqrt(n) - 1.0)
         s = self.s
-        Bi = max(s * s * math.sqrt(n) + 1.0, 2.0 * math.sqrt(n) * s)
-        ledger = ConstantsLedger(
-            B0=max(smooth.L / 2.0 * s * s, smooth.L * s),
-            B_c=2.0 * n * s,
-            B_i=np.full(n, Bi),
-            D=2.0 * s,
-        )
-        constraints = ConstraintOracle.linearized(
-            linearize,
-            n_constraints=n,
-            component_smoothness=np.full(n, Ln),
-            component_weak_convexity=np.full(n, rho_n),
-            component_bounds=np.full(n, Bi),
-        )
+        ledger = ConstantsLedger(B0=max(smooth.L / 2.0 * s * s, smooth.L * s), B_c=2.0 * n * s)
         return ProblemSpec(
             smooth=smooth,
             nonsmooth=nonneg_ball_indicator(NonnegBallSet(self.s)),
-            constraints=constraints,
+            constraints=ConstraintOracle.linearized(linearize, n_constraints=n),
             constants=ledger,
             x0=self.x0,
         )

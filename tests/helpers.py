@@ -12,34 +12,28 @@ from almkit.core import (
     SmoothOracle,
 )
 from almkit.ineq import IneqConstants, IneqProblemSpec
-from almkit.problems import lcqp_row_bounds, quadratic_objective
+from almkit.problems import quadratic_objective
 from almkit.prox import BoxSet, box_indicator, zero_function
 
 
 def box_qp_problem(Q, c, A, b, box: BoxSet, x0) -> ProblemSpec:
-    """Equality-and-box QP with an exactly populated constants ledger."""
+    """Equality-and-box QP with a closed-form constants ledger."""
     Q = np.asarray(Q, dtype=float)
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     smooth = quadratic_objective(Q, c)
-    m = A.shape[0]
-    Bi = lcqp_row_bounds(A, b, box)
     cons = ConstraintOracle(
         evaluate_fn=lambda x: A @ x - b,
         jacobian_t_apply_fn=lambda x, v: A.T @ v,
-        n_constraints=m,
-        component_smoothness=np.zeros(m),
-        component_weak_convexity=np.zeros(m),
-        component_bounds=Bi,
-        jacobian_norm_bound=float(np.linalg.norm(A, 2)),
+        n_constraints=A.shape[0],
     )
     corner = float(np.sqrt(np.sum(np.maximum(box.lower**2, box.upper**2))))
     B0 = max(
         0.5 * smooth.L * corner**2 + float(np.linalg.norm(c)) * corner,
         smooth.L * corner + float(np.linalg.norm(c)),
     )
-    ledger = ConstantsLedger(B0=B0, B_c=float(np.linalg.norm(A, 2)), B_i=Bi, D=box.diameter)
+    ledger = ConstantsLedger(B0=B0, B_c=float(np.linalg.norm(A, 2)))
     return ProblemSpec(
         smooth=smooth,
         nonsmooth=box_indicator(box),

@@ -12,13 +12,13 @@ from almkit.core import (
     ProblemSpec,
     ProxCapableFunction,
     SmoothOracle,
+    _al_gradient,
     al_gradient_smooth,
     al_value,
     as_vector,
     kkt_residual,
 )
-from almkit.ialm import _ConstraintBlock
-from almkit.ineq import IneqProblemSpec, al_ineq_gradient_smooth, al_ineq_value
+from almkit.ineq import IneqProblemSpec
 from almkit.problems import gen_lcqp
 from almkit.prox import BoxSet, zero_function
 from helpers import (
@@ -104,7 +104,7 @@ class TestAlValue:
         row = ConstraintOracle.affine(np.array([[1.0, 0.0]]), np.array([10.0]))
         with pytest.raises(ValueError, match="^x lies outside the domain") as info:
             if hinge:
-                al_ineq_value(x, y, np.zeros(1), 1.0, dataclasses.replace(prob, ineq=row))
+                al_value(x, y, 1.0, dataclasses.replace(prob, ineq=row), np.zeros(1))
             else:
                 al_value(x, y, 1.0, prob)
         assert not isinstance(info.value, NonFiniteValue)
@@ -152,7 +152,7 @@ class TestKktResidual:
     def test_equality_residual_has_no_hinge_parts(self):
         res = kkt_residual(np.array([2.0]), np.array([3.0]), scalar_problem())
         assert res.compl == 0.0
-        assert res.pres_eq is None and res.pres_ineq is None
+        assert res.pres_eq == res.pres and res.pres_ineq == 0.0
 
     @pytest.mark.parametrize("name", ["pres", "dres", "compl", "pres_eq", "pres_ineq"])
     @pytest.mark.parametrize("bad, error", [(-1e-3, ValueError), (np.nan, NonFiniteValue)])
@@ -271,7 +271,7 @@ class TestAffineOracle:
         data_A, data_b = oracle.affine_data
         assert data_A.dtype == data_b.dtype == np.float64
         assert np.array_equal(data_A, A) and np.array_equal(data_b, [1.0, 2.0])
-        assert oracle.jacobian_norm_bound == float(np.linalg.norm(A, 2))
+        assert oracle.jacobian_norm_bound is None and oracle.component_bounds is None
         assert np.array_equal(oracle.evaluate(np.ones(2)), [2.0, -3.0])
         assert np.array_equal(oracle.jacobian_transpose_apply(np.ones(2), [1.0, 1.0]), [1.0, 1.0])
 
@@ -293,10 +293,9 @@ class TestAffineOracle:
         with pytest.raises(DimensionMismatch):
             ConstraintOracle.affine(np.ones(3), np.ones(3))
 
-    def test_lcqp_ledger_and_oracle_share_one_norm(self):
+    def test_lcqp_ledger_takes_the_spectral_norm_of_the_rows(self):
         problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
         A = problem.constraints.affine_data[0]
-        assert problem.constraints.jacobian_norm_bound == problem.constants.B_c
         assert problem.constants.B_c == float(np.linalg.norm(A, 2))
 
 
@@ -376,8 +375,7 @@ class TestLinearizedOracle:
         cons, calls = counted_linearized(quadratic_row, lambda x, v: 2.0 * v[0] * x, 1)
         smooth = SmoothOracle(lambda x: 0.0, lambda x: x.copy(), 1.0)
         problem = ProblemSpec(smooth, zero_function(), cons, None, np.ones(3))
-        kernel = _ConstraintBlock(problem).subproblem(2.0)
-        calls.update(linearize=0, jt=0)  # the block read c(x0) once
+        kernel = _al_gradient(problem, np.zeros(1), None, 2.0)
         x, y = np.array([0.5, -1.0, 2.0]), np.array([0.25])
         for k in range(1, 4):
             g = kernel(x)
@@ -415,7 +413,7 @@ class TestLinearizedOracle:
         smooth = SmoothOracle(lambda x: 0.0, lambda x: x.copy(), 1.0)
         problem = ProblemSpec(smooth, zero_function(), nan_product, None, x)
         with pytest.raises(NonFiniteValue, match="^Jacobian-transpose product overflowed$"):
-            _ConstraintBlock(problem).subproblem(1.0)(x)
+            _al_gradient(problem, np.zeros(1), None, 1.0)(x)
 
     def test_wrong_shapes_raise(self):
         x = np.ones(3)
@@ -464,8 +462,6 @@ class TestConstantsRejectNaN:
     def test_constraint_oracle_rows(self, field):
         with pytest.raises(ValueError, match="must be nonnegative"):
             ConstraintOracle(lambda x: x, lambda x, v: v, 2, **{field: [1.0, np.nan]})
-        with pytest.raises(ValueError, match="must be nonnegative"):
-            ConstraintOracle.linearized(lambda x: (x, None), 2, **{field: [np.nan, 1.0]})
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0])
     def test_constraint_oracle_jacobian_norm_bound(self, bad):
@@ -479,23 +475,24 @@ class TestConstantsRejectNaN:
 
     @pytest.mark.parametrize("field", ["B0", "B_c"])
     def test_constants_ledger(self, field):
-        kwargs = {"B0": 1.0, "B_c": 1.0, "B_i": np.ones(2), "D": 1.0, field: np.nan}
+        kwargs = {"B0": 1.0, "B_c": 1.0, field: np.nan}
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative$"):
             ConstantsLedger(**kwargs)
 
 
 # Each public AL entry point at x = 2 (equality) or x = 0 (hinge) of a
-# one-dimensional problem, with the penalty parameter given.
+# one-dimensional problem, with the penalty parameter given.  The hinge
+# cases keep the names of the removed ``al_ineq_*`` wrappers as their ids.
 AL_CALLS = {
     "al_value": lambda beta: al_value(np.array([2.0]), np.zeros(1), beta, scalar_problem()),
     "al_gradient_smooth": lambda beta: al_gradient_smooth(
         np.array([2.0]), np.zeros(1), beta, scalar_problem()
     ),
-    "al_ineq_value": lambda beta: al_ineq_value(
-        np.zeros(1), np.zeros(0), np.zeros(1), beta, toy_ineq_qp()[0]
+    "al_ineq_value": lambda beta: al_value(
+        np.zeros(1), np.zeros(0), beta, toy_ineq_qp()[0], np.zeros(1)
     ),
-    "al_ineq_gradient_smooth": lambda beta: al_ineq_gradient_smooth(
-        np.zeros(1), np.zeros(0), np.zeros(1), beta, toy_ineq_qp()[0]
+    "al_ineq_gradient_smooth": lambda beta: al_gradient_smooth(
+        np.zeros(1), np.zeros(0), beta, toy_ineq_qp()[0], np.zeros(1)
     ),
 }
 

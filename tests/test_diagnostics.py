@@ -13,7 +13,17 @@ from almkit.diagnostics import (
     predict_outer_iterations,
     trajectory_from_report,
 )
-from almkit.ialm import IalmConfig, OuterIterationRecord, SolveReport, TheoreticalDual, ialm_solve
+from almkit.ialm import (
+    IalmConfig,
+    OuterIterationRecord,
+    PracticalDual,
+    SolveReport,
+    TheoreticalDual,
+    dual_step_size,
+    dual_update_z,
+    gamma_schedule,
+    ialm_solve,
+)
 from almkit.problems import gen_lcqp
 from almkit.prox import zero_function
 
@@ -62,6 +72,29 @@ def fake_report(presequence, beta0=0.01, sigma=3.0):
         grad_evals=0,
         seconds=0.0,
     )
+
+
+# Each public dual-step or diagnostics helper called with one NaN (or
+# negative) input that a "< 0" or "<= 1" test let through, returning inf,
+# NaN or a negative damping term instead of raising.
+BAD_HELPER_INPUTS = {
+    "step_nan_residual": lambda: dual_step_size(PracticalDual(), 0, math.nan, 0.0),
+    "step_nan_gamma": lambda: dual_step_size(TheoreticalDual(), 0, 1.0, math.nan),
+    "step_nan_cap": lambda: dual_step_size(TheoreticalDual(), 0, 1.0, 1.0, math.nan),
+    "update_z_nan_w": lambda: dual_update_z(np.ones(2), np.ones(2), math.nan, 1.0),
+    "gamma_negative_c0": lambda: gamma_schedule(0, -1.0),
+    "gamma_nan_c0": lambda: gamma_schedule(0, math.nan),
+    "dual_norm_bound_nan_w0": lambda: dual_norm_bound(math.nan, 1.0),
+    "feasibility_decay_nan_sigma": lambda: check_feasibility_decay(
+        fake_report([1.0, 0.5, 0.2]), math.nan
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HELPER_INPUTS))
+def test_nan_input_to_a_public_helper_fails(name):
+    with pytest.raises(ValueError, match="must be nonnegative|must exceed 1|need 0 <= w"):
+        BAD_HELPER_INPUTS[name]()
 
 
 class TestRegularityEstimator:

@@ -15,6 +15,9 @@ from almkit.core import (
     NonFiniteValue,
     ProblemSpec,
     SmoothOracle,
+    _al_gradient,
+    _kkt,
+    _linearize_rows,
     al_gradient_smooth,
     kkt_residual,
 )
@@ -27,16 +30,15 @@ from almkit.diagnostics import (
 from almkit.ialm import (
     RHO_FLOOR,
     IalmConfig,
-    _capped_step,
-    _ConstraintBlock,
     PenaltyDual,
     PracticalDual,
     TheoreticalDual,
     dual_step_size,
+    dual_update_z,
     gamma_schedule,
     ialm_solve,
 )
-from almkit.ineq import al_ineq_gradient_smooth, ialm_ineq_solve, kkt_residual_ineq
+from almkit.ineq import ialm_ineq_solve, kkt_residual_ineq
 from almkit.ippm import SubsolverStall, ippm_solve
 from almkit.problems import gen_clustering, gen_ev, gen_lcqp
 from almkit.prox import zero_function
@@ -48,16 +50,6 @@ from almkit.prox import BoxSet
 @pytest.fixture(scope="module")
 def small_lcqp_problem():
     return gen_lcqp(3, 20, 1.0, seed=5).to_problem()
-
-
-def identity_rows_problem(capped: bool):
-    """g = 0.5||x||^2 in R^3 with c(x) = x, so that certifying at x makes
-    c(x) = x; ``capped`` adds an inequality oracle with no rows, which puts
-    the dual step under the beta cap and changes nothing else."""
-    smooth = SmoothOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
-    rows = ConstraintOracle.affine(np.eye(3), np.zeros(3))
-    ineq = ConstraintOracle.affine(np.zeros((0, 3)), np.zeros(0)) if capped else None
-    return ProblemSpec(smooth, zero_function(), rows, None, np.zeros(3), ineq)
 
 
 POLICIES = st.one_of(
@@ -76,23 +68,18 @@ POLICIES = st.one_of(
     beta=st.floats(1e-3, 1e3),
 )
 def test_capped_increment_never_exceeds_the_uncapped_one(policy, k, c, gamma, beta):
-    # The solver's own dual step, from y = 0 so that y_{k+1} is the
-    # increment exactly: min(w_k, beta_k) c under the cap, the policy's
-    # ascent step without it.  Up to rounding (the normalized and the
-    # capped practical increments round differently), the capped one is
-    # no longer, and within min(w_k, beta_k) ||c||.
+    # The solver's increment w_k c, with w_k from ``dual_step_size`` at the
+    # measured residual res, uncapped and under the beta cap: the capped
+    # one is no longer, and within min(w_k, beta_k) ||c|| up to rounding,
+    # which is absolute (at most one subnormal ulp) for subnormal entries.
+    # Norms are taken by hypot, which does not underflow to 0 where c'c does.
     res = float(np.linalg.norm(c))
-    increments = []
-    for capped in (False, True):
-        block = _ConstraintBlock(identity_rows_problem(capped))
-        block.certify(c, beta)
-        w = _capped_step(policy, k, res, gamma, beta if capped else math.inf)
-        if w != 0.0:
-            block.ascend(policy, w, k, beta)
-        increments.append(float(np.linalg.norm(block.y)))
-    uncapped, capped = increments
+    uncapped, capped = (
+        math.hypot(*(dual_step_size(policy, k, res, gamma, cap) * c)) for cap in (math.inf, beta)
+    )
     assert capped <= uncapped * (1.0 + 1e-12)
-    assert capped <= min(policy.step_size(k, res, gamma), beta) * res * (1.0 + 1e-12)
+    bound = min(policy.step_size(k, res, gamma), beta) * math.hypot(*c)
+    assert capped <= bound * (1.0 + 1e-12) + 3 * math.ulp(0.0)
 
 
 class TestDualStepSize:
@@ -114,15 +101,14 @@ class TestDualStepSize:
         assert dual_step_size(PracticalDual(M=1.0, q=1), 2, 0.1, 0.0) == pytest.approx(30.0)
 
     def test_default_practical_step_is_the_unit_norm_rule_bitwise(self):
-        y = np.array([0.3, -1.7, 2.2])
         c = np.array([1e-9, 3.0, -0.7])
         c_norm = float(np.linalg.norm(c))
         for policy in (PracticalDual(), PracticalDual(M=1.0, q=0)):
             for k in range(5):
                 for r in (1e-12, 0.37, c_norm, 5e3):
                     assert policy.step_size(k, r, 0.0) == 1.0 / r
-                got = policy.ascend(y, c, c_norm, 1.0 / c_norm, k)
-                assert np.array_equal(got, y + c / c_norm)
+                w = dual_step_size(policy, k, c_norm, 0.0)
+                assert np.linalg.norm(w * c) == pytest.approx(1.0, rel=1e-15)
 
     def test_residual_normalized_policies_vanish_at_zero(self):
         assert dual_step_size(PracticalDual(), 0, 0.0, 0.0) == 0.0
@@ -511,17 +497,19 @@ class TestOneLinearizationPerCertificate:
         assert calls[0] == 1
 
     def test_equality_certificate_and_running_dres(self):
+        # The solver's certificate and running dres: two _kkt calls on one
+        # linearization, at y + beta c(x) and at y.
         problem, calls = counted_ev()
-        block = _ConstraintBlock(problem)
-        block.y = np.array([0.3])
-        x = problem.x0 + 0.1
-        calls[0] = 0
-        kkt = block.certify(x, 2.0)
-        fields = block.record_fields(x, kkt)
+        y, x, beta = np.array([0.3]), problem.x0 + 0.1, 2.0
+        rows = _linearize_rows(problem, x)
+        g = problem.smooth._gradient(x)
+        y_cert = y + beta * rows[0]
+        kkt = _kkt(problem, x, y_cert, None, rows, g)
+        running = _kkt(problem, x, y, None, rows, g)
         assert calls[0] == 1
         # The reused product gives what a fresh certificate measures.
-        assert kkt == kkt_residual(x, block.y_cert, problem)
-        assert fields["dres_running"] == kkt_residual(x, block.y, problem).dres
+        assert kkt == kkt_residual(x, y_cert, problem)
+        assert running == kkt_residual(x, y, problem)
 
     def test_each_outer_iteration_linearizes_once_besides_its_gradients(self):
         # Each AL gradient linearizes once and counts one #Grad, each
@@ -536,10 +524,15 @@ class TestOneLinearizationPerCertificate:
         x, y, z = np.array([0.9, 0.4]), np.array([0.2]), np.array([0.5, 0.0])
         kkt_residual_ineq(x, y, z, problem)
         assert calls[0] == 1
-        block = _ConstraintBlock(problem)
         calls[0] = 0
-        block.certify(x, 2.0)
+        rows = _linearize_rows(problem, x)
+        g = problem.smooth._gradient(x)
+        z_cert = np.maximum(z + 2.0 * rows[2], 0.0)
+        kkt = _kkt(problem, x, y + 2.0 * rows[0], z_cert, rows, g)
+        running = _kkt(problem, x, y, z, rows, g)
         assert calls[0] == 1
+        assert kkt == kkt_residual(x, y + 2.0 * rows[0], problem, z_cert)
+        assert running == kkt_residual_ineq(x, y, z, problem)
 
     def test_each_record_of_the_regularity_estimate(self):
         problem, calls = counted_ev()
@@ -550,10 +543,10 @@ class TestOneLinearizationPerCertificate:
 
 
 def equality_subproblem_case(rng, make=lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem()):
+    """(problem, its solve copy, y, z) with random multipliers."""
     problem = make()
-    block = _ConstraintBlock(problem.for_solve())
-    block.y = rng.standard_normal(problem.constraints.n_constraints)
-    return problem, block, lambda x, beta: al_gradient_smooth(x, block.y, beta, problem)
+    y = rng.standard_normal(problem.constraints.n_constraints)
+    return problem, problem.for_solve(), y, None
 
 
 def ev_subproblem_case(rng):
@@ -569,12 +562,8 @@ def cluster_subproblem_case(rng):
 
 def hinge_subproblem_case(rng, make=lambda: toy_ineq_qp()[0]):
     problem = make()
-    block = _ConstraintBlock(problem.for_solve())
-    block.y = rng.standard_normal(problem.constraints.n_constraints)
-    block.z = rng.uniform(0.0, 3.0, problem.ineq.n_constraints)
-    return problem, block, lambda x, beta: al_ineq_gradient_smooth(
-        x, block.y, block.z, beta, problem
-    )
+    y = rng.standard_normal(problem.constraints.n_constraints)
+    return problem, problem.for_solve(), y, rng.uniform(0.0, 3.0, problem.ineq.n_constraints)
 
 
 def hinge_affine_subproblem_case(rng):
@@ -596,24 +585,24 @@ SUBPROBLEM_CASES = [
 def test_subproblem_gradient_equals_public_al_gradient(case):
     rng = np.random.default_rng(7)
     for _ in range(5):
-        problem, block, public = case(rng)
+        problem, copy, y, z = case(rng)
         beta = float(rng.uniform(0.01, 100.0))
-        grad = block.subproblem(beta)
+        grad = _al_gradient(copy, y, z, beta)
         for _ in range(3):
             x = rng.uniform(-1.0, 1.0, problem.dim)
-            assert np.array_equal(grad(x), public(x, beta))
+            assert np.array_equal(grad(x), al_gradient_smooth(x, y, beta, problem, z))
 
 
-def replayed_gradient(problem, block, beta):
+def replayed_gradient(problem, y, z, beta):
     """The AL gradient as written before the per-subproblem closures: the
     rows of a problem without inequality rows all through the constraint
     oracle's public value and product, the affine equality rows of one with
     them from their data."""
-    if block.z is None:
+    if z is None:
         def grad(x):
             c = problem.constraints.evaluate(x)
             jt = problem.constraints.jacobian_transpose_apply
-            return problem.smooth.gradient(x) + jt(x, block.y + beta * c)
+            return problem.smooth.gradient(x) + jt(x, y + beta * c)
 
         return grad
 
@@ -622,9 +611,9 @@ def replayed_gradient(problem, block, beta):
         if problem.constraints.n_constraints:
             A, b = problem.constraints.affine_data
             r = A @ x - b
-            g = g + A.T @ (block.y + beta * r)
+            g = g + A.T @ (y + beta * r)
         f = problem.ineq.evaluate(x)
-        return g + problem.ineq.jacobian_transpose_apply(x, np.maximum(block.z + beta * f, 0.0))
+        return g + problem.ineq.jacobian_transpose_apply(x, np.maximum(z + beta * f, 0.0))
 
     return grad
 
@@ -633,15 +622,55 @@ def replayed_gradient(problem, block, beta):
 def test_subproblem_gradient_replays_the_old_formula_bitwise(case):
     rng = np.random.default_rng(11)
     for _ in range(4):
-        problem, block, _ = case(rng)
+        problem, copy, y, z = case(rng)
         beta = 10.0 ** rng.uniform(-2, 2)
-        kernel = block.subproblem(beta)
+        kernel = _al_gradient(copy, y, z, beta)
         for _ in range(3):
             x = rng.uniform(-1.0, 1.0, problem.dim)
-            before = block.problem.smooth.grad_evals
+            before = copy.smooth.grad_evals
             got = kernel(x)
-            assert block.problem.smooth.grad_evals == before + 1
-            assert got.tobytes() == replayed_gradient(problem, block, beta)(x).tobytes()
+            assert copy.smooth.grad_evals == before + 1
+            assert got.tobytes() == replayed_gradient(problem, y, z, beta)(x).tobytes()
+
+
+def lcqp_split():
+    """gen_lcqp(6, 20, 1, 5) with rows 0-2 as equalities and rows 3-5 as
+    inequalities a_i'x <= b_i, all held as data."""
+    inst = gen_lcqp(6, 20, 1.0, seed=5)
+    return dataclasses.replace(
+        inst.to_problem(),
+        constraints=ConstraintOracle.affine(inst.A[:3], inst.b[:3]),
+        ineq=ConstraintOracle.affine(inst.A[3:], inst.b[3:]),
+    )
+
+
+# Seed 1 is an instance where M c / ||c|| and (M / ||c||) c, the practical
+# policy's step written two ways, round apart.
+REPLAY_CASES = {
+    "equality": lambda: gen_lcqp(3, 20, 1.0, seed=1).to_problem(),
+    "hinge": lcqp_split,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPLAY_CASES))
+def test_running_multipliers_replay_from_the_records(kind):
+    # Every problem moves y by w_k c(x_{k+1}), and z by dual_update_z when
+    # it has inequality rows, so the records replay the running multipliers
+    # bit for bit; and both kinds of record set the same fields, but z.
+    problem = REPLAY_CASES[kind]()
+    rep = ialm_solve(problem, IalmConfig(policy=PracticalDual()))
+    assert rep.success and len(rep.records) >= 3
+    y = np.zeros(problem.constraints.n_constraints)
+    z = None if problem.ineq is None else np.zeros(problem.ineq.n_constraints)
+    for rec in rep.records:
+        y = y + rec.w * problem.constraints.evaluate(rec.x)
+        if z is not None:
+            z = dual_update_z(z, problem.ineq.evaluate(rec.x), rec.w, rec.beta)
+            assert rec.z.tobytes() == z.tobytes()
+        unset = {f.name for f in dataclasses.fields(rec) if getattr(rec, f.name) is None}
+        assert unset == (set() if z is not None else {"z"})
+    assert y.tobytes() == rep.y_running.tobytes()
+    assert (z is None and rep.z_running is None) or z.tobytes() == rep.z_running.tobytes()
 
 
 def test_lcqp_rows_are_read_as_data():
@@ -663,7 +692,7 @@ def test_lcqp_rows_are_read_as_data():
 def test_nan_gradient_on_affine_rows_raises():
     problem = gen_lcqp(3, 20, 1.0, seed=5).to_problem()
     problem.smooth._gradient_fn = lambda x: np.full_like(x, np.nan)
-    kernel = _ConstraintBlock(problem).subproblem(1.0)
+    kernel = _al_gradient(problem, np.zeros(3), None, 1.0)
     with pytest.raises(NonFiniteValue, match="^smooth oracle gradient overflowed$"):
         kernel(problem.x0)
     with pytest.raises(NonFiniteValue):

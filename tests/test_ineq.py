@@ -9,6 +9,9 @@ from almkit.core import (
     DimensionMismatch,
     NonFiniteValue,
     SmoothOracle,
+    _al_gradient,
+    al_gradient_smooth,
+    al_value,
     kkt_residual,
 )
 from almkit.ialm import (
@@ -16,16 +19,14 @@ from almkit.ialm import (
     PenaltyDual,
     PracticalDual,
     TheoreticalDual,
-    _capped_step,
-    _ConstraintBlock,
+    dual_step_size,
     dual_update_z,
+    gamma_schedule,
     ialm_solve,
 )
 from almkit.ineq import (
     IneqConstants,
     IneqProblemSpec,
-    al_ineq_gradient_smooth,
-    al_ineq_value,
     ialm_ineq_solve,
     kkt_residual_ineq,
     slack_reformulate,
@@ -95,13 +96,7 @@ def linearized_twin(problem):
         calls[0] += 1
         return two.evaluate(x), lambda v: two.jacobian_transpose_apply(x, v)
 
-    ineq = ConstraintOracle.linearized(
-        linearize,
-        two.n_constraints,
-        component_smoothness=two.component_smoothness,
-        component_weak_convexity=two.component_weak_convexity,
-        component_bounds=two.component_bounds,
-    )
+    ineq = ConstraintOracle.linearized(linearize, two.n_constraints)
     return dataclasses.replace(problem, ineq=ineq), calls
 
 
@@ -120,16 +115,12 @@ class TestLinearizedInequalities:
             y = rng.standard_normal(two.constraints.n_constraints)
             z = np.abs(rng.standard_normal(two.ineq.n_constraints))
             beta = float(10.0 ** rng.uniform(-1, 1))
-            kernels = []
-            for problem in (lin, two):
-                block = _ConstraintBlock(problem)
-                block.y, block.z = y, z
-                kernels.append(block.subproblem(beta))
+            kernels = [_al_gradient(problem, y, z, beta) for problem in (lin, two)]
             before = calls[0]
             assert kernels[0](x).tobytes() == kernels[1](x).tobytes()
             assert calls[0] == before + 1
-            public = al_ineq_gradient_smooth(x, y, z, beta, lin)
-            assert public.tobytes() == al_ineq_gradient_smooth(x, y, z, beta, two).tobytes()
+            public = al_gradient_smooth(x, y, beta, lin, z)
+            assert public.tobytes() == al_gradient_smooth(x, y, beta, two, z).tobytes()
 
     def test_slack_bridge_gradient_equals_the_two_callback_twin(self):
         two = two_constraint_problem()
@@ -140,11 +131,7 @@ class TestLinearizedInequalities:
             xs = rng.uniform(-2.0, 2.0, slack_two.dim)
             y = rng.standard_normal(slack_two.constraints.n_constraints)
             beta = float(10.0 ** rng.uniform(-1, 1))
-            kernels = []
-            for problem in (slack_lin, slack_two):
-                block = _ConstraintBlock(problem)
-                block.y = y
-                kernels.append(block.subproblem(beta))
+            kernels = [_al_gradient(problem, y, None, beta) for problem in (slack_lin, slack_two)]
             before = calls[0]
             assert kernels[0](xs).tobytes() == kernels[1](xs).tobytes()
             assert calls[0] == before + 1
@@ -184,7 +171,7 @@ class TestIneqProblemSpec:
         A = problem.constraints.affine_data[0]
         assert A.shape == (0, 1) and problem.constraints.n_constraints == 0
         assert np.array_equal(
-            al_ineq_gradient_smooth(np.ones(1), np.zeros(0), np.ones(1), 2.0, problem), [3.0]
+            al_gradient_smooth(np.ones(1), np.zeros(0), 2.0, problem, np.ones(1)), [3.0]
         )
 
 
@@ -194,7 +181,7 @@ class TestAlIneqValue:
         x = np.array([-1.0, -1.0])  # f(x) < 0 everywhere
         y = np.array([0.7])
         beta = 2.0
-        val = al_ineq_value(x, y, np.zeros(2), beta, prob)
+        val = al_value(x, y, beta, prob, np.zeros(2))
         r = prob.constraints.evaluate(x)
         expected = 0.5 * float(x @ x) + float(y @ r) + 0.5 * beta * float(r @ r)
         assert val == pytest.approx(expected)
@@ -202,24 +189,22 @@ class TestAlIneqValue:
     def test_scalar_hinge_example(self):
         # (1/(2 beta)) (||[z + beta f]_+||^2 - ||z||^2) = (1/4)((1+1)^2 - 1)
         prob = hinge_scalar_problem()
-        val = al_ineq_value(np.array([0.5]), np.zeros(0), np.array([1.0]), 2.0, prob)
+        val = al_value(np.array([0.5]), np.zeros(0), 2.0, prob, np.array([1.0]))
         assert val == pytest.approx(0.75)
 
     def test_hinge_scales_linearly_in_beta_when_active(self):
         prob = hinge_scalar_problem()
         x = np.array([0.7])
-        v1 = al_ineq_value(x, np.zeros(0), np.zeros(1), 1.0, prob)
-        v2 = al_ineq_value(x, np.zeros(0), np.zeros(1), 2.0, prob)
+        v1 = al_value(x, np.zeros(0), 1.0, prob, np.zeros(1))
+        v2 = al_value(x, np.zeros(0), 2.0, prob, np.zeros(1))
         assert v2 == pytest.approx(2.0 * v1)
 
     def test_negative_z_rejected(self):
         prob = hinge_scalar_problem()
         with pytest.raises(ValueError):
-            al_ineq_value(np.zeros(1), np.zeros(0), np.array([-1.0]), 1.0, prob)
+            al_value(np.zeros(1), np.zeros(0), 1.0, prob, np.array([-1.0]))
 
     def test_no_inequalities_matches_equality_al(self):
-        from almkit.core import al_value
-
         eq_prob, _ = toy_eq_qp()
         m0 = ConstraintOracle(
             evaluate_fn=lambda x: np.zeros(0),
@@ -244,7 +229,7 @@ class TestAlIneqValue:
             x = rng.uniform(-4, 4, size=2)
             y = rng.standard_normal(1)
             beta = float(rng.uniform(0.5, 4.0))
-            assert al_ineq_value(x, y, np.zeros(0), beta, prob) == al_value(
+            assert al_value(x, y, beta, prob, np.zeros(0)) == al_value(
                 x, y, beta, eq_prob
             )
 
@@ -255,7 +240,7 @@ class TestAlIneqGradient:
         x = np.array([-1.0, -1.0])
         y = np.array([0.7])
         beta = 2.0
-        g = al_ineq_gradient_smooth(x, y, np.zeros(2), beta, prob)
+        g = al_gradient_smooth(x, y, beta, prob, np.zeros(2))
         A, b = prob.constraints.affine_data
         r = A @ x - b
         assert g == pytest.approx(x + A.T @ (y + beta * r))
@@ -281,7 +266,7 @@ class TestAlIneqGradient:
             rho0=0.0,
             x0=np.zeros(1),
         )
-        g = al_ineq_gradient_smooth(np.array([2.0]), np.zeros(0), np.zeros(1), 1.0, prob)
+        g = al_gradient_smooth(np.array([2.0]), np.zeros(0), 1.0, prob, np.zeros(1))
         assert g == pytest.approx([1.0])
 
     def test_matches_finite_differences_away_from_kinks(self):
@@ -296,10 +281,8 @@ class TestAlIneqGradient:
             f = prob.ineq.evaluate(x)
             if np.any(np.abs(z + beta * f) < 1e-6):
                 continue  # resample: one-sided derivatives would poison the check
-            grad = al_ineq_gradient_smooth(x, y, z, beta, prob)
-            fd = finite_difference_gradient(
-                lambda u: al_ineq_value(u, y, z, beta, prob), x
-            )
+            grad = al_gradient_smooth(x, y, beta, prob, z)
+            fd = finite_difference_gradient(lambda u: al_value(u, y, beta, prob, z), x)
             assert np.linalg.norm(grad - fd) <= 1e-5 * max(1.0, np.linalg.norm(grad))
             checked += 1
 
@@ -319,7 +302,7 @@ class TestDualUpdates:
 
     def test_step_size_capped_at_beta(self):
         for policy in (PracticalDual(), TheoreticalDual(w0=100.0)):
-            w = _capped_step(policy, 0, 1e-9, 1.0, 0.5)
+            w = dual_step_size(policy, 0, 1e-9, 1.0, 0.5)
             assert w <= 0.5
 
 
@@ -337,9 +320,12 @@ class TestIneqSolve:
         # is the equality residual, not 0, so the damped policy still
         # updates y instead of reducing to the penalty method.
         prob = two_constraint_problem()
-        assert _ConstraintBlock(prob).damping == 1.0
-        rep = ialm_ineq_solve(prob, IalmConfig(policy=TheoreticalDual(w0=1.0)))
+        policy = TheoreticalDual(w0=1.0)
+        rep = ialm_ineq_solve(prob, IalmConfig(policy=policy))
         assert rep.success
+        for rec in rep.records:
+            res = max(rec.pres_eq, rec.pres_ineq)
+            assert rec.w == dual_step_size(policy, rec.k, res, gamma_schedule(rec.k, 1.0), rec.beta)
         assert any(rec.w > 0.0 for rec in rep.records)
         assert np.linalg.norm(rep.y_running) > 0.0
 
@@ -368,7 +354,7 @@ class TestIneqSolve:
     def test_penalty_mode_freezes_both_multipliers(self):
         prob, _, _ = toy_ineq_qp()
         rep = ialm_ineq_solve(prob, IalmConfig(policy=PenaltyDual(), eps=1e-3, max_outer=40))
-        assert all(rec.z_norm == 0.0 for rec in rep.records)
+        assert all(np.all(rec.z == 0.0) for rec in rep.records)
         assert np.array_equal(rep.z_running, np.zeros(1))
 
 
