@@ -28,11 +28,17 @@ accepted untested.  ``L_G = inf`` means no cap: a step whose estimate has
 doubled MAX_DOUBLINGS times without passing the test raises NonFiniteValue,
 which is how a NaN step fails fast without a cap.
 
-Stall guard.  On a bounded domain (finite ``H.diameter`` D) a call stops
-unconverged after 2 * worst_case_iteration_bound(mu, L_max, eps, D^2, D^2)
-iterations, where L_max is the largest estimate it has accepted so far.
-The worst case that holds for an adaptive call is the one at L_max: every
-step it took used a curvature at most L_max.
+Stall guard.  On every domain a call stops unconverged after
+t_R + 2 * worst_case_iteration_bound(mu, L_max, eps, R^2, R^2) iterations
+(or ``max_iter``, if fewer), where L_max is the largest estimate it has
+accepted so far and R bounds the distance to the minimizer x*.  The worst
+case that holds for an adaptive call is the one at L_max: every step it
+took used a curvature at most L_max.  On a bounded domain R is the
+diameter of dom H and t_R = 0.  On an unbounded one R = stat_1 / mu, fixed
+at the first certified iterate x_1, and t_R = 1: for the mu-strongly
+convex F = G + H, ||x - x*|| <= dist(0, subdiff F(x)) / mu, and the
+certificate stat bounds dist(0, subdiff F(x+)) whether it is the exact
+distance or the surrogate.
 
 Restart.  When <xbar - x+, x+ - x_prev> > 0 the momentum points uphill, and
 the next extrapolated point is x+ itself, whose gradient is already known
@@ -93,11 +99,11 @@ MAX_DOUBLINGS = 64
 class ApgResult:
     """Outcome of one APG call.
 
-    ``stationarity`` is the certified dual residual at ``x``;
-    ``stationarity_is_exact`` records whether it came from an exact
-    subdifferential distance or the surrogate upper bound.  On failure
-    (``converged`` False) ``x`` is the best iterate seen, None when the
-    convexity test stopped the first iteration; ``converged`` means
+    ``stationarity`` is the certified dual residual at ``x``: the exact
+    subdifferential distance when ``H.has_exact_subdiff`` is set, and the
+    surrogate upper bound otherwise.  On failure (``converged`` False)
+    ``x`` is the best iterate seen, None when the convexity test stopped
+    the first iteration; ``converged`` means
     ``stationarity`` <= eps, or, with a ``center``, <= mu ||x - center||.
     For warm starts, ``gradient`` is grad G(x), which the certificate
     computed, and ``L`` the final curvature estimate: on success, the one
@@ -110,7 +116,6 @@ class ApgResult:
     iterations: int
     stationarity: float
     converged: bool
-    stationarity_is_exact: bool
     grad_evals: int
     gradient: np.ndarray
     L: float
@@ -119,18 +124,19 @@ class ApgResult:
 
 def worst_case_iteration_bound(
     mu: float, L_G: float, eps: float, dist_init_sq: float, dist_x0_sq: float
-) -> int:
+) -> float:
     """Worst-case APG iteration count for given squared start distances.
 
     ceil( sqrt(L/mu) * log(64 L^2 (L d_{-1}^2 + mu d_0^2) / (eps^2 mu)) + 1 ),
     with the log taken term by term so that no power of a tiny eps or mu
-    underflows.
+    underflows; inf (no finite count) when a distance or L/mu overflows.
     """
     spread = L_G * dist_init_sq + mu * dist_x0_sq
     if spread <= 0.0:
         return 1
     log_arg = math.log(64.0 * spread) + 2.0 * (math.log(L_G) - math.log(eps)) - math.log(mu)
-    return max(1, math.ceil(math.sqrt(L_G / mu) * log_arg + 1.0))
+    bound = math.sqrt(L_G / mu) * log_arg + 1.0
+    return max(1, math.ceil(bound)) if bound < math.inf else math.inf
 
 
 def apg_solve(
@@ -184,10 +190,12 @@ def apg_solve(
         center = as_vector(center, x_init.shape[0], "center")
     # The relative stop can beat the absolute one only if mu D > eps.
     relative = center is not None and mu * H.diameter > eps
-    # Stall guard: on a bounded domain the budget follows the largest
-    # accepted estimate L_max; an unbounded one has none.
-    D_sq = H.diameter**2
-    budget, L_max = max_iter, (0.0 if D_sq < math.inf else math.inf)
+    # Stall guard: the budget t_R + 2 wc(mu, L_max, eps, R^2, R^2) follows
+    # the largest accepted estimate L_max.  R is the diameter of dom H, or
+    # on an unbounded domain stat_1 / mu (with t_R = 1), set below once the
+    # first iterate is certified.
+    R_sq, t_R = H.diameter**2, 0
+    budget, L_max = max_iter, 0.0
 
     t = 0
     while t < budget:
@@ -211,9 +219,6 @@ def apg_solve(
             L = min(L_G, BACKTRACK_GROWTH * L)
         else:
             raise NonFiniteValue(f"APG step rejected {MAX_DOUBLINGS} times at iteration {t}")
-        if L > L_max:
-            L_max = L
-            budget = min(max_iter, 2 * worst_case_iteration_bound(mu, L, eps, D_sq, D_sq))
         # Written so that NaN passes the test and reaches the guards below.
         if test_mu and dx.dot(dg) > -mu * dx_sq:
             stop = "pair_test"
@@ -232,12 +237,17 @@ def apg_solve(
                 iterations=t,
                 stationarity=stat,
                 converged=True,
-                stationarity_is_exact=exact,
                 grad_evals=evals,
                 gradient=g_next,
                 L=L,
                 stop="converged",
             )
+        if L > L_max:
+            if R_sq == math.inf:
+                # A product, not ** 2, so that an overflow reads inf.
+                R_sq, t_R = (stat / mu) * (stat / mu), 1
+            L_max = L
+            budget = min(max_iter, t_R + 2 * worst_case_iteration_bound(mu, L, eps, R_sq, R_sq))
         moved = x_next - x_prev
         if dx.dot(moved) > 0.0:
             x_bar, g_bar = x_next, g_next
@@ -254,7 +264,6 @@ def apg_solve(
         iterations=t,
         stationarity=best_stat,
         converged=False,
-        stationarity_is_exact=exact,
         grad_evals=evals,
         gradient=best_g,
         L=L,

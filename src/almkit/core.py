@@ -49,11 +49,11 @@ Constraint rows have three constructors feeding one checked path.  Each
 ``ConstraintOracle._linearize`` calls it and checks c(x) and each product,
 and every reader of callback rows goes through it once per point, reusing
 the product for every multiplier at that point: the AL gradient, the
-certificates (and the running-multiplier dual residual), ``al_value`` and
-the regularity diagnostics.  The one exception is the affine data of
-equality rows built by ``ConstraintOracle.affine``, checked once when the
-oracle is built, from which each subproblem's smooth AL gradient computes
-the affine products itself, without re-checking them.
+certificate, ``al_value`` and the regularity diagnostics.  The one
+exception is the affine data of equality rows built by
+``ConstraintOracle.affine``, checked once when the oracle is built, from
+which each subproblem's smooth AL gradient computes the affine products
+itself, without re-checking them.
 
 A vector's finiteness is checked through one dot product (``all_finite``):
 a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
@@ -476,15 +476,14 @@ class KktResidual:
     inequality rows, so that ``pres`` = ``pres_eq``), and ``compl`` the
     complementarity residual sum_i |z_i f_i(x)| (0 without inequality
     rows).  Every measured certificate sets both parts; they are None only
-    on a residual built by hand.  ``dres_is_upper_bound`` is set when the
-    dual residual was obtained from a certified surrogate rather than an
-    exact subdifferential distance.
+    on a residual built by hand.  ``dres`` is the exact subdifferential
+    distance when ``problem.nonsmooth.has_exact_subdiff`` is set, and a
+    certified upper bound on it otherwise.
     """
 
     pres: float
     dres: float
     compl: float = 0.0
-    dres_is_upper_bound: bool = False
     pres_eq: Optional[float] = None
     pres_ineq: Optional[float] = None
 
@@ -506,6 +505,8 @@ def _check_inputs(x, y, z, problem: ProblemSpec, beta: float = 1.0):
     x = as_vector(x, problem.dim, "x")
     y = as_vector(y, problem.constraints.n_constraints, "y")
     if problem.ineq is not None:
+        if z is None:
+            raise ValueError("z is required because the problem has inequality rows")
         z = as_vector(z, problem.ineq.n_constraints, "z")
         if np.any(z < 0):
             raise ValueError("inequality multipliers z must be nonnegative")
@@ -589,32 +590,6 @@ def al_gradient_smooth(
     return _al_gradient(problem, y, z, beta)(x)
 
 
-def dual_residual(
-    x: Array,
-    v: Array,
-    lagrangian_gradient: Callable[[Array], Array],
-    h: ProxCapableFunction,
-    L: float,
-) -> tuple[float, bool]:
-    """dist(0, v + subdiff h(x)) for v = lagrangian_gradient(x) at the
-    validated ``x``, and whether the value is a certified upper bound rather
-    than exact.
-
-    Uses h's exact subdifferential distance when available.  Otherwise it
-    bounds the distance by ||v|| for cone-subdifferential terms (zero always
-    belongs to a cone), or by the one-step prox surrogate for general terms,
-    which certifies the prox-forward point of x with step 1/max(L, 1) and is
-    the only case that calls ``lagrangian_gradient``.
-    """
-    if h.has_exact_subdiff:
-        return h._subdiff(x, -v), False
-    if h.cone_subdiff:
-        return float(np.linalg.norm(v)), True
-    L = max(L, 1.0)
-    x_fwd = h._prox(x - v / L, 1.0 / L)
-    return float(np.linalg.norm(lagrangian_gradient(x_fwd) - v + L * (x - x_fwd))), True
-
-
 def _linearize_rows(problem: ProblemSpec, x: Array) -> tuple:
     """(c(x), v -> J_c(x)'v, f(x), v -> J_f(x)'v) at the validated ``x``,
     each row block linearized once; the last two are None without
@@ -626,21 +601,34 @@ def _linearize_rows(problem: ProblemSpec, x: Array) -> tuple:
 
 def _kkt(problem: ProblemSpec, x, y, z, rows: tuple, g) -> KktResidual:
     """``kkt_residual`` at validated (x, y, z), given the rows linearized
-    at x and grad g(x); the prox surrogate alone linearizes again, at its
-    prox-forward point."""
+    at x and grad g(x).
+
+    The dual residual dist(0, v + subdiff h(x)), v the Lagrangian's smooth
+    gradient at x, is h's exact subdifferential distance when h has one.
+    Otherwise it is an upper bound: ||v|| for a cone subdifferential (zero
+    always belongs to a cone), or the one-step prox surrogate, which
+    certifies the prox-forward point of x with step 1/max(L, 1) and is the
+    only case that takes a gradient and linearizes the rows again.
+    ``problem.nonsmooth.has_exact_subdiff`` tells the cases apart.
+    """
 
     def lagrangian_gradient(g, jt, jt_f):
         v = g if z is None else g + jt_f(z)
         return v + jt(y)
 
-    def at(u):
-        _, jt, _, jt_f = _linearize_rows(problem, u)
-        return lagrangian_gradient(problem.smooth._gradient(u), jt, jt_f)
-
     c, jt, f, jt_f = rows
-    dres, flagged = dual_residual(
-        x, lagrangian_gradient(g, jt, jt_f), at, problem.nonsmooth, problem.smooth.L
-    )
+    h = problem.nonsmooth
+    v = lagrangian_gradient(g, jt, jt_f)
+    if h.has_exact_subdiff:
+        dres = h._subdiff(x, -v)
+    elif h.cone_subdiff:
+        dres = float(np.linalg.norm(v))
+    else:
+        L = max(problem.smooth.L, 1.0)
+        x_fwd = h._prox(x - v / L, 1.0 / L)
+        _, jt_fwd, _, jt_f_fwd = _linearize_rows(problem, x_fwd)
+        v_fwd = lagrangian_gradient(problem.smooth._gradient(x_fwd), jt_fwd, jt_f_fwd)
+        dres = float(np.linalg.norm(v_fwd - v + L * (x - x_fwd)))
     pres_eq = float(np.linalg.norm(c))
     if z is None:
         pres_ineq = compl = 0.0
@@ -652,7 +640,6 @@ def _kkt(problem: ProblemSpec, x, y, z, rows: tuple, g) -> KktResidual:
         pres=float(math.hypot(pres_eq, pres_ineq)),
         dres=dres,
         compl=compl,
-        dres_is_upper_bound=flagged,
         pres_eq=pres_eq,
         pres_ineq=pres_ineq,
     )
@@ -664,8 +651,9 @@ def kkt_residual(
     """Measure the KKT residuals at (x, y), or (x, y, z) when the problem
     has inequality rows: the primal residual (and its two parts), the
     complementarity residual, and dist(0, grad g(x) + J_c(x)'y + J_f(x)'z
-    + subdiff h(x)), measured by ``dual_residual``; raises ValueError when
-    x lies outside dom h."""
+    + subdiff h(x)) (exact, or an upper bound when h has no exact
+    subdifferential distance: see ``_kkt``); raises ValueError when x lies
+    outside dom h."""
     x, y, z = _check_inputs(x, y, z, problem)
     problem.nonsmooth._check_domain(x)
     return _kkt(problem, x, y, z, _linearize_rows(problem, x), problem.smooth._gradient(x))

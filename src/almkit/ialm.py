@@ -218,15 +218,16 @@ class OuterIterationRecord:
     """Trajectory entry for one outer iteration k (producing x_{k+1}).
 
     ``pres``, ``dres``, ``pres_eq``, ``pres_ineq`` and ``compl`` are the
-    certificate's (see ``KktResidual``), measured at the certificate
-    multipliers; ``dres_running`` is re-measured at the updated running
-    multipliers y_{k+1} and z_{k+1}, and ``w`` is the step that produced
-    them.  ``z`` is z_{k+1} for a problem with inequality rows and None
-    otherwise; every other field is set for every problem.  ``x`` is
-    kept so diagnostics can re-trace the run, and ``rho`` is the
-    subproblem's final weak-convexity estimate, at most the override's
-    rho_hat (or RHO_FLOOR, if larger), and ``L`` the final curvature
-    estimate of its last APG call, where the next subproblem's APG starts.
+    certificate's (see ``KktResidual``), measured once, at the certificate
+    multipliers; ``w`` is the step that moved the running multipliers to
+    y_{k+1} and z_{k+1}, which are not certified (replay them from ``w``
+    and ``x``, or read the report's ``y_running``/``z_running``).  ``z``
+    is z_{k+1} for a problem with inequality rows and None otherwise;
+    every other field is set for every problem.  ``x`` is kept so
+    diagnostics can re-trace the run, and ``rho`` is the subproblem's final
+    weak-convexity estimate, at most the override's rho_hat (or RHO_FLOOR,
+    if larger), and ``L`` the final curvature estimate of its last APG
+    call, where the next subproblem's APG starts.
     ``sub_eps`` is the tolerance the subproblem was solved to, ``ippm_steps`` its proximal
     point steps and ``apg_iters`` its APG iterations, redone steps included.
     ``sub_s`` is the wall time spent in the subproblem solve (``ippm_solve``)
@@ -249,7 +250,6 @@ class OuterIterationRecord:
     apg_iters: Optional[int] = None
     sub_s: Optional[float] = None
     cert_s: Optional[float] = None
-    dres_running: Optional[float] = None
     pres_eq: Optional[float] = None
     pres_ineq: Optional[float] = None
     compl: Optional[float] = None
@@ -359,7 +359,7 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
             raise
         x, L_est = sub.x, sub.L
         # One linearization of each row block and one grad g(x) serve the
-        # certificate, the dual step and the running multipliers' dres.
+        # certificate and the dual step.
         t_cert = time.perf_counter()
         rows = _linearize_rows(problem, x)
         g = smooth._gradient(x)
@@ -396,7 +396,6 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
                 apg_iters=sub.apg_iterations,
                 sub_s=t_cert - t_sub,
                 cert_s=t_done - t_cert,
-                dres_running=_kkt(problem, x, y, z, rows, g).dres,
                 pres_eq=kkt.pres_eq,
                 pres_ineq=kkt.pres_ineq,
                 compl=kkt.compl,

@@ -63,10 +63,11 @@ What survives of the guarantees:
   calls, and rho never exceeds 2 L.  Decay lowers log2(rho) by at most 1
   per converged step, so over K steps it adds at most K - 1 failed calls to
   the ceil(log2(2 L / RHO_FLOOR)) of an estimate that never shrinks.
-- Stalls are bounded: on a bounded domain APG stops each call after twice
-  its worst case at the rho it runs at and the largest curvature estimate
-  it has accepted (see ``apg_solve``); elsewhere after ``max_inner``
-  iterations.
+- Stalls are bounded: on every domain APG stops each call after twice its
+  worst case at the rho it runs at and the largest curvature estimate it
+  has accepted, from the diameter of dom psi or, on an unbounded domain,
+  from the distance its first certified iterate proves (see
+  ``apg_solve``), and never after more than ``max_inner`` iterations.
 - At a finite cap the method is the fixed-rho one, and its bounds hold
   whenever the cap bounds the weak convexity.  Below it, APG's iteration
   bound holds only on the step pairs it tested.
@@ -120,18 +121,19 @@ class IppmResult:
     """Outcome of one iPPM call.
 
     ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``: the
-    inner APG certificate plus the 2 rho ||dx|| proximal term.  ``rho`` is
-    the final weak-convexity estimate and ``rho_doublings`` the number of
-    times it was doubled; ``L`` is the final curvature estimate of the last
-    APG call, a warm start for a later call on a nearby model.
+    inner APG certificate (exact or the surrogate, as
+    ``psi.has_exact_subdiff`` says) plus the 2 rho ||dx|| proximal term.
+    ``rho`` is the final weak-convexity estimate and ``rho_doublings`` the
+    number of times it was doubled; ``L`` is the final curvature estimate
+    of the last APG call, a warm start for a later call on a nearby model.
+    Gradients are not counted here: a call makes one at ``x0`` plus its APG
+    calls' ``grad_evals``, and the caller's oracle counts them.
     """
 
     x: np.ndarray
     outer_iterations: int
     stationarity: float
     converged: bool
-    stationarity_is_exact: bool
-    grad_evals: int
     apg_iterations: int
     rho: float
     rho_doublings: int
@@ -157,7 +159,7 @@ def ippm_solve(
     curvature estimate, and must be given when ``L_phi`` is inf.
 
     Raises SubsolverStall when an inner APG call stops on its stall guard
-    (bounded domains) or exhausts ``max_inner``, at any rho.
+    or exhausts ``max_inner``, at any rho.
     """
     # Written so that NaN fails; L_phi = inf (no cap) passes.
     if not (rho > 0 and L_phi > 0 and eps > 0):
@@ -176,7 +178,6 @@ def ippm_solve(
     apg_total = 0
     # The model's gradient at its centre is phi's, whatever rho is.
     g_k = grad(x0)
-    grad_total = 1
     L_t = L_init
 
     for k in range(max_outer):
@@ -190,7 +191,6 @@ def ippm_solve(
                 L_init=L_t, grad_init=g_t, test_mu=rho < rho_cap, center=x_k,
             )
             apg_total += inner.iterations
-            grad_total += inner.grad_evals
             # The next call, a redo or the next step, starts at this
             # call's final curvature estimate.
             L_t = inner.L
@@ -225,8 +225,6 @@ def ippm_solve(
                 outer_iterations=k + 1,
                 stationarity=certified,
                 converged=True,
-                stationarity_is_exact=inner.stationarity_is_exact,
-                grad_evals=grad_total,
                 apg_iterations=apg_total,
                 rho=rho,
                 rho_doublings=doublings,
@@ -243,8 +241,6 @@ def ippm_solve(
         outer_iterations=max_outer,
         stationarity=best_stat,
         converged=False,
-        stationarity_is_exact=psi.has_exact_subdiff,
-        grad_evals=grad_total,
         apg_iterations=apg_total,
         rho=rho,
         rho_doublings=doublings,

@@ -53,7 +53,7 @@ class TestApgExamples:
         assert res.x == pytest.approx([0.5])
         # -G'(0.5) = -0.5 lies in the lower-bound normal cone, exactly.
         assert res.stationarity == 0.0
-        assert res.stationarity_is_exact
+        assert H.has_exact_subdiff
 
     def test_iterations_within_worst_case_bound(self):
         rng = np.random.default_rng(0)
@@ -155,7 +155,7 @@ class TestApgProperties:
             res = apg_solve(
                 G.gradient, blind, np.zeros(4), mu=float(np.min(d)), L_G=float(np.max(d)), eps=1e-6
             )
-            assert res.converged and not res.stationarity_is_exact
+            assert res.converged and not blind.has_exact_subdiff
             exact = box_indicator(box).subdiff_distance(res.x, -G.gradient(res.x))
             assert exact <= res.stationarity + 1e-12
 
@@ -280,6 +280,30 @@ class TestApgErrors:
         assert res.iterations == 2 * bound < 20_000
         assert res.stationarity >= 1e-100
 
+
+    def test_uncertifiable_unbounded_call_stops_at_its_first_iterate_bound(self):
+        # On an unbounded domain the guard takes R = stat_1 / mu at the
+        # first certified iterate, a bound on its distance to the minimizer
+        # of the mu-strongly convex model, and stops one iteration after
+        # twice the worst case from R at its largest accepted L (the cap).
+        def grad(x):
+            return x - 0.3 + 1e-100
+
+        mu, eps = 0.5, 1e-150
+        first = apg_solve(grad, zero_function(), np.zeros(1), mu, 1.0, eps, max_iter=1)
+        R = first.stationarity / mu
+        res = apg_solve(grad, zero_function(), np.zeros(1), mu, 1.0, eps, max_iter=20_000)
+        assert not res.converged and res.stop == "stall_guard"
+        assert res.iterations == 1 + 2 * worst_case_iteration_bound(mu, 1.0, eps, R * R, R * R)
+        assert res.iterations < 20_000
+
+    def test_overflowing_distance_bound_leaves_max_iter_as_the_budget(self):
+        # At mu = 1e-300 the first iterate's R = stat_1 / mu squares past
+        # the float range: the worst case is inf, and max_iter stops the call.
+        assert worst_case_iteration_bound(1.0, 1.0, 1e-6, math.inf, math.inf) == math.inf
+        res = apg_solve(lambda x: x - 0.3 + 1e-100, zero_function(), np.zeros(1), 1e-300, 1.0,
+                        1e-150, max_iter=50)
+        assert not res.converged and res.stop == "max_iter" and res.iterations == 50
 
 def logged_box(box: BoxSet, certified: list) -> ProxCapableFunction:
     """The box indicator, appending each certified (x, stat) to ``certified``:
@@ -429,7 +453,6 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
                 iterations=t,
                 stationarity=stat,
                 converged=True,
-                stationarity_is_exact=exact,
                 grad_evals=evals,
                 gradient=g_next,
                 L=L,
@@ -448,7 +471,6 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
         iterations=t,
         stationarity=best_stat,
         converged=False,
-        stationarity_is_exact=exact,
         grad_evals=evals,
         gradient=best_g,
         L=L,

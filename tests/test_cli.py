@@ -218,7 +218,7 @@ class TestTrialPayload:
         assert data["success"] is True
         assert data["records"], "outer-iteration trajectory missing"
         rec = data["records"][0]
-        for key in ("k", "beta", "w", "pres", "dres", "dres_running", "y_norm", "x"):
+        for key in ("k", "beta", "w", "pres", "dres", "y_norm", "x"):
             assert key in rec
         assert "regularity" in data["diagnostics"]
         assert "feasibility_decay" in data["diagnostics"]

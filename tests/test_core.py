@@ -166,7 +166,7 @@ class TestKktResidual:
         res = kkt_residual(np.array([2.0]), np.array([3.0]), prob)
         assert res.pres == pytest.approx(1.0)
         assert res.dres == pytest.approx(abs(2.0 * 2.0 + 3.0))
-        assert not res.dres_is_upper_bound
+        assert prob.nonsmooth.has_exact_subdiff
 
     def test_toy_qp_solution_is_exact_kkt(self):
         prob, x_star = toy_eq_qp()
@@ -205,13 +205,13 @@ class TestKktResidual:
             constants=prob.constants,
             x0=prob.x0,
         )
+        assert not surrogate_prob.nonsmooth.has_exact_subdiff
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = np.clip(rng.uniform(-6, 6, size=2), box.lower, box.upper)
             y = rng.standard_normal(1)
             exact = kkt_residual(x, y, prob)
             flagged = kkt_residual(x, y, surrogate_prob)
-            assert flagged.dres_is_upper_bound
             assert exact.dres <= flagged.dres + 1e-12
 
     def test_rejects_x_outside_the_domain(self):
@@ -225,7 +225,8 @@ class TestKktResidual:
         # off it.
         prob, _ = toy_eq_qp()
         prob = dataclasses.replace(prob, nonsmooth=interval_without_subdiff(5.0, cone_subdiff))
-        assert kkt_residual(np.array([5.0, -5.0]), np.zeros(1), prob).dres_is_upper_bound
+        assert not prob.nonsmooth.has_exact_subdiff
+        assert kkt_residual(np.array([5.0, -5.0]), np.zeros(1), prob).dres >= 0.0
         with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
             kkt_residual(np.array([9.0, 0.0]), np.zeros(1), prob)
 

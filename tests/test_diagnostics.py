@@ -53,7 +53,6 @@ def fake_report(presequence, beta0=0.01, sigma=3.0):
                 w=0.0,
                 pres=pres,
                 dres=0.0,
-                dres_running=0.0,
                 y_norm=0.0,
                 grad_evals=0,
                 seconds=0.0,

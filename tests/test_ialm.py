@@ -42,7 +42,7 @@ from almkit.ineq import ialm_ineq_solve, kkt_residual_ineq
 from almkit.ippm import SubsolverStall, ippm_solve
 from almkit.problems import gen_clustering, gen_ev, gen_lcqp
 from almkit.prox import zero_function
-from helpers import box_qp_problem, toy_eq_qp, toy_ineq_qp
+from helpers import box_qp_problem, interval_without_subdiff, toy_eq_qp, toy_ineq_qp
 from test_ineq import linearized_twin, two_constraint_problem
 from almkit.prox import BoxSet
 
@@ -214,7 +214,6 @@ class TestIalmSolve:
         grads = [rec.grad_evals for rec in rep.records]
         assert grads == sorted(grads)
         assert all(rec.y_norm >= 0 for rec in rep.records)
-        assert all(np.isfinite(rec.dres_running) for rec in rep.records)
 
     def test_max_outer_exhaustion_reports_failure(self, small_lcqp_problem):
         rep = ialm_solve(small_lcqp_problem, IalmConfig(max_outer=2, eps=1e-9))
@@ -497,8 +496,7 @@ class TestOneLinearizationPerCertificate:
         assert calls[0] == 1
 
     def test_equality_certificate_and_running_dres(self):
-        # The solver's certificate and running dres: two _kkt calls on one
-        # linearization, at y + beta c(x) and at y.
+        # Two _kkt calls on one linearization, at y + beta c(x) and at y.
         problem, calls = counted_ev()
         y, x, beta = np.array([0.3]), problem.x0 + 0.1, 2.0
         rows = _linearize_rows(problem, x)
@@ -540,6 +538,47 @@ class TestOneLinearizationPerCertificate:
         calls[0] = 0
         trace = estimate_regularity_v(trajectory_from_report(rep), problem)
         assert trace.supported and calls[0] == len(rep.records)
+
+
+class TestOneCertificatePerOuterIteration:
+    def test_surrogate_certificate_costs_one_forward_gradient_per_iteration(self, monkeypatch):
+        # Without an exact subdifferential distance the certificate's prox
+        # surrogate takes a gradient at its prox-forward point.  Each outer
+        # iteration measures one certificate, so beyond its subproblem it
+        # spends two gradients: grad g(x_{k+1}) and that forward one.
+        problem = dataclasses.replace(
+            toy_ineq_qp()[0], nonsmooth=interval_without_subdiff(5.0, False)
+        )
+        certificates, sub_grads = [0], [0]
+        kkt, ippm = almkit.ialm._kkt, almkit.ialm.ippm_solve
+
+        def counted_kkt(*args):
+            certificates[0] += 1
+            return kkt(*args)
+
+        def counted_ippm(grad, *args, **kwargs):
+            def counted(x):
+                sub_grads[0] += 1
+                return grad(x)
+
+            return ippm(counted, *args, **kwargs)
+
+        monkeypatch.setattr(almkit.ialm, "_kkt", counted_kkt)
+        monkeypatch.setattr(almkit.ialm, "ippm_solve", counted_ippm)
+        rep = ialm_solve(problem, IalmConfig())
+        assert rep.success and len(rep.records) == 8
+        assert certificates[0] == len(rep.records)
+        assert rep.grad_evals - sub_grads[0] == 2 * len(rep.records)
+        assert rep.grad_evals == 60
+
+
+def test_unreachable_eps_on_an_unbounded_domain_stalls_in_bounded_time():
+    # EV's h is zero, so dom h is unbounded, and no iterate certifies to
+    # eps = 1e-13: the APG stall guard, sized from the first certified
+    # iterate's distance bound, ends the solve.
+    with pytest.raises(SubsolverStall, match="stall guard") as stall:
+        ialm_solve(gen_ev(20, 0).to_problem(), IalmConfig(eps=1e-13))
+    assert stall.value.grad_evals < 200_000
 
 
 def equality_subproblem_case(rng, make=lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem()):

@@ -384,9 +384,24 @@ class TestKktResidualIneq:
     def test_rejects_x_outside_the_domain(self, cone_subdiff):
         prob, _, _ = toy_ineq_qp()
         prob = dataclasses.replace(prob, nonsmooth=interval_without_subdiff(2.0, cone_subdiff))
-        assert kkt_residual_ineq(np.array([2.0]), np.zeros(0), np.ones(1), prob).dres_is_upper_bound
+        assert not prob.nonsmooth.has_exact_subdiff
+        assert kkt_residual_ineq(np.array([2.0]), np.zeros(0), np.ones(1), prob).dres >= 0.0
         with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
             kkt_residual_ineq(np.array([3.0]), np.zeros(0), np.ones(1), prob)
+
+
+MISSING_Z_CALLS = {
+    "kkt_residual": lambda prob: kkt_residual(np.array([1.0]), np.zeros(0), prob),
+    "al_value": lambda prob: al_value(np.array([1.0]), np.zeros(0), 1.0, prob),
+    "al_gradient_smooth": lambda prob: al_gradient_smooth(np.array([1.0]), np.zeros(0), 1.0, prob),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISSING_Z_CALLS))
+def test_omitted_z_is_named_as_required_by_the_inequality_rows(name):
+    prob, _, _ = toy_ineq_qp()
+    with pytest.raises(ValueError, match="z is required because the problem has inequality rows"):
+        MISSING_Z_CALLS[name](prob)
 
 
 class TestSlackReformulation:
