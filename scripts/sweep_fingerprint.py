@@ -15,9 +15,12 @@ reformulation of the s = 0 split.  These 23 solves use
 the default configuration, except the clusterings' eps.  The last four
 cover the other dual policies: `gen_ev(200, 0)` under
 `TheoreticalDual(w0=1)`, `PracticalDual(M=0.5, q=2)` and `PenaltyDual()`,
-and the s = 0 split under `TheoreticalDual(w0=1)`, 27 solves in all.  A
-last line sums #Grad by family: `lcqp`, `ev`, `cluster`, `ineq`, `slack`
-and `policy` (the last four lines).
+and the s = 0 split under `TheoreticalDual(w0=1)`.  The last line solves
+the s = 0 split with its inequalities held as data too
+(`ConstraintOracle.affine`), which reads them through the unchecked data
+kernel and should print what the callback split prints: 28 solves in all.
+A last line sums #Grad by family: `lcqp`, `ev`, `cluster`, `ineq`,
+`slack`, `policy` (the four policy lines) and `affine`.
 
 Two runs print the same lines exactly when every solve returns the same
 iterate after the same number of gradients, so diffing the output of two
@@ -51,17 +54,21 @@ from almkit.ineq import slack_reformulate  # noqa: E402
 from almkit.problems import gen_clustering, gen_ev, gen_lcqp  # noqa: E402
 
 
-def lcqp_split(seed: int) -> ProblemSpec:
+def lcqp_split(seed: int, affine: bool = False) -> ProblemSpec:
     """`gen_lcqp(10, 200, 1, seed)` with rows 0-4 as equalities held as data
-    and rows 5-9 as inequalities a_i'x <= b_i through two callbacks."""
+    and rows 5-9 as inequalities a_i'x <= b_i through two callbacks, or
+    held as data too when ``affine`` is set."""
     inst = gen_lcqp(10, 200, 1.0, seed)
     base = inst.to_problem()
     A_in, b_in = inst.A[5:], inst.b[5:]
-    ineq = ConstraintOracle(
-        evaluate_fn=lambda x: A_in @ x - b_in,
-        jacobian_t_apply_fn=lambda x, v: A_in.T @ v,
-        n_constraints=5,
-    )
+    if affine:
+        ineq = ConstraintOracle.affine(A_in, b_in)
+    else:
+        ineq = ConstraintOracle(
+            evaluate_fn=lambda x: A_in @ x - b_in,
+            jacobian_t_apply_fn=lambda x, v: A_in.T @ v,
+            n_constraints=5,
+        )
     return ProblemSpec(
         smooth=base.smooth,
         nonsmooth=base.nonsmooth,
@@ -94,6 +101,7 @@ def sweep():
     penalty = IalmConfig(policy=PenaltyDual())
     yield "policy", "gen_ev(200,0) penalty", gen_ev(200, 0).to_problem(), penalty
     yield "policy", "ineq(gen_lcqp s=0) theoretical", lcqp_split(0), theoretical
+    yield "affine", "affine(gen_lcqp(10,200,1,0))", lcqp_split(0, affine=True), IalmConfig()
 
 
 def main() -> int:

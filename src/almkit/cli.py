@@ -90,15 +90,22 @@ GENERATORS = {"lcqp": gen_lcqp, "ev": gen_ev}
 # carry; a curvature override is code, not data.
 SOLVER_FIELDS = tuple(f for f in fields(IalmConfig) if f.name != "curvature_override")
 DEFAULT_SOLVER = IalmConfig()
-# Each dual policy class under the variant name its own to_dict() writes.
-POLICIES = {
-    cls().to_dict()["variant"]: cls for cls in (PracticalDual, TheoreticalDual, PenaltyDual)
-}
+# Each dual policy class under the variant name its JSON form carries.
+POLICIES = {"practical": PracticalDual, "theoretical": TheoreticalDual, "penalty": PenaltyDual}
+
+
+def policy_to_dict(policy) -> dict:
+    """``{"variant": name, **fields}``, the JSON form of a dual policy."""
+    variant = next(name for name, cls in POLICIES.items() if type(policy) is cls)
+    return {"variant": variant} | fields_to_json(policy)
+
+
+DEFAULT_VARIANT = policy_to_dict(DEFAULT_SOLVER.policy)["variant"]
 
 
 def policy_from_dict(data: dict):
     data = field_from_json("policy", "dict", data)
-    variant = data.get("variant", DEFAULT_SOLVER.policy.to_dict()["variant"])
+    variant = data.get("variant", DEFAULT_VARIANT)
     if variant not in POLICIES:
         raise ValueError(f"unknown dual policy variant {variant!r}")
     check_keys(data, ["variant", *(f.name for f in fields(POLICIES[variant]))], "'policy'")
@@ -106,7 +113,8 @@ def policy_from_dict(data: dict):
 
 
 def solver_to_dict(cfg: IalmConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in SOLVER_FIELDS} | {"policy": cfg.policy.to_dict()}
+    solver = {f.name: getattr(cfg, f.name) for f in SOLVER_FIELDS}
+    return solver | {"policy": policy_to_dict(cfg.policy)}
 
 
 def solver_from_dict(data: dict) -> IalmConfig:
@@ -385,7 +393,7 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--policy",
         choices=tuple(POLICIES),
-        help=f"dual step-size policy (default {d.policy.to_dict()['variant']})",
+        help=f"dual step-size policy (default {DEFAULT_VARIANT})",
     )
     p.add_argument("--w0", type=float, help="w0 for the theoretical policy")
     p.add_argument("--growth-M", type=float, help="M for the practical policy")
@@ -403,7 +411,7 @@ def _solver_from_args(args, base: IalmConfig) -> IalmConfig:
     ``base.policy``, or over the defaults of the variant ``--policy`` names
     when that differs from ``base.policy``'s."""
     flags = {f.name: getattr(args, f.name) for f in SOLVER_FIELDS if f.name != "policy"}
-    policy = base.policy.to_dict()
+    policy = policy_to_dict(base.policy)
     if args.policy not in (None, policy["variant"]):
         policy = {"variant": args.policy}
     params = {"w0": args.w0, "M": args.growth_M, "q": args.growth_q}

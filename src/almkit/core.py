@@ -37,7 +37,7 @@ reads h's value oracle (+inf off the domain).  The built-in distance
 kernels trust it: inside the solvers they see only such points and the
 output of their own prox, which is finite whenever its input is.
 
-Constraint rows have three constructors feeding one checked path.  Each
+Constraint rows have three constructors feeding one reader path.  Each
 ``ConstraintOracle`` holds one callback x -> (c(x), v -> J(x)'v):
 
 * ``ConstraintOracle.affine(A, b)`` builds it from rows kept as data;
@@ -46,14 +46,13 @@ Constraint rows have three constructors feeding one checked path.  Each
 * ``ConstraintOracle(evaluate_fn, jacobian_t_apply_fn)`` pairs its two
   callbacks.
 
-``ConstraintOracle._linearize`` calls it and checks c(x) and each product,
-and every reader of callback rows goes through it once per point, reusing
-the product for every multiplier at that point: the AL gradient, the
-certificate, ``al_value`` and the regularity diagnostics.  The one
-exception is the affine data of equality rows built by
-``ConstraintOracle.affine``, checked once when the oracle is built, from
-which each subproblem's smooth AL gradient computes the affine products
-itself, without re-checking them.
+Every reader of either row block goes through ``ConstraintOracle._linearize``
+once per point, reusing the product for every multiplier at that point: the
+AL gradient, the certificate, ``al_value``, the regularity diagnostics and
+the slack reformulation.  Affine rows are trusted data: ``A`` and ``b`` are
+checked once, when the oracle is built, and their ``_linearize`` is the data
+kernel x -> (A x - b, v -> A'v), whose outputs are not re-checked.  For
+callback rows ``_linearize`` checks c(x) and each product.
 
 A vector's finiteness is checked through one dot product (``all_finite``):
 a NaN or Inf entry makes a'a NaN or Inf, so a finite a'a proves every entry
@@ -64,7 +63,7 @@ rejected vectors, and the messages, are those of the entrywise check.
 
 The one remaining guard inside the inner loops is APG's finiteness check on
 its stationarity measure, which catches a NaN iterate that reached a
-gradient that ignores its input, and a NaN or Inf that the affine products
+gradient that ignores its input, and a NaN or Inf that the affine kernel
 made.  NaN therefore still fails fast: at the gradient's output check, at
 the subdifferential distance's output check, or at APG's stationarity
 check.
@@ -277,9 +276,10 @@ class ConstraintOracle:
     its three constructors builds from its input: two callbacks
     (``evaluate_fn`` and ``jacobian_t_apply_fn``, this constructor), one
     linearizing callback (``linearized``) or rows as data (``affine``).
-    ``_linearize`` checks every output of it.  ``affine_data`` is ``(A, b)``
-    for an oracle built by ``affine``, whose rows the AL gradient reads as
-    data, and None for callback rows.
+    ``_linearize`` checks every output of a callback; an oracle built by
+    ``affine`` trusts its data instead.  ``affine_data`` is ``(A, b)`` for
+    such an oracle, which ``ProblemSpec`` reads to check the column count,
+    and None for callback rows.
 
     The per-row constants this constructor takes (``component_*`` and
     ``jacobian_norm_bound``) are validated and recorded; no code in this
@@ -325,7 +325,9 @@ class ConstraintOracle:
             raise ValueError("Jacobian norm bound must be nonnegative")
 
     def evaluate(self, x: Array) -> Array:
-        return self._linearize(as_vector(x))[0]
+        # The class's checked method, which ``affine`` does not replace: the
+        # public c(x) is checked for affine rows too.
+        return ConstraintOracle._linearize(self, as_vector(x))[0]
 
     def jacobian_transpose_apply(self, x: Array, v: Array) -> Array:
         """J(x)'v; only the product is checked, not the c(x) the callback
@@ -337,8 +339,9 @@ class ConstraintOracle:
     def _linearize(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
         """(c(x), v -> J(x)'v) at the validated ``x``, from one callback
         call, with c(x) checked now and each product when it is taken: the
-        one entry to callback rows for the solver, the certificates and the
-        diagnostics."""
+        one entry to the rows for the solver, the certificates and the
+        diagnostics.  An oracle built by ``affine`` replaces it with its
+        data kernel, which is not checked."""
         c, jt = self._linearize_fn(x)
         c = np.asarray(c, dtype=float)
         if c.ndim == 0:
@@ -368,13 +371,19 @@ class ConstraintOracle:
     def affine(A: Array, b: Array) -> "ConstraintOracle":
         """Oracle for c(x) = A x - b whose rows are kept as data.
 
-        ``A`` and ``b`` are checked once, here; the solver's AL gradient
-        then computes A'(y + beta (Ax - b)) from them without callbacks,
-        and every other reader linearizes (A x - b, v -> A'v) from the
-        same data.
+        ``A`` and ``b`` are checked once, here, so the oracle's
+        ``_linearize`` is the data kernel x -> (A x - b, v -> A'v), built
+        once, whose outputs every reader takes unchecked.  The public
+        ``evaluate`` and ``jacobian_transpose_apply`` still check theirs.
         """
         A, b = _affine_rows(A, b)
-        oracle = ConstraintOracle(lambda x: A @ x - b, lambda x, v: A.T @ v, A.shape[0])
+        jt = A.T.__matmul__
+
+        def kernel(x: Array) -> tuple[Array, Callable[[Array], Array]]:
+            return A @ x - b, jt
+
+        oracle = ConstraintOracle.linearized(kernel, A.shape[0])
+        oracle._linearize = kernel
         oracle.affine_data = (A, b)
         return oracle
 
@@ -529,34 +538,20 @@ def _al_gradient(
     the last term only with inequality rows (z is None without them).
 
     The smooth gradient goes through ``SmoothOracle._gradient``, the one
-    #Grad counter, once per call.  Rows of ``ConstraintOracle.affine`` are
-    read from their data, and their products are not re-checked; callback
-    rows, and every inequality row, are linearized once per call through
-    the output-checked ``ConstraintOracle._linearize``.
+    #Grad counter, once per call, and each row block through its
+    ``ConstraintOracle._linearize`` once per call: the data kernel for
+    affine rows, the output-checked callback for the others.
     """
-    grad, rows = problem.smooth._gradient, problem.constraints
-    if rows.affine_data is not None:
-        A, b = rows.affine_data
-        At = A.T
-
-        def smooth_and_eq(x: Array) -> Array:
-            return grad(x) + At @ (y + beta * (A @ x - b))
-
-    else:
-        linearize_c = rows._linearize
-
-        def smooth_and_eq(x: Array) -> Array:
-            c, jt = linearize_c(x)
-            return grad(x) + jt(y + beta * c)
-
-    if z is None:
-        return smooth_and_eq
-    linearize_f = problem.ineq._linearize
+    grad, linearize_c = problem.smooth._gradient, problem.constraints._linearize
+    linearize_f = None if z is None else problem.ineq._linearize
 
     def kernel(x: Array) -> Array:
-        g = smooth_and_eq(x)
-        f, jt = linearize_f(x)
-        return g + jt(np.maximum(z + beta * f, 0.0))
+        c, jt = linearize_c(x)
+        v = grad(x) + jt(y + beta * c)
+        if z is None:
+            return v
+        f, jt_f = linearize_f(x)
+        return v + jt_f(np.maximum(z + beta * f, 0.0))
 
     return kernel
 

@@ -48,8 +48,7 @@ def estimate_regularity_v(
     Requires the nonsmooth term's subdifferential to be a cone with an exact
     distance oracle (indicators of simple sets, or the zero function), which
     makes the right-hand side independent of the penalty scale.  Each
-    iterate is linearized once, through the checked
-    ``ConstraintOracle._linearize``.
+    iterate is linearized once, through ``ConstraintOracle._linearize``.
     """
     h = problem.nonsmooth
     if not (h.cone_subdiff and h.has_exact_subdiff):

@@ -16,9 +16,10 @@ one rule, whatever the policy:
 
 with w_k = ``dual_step_size(policy, k, res, gamma_k, cap)`` at the residual
 res = max(pres_eq, pres_ineq).  The cap is beta_k for a problem built with
-inequality rows, which keeps z nonnegative, and inf otherwise.  No
-multiplier moves when w_k = 0.  The loop stops at the first iterate whose
-re-measured KKT residuals all fall below eps.
+inequality rows, which keeps z nonnegative, and inf otherwise.  A step
+w_k = 0 leaves y and z unchanged bit for bit.  The loop stops at the first
+iterate whose re-measured KKT residuals all fall below eps; a subproblem
+that iPPM cannot solve raises SubsolverStall.
 
 The update stays finite.  Every policy's step is finite at res = 0 (w0 or
 0).  Otherwise res is at least about 2e-162, the square root of the
@@ -88,10 +89,11 @@ SUBPROBLEM_TOL_FACTOR = 0.1
 
 
 # Each policy gives the step size w_k for a residual norm r >= 0 (at r = 0,
-# where the increment w_k c vanishes whatever w_k is: w0, or 0) and its
-# CLI/JSON form; the step size is all the solver asks of it.  The loop caps
-# w_k at beta_k for a problem with inequality rows.  Capping only shrinks
-# an increment, so every bound a policy proves on ||y_k|| holds capped too.
+# where the increment w_k c vanishes whatever w_k is: w0, or 0); the step
+# size is all the solver asks of it, and its parameters must be finite.
+# The loop caps w_k at beta_k for a problem with inequality rows.  Capping
+# only shrinks an increment, so every bound a policy proves on ||y_k||
+# holds capped too.
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,13 @@ class TheoreticalDual:
 
     def __post_init__(self):
         # Written so that NaN fails.
-        if not self.w0 > 0:
-            raise ValueError("w0 must be positive")
+        if not 0 < self.w0 < math.inf:
+            raise ValueError(f"w0 must be positive and finite, got {self.w0}")
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
         if res == 0.0:
             return self.w0
         return self.w0 * min(1.0, gamma_k / res)
-
-    def to_dict(self) -> dict:
-        return {"variant": "theoretical", "w0": self.w0}
 
 
 @dataclass(frozen=True)
@@ -134,16 +133,13 @@ class PracticalDual:
 
     def __post_init__(self):
         # Written so that NaN fails.
-        if not self.M > 0:
-            raise ValueError("M must be positive")
+        if not 0 < self.M < math.inf:
+            raise ValueError(f"M must be positive and finite, got {self.M}")
         if not (self.q >= 0 and float(self.q).is_integer()):
             raise ValueError("q must be a nonnegative integer")
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
         return self.M * (k + 1) ** self.q / res if res > 0.0 else 0.0
-
-    def to_dict(self) -> dict:
-        return {"variant": "practical", "M": self.M, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,6 @@ class PenaltyDual:
 
     def step_size(self, k: int, res: float, gamma_k: float) -> float:
         return 0.0
-
-    def to_dict(self) -> dict:
-        return {"variant": "penalty"}
 
 
 DualStepPolicy = Union[TheoreticalDual, PracticalDual, PenaltyDual]
@@ -210,6 +203,11 @@ class IalmConfig:
             raise ValueError(f"sigma must exceed 1, got {self.sigma}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
+        for name in ("beta0", "sigma", "eps"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite, got inf")
+        if not isinstance(self.policy, DualStepPolicy):
+            raise TypeError(f"policy must be a dual step policy, got {self.policy!r}")
         check_iteration_limits(self.max_outer, self.max_inner)
 
 
@@ -369,15 +367,14 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
             z_cert = np.maximum(z + beta * f, 0.0)
         kkt = _kkt(problem, x, y_cert, z_cert, rows, g)
         t_done = time.perf_counter()
-        converged = sub.converged and max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
+        converged = max(kkt.pres, kkt.dres, kkt.compl) <= config.eps
 
         res = max(kkt.pres_eq, kkt.pres_ineq)
         cap = math.inf if z is None else beta
         w = dual_step_size(config.policy, k, res, gamma_schedule(k, damping), cap)
-        if w != 0.0:
-            y = y + w * c
-            if z is not None:
-                z = dual_update_z(z, f, w, beta)
+        y = y + w * c
+        if z is not None:
+            z = dual_update_z(z, f, w, beta)
         records.append(
             OuterIterationRecord(
                 k=k,

@@ -148,8 +148,9 @@ def slack_reformulate(problem: ProblemSpec) -> SlackReformulation:
     # output check covers the concatenated gradient, and a solve on the slack
     # problem counts its #Grad on its own smooth oracle, never on
     # ``problem``'s.  Each row block is linearized once per call through its
-    # checked ``_linearize``, which keeps the shape checks that the
-    # concatenation would hide.
+    # ``_linearize`` (the data kernel for affine rows, checked for callback
+    # rows), which keeps the shape checks that the concatenation would
+    # hide.
     g = problem.smooth
     g_value, g_gradient = g._value_fn, g._gradient_fn
 

@@ -34,10 +34,12 @@ and follows three rules:
   RHO_DECAY rho), as APG's curvature estimate shrinks after each accepted
   step (Beck & Teboulle's backtracking, SIAM J. Imaging Sci. 2009).
 
-An APG call that stops on its stall guard or at ``max_inner`` raises
-SubsolverStall, whatever rho is.  The ``rho`` given to ``ippm_solve`` is an
-optional cap, as L_phi is on APG's curvature estimate (inf means no cap for
-either); at the cap no pair is tested.
+iPPM fails in one way: an APG call that stops on its stall guard or at
+``max_inner``, whatever rho is, or ``max_outer`` proximal steps that end
+without the stop test holding, raise SubsolverStall; a returned result is
+always converged.  The ``rho`` given to ``ippm_solve`` is an optional cap,
+as L_phi is on APG's curvature estimate (inf means no cap for either); at
+the cap no pair is tested.
 
 What survives of the guarantees:
 
@@ -101,7 +103,8 @@ RHO_DECAY = 0.5
 
 
 class SubsolverStall(RuntimeError):
-    """An inner APG call stopped on its stall guard or at ``max_inner``.
+    """An inner APG call stopped on its stall guard or at ``max_inner``, or
+    iPPM ran out of its ``max_outer`` proximal steps.
 
     An iALM solve that stalls sets ``grad_evals`` to the #Grad it spent.
     """
@@ -118,10 +121,11 @@ def outer_iteration_bound(rho: float, eps: float, gap: float) -> int:
 
 @dataclass(frozen=True)
 class IppmResult:
-    """Outcome of one iPPM call.
+    """Outcome of one converged iPPM call (every other call raises
+    SubsolverStall).
 
-    ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``: the
-    inner APG certificate (exact or the surrogate, as
+    ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``, at
+    most eps: the inner APG certificate (exact or the surrogate, as
     ``psi.has_exact_subdiff`` says) plus the 2 rho ||dx|| proximal term.
     ``rho`` is the final weak-convexity estimate and ``rho_doublings`` the
     number of times it was doubled; ``L`` is the final curvature estimate
@@ -133,7 +137,6 @@ class IppmResult:
     x: np.ndarray
     outer_iterations: int
     stationarity: float
-    converged: bool
     apg_iterations: int
     rho: float
     rho_doublings: int
@@ -159,7 +162,8 @@ def ippm_solve(
     curvature estimate, and must be given when ``L_phi`` is inf.
 
     Raises SubsolverStall when an inner APG call stops on its stall guard
-    or exhausts ``max_inner``, at any rho.
+    or exhausts ``max_inner``, at any rho, or when ``max_outer`` proximal
+    steps end without the stop test holding.
     """
     # Written so that NaN fails; L_phi = inf (no cap) passes.
     if not (rho > 0 and L_phi > 0 and eps > 0):
@@ -173,8 +177,6 @@ def ippm_solve(
     doublings = 0
 
     x_k = x0
-    best_x = x0
-    best_stat = math.inf
     apg_total = 0
     # The model's gradient at its centre is phi's, whatever rho is.
     g_k = grad(x0)
@@ -215,16 +217,11 @@ def ippm_solve(
             doublings += 1
         x_next = inner.x
         shift = 2.0 * rho * norm(x_next - x_k)
-        certified = inner.stationarity + shift
-        if certified < best_stat:
-            best_stat = certified
-            best_x = x_next
         if shift <= eps / 2.0:
             return IppmResult(
                 x=x_next,
                 outer_iterations=k + 1,
-                stationarity=certified,
-                converged=True,
+                stationarity=inner.stationarity + shift,
                 apg_iterations=apg_total,
                 rho=rho,
                 rho_doublings=doublings,
@@ -236,13 +233,7 @@ def ippm_solve(
         x_k = x_next
         rho = max(rho_start, RHO_DECAY * rho)
 
-    return IppmResult(
-        x=best_x,
-        outer_iterations=max_outer,
-        stationarity=best_stat,
-        converged=False,
-        apg_iterations=apg_total,
-        rho=rho,
-        rho_doublings=doublings,
-        L=L_t,
+    raise SubsolverStall(
+        f"iPPM ran {max_outer=} proximal steps at rho={rho:.3g} without the "
+        f"proximal shift reaching {eps / 2.0:.3g}"
     )

@@ -155,7 +155,7 @@ def test_criterion_4_subsolver_certificates(capsys):
             L_phi=phi.L,
             eps=eps,
         )
-        assert res.converged
+        assert res.stationarity <= eps
         exact = box_indicator(box).subdiff_distance(res.x, -phi.gradient(res.x))
         worst = max(worst, exact)
         assert exact <= eps

@@ -173,6 +173,27 @@ def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
     assert not list(tmp_path.rglob("trial_*.json"))
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--beta0", "inf"], "beta0"),
+        (["--sigma", "inf"], "sigma"),
+        (["--eps", "inf"], "eps"),
+        (["--policy", "theoretical", "--w0", "inf"], "w0"),
+        (["--growth-M", "inf"], "M"),
+    ],
+)
+def test_infinite_solver_value_exits_2_before_writing(tmp_path, capsys, flags, key):
+    # A non-finite solver value is a usage error, refused before the
+    # output directory is made.
+    out = tmp_path / "o"
+    rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("\n") == 1 and f"{key} must be" in err and "inf" in err
+    assert not out.exists()
+
+
 class TestSolverCodec:
     @pytest.mark.parametrize("drop_defaults", [False, True])
     @pytest.mark.parametrize(
@@ -187,7 +208,9 @@ class TestSolverCodec:
         if drop_defaults:
             # Leave out every value the decoder fills in from the config classes.
             default = cli.solver_to_dict(IalmConfig())
-            policy_default = type(policy)().to_dict() | {"variant": default["policy"]["variant"]}
+            policy_default = cli.policy_to_dict(type(policy)()) | {
+                "variant": default["policy"]["variant"]
+            }
             data = {k: v for k, v in data.items() if v != default[k]} | {
                 "policy": {k: v for k, v in data["policy"].items() if v != policy_default[k]}
             }

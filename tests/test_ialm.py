@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import almkit.core
 import almkit.ialm
 import almkit.ippm
 from almkit.apg import apg_solve
@@ -160,6 +161,29 @@ BAD_PARAMETERS = {
 def test_nan_or_fractional_solver_parameter_rejected(name):
     with pytest.raises(ValueError, match="must be positive|must exceed 1|nonnegative integer"):
         BAD_PARAMETERS[name]()
+
+
+INFINITE_PARAMETERS = {
+    "beta0": lambda: IalmConfig(beta0=math.inf),
+    "sigma": lambda: IalmConfig(sigma=math.inf),
+    "eps": lambda: IalmConfig(eps=math.inf),
+    "w0": lambda: TheoreticalDual(w0=math.inf),
+    "M": lambda: PracticalDual(M=math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFINITE_PARAMETERS))
+def test_infinite_solver_parameter_rejected(name):
+    # Refused at construction, not in the middle of a solve (an infinite
+    # eps would certify any residual).
+    with pytest.raises(ValueError, match=f"^{name} must be .*finite, got inf$"):
+        INFINITE_PARAMETERS[name]()
+
+
+@pytest.mark.parametrize("policy", ["practical", PracticalDual, {"variant": "practical"}, None])
+def test_policy_that_is_not_a_policy_rejected(policy):
+    with pytest.raises(TypeError, match="^policy must be a dual step policy"):
+        IalmConfig(policy=policy)
 
 
 class TestIalmSolve:
@@ -736,3 +760,62 @@ def test_nan_gradient_on_affine_rows_raises():
         kernel(problem.x0)
     with pytest.raises(NonFiniteValue):
         al_gradient_smooth(problem.x0, np.zeros(3), 1.0, problem)
+
+
+def lcqp_split_s0(affine_ineq):
+    """gen_lcqp(10, 200, 1, 0) with rows 0-4 as equalities held as data and
+    rows 5-9 as inequalities, held as data too or given as two callbacks."""
+    inst = gen_lcqp(10, 200, 1.0, seed=0)
+    A_in, b_in = inst.A[5:], inst.b[5:]
+    if affine_ineq:
+        ineq = ConstraintOracle.affine(A_in, b_in)
+    else:
+        ineq = ConstraintOracle(lambda x: A_in @ x - b_in, lambda x, v: A_in.T @ v, 5)
+    return dataclasses.replace(
+        inst.to_problem(), constraints=ConstraintOracle.affine(inst.A[:5], inst.b[:5]), ineq=ineq
+    )
+
+
+class TestAffineRowsAreDataOnBothBlocks:
+    def test_a_solve_checks_no_product_of_affine_rows(self, monkeypatch):
+        checked = [0]
+        product = almkit.core._checked_product
+
+        def counted(out, x):
+            checked[0] += 1
+            return product(out, x)
+
+        monkeypatch.setattr(almkit.core, "_checked_product", counted)
+        rep = ialm_solve(lcqp_split_s0(affine_ineq=True), IalmConfig())
+        assert rep.success and checked[0] == 0
+
+    def test_data_and_callback_inequality_rows_take_the_same_trajectory(self):
+        data, callbacks = (ialm_solve(lcqp_split_s0(a), IalmConfig()) for a in (True, False))
+        assert data.grad_evals == callbacks.grad_evals
+        assert len(data.records) == len(callbacks.records)
+        assert data.x.tobytes() == callbacks.x.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("block", ["constraints", "ineq"])
+    def test_an_overflowing_affine_product_still_fails_fast(self, block):
+        # The data are finite, but A x0 overflows to inf; the unchecked data
+        # kernel hands it on, and the certificate's residuals or the first
+        # AL gradient reject it.
+        rows = ConstraintOracle.affine([[1e300, 1e300]], [0.0])
+        empty = ConstraintOracle.affine(np.zeros((0, 2)), np.zeros(0))
+        smooth = SmoothOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
+        problem = ProblemSpec(
+            smooth, zero_function(), rows if block == "constraints" else empty, None,
+            np.array([1e10, 1e10]), ineq=None if block == "constraints" else rows,
+        )
+        y, z = np.zeros(problem.constraints.n_constraints), None
+        if block == "ineq":
+            z = np.zeros(1)
+        with pytest.raises(NonFiniteValue):
+            kkt_residual(problem.x0, y, problem, z)
+        with pytest.raises(NonFiniteValue):
+            ialm_solve(problem, IalmConfig())
+        # The public value stays checked.
+        with pytest.raises(NonFiniteValue, match="^constraint oracle overflowed$"):
+            rows.evaluate(problem.x0)
