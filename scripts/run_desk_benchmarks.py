@@ -18,25 +18,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
     parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     out = Path(args.out)
     campaigns = {
         "lcqp_m10_n200": [
             "bench-lcqp", "--m", "10", "--n", "200", "--rho", "1.0",
-            "--trials", str(args.trials), "--jobs", str(args.jobs),
-            "--out", str(out / "lcqp_m10_n200"),
+            "--trials", str(args.trials), "--out", str(out / "lcqp_m10_n200"),
         ],
         "lcqp_m10_n200_penalty": [
             "bench-lcqp", "--m", "10", "--n", "200", "--rho", "1.0", "--policy", "penalty",
-            "--trials", str(args.trials), "--jobs", str(args.jobs),
-            "--out", str(out / "lcqp_m10_n200_penalty"),
+            "--trials", str(args.trials), "--out", str(out / "lcqp_m10_n200_penalty"),
         ],
         "ev_n200": [
             "bench-ev", "--n", "200",
-            "--trials", str(args.trials), "--jobs", str(args.jobs),
-            "--out", str(out / "ev_n200"),
+            "--trials", str(args.trials), "--out", str(out / "ev_n200"),
         ],
     }
 

@@ -42,7 +42,6 @@ def main() -> int:
         help="comma list from {lcqp, ev, cluster} (default: lcqp,ev)",
     )
     parser.add_argument("--trials", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--points", default="iris", help="clustering points CSV or 'iris'")
     parser.add_argument("--r", type=int, default=6)
     parser.add_argument("--s", type=float, default=100.0)
@@ -59,13 +58,13 @@ def main() -> int:
             name = "lcqp_m100_n1000"
             argv = [
                 "bench-lcqp", "--m", "100", "--n", "1000", "--rho", "1.0",
-                "--trials", str(args.trials), "--jobs", str(args.jobs), "--max-outer", "50",
+                "--trials", str(args.trials), "--max-outer", "50",
             ]
         elif family == "ev":
             name = "ev_n1000"
             argv = [
                 "bench-ev", "--n", "1000",
-                "--trials", str(args.trials), "--jobs", str(args.jobs), "--max-outer", "50",
+                "--trials", str(args.trials), "--max-outer", "50",
             ]
         elif family == "cluster":
             name = "cluster"

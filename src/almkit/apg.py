@@ -59,10 +59,11 @@ L (xbar - x+) - grad G(xbar) lies in subdiff H(x+) by optimality of the prox
 step.
 
 The gradient is a plain callable ``grad(x) -> ndarray``; pass
-``oracle.gradient`` to have a SmoothOracle validate each call.  Iterates are
-not re-checked: a non-finite stationarity measure raises NonFiniteValue.
-``grad_evals`` counts the calls into ``grad``; a gradient handed in
-(``grad_init``) or reused after a restart is not a call.
+``oracle.gradient`` to have a SmoothOracle validate and count each call.
+APG keeps no count of its own: a caller counts through the callable it
+passes, where a gradient handed in (``grad_init``) or reused after a
+restart is no call.  Iterates are not re-checked: a non-finite
+stationarity measure raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -109,14 +110,14 @@ class ApgResult:
     computed, and ``L`` the final curvature estimate: on success, the one
     the last step was accepted with.  ``stop`` says why the call ended:
     "converged", "pair_test" (the convexity test failed), "stall_guard" or
-    "max_iter".
+    "max_iter".  The call's gradients are counted by the ``grad`` callable
+    it was given, not here.
     """
 
     x: np.ndarray
     iterations: int
     stationarity: float
     converged: bool
-    grad_evals: int
     gradient: np.ndarray
     L: float
     stop: str
@@ -171,10 +172,8 @@ def apg_solve(
     check_iteration_limits(max_iter)
     x_init = as_vector(x_init, name="x_init")
     H._check_domain(x_init, "x_init")
-    evals = 0
     if grad_init is None:
         grad_init = grad(x_init)
-        evals += 1
     else:
         grad_init = as_vector(grad_init, x_init.shape[0], "grad_init")
 
@@ -202,12 +201,10 @@ def apg_solve(
         t += 1
         if g_bar is None:
             g_bar = grad(x_bar)
-            evals += 1
         for _ in range(MAX_DOUBLINGS + 1):
             step = 1.0 / L
             x_next = H._prox(x_bar - step * g_bar, step)
             g_next = grad(x_next)
-            evals += 1
             # The step pair (dx, dg) serves the step test, the convexity
             # test and the surrogate.
             dx = x_bar - x_next
@@ -237,7 +234,6 @@ def apg_solve(
                 iterations=t,
                 stationarity=stat,
                 converged=True,
-                grad_evals=evals,
                 gradient=g_next,
                 L=L,
                 stop="converged",
@@ -264,7 +260,6 @@ def apg_solve(
         iterations=t,
         stationarity=best_stat,
         converged=False,
-        grad_evals=evals,
         gradient=best_g,
         L=L,
         stop=stop,

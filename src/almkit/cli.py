@@ -37,7 +37,6 @@ one did not, and 2 a usage error or unreadable input.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import errno
 import io
 import json
@@ -139,7 +138,6 @@ class RunConfig:
     seeds: tuple = (0,)
     solver: IalmConfig = field(default_factory=IalmConfig)
     output_dir: str = field(default_factory=lambda: os.environ.get(ENV_OUTPUT_DIR, "."))
-    jobs: int = 1
     instance_path: Optional[str] = None
     points_path: Optional[str] = None
     source: object = field(default=None, init=False, repr=False, compare=False)
@@ -162,8 +160,6 @@ class RunConfig:
             raise ValueError("at least one trial seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate trial seeds in {list(self.seeds)}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.experiment == "cluster":
             self.source = load_points_csv(self.points_path)
         elif self.experiment == "custom":
@@ -288,11 +284,7 @@ def run_benchmark(config: RunConfig) -> int:
     if stray:
         raise ValueError(f"{stray[0]} is not a trial of this campaign; use another output directory")
 
-    if config.jobs == 1:
-        payloads = [run_trial(config, seed) for seed in config.seeds]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            payloads = list(pool.map(lambda s: run_trial(config, s), config.seeds))
+    payloads = [run_trial(config, seed) for seed in config.seeds]
 
     # Made only now, so that a trial that raises (a generator's parameter
     # error) leaves no directory behind.
@@ -403,7 +395,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
     p.add_argument("--trials", type=int, default=None, help="number of trials (seeds 0..t-1)")
     p.add_argument("--out", type=str, default=None, help=f"output dir (env {ENV_OUTPUT_DIR})")
-    p.add_argument("--jobs", type=int, default=None, help="concurrent trials (default 1)")
 
 
 def _solver_from_args(args, base: IalmConfig) -> IalmConfig:
@@ -458,7 +449,7 @@ def _campaign_config(args) -> RunConfig:
     else:
         data = {"experiment": "cluster", "sizes": {"r": args.r, "s": args.s},
                 "points_path": args.points}
-    flags = {"seeds": _seeds_from_args(args), "output_dir": args.out, "jobs": args.jobs}
+    flags = {"seeds": _seeds_from_args(args), "output_dir": args.out}
     values = _config_values(data) | _config_values({k: v for k, v in flags.items() if v is not None})
     values["solver"] = _solver_from_args(args, values.get("solver", DEFAULT_SOLVER))
     return RunConfig(**values)

@@ -131,7 +131,7 @@ def check_iteration_limits(*limits) -> None:
 
 
 class SmoothOracle:
-    """Differentiable function with known smoothness and weak convexity.
+    """Differentiable function with a known smoothness constant.
 
     Parameters
     ----------
@@ -140,15 +140,13 @@ class SmoothOracle:
     smoothness:
         Gradient Lipschitz constant L (an estimate is fine).  ``L`` is the
         one constant the solver reads: the first subproblem's APG starts
-        its adaptive curvature estimate there.
-    weak_convexity:
-        Constant rho >= 0 such that the function plus (rho/2)||.||^2 is
-        convex.  Recorded as ``rho`` but read by no solver code: iPPM
-        measures the weak convexity itself.
+        its adaptive curvature estimate there.  The solver takes no weak
+        convexity constant: iPPM measures it.
 
-    ``grad_evals`` is the #Grad count: every call into the gradient callable
-    adds one, whether it serves an augmented Lagrangian gradient or a KKT
-    certificate.  Values are not counted.
+    ``grad_evals`` is the #Grad count, the only one in the package: every
+    call into the gradient callable adds one, whether it serves an
+    augmented Lagrangian gradient or a KKT certificate.  Values are not
+    counted.
     """
 
     def __init__(
@@ -156,15 +154,13 @@ class SmoothOracle:
         value_fn: Callable[[Array], float],
         gradient_fn: Callable[[Array], Array],
         smoothness: float,
-        weak_convexity: float = 0.0,
     ):
         # Written so that NaN fails.
-        if not (smoothness >= 0 and weak_convexity >= 0):
-            raise ValueError("smoothness and weak convexity must be nonnegative")
+        if not smoothness >= 0:
+            raise ValueError("smoothness must be nonnegative")
         self._value_fn = value_fn
         self._gradient_fn = gradient_fn
         self.L = float(smoothness)
-        self.rho = float(weak_convexity)
         self.grad_evals = 0
 
     def value(self, x: Array) -> float:
@@ -444,8 +440,8 @@ class ProblemSpec:
     beta_k.  A problem needs only its oracles; ``constants`` serves the
     diagnostics.  ``smooth.L`` is where the first subproblem's curvature
     estimate starts (later ones start where the previous one ended).  A
-    solve runs on ``for_solve()``, so its #Grad starts at 0 and concurrent
-    solves of one ProblemSpec count apart.
+    solve runs on ``for_solve()``, so its #Grad starts at 0 and two solves
+    of one ProblemSpec, in turn or at once, count apart.
     """
 
     smooth: SmoothOracle
@@ -472,7 +468,7 @@ class ProblemSpec:
         """Shallow copy whose smooth oracle shares the callables and counts
         #Grad from 0."""
         g = self.smooth
-        fresh = SmoothOracle(g._value_fn, g._gradient_fn, g.L, g.rho)
+        fresh = SmoothOracle(g._value_fn, g._gradient_fn, g.L)
         return dataclasses.replace(self, smooth=fresh)
 
 

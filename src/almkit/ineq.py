@@ -160,7 +160,7 @@ def slack_reformulate(problem: ProblemSpec) -> SlackReformulation:
     def gradient(xs):
         return np.concatenate([g_gradient(xs[:n]), np.zeros(m)])
 
-    smooth = SmoothOracle(value, gradient, g.L, g.rho)
+    smooth = SmoothOracle(value, gradient, g.L)
 
     def linearize(xs):
         x, s = xs[:n], xs[n:]

@@ -131,7 +131,7 @@ class IppmResult:
     number of times it was doubled; ``L`` is the final curvature estimate
     of the last APG call, a warm start for a later call on a nearby model.
     Gradients are not counted here: a call makes one at ``x0`` plus its APG
-    calls' ``grad_evals``, and the caller's oracle counts them.
+    calls' calls into ``grad``, and the caller's oracle counts them.
     """
 
     x: np.ndarray

@@ -50,23 +50,20 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _spectrum(M: np.ndarray) -> tuple[float, float]:
-    """(lambda_min(M), ||M||_2) of a symmetric matrix, from one eigvalsh."""
+def _spectral_norm(M: np.ndarray) -> float:
+    """||M||_2 of a symmetric matrix, from its extreme eigenvalues."""
     w = np.linalg.eigvalsh(M)
-    return float(w[0]), float(max(abs(w[0]), abs(w[-1])))
+    return float(max(abs(w[0]), abs(w[-1])))
 
 
-def quadratic_objective(Q: np.ndarray, c: Optional[np.ndarray] = None, half: bool = True) -> SmoothOracle:
-    """SmoothOracle for (1/2) x'Qx + c'x (or x'Qx + c'x when half=False)."""
+def quadratic_objective(Q: np.ndarray, c: Optional[np.ndarray] = None) -> SmoothOracle:
+    """SmoothOracle for (1/2) x'Qx + c'x."""
     Q = np.asarray(Q, dtype=float)
     c = np.zeros(Q.shape[0]) if c is None else np.asarray(c, dtype=float)
-    lam_min, norm = _spectrum(Q)
-    scale = 0.5 if half else 1.0
     return SmoothOracle(
-        value_fn=lambda x: scale * float(x @ (Q @ x)) + float(c @ x),
-        gradient_fn=lambda x: 2.0 * scale * (Q @ x) + c,
-        smoothness=2.0 * scale * norm,
-        weak_convexity=2.0 * scale * max(0.0, -lam_min),
+        value_fn=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
+        gradient_fn=lambda x: Q @ x + c,
+        smoothness=_spectral_norm(Q),
     )
 
 
@@ -94,8 +91,8 @@ class LcqpInstance:
         """Build the ProblemSpec with a closed-form constants ledger.
 
         The AL smooth part (1/2)x'Qx + c'x + (beta/2)||Ax - b||^2 is
-        rho-weakly convex for every beta, and ``smooth.rho`` records it;
-        the solver measures its own estimate, and
+        rho-weakly convex for every beta, with ``rho`` this instance's
+        field; the solver measures its own estimate, and
         ``IalmConfig(curvature_override=lambda beta, y: (rho, inf))`` caps
         it there.  APG starts the first subproblem's curvature estimate at
         ``smooth.L`` = ||Q||.
@@ -105,8 +102,7 @@ class LcqpInstance:
         smooth = SmoothOracle(
             value_fn=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
             gradient_fn=lambda x: Q @ x + c,
-            smoothness=_spectrum(Q)[1],
-            weak_convexity=self.rho,
+            smoothness=_spectral_norm(Q),
         )
         corner = float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
         B0 = max(
@@ -180,12 +176,10 @@ class EvInstance:
         ``B @ x`` serves both c(x) and J(x)'v.
         """
         Q, B = self.Q, self.B
-        lam_min_Q, norm_Q = _spectrum(Q)
         smooth = SmoothOracle(
             value_fn=lambda x: float(x @ (Q @ x)),
             gradient_fn=lambda x: 2.0 * (Q @ x),
-            smoothness=2.0 * norm_Q,
-            weak_convexity=2.0 * max(0.0, -lam_min_Q),
+            smoothness=2.0 * _spectral_norm(Q),
         )
 
         def linearize(x):
@@ -211,7 +205,7 @@ def gen_ev(n: int, seed: int) -> EvInstance:
     Q = 0.5 * (G + G.T)
     Gb = _rng(seed, STREAM_B).standard_normal((n, n))
     Bbar = 0.5 * (Gb + Gb.T)
-    B = Bbar + (_spectrum(Bbar)[1] + 1.0) * np.eye(n)
+    B = Bbar + (_spectral_norm(Bbar) + 1.0) * np.eye(n)
     u = _rng(seed, STREAM_X0).standard_normal(n)
     u = u / np.linalg.norm(u)
     # The damping schedule needs ||c(x0)|| > 0; rescale if x0 starts on the
@@ -254,12 +248,8 @@ class ClusteringInstance:
             X = xflat.reshape(n, r)
             return (2.0 * (D @ X)).ravel()
 
-        lam_min_D, norm_D = _spectrum(D)
         smooth = SmoothOracle(
-            value_fn=value,
-            gradient_fn=gradient,
-            smoothness=2.0 * norm_D,
-            weak_convexity=2.0 * max(0.0, -lam_min_D),
+            value_fn=value, gradient_fn=gradient, smoothness=2.0 * _spectral_norm(D)
         )
 
         def linearize(xflat):

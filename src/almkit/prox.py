@@ -13,7 +13,7 @@ on points that entered through a checked boundary or that the same
 indicator's prox produced.
 
 Matrix-shaped domains are handled by flattening to vectors; all operations
-here are stateless and safe for unrestricted concurrent use.
+here are stateless.
 """
 
 from __future__ import annotations

@@ -61,9 +61,7 @@ def toy_eq_qp() -> tuple[ProblemSpec, np.ndarray]:
 
 def toy_ineq_qp() -> tuple[IneqProblemSpec, float, float]:
     """min 0.5 x^2  s.t.  1 - x <= 0.  KKT: x* = 1, z* = 1."""
-    smooth = SmoothOracle(
-        lambda x: 0.5 * float(x @ x), lambda x: x.copy(), smoothness=1.0, weak_convexity=0.0
-    )
+    smooth = SmoothOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), smoothness=1.0)
     ineq = ConstraintOracle(
         evaluate_fn=lambda x: np.array([1.0 - x[0]]),
         jacobian_t_apply_fn=lambda x, v: np.array([-v[0]]),

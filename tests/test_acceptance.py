@@ -133,11 +133,10 @@ def _random_ppm_instance(rng, dim):
         lambda x, d=d, b=b: 0.5 * float(x @ (d * x)) + float(b @ x),
         lambda x, d=d, b=b: d * x + b,
         smoothness=float(np.max(np.abs(d))),
-        weak_convexity=float(max(0.0, -np.min(d))),
     )
     box = BoxSet.cube(-1.0, 1.0, dim)
     x0 = rng.uniform(-1.0, 1.0, size=dim)
-    return phi, box, x0
+    return phi, float(max(0.0, -np.min(d))), box, x0
 
 
 def test_criterion_4_subsolver_certificates(capsys):
@@ -146,12 +145,12 @@ def test_criterion_4_subsolver_certificates(capsys):
     worst = 0.0
     for trial in range(20):
         dim = 1 if trial < 10 else 2
-        phi, box, x0 = _random_ppm_instance(rng, dim)
+        phi, rho, box, x0 = _random_ppm_instance(rng, dim)
         res = ippm_solve(
             phi.gradient,
             box_indicator(box),
             x0,
-            rho=max(phi.rho, 0.5),
+            rho=max(rho, 0.5),
             L_phi=phi.L,
             eps=eps,
         )
@@ -168,7 +167,6 @@ def test_criterion_4_subsolver_certificates(capsys):
             lambda x, d=d, b=b: 0.5 * float(x @ (d * x)) - float(b @ x),
             lambda x, d=d, b=b: d * x - b,
             smoothness=100.0,
-            weak_convexity=0.0,
         )
         x_init = rng.standard_normal(6)
         x_star = b / d

@@ -33,7 +33,6 @@ def quadratic(d, b):
         lambda x: 0.5 * float(x @ (d * x)) - float(b @ x),
         lambda x: d * x - b,
         smoothness=float(np.max(d)),
-        weak_convexity=0.0,
     )
 
 
@@ -88,13 +87,7 @@ class TestApgExamples:
             x_init = rng.standard_normal(5)
             eps = 1e-6
             G = quadratic(d, b)
-            calls = [0]
-
-            def grad(x):
-                calls[0] += 1
-                return G.gradient(x)
-
-            res = apg_solve(grad, zero_function(), x_init, mu=1.0, L_G=1e4, eps=eps)
+            res = apg_solve(G.gradient, zero_function(), x_init, mu=1.0, L_G=1e4, eps=eps)
             x0 = x_init - G.gradient(x_init) / 100.0
             T = worst_case_iteration_bound(
                 1.0,
@@ -104,24 +97,23 @@ class TestApgExamples:
                 float(np.sum((x0 - x_star) ** 2)),
             )
             assert res.converged
-            assert res.grad_evals == calls[0]
             assert res.iterations <= T
             assert 1.0 <= res.L <= 1e4
 
     def test_known_initial_gradient_is_not_recomputed(self):
         d = np.array([1.0, 7.0, 30.0])
         b = np.array([0.3, -2.0, 1.0])
-        G = quadratic(d, b)
+        G_cold, G_warm = quadratic(d, b), quadratic(d, b)
         x_init = np.ones(3)
-        cold = apg_solve(G.gradient, zero_function(), x_init, 1.0, 30.0, 1e-9, L_init=3.0)
+        cold = apg_solve(G_cold.gradient, zero_function(), x_init, 1.0, 30.0, 1e-9, L_init=3.0)
         warm = apg_solve(
-            G.gradient, zero_function(), x_init, 1.0, 30.0, 1e-9, L_init=3.0,
-            grad_init=G.gradient(x_init),
+            G_warm.gradient, zero_function(), x_init, 1.0, 30.0, 1e-9, L_init=3.0,
+            grad_init=quadratic(d, b).gradient(x_init),
         )
         assert np.array_equal(warm.x, cold.x)
         assert warm.iterations == cold.iterations
-        assert warm.grad_evals == cold.grad_evals - 1
-        assert np.array_equal(warm.gradient, G.gradient(warm.x))
+        assert G_warm.grad_evals == G_cold.grad_evals - 1
+        assert np.array_equal(warm.gradient, G_cold.gradient(warm.x))
 
 
 class TestApgProperties:
@@ -173,8 +165,8 @@ class TestApgProperties:
     def test_counts_gradients(self):
         G = quadratic([2.0], [1.0])
         res = apg_solve(G.gradient, zero_function(), np.array([3.0]), 2.0, 2.0, 1e-12)
-        # One init gradient plus two per iteration.
-        assert res.grad_evals == 1 + 2 * res.iterations
+        # One init gradient plus two per iteration, each counted by the oracle.
+        assert G.grad_evals == 1 + 2 * res.iterations
 
 
 class TestApgErrors:
@@ -347,19 +339,21 @@ class TestRelativeStop:
     def test_no_relative_test_when_mu_times_diameter_is_at_most_eps(self):
         # mu D = 1e-3 * 4 <= eps: a centre in the box cannot stop the call
         # before eps does, so the call with one replays the call without.
-        G = quadratic([1.0, 4.0, 20.0, 60.0], [3.0, -2.0, 5.0, 0.5])
         H = box_indicator(BoxSet.cube(-1.0, 1.0, 4))
         x_init = np.array([0.5, -0.5, 0.25, 1.0])
-        plain, centred = (
-            apg_solve(G.gradient, H, x_init, 1e-3, 60.0, 1e-2, center=c)
-            for c in (None, -np.ones(4))
-        )
+
+        def solve(c):
+            G = quadratic([1.0, 4.0, 20.0, 60.0], [3.0, -2.0, 5.0, 0.5])
+            res = apg_solve(G.gradient, H, x_init, 1e-3, 60.0, 1e-2, center=c)
+            return res, G.grad_evals
+
+        (plain, plain_grads), (centred, centred_grads) = map(solve, (None, -np.ones(4)))
         assert plain.converged and plain.iterations > 1
         assert plain.x.tobytes() == centred.x.tobytes()
         assert plain.gradient.tobytes() == centred.gradient.tobytes()
         assert plain.stationarity.hex() == centred.stationarity.hex()
-        assert (plain.iterations, plain.grad_evals, plain.L, plain.stop) == (
-            centred.iterations, centred.grad_evals, centred.L, centred.stop
+        assert (plain.iterations, plain_grads, plain.L, plain.stop) == (
+            centred.iterations, centred_grads, centred.L, centred.stop
         )
 
     def test_centre_of_another_length_rejected(self):
@@ -395,10 +389,8 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
     x_init = as_vector(x_init, name="x_init")
     if not math.isfinite(H.value(x_init)):
         raise ValueError("x_init lies outside dom(H)")
-    evals = 0
     if grad_init is None:
         grad_init = grad(x_init)
-        evals += 1
     else:
         grad_init = as_vector(grad_init, x_init.shape[0], "grad_init")
 
@@ -420,12 +412,10 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
         t += 1
         if g_bar is None:
             g_bar = grad(x_bar)
-            evals += 1
         for _ in range(MAX_DOUBLINGS + 1):
             step = 1.0 / L
             x_next = H._prox(x_bar - step * g_bar, step)
             g_next = grad(x_next)
-            evals += 1
             dx = x_bar - x_next
             # Written so that NaN fails the test and keeps doubling.
             if L >= L_G or np.linalg.norm(g_next - g_bar) <= L * np.linalg.norm(dx):
@@ -453,7 +443,6 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
                 iterations=t,
                 stationarity=stat,
                 converged=True,
-                grad_evals=evals,
                 gradient=g_next,
                 L=L,
                 stop="converged",
@@ -471,7 +460,6 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
         iterations=t,
         stationarity=best_stat,
         converged=False,
-        grad_evals=evals,
         gradient=best_g,
         L=L,
         # The reference predates the stop reasons; the test checks the lean
@@ -541,14 +529,13 @@ class TestApgReplay:
                         L_init=problem.smooth.L, test_mu=test_mu)
             runs.append((res, points))
         (lean, lean_points), (ref, ref_points) = runs
-        assert len(lean_points) == lean.grad_evals > 10
+        # Equal point lists mean equal call counts.
+        assert len(lean_points) > 10
         assert lean_points == ref_points
         assert lean.x.tobytes() == ref.x.tobytes()
         assert lean.gradient.tobytes() == ref.gradient.tobytes()
         assert lean.stationarity.hex() == ref.stationarity.hex()
-        assert (lean.iterations, lean.grad_evals, lean.L, lean.converged) == (
-            ref.iterations, ref.grad_evals, ref.L, ref.converged
-        )
+        assert (lean.iterations, lean.L, lean.converged) == (ref.iterations, ref.L, ref.converged)
         # The convexity case stops at a failing pair; the others certify.
         assert lean.converged is not test_mu
         assert lean.stop == ("pair_test" if test_mu else "converged")

@@ -91,14 +91,6 @@ class TestBenchCampaign:
         assert rc == 0
         assert (tmp_path / "envout" / "trial_0.json").exists()
 
-    def test_parallel_trials_match_serial(self, tmp_path):
-        cli.main(["bench-lcqp", *TINY, "--trials", "2", "--out", str(tmp_path / "s")])
-        cli.main(["bench-lcqp", *TINY, "--trials", "2", "--jobs", "2", "--out", str(tmp_path / "p")])
-        s = read_csv(tmp_path / "s" / "summary.csv")
-        p = read_csv(tmp_path / "p" / "summary.csv")
-        for rs, rp in zip(s[1:], p[1:]):
-            assert rs[:3] == rp[:3] and rs[4:] == rp[4:]
-
 
 @pytest.mark.parametrize(
     "args, bad",
@@ -108,7 +100,7 @@ class TestBenchCampaign:
         (["bench-lcqp", *TINY, "--seeds", "1,1"], "[1, 1]"),
         (["bench-lcqp", *TINY, "--eps", "-1"], "-1"),
         (["bench-lcqp", *TINY, "--sigma", "0.5"], "0.5"),
-        (["bench-lcqp", *TINY, "--jobs", "0"], "got 0"),
+        (["bench-lcqp", *TINY, "--beta0", "0"], "got 0"),
         (["solve", "CONFIG"], '"experiment"'),
         (["solve", {"experiment": "lcqp"}], "'m'"),
         (["solve", {"experiment": "lcqp", "sizes": {"m": 3}}], "'n'"),
@@ -128,7 +120,7 @@ class TestBenchCampaign:
         (["solve", {**LCQP, "sizes": {"m": 3, "n": 12.9}}], "'n' needs a JSON integer"),
         (["solve", {**LCQP, "sizes": {"m": "3", "n": 12}}], "'m' needs a JSON integer"),
         (["solve", {**LCQP, "sizes": {"m": 3, "n": 12, "k": 5}}], "unknown 'sizes' key 'k'"),
-        (["solve", {**LCQP, "jobs": 1.7}], "'jobs' needs a JSON integer"),
+        (["solve", {**LCQP, "jobs": 1}], "unknown config key 'jobs'"),
         (["solve", {**LCQP, "rho": True}], "'rho' needs a JSON number"),
         (["solve", {**LCQP, "rho": "2"}], "'rho' needs a JSON number"),
         (["solve", {**LCQP, "seeds": [0.5]}], "'seeds' needs a JSON integer"),
@@ -138,7 +130,7 @@ class TestBenchCampaign:
         (["solve", {**LCQP, "seed": [4]}], "unknown config key 'seed'"),
         (["solve", {**LCQP, "solver": {"epsilon": 1e-6}}], "unknown 'solver' key 'epsilon'"),
         (["solve", {**LCQP, "solver": {"policy": {"variant": "theoretical", "W0": 2}}}], "'W0'"),
-        (["solve", {**LCQP, "jobs": 2}, "--jobs", "0"], "got 0"),
+        (["solve", LCQP, "--trials", "0"], "got 0"),
         (["solve", {**LCQP, "points_path": 5}], "'points_path' needs a JSON string"),
         (["solve", {"experiment": 5}], "'experiment' needs a JSON string"),
         (["bench-lcqp", *TINY, "--policy", "practical", "--w0", "2"], "unknown 'policy' key 'w0'"),
@@ -191,6 +183,17 @@ def test_infinite_solver_value_exits_2_before_writing(tmp_path, capsys, flags, k
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("\n") == 1 and f"{key} must be" in err and "inf" in err
+    assert not out.exists()
+
+
+def test_jobs_is_not_a_flag(tmp_path, capsys):
+    # Trials run one after another; --jobs is an unknown flag, which
+    # argparse refuses with exit code 2 before anything is solved.
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--jobs", "2", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -489,11 +492,12 @@ class TestSolveConfig:
         data = json.loads((tmp_path / "out" / "trial_0.json").read_text())
         assert data["instance_ref"]["inline"]["kind"] == "lcqp"
 
-    def test_jobs_flag_overrides_config(self, tmp_path):
-        # An explicit --jobs 1 wins over the file's value, here one that
+    def test_seeds_flag_overrides_config(self, tmp_path):
+        # An explicit --seeds 0 wins over the file's value, here one that
         # would be a usage error of its own.
-        path = self.write_config(tmp_path, jobs=0)
-        assert cli.main(["solve", str(path), "--jobs", "1"]) == 0
+        path = self.write_config(tmp_path, seeds=[1, 1])
+        assert cli.main(["solve", str(path), "--seeds", "0"]) == 0
+        assert (tmp_path / "out" / "trial_0.json").exists()
 
     def test_bench_and_solve_write_the_same_trial(self, tmp_path):
         cli.main(["bench-lcqp", *TINY, "--seeds", "0", "--out", str(tmp_path / "bench")])

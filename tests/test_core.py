@@ -32,7 +32,7 @@ from helpers import (
 
 def scalar_problem():
     """g(x) = x^2, h = 0, c(x) = x - 1 in one dimension."""
-    smooth = SmoothOracle(lambda x: float(x[0] ** 2), lambda x: 2.0 * x, 2.0, 0.0)
+    smooth = SmoothOracle(lambda x: float(x[0] ** 2), lambda x: 2.0 * x, 2.0)
     cons = ConstraintOracle(
         evaluate_fn=lambda x: x - 1.0,
         jacobian_t_apply_fn=lambda x, v: v.copy(),
@@ -247,7 +247,7 @@ class TestProblemSpec:
     def test_affine_rows_of_another_width_rejected(self, block):
         # Without the check this built, and ialm_solve then failed inside
         # numpy's matmul.
-        smooth = SmoothOracle(lambda x: 0.0, np.zeros_like, 0.0, 0.0)
+        smooth = SmoothOracle(lambda x: 0.0, np.zeros_like, 0.0)
         fits = ConstraintOracle.affine(np.ones((1, 2)), [0.0])
         rows = {"constraints": fits, "ineq": fits}
         rows[block] = ConstraintOracle.affine(np.ones((1, 3)), [0.0])
@@ -451,11 +451,10 @@ class TestConstantsRejectNaN:
     """Each constructor rejects a NaN constant, which a ``< 0`` test lets
     through."""
 
-    @pytest.mark.parametrize("field", ["smoothness", "weak_convexity"])
+    @pytest.mark.parametrize("field", ["smoothness"])
     def test_smooth_oracle(self, field):
-        kwargs = {"smoothness": 1.0, "weak_convexity": 0.0, field: np.nan}
         with pytest.raises(ValueError, match="must be nonnegative"):
-            SmoothOracle(lambda x: 0.0, lambda x: x, **kwargs)
+            SmoothOracle(lambda x: 0.0, lambda x: x, **{field: np.nan})
 
     @pytest.mark.parametrize(
         "field", ["component_smoothness", "component_weak_convexity", "component_bounds"]

@@ -32,7 +32,7 @@ def affine_free_problem(A, b):
     """h = 0 with affine constraints: the regularity ratio is ||A'c|| / ||c||."""
     from almkit.core import ConstraintOracle, SmoothOracle
 
-    smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x), 1.0, 0.0)
+    smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x), 1.0)
     return ProblemSpec(
         smooth=smooth,
         nonsmooth=zero_function(),

@@ -370,7 +370,7 @@ def with_counted_gradient(problem, nan_from=None):
         g = smooth.gradient(x)
         return g if nan_from is None or calls[0] < nan_from else np.full_like(g, np.nan)
 
-    counted = SmoothOracle(smooth.value, gradient, smooth.L, smooth.rho)
+    counted = SmoothOracle(smooth.value, gradient, smooth.L)
     return dataclasses.replace(problem, smooth=counted), calls
 
 
@@ -401,19 +401,20 @@ class TestSharedOuterLoop:
 
     def test_records_carry_the_capped_rho_estimate(self, block):
         # Each record's rho is iPPM's final estimate, which starts at the
-        # floor and is capped by the override's rho_hat, here the declared
-        # weak convexity of g (exact for both blocks' subproblems).
+        # floor and is capped by the override's rho_hat, here the known
+        # weak convexity of g (exact for both blocks' subproblems): the
+        # LCQP's rho = 1, and 0 for the toy's convex g.
         make, solve = SOLVERS[block]
-        problem = make()
-        rho_hats = []
+        rho_hat = {"equality": 1.0, "hinge": 0.0}[block]
+        overrides = []
 
         def capped(beta, norm):
-            rho_hats.append(problem.smooth.rho)
-            return problem.smooth.rho, math.inf
+            overrides.append(beta)
+            return rho_hat, math.inf
 
-        rep = solve(problem, IalmConfig(curvature_override=capped))
-        assert rep.success and len(rho_hats) == len(rep.records)
-        for rec, rho_hat in zip(rep.records, rho_hats):
+        rep = solve(make(), IalmConfig(curvature_override=capped))
+        assert rep.success and len(overrides) == len(rep.records)
+        for rec in rep.records:
             assert RHO_FLOOR <= rec.rho <= max(rho_hat, RHO_FLOOR)
 
     def test_curvature_estimate_carries_across_subproblems(self, block, monkeypatch):

@@ -38,7 +38,7 @@ from helpers import finite_difference_gradient, interval_without_subdiff, toy_eq
 
 def hinge_scalar_problem():
     """f0 = 0, single inequality f(x) = x, no affine part."""
-    smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x), 1.0, 0.0)
+    smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x), 1.0)
     ineq = ConstraintOracle(
         evaluate_fn=lambda x: x.copy(),
         jacobian_t_apply_fn=lambda x, v: v.copy(),
@@ -61,7 +61,7 @@ def hinge_scalar_problem():
 
 def two_constraint_problem():
     """g = 0.5||x||^2, affine x1 + x2 = 1, inequalities x <= 0.8 per coordinate."""
-    smooth = SmoothOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0, 0.0)
+    smooth = SmoothOracle(lambda x: 0.5 * float(x @ x), lambda x: x.copy(), 1.0)
     ineq = ConstraintOracle(
         evaluate_fn=lambda x: x - 0.8,
         jacobian_t_apply_fn=lambda x, v: v.copy(),
@@ -247,7 +247,7 @@ class TestAlIneqGradient:
 
     def test_single_active_constraint_example(self):
         # f(x) = x - 1 at x = 2, z = 0, beta = 1, g = 0: gradient is 1.
-        smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x), 1.0, 0.0)
+        smooth = SmoothOracle(lambda x: 0.0, lambda x: np.zeros_like(x), 1.0)
         ineq = ConstraintOracle(
             evaluate_fn=lambda x: x - 1.0,
             jacobian_t_apply_fn=lambda x, v: v.copy(),
@@ -460,7 +460,7 @@ class TestSlackReformulation:
             calls[0] += 1
             return user_gradient(x)
 
-        prob.smooth = SmoothOracle(prob.smooth._value_fn, gradient, prob.smooth.L, prob.smooth.rho)
+        prob.smooth = SmoothOracle(prob.smooth._value_fn, gradient, prob.smooth.L)
         ref = slack_reformulate(prob)
         for _ in range(2):
             before = calls[0]

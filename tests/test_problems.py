@@ -78,11 +78,11 @@ class TestGenLcqp:
         prob = inst.to_problem()
         ledger = prob.constants
         assert ledger.B_c == pytest.approx(float(np.linalg.norm(inst.A, 2)))
-        # The AL is rho-weakly convex for every beta, which the smooth
-        # oracle declares; as an override cap it bounds every estimate.
-        assert prob.smooth.rho == pytest.approx(1.0)
-        rep = ialm_solve(prob, IalmConfig(curvature_override=lambda beta, y: (1.0, math.inf)))
-        assert rep.success and all(rec.rho <= 1.0 for rec in rep.records)
+        # The AL is rho-weakly convex for every beta, with rho the
+        # instance's; as an override cap it bounds every estimate.
+        cap = IalmConfig(curvature_override=lambda beta, y: (inst.rho, math.inf))
+        rep = ialm_solve(prob, cap)
+        assert rep.success and all(rec.rho <= inst.rho for rec in rep.records)
 
 
 class TestGenEv:
@@ -142,7 +142,7 @@ class TestCurvatureSchedules:
         # cap at all may each cost at most 25% more #Grad (a fixed
         # rho = 16 rho costs about 2.7x).
         problem, config = LOOSE_CAP_CASES["lcqp"]()
-        rho = problem.smooth.rho
+        rho = 1.0  # the rho this case's gen_lcqp is built with
 
         def run(rho_hat):
             def override(beta, y_norm):
