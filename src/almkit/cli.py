@@ -455,8 +455,16 @@ def _campaign_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """Parser whose usage errors print one line on stderr, without the usage
+    block, and exit 2; its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(prog="almkit", description=__doc__.splitlines()[0])
+    parser = _OneLineParser(prog="almkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_lcqp = sub.add_parser("bench-lcqp", help="box-and-equality quadratic programs")

@@ -68,11 +68,19 @@ made.  NaN therefore still fails fast: at the gradient's output check, at
 the subdifferential distance's output check, or at APG's stationarity
 check.
 
-#Grad, the paper's complexity measure, is counted at one point:
+#Grad, the paper's complexity measure, counts calls, at one point:
 ``SmoothOracle.grad_evals``, which every call into the smooth gradient
 callable increments.  Each solve runs on a copy of the problem whose count
-starts at 0 (``ProblemSpec.for_solve``).  Objective values are not counted;
-the solvers evaluate none.
+starts at 0 (``ProblemSpec.for_solve``) and whose ``_gradient`` hands back
+the checked gradient it holds when given the very array it last evaluated.
+So the certificate at x_{k+1} and the next subproblem's start reuse the
+gradient of APG's last iterate, and iPPM reuses a failed APG call's first
+gradient when its redo evaluates the same point first (see
+``almkit.ippm``): a solve calls the gradient once per point.  APG itself
+compares no points, so two of its prox points that coincide bit for bit (a
+step that does not move) would each take a call.  The user's problem, the
+public ``SmoothOracle.gradient`` and ``kkt_residual`` call the gradient
+every time.  Objective values are not counted; the solvers evaluate none.
 """
 
 from __future__ import annotations
@@ -145,8 +153,9 @@ class SmoothOracle:
 
     ``grad_evals`` is the #Grad count, the only one in the package: every
     call into the gradient callable adds one, whether it serves an
-    augmented Lagrangian gradient or a KKT certificate.  Values are not
-    counted.
+    augmented Lagrangian gradient or a KKT certificate.  A solve's copy
+    (``_SolveOracle``) reuses the gradient of the array it last evaluated;
+    ``gradient`` always calls.  Values are not counted.
     """
 
     def __init__(
@@ -173,7 +182,9 @@ class SmoothOracle:
         return v
 
     def gradient(self, x: Array) -> Array:
-        return self._gradient(as_vector(x))
+        # The class's checked method, which a solve's copy does not replace:
+        # a public call always calls, so ``x`` may change between two calls.
+        return SmoothOracle._gradient(self, as_vector(x))
 
     def _gradient(self, x: Array) -> Array:
         self.grad_evals += 1
@@ -184,6 +195,23 @@ class SmoothOracle:
             )
         if not all_finite(g):
             raise NonFiniteValue("smooth oracle gradient overflowed")
+        return g
+
+
+class _SolveOracle(SmoothOracle):
+    """A solve's smooth oracle (``ProblemSpec.for_solve``): ``_gradient``
+    returns the checked gradient it holds when handed the very array it
+    last evaluated.  The solvers never change an array in place, so the
+    identity proves the point; the public ``gradient`` always calls."""
+
+    _last: tuple = (None, None)
+
+    def _gradient(self, x: Array) -> Array:
+        last_x, last_g = self._last
+        if x is last_x:
+            return last_g
+        g = SmoothOracle._gradient(self, x)
+        self._last = (x, g)
         return g
 
 
@@ -465,10 +493,11 @@ class ProblemSpec:
         return self.x0.shape[0]
 
     def for_solve(self):
-        """Shallow copy whose smooth oracle shares the callables and counts
-        #Grad from 0."""
+        """Shallow copy whose smooth oracle shares the callables, counts
+        #Grad from 0 and reuses the gradient of the array it last
+        evaluated (``_SolveOracle``)."""
         g = self.smooth
-        fresh = SmoothOracle(g._value_fn, g._gradient_fn, g.L)
+        fresh = _SolveOracle(g._value_fn, g._gradient_fn, g.L)
         return dataclasses.replace(self, smooth=fresh)
 
 

@@ -6,11 +6,12 @@ multipliers at zero.
 One loop serves every problem: the equality rows c(x) = 0 with multiplier
 y and, when the problem has them, the convex inequality rows f(x) <= 0
 with multiplier z >= 0.  Each outer iteration solves the AL subproblem to
-eps_k-stationarity with the proximal point method, linearizes the rows and
-takes grad g once at the new iterate, and from them measures the KKT
-certificate at the multipliers y_k + beta_k c(x_{k+1}) and
-[z_k + beta_k f(x_{k+1})]_+.  It then moves the multipliers by the paper's
-one rule, whatever the policy:
+eps_k-stationarity with the proximal point method, linearizes the rows
+once at the new iterate and reads grad g there from the solve's oracle,
+which still holds it from APG's last step (so does the next subproblem's
+first gradient), and from them measures the KKT certificate at the
+multipliers y_k + beta_k c(x_{k+1}) and [z_k + beta_k f(x_{k+1})]_+.  It
+then moves the multipliers by the paper's one rule, whatever the policy:
 
     y <- y + w_k c(x_{k+1}),   z <- z + w_k max{-z/beta_k, f(x_{k+1})},
 
@@ -357,7 +358,8 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
             raise
         x, L_est = sub.x, sub.L
         # One linearization of each row block and one grad g(x) serve the
-        # certificate and the dual step.
+        # certificate and the dual step; x is the array APG's last step
+        # evaluated, so the solve's oracle returns the gradient it holds.
         t_cert = time.perf_counter()
         rows = _linearize_rows(problem, x)
         g = smooth._gradient(x)

@@ -29,7 +29,11 @@ and follows three rules:
 - Warm redo.  The redo starts APG at the failed call's best iterate x, whose
   model gradient follows from the returned one by swapping the shift:
   g - 2 rho_old (x - x_k) + 2 rho_new (x - x_k), so it costs no gradient.
-  When the first pair failed (x is None) the redo starts at the centre.
+  When the first pair failed (x is None) the redo starts at the centre,
+  and its first point is the failed call's, bit for bit, whenever the
+  curvature estimate did not change: iPPM keeps each call's first point
+  and gradient of phi, and a redo whose first point is bitwise that one
+  reuses the gradient instead of calling ``grad``.
 - Decay.  After each converged proximal step rho <- max(RHO_FLOOR,
   RHO_DECAY rho), as APG's curvature estimate shrinks after each accepted
   step (Beck & Teboulle's backtracking, SIAM J. Imaging Sci. 2009).
@@ -76,9 +80,11 @@ What survives of the guarantees:
 
 Each APG call is warm-started: a step's first call reuses the gradient at
 its centre, which the previous step's certificate computed, a redo the
-gradient of its start point (see above), and every call starts from the
-previous call's final curvature estimate; the first call starts at
-``L_init`` (default L_phi + 2 rho).
+gradient of its start point and, from the centre, of its first point (see
+above), and every call starts from the previous call's final curvature
+estimate; the first call starts at ``L_init`` (default L_phi + 2 rho).
+#Grad counts calls into ``grad``: one at ``x0`` and one per gradient APG
+asks for, less the first gradients that redos reuse.
 """
 
 from __future__ import annotations
@@ -131,7 +137,8 @@ class IppmResult:
     number of times it was doubled; ``L`` is the final curvature estimate
     of the last APG call, a warm start for a later call on a nearby model.
     Gradients are not counted here: a call makes one at ``x0`` plus its APG
-    calls' calls into ``grad``, and the caller's oracle counts them.
+    calls' calls into ``grad``, less the first gradients its redos from the
+    centre reuse, and the caller's oracle counts them.
     """
 
     x: np.ndarray
@@ -183,10 +190,22 @@ def ippm_solve(
     L_t = L_init
 
     for k in range(max_outer):
-        x_t, g_t = x_k, g_k
+        x_t, g_t, known = x_k, g_k, None
         while True:
-            def shifted(x, c=x_k, r=rho):
-                return grad(x) + 2.0 * r * (x - c)
+            # This call's first (x, grad(x)).  A redo from the centre
+            # evaluates the failed call's first point first again whenever
+            # its curvature estimate did not change, and reuses its gradient.
+            first = []
+
+            def shifted(x, c=x_k, r=rho, first=first, known=known):
+                if first:
+                    return grad(x) + 2.0 * r * (x - c)
+                if known and x.tobytes() == known[0].tobytes():
+                    g = known[1]
+                else:
+                    g = grad(x)
+                first += x, g
+                return g + 2.0 * r * (x - c)
 
             inner = apg_solve(
                 shifted, psi, x_t, rho, L_phi + 2.0 * rho, eps / 4.0, max_inner,
@@ -213,7 +232,7 @@ def ippm_solve(
             else:
                 x_t = inner.x
                 g_t = inner.gradient + 2.0 * (rho_next - rho) * (x_t - x_k)
-            rho = rho_next
+            rho, known = rho_next, first
             doublings += 1
         x_next = inner.x
         shift = 2.0 * rho * norm(x_next - x_k)

@@ -193,8 +193,29 @@ def test_jobs_is_not_a_flag(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_:
         cli.main(["bench-lcqp", *TINY, "--trials", "1", "--jobs", "2", "--out", str(out)])
     assert exit_.value.code == 2
-    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --jobs 2" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bench-lcqp", "--trials", "abc"], "almkit bench-lcqp: error: argument --trials: invalid"),
+        (["bench-lcqp", "--trials", "1", "--jobs", "2"], "almkit: error: unrecognized arguments"),
+        (["bench-ev", "--policy", "fast"], "almkit bench-ev: error: argument --policy: invalid"),
+        ([], "almkit: error: the following arguments are required: command"),
+    ],
+)
+def test_argparse_usage_error_is_one_line_on_stderr(tmp_path, capsys, args, message):
+    # argparse's own errors print one line, without the usage block, and
+    # exit 2, as the campaign's usage errors do.
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*args, "--out", str(tmp_path / "o")] if args else args)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 class TestSolverCodec:

@@ -265,6 +265,41 @@ class TestProblemSpec:
         assert prob.smooth.grad_evals == 1
 
 
+class TestOneCallPerPoint:
+    """A solve's oracle hands back the gradient of the array it last
+    evaluated; every public entry calls the gradient each time, so an array
+    changed in place between two calls gets its fresh gradient."""
+
+    def test_solve_oracle_reuses_the_last_array_only(self):
+        smooth = toy_eq_qp()[0].for_solve().smooth
+        x = np.array([1.0, 2.0])
+        g = smooth._gradient(x)
+        assert smooth._gradient(x) is g and smooth.grad_evals == 1
+        # An equal array that is another object is another call.
+        assert np.array_equal(smooth._gradient(x.copy()), g) and smooth.grad_evals == 2
+
+    @pytest.mark.parametrize("solve_copy", [False, True])
+    def test_public_gradient_sees_an_array_changed_in_place(self, solve_copy):
+        prob, _ = toy_eq_qp()
+        smooth = prob.for_solve().smooth if solve_copy else prob.smooth
+        x = np.array([1.0, 2.0])
+        first = smooth.gradient(x)
+        x[0] = -3.0
+        second = smooth.gradient(x)
+        assert smooth.grad_evals == 2
+        assert not np.array_equal(first, second)
+        assert np.array_equal(second, SmoothOracle(None, smooth._gradient_fn, 1.0).gradient(x))
+
+    def test_kkt_residual_sees_an_array_changed_in_place(self):
+        prob, _ = toy_eq_qp()
+        x, y = np.array([1.0, 2.0]), np.zeros(1)
+        kkt_residual(x, y, prob)
+        x[0] = -3.0
+        again = kkt_residual(x, y, prob)
+        assert prob.smooth.grad_evals == 2
+        assert again == kkt_residual(x.copy(), y, toy_eq_qp()[0])
+
+
 class TestAffineOracle:
     def test_rows_are_kept_as_validated_data(self):
         A = np.array([[1.0, 2.0], [0.0, -1.0]])

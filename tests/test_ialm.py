@@ -467,11 +467,16 @@ class TestSharedOuterLoop:
         assert stall.value.grad_evals == calls[0] > 0
 
     def test_nan_gradient_fails_fast(self, block):
+        # The NaN lands halfway through a clean run's calls, and the
+        # gradient's output check raises at that very call.
         make, solve = SOLVERS[block]
-        problem, calls = with_counted_gradient(make(), nan_from=50)
+        clean, clean_calls = with_counted_gradient(make())
+        assert solve(clean, IalmConfig()).success
+        nan_from = clean_calls[0] // 2
+        problem, calls = with_counted_gradient(make(), nan_from=nan_from)
         with pytest.raises(NonFiniteValue):
             solve(problem, IalmConfig())
-        assert 50 <= calls[0] < 100
+        assert calls[0] == nan_from
 
     def test_public_gradient_calls_are_certificate_calls_only(self, block, monkeypatch):
         # The solver's gradients, certificates and damping scale go through
@@ -535,12 +540,14 @@ class TestOneLinearizationPerCertificate:
         assert running == kkt_residual(x, y, problem)
 
     def test_each_outer_iteration_linearizes_once_besides_its_gradients(self):
-        # Each AL gradient linearizes once and counts one #Grad, each
-        # certificate likewise, and the damping scale reads c(x0) once more.
+        # Each AL gradient and each certificate linearizes once, and the
+        # damping scale reads c(x0) once more.  The certificate's grad g
+        # and every later subproblem's first AL gradient reuse the gradient
+        # of APG's last iterate x_{k+1}, so they count no #Grad.
         problem, calls = counted_ev()
         rep = ialm_solve(problem, IalmConfig())
         assert rep.success and len(rep.records) >= 2
-        assert calls[0] == rep.grad_evals + 1
+        assert calls[0] == rep.grad_evals + 2 * len(rep.records)
 
     def test_kkt_residual_ineq_and_hinge_certificate(self):
         problem, calls = linearized_twin(two_constraint_problem())
@@ -570,7 +577,8 @@ class TestOneCertificatePerOuterIteration:
         # Without an exact subdifferential distance the certificate's prox
         # surrogate takes a gradient at its prox-forward point.  Each outer
         # iteration measures one certificate, so beyond its subproblem it
-        # spends two gradients: grad g(x_{k+1}) and that forward one.
+        # spends that one forward gradient: grad g(x_{k+1}) is the gradient
+        # of APG's last iterate, which the solve's oracle still holds.
         problem = dataclasses.replace(
             toy_ineq_qp()[0], nonsmooth=interval_without_subdiff(5.0, False)
         )
@@ -593,8 +601,40 @@ class TestOneCertificatePerOuterIteration:
         rep = ialm_solve(problem, IalmConfig())
         assert rep.success and len(rep.records) == 8
         assert certificates[0] == len(rep.records)
-        assert rep.grad_evals - sub_grads[0] == 2 * len(rep.records)
-        assert rep.grad_evals == 60
+        assert rep.grad_evals - sub_grads[0] == len(rep.records)
+        assert rep.grad_evals == 52
+
+
+def with_logged_points(problem):
+    """Copy of ``problem`` whose smooth gradient callable logs the bytes of
+    each point it is called at."""
+    points, smooth = [], problem.smooth
+
+    def logged(x):
+        points.append(x.tobytes())
+        return smooth._gradient_fn(x)
+
+    return dataclasses.replace(problem, smooth=SmoothOracle(None, logged, smooth.L)), points
+
+
+ONE_CALL_CASES = {
+    "lcqp": lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem(),
+    "ev": lambda: gen_ev(12, 0).to_problem(),
+    "cluster": lambda: gen_clustering(
+        np.random.default_rng(0).standard_normal((12, 2)), r=3, s=100.0
+    ).to_problem(),
+    "hinge": lambda: toy_ineq_qp()[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_CALL_CASES))
+def test_a_solve_calls_the_gradient_at_each_point_once(name):
+    # The certificate at x_{k+1}, the next subproblem's start there and a
+    # redo from the centre reuse gradients the solve already holds.
+    problem, points = with_logged_points(ONE_CALL_CASES[name]())
+    rep = ialm_solve(problem, IalmConfig())
+    assert rep.success and rep.grad_evals == len(points)
+    assert len(set(points)) == len(points)
 
 
 def test_unreachable_eps_on_an_unbounded_domain_stalls_in_bounded_time():

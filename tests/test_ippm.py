@@ -118,9 +118,10 @@ class TestIppmProperties:
 
     def test_grad_evals_are_real_calls_and_centre_gradients_are_reused(self, monkeypatch):
         # Every APG call after the first reuses the gradient at its start
-        # point (a step's centre, or a redo's warm start), so the total
-        # stays below one gradient per proximal step plus two per APG
-        # iteration.
+        # point (a step's centre, or a redo's warm start), and a redo from
+        # the centre reuses the failed call's first gradient when its first
+        # point is bitwise the same, so the total stays below one gradient
+        # per proximal step plus two per APG iteration.
         rng = np.random.default_rng(3)
         d = np.array([-2.0, 0.5, 3.0, 10.0, 40.0])
         b = rng.standard_normal(5)
@@ -130,25 +131,34 @@ class TestIppmProperties:
             calls[0] += 1
             return d * x + b
 
-        # The calls into the gradient each APG call receives.
-        apg_grads = []
+        # The calls into the gradient each APG call receives, the point of
+        # its first one, and its result.
+        apg_grads, firsts, results = [], [], []
         apg = almkit.ippm.apg_solve
 
         def counted_apg(grad, *args, **kwargs):
             apg_grads.append(0)
 
             def counted(x):
+                if apg_grads[-1] == 0:
+                    firsts.append(x.tobytes())
                 apg_grads[-1] += 1
                 return grad(x)
 
-            return apg(counted, *args, **kwargs)
+            results.append(apg(counted, *args, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(almkit.ippm, "apg_solve", counted_apg)
         psi = box_indicator(BoxSet.cube(-1.0, 1.0, 5))
         res = ippm_solve(grad, psi, np.zeros(5), rho=2.0, L_phi=40.0, eps=1e-6)
         assert res.stationarity <= 1e-6 and len(apg_grads) > 10
         assert len(apg_grads) == res.outer_iterations + res.rho_doublings
-        assert calls[0] == 1 + sum(apg_grads)
+        reused = sum(
+            not failed.converged and first == redo_first
+            for failed, first, redo_first in zip(results, firsts, firsts[1:])
+        )
+        assert reused > 0
+        assert calls[0] == 1 + sum(apg_grads) - reused
         assert calls[0] < res.outer_iterations + 2 * res.apg_iterations
 
     def test_deterministic(self):
@@ -216,21 +226,27 @@ class TestAdaptiveWeakConvexity:
         apg = almkit.ippm.apg_solve
 
         def recorded(grad, H, x, mu, *args, **kwargs):
-            first, received = len(evaluated), [0]
+            first, received = len(evaluated), []
 
             def counted(z):
-                received[0] += 1
+                received.append(z.tobytes())
                 return grad(z)
 
             res = apg(counted, H, x, mu, *args, **kwargs)
-            calls.append((x, mu, kwargs["grad_init"], res, evaluated[first:], received[0]))
+            calls.append((x, mu, kwargs["grad_init"], res, evaluated[first:], received))
             return res
 
         monkeypatch.setattr(almkit.ippm, "apg_solve", recorded)
         res = ippm_solve(logged, psi, np.zeros(5), rho=math.inf, L_phi=math.inf, eps=1e-6,
                          L_init=40.0)
         assert res.stationarity <= 1e-6
-        assert len(evaluated) == 1 + sum(c[5] for c in calls)
+        # A redo whose first point is the failed call's first point reuses
+        # that call's gradient there.
+        reused = sum(
+            failed[5][0] == redo[5][0] for failed, redo in zip(calls, calls[1:])
+            if not failed[3].converged
+        )
+        assert len(evaluated) == 1 + sum(len(c[5]) for c in calls) - reused
         centre, warm = np.zeros(5), 0
         for (_, mu, _, failed, _, _), (x, mu_next, g, _, points, _) in zip(calls, calls[1:]):
             if failed.converged:
@@ -246,6 +262,46 @@ class TestAdaptiveWeakConvexity:
                 assert np.allclose(g, model, rtol=0.0, atol=1e-12)
                 assert x.tobytes() not in points
         assert warm > 0
+
+    def test_centre_redo_reuses_the_failed_calls_first_gradient(self, monkeypatch):
+        # phi = (-x1^2 + 2 x2^2)/2 + b'x on [-1, 1]^2 from (0.8, 0): at
+        # rho = 0.6 the first call fails its first pair test, and the redo
+        # from the centre, at rho = 1.2 and the same curvature estimate,
+        # evaluates the failed call's first point first.  That gradient is
+        # reused: the solve makes one call fewer than the gradients its APG
+        # calls ask for plus the one at x0, and no point twice.
+        monkeypatch.setattr(almkit.ippm, "RHO_FLOOR", 0.6)
+        d, b = np.array([-1.0, 2.0]), np.array([0.3, 0.5])
+        points = []
+
+        def grad(x):
+            points.append(x.tobytes())
+            return d * x + b
+
+        calls = []
+        apg = almkit.ippm.apg_solve
+
+        def recorded(grad, H, x, mu, *args, **kwargs):
+            received = []
+
+            def counted(z):
+                received.append(z.tobytes())
+                return grad(z)
+
+            res = apg(counted, H, x, mu, *args, **kwargs)
+            calls.append((kwargs["L_init"], res, received))
+            return res
+
+        monkeypatch.setattr(almkit.ippm, "apg_solve", recorded)
+        psi = box_indicator(BoxSet.cube(-1.0, 1.0, 2))
+        res = ippm_solve(grad, psi, np.array([0.8, 0.0]), rho=math.inf, L_phi=math.inf,
+                         eps=1e-6, L_init=4.0)
+        assert res.stationarity <= 1e-6 and res.rho_doublings == 1
+        (_, failed, failed_points), (L_redo, _, redo_points) = calls[:2]
+        assert failed.stop == "pair_test" and failed.x is None and L_redo == failed.L
+        assert redo_points[0] == failed_points[0]
+        assert len(points) == 1 + sum(len(received) for _, _, received in calls) - 1
+        assert len(set(points)) == len(points)
 
     def test_only_failed_pair_tests_double_rho_and_steps_halve_it(self, monkeypatch):
         calls = recorded_apg_calls(monkeypatch)
