@@ -236,17 +236,24 @@ class ClusteringInstance:
         The solver measures both curvature estimates, starting APG's first
         subproblem at ``smooth.L`` = 2 ||D||.  The constraints are
         linearized: one column sum of X serves both c(x) and J(x)'v.
+
+        The oracles keep only ``2 D``, formed once: scaling by 2 is exact,
+        so the gradient ``(2 D) X`` is ``2 (D X)`` and the value is
+        ``sum(D * XX')`` bit for bit (barring overflow and subnormal
+        products).  J(x)'v is ``np.outer``'s own broadcast product without
+        its wrapper, and the column sum is the reduction ``X.sum(axis=0)``
+        calls.
         """
         D = self.D
+        D2 = 2.0 * D
         n, r = D.shape[0], self.r
 
         def value(xflat):
             X = xflat.reshape(n, r)
-            return float(np.sum(D * (X @ X.T)))
+            return 0.5 * float(np.sum(D2 * (X @ X.T)))
 
         def gradient(xflat):
-            X = xflat.reshape(n, r)
-            return (2.0 * (D @ X)).ravel()
+            return (D2 @ xflat.reshape(n, r)).ravel()
 
         smooth = SmoothOracle(
             value_fn=value, gradient_fn=gradient, smoothness=2.0 * _spectral_norm(D)
@@ -254,8 +261,8 @@ class ClusteringInstance:
 
         def linearize(xflat):
             X = xflat.reshape(n, r)
-            col = X.sum(axis=0)
-            return X @ col - 1.0, lambda v: (np.outer(v, col) + (X.T @ v)[None, :]).ravel()
+            col = np.add.reduce(X, axis=0)
+            return X @ col - 1.0, lambda v: (v[:, None] * col + X.T @ v).ravel()
 
         s = self.s
         ledger = ConstantsLedger(B0=max(smooth.L / 2.0 * s * s, smooth.L * s), B_c=2.0 * n * s)

@@ -125,19 +125,23 @@ def _nonneg_ball_distance(x: Array, v: Array, radius: float) -> float:
 
     N_C(x) = {u + lam x : u_i <= 0 where x_i = 0, u_i = 0 where x_i > 0,
     lam >= 0 only on the sphere}.  For fixed lam the best u is closed form,
-    and the minimization over lam >= 0 is a 1-D quadratic clamp.
+    and the minimization over lam >= 0 is a 1-D quadratic clamp.  Off the
+    sphere lam = 0, and the free part is v itself: v - 0.0 * x_i is v bit
+    for bit at every finite x_i > 0, so that branch skips the product.
     """
-    nrm = norm(x)
     active = x <= _MEMBERSHIP_ATOL
     free = ~active
+    resid_active = norm(np.maximum(0.0, v[active]))
+    # A NaN norm compares false, so a NaN x takes the sphere branch and
+    # yields NaN, which ``_subdiff`` rejects.
+    if norm(x) < radius * (1 - _BOUNDARY_RTOL):
+        return math.hypot(norm(v[free]), resid_active)
     x_free, v_free = x[free], v[free]
     lam = 0.0
-    if nrm >= radius * (1 - _BOUNDARY_RTOL):
-        free_sq = float(np.sum(x_free**2))
-        if free_sq > 0:
-            lam = max(0.0, float(v_free @ x_free) / free_sq)
-    resid_active = np.maximum(0.0, v[active])
-    return math.hypot(norm(v_free - lam * x_free), norm(resid_active))
+    free_sq = float(np.sum(x_free**2))
+    if free_sq > 0:
+        lam = max(0.0, float(v_free @ x_free) / free_sq)
+    return math.hypot(norm(v_free - lam * x_free), resid_active)
 
 
 def zero_function() -> ProxCapableFunction:
@@ -163,7 +167,7 @@ def box_indicator(box: BoxSet) -> ProxCapableFunction:
     lo_tol, hi_tol, lo_act, hi_act = _box_bounds(box)
 
     def value(x):
-        inside = np.all(x >= lo_tol) and np.all(x <= hi_tol)
+        inside = (x >= lo_tol).all() and (x <= hi_tol).all()
         return 0.0 if inside else math.inf
 
     return ProxCapableFunction(
@@ -179,7 +183,7 @@ def nonneg_ball_indicator(s: NonnegBallSet) -> ProxCapableFunction:
     """Indicator of the orthant-ball intersection (clustering domain)."""
 
     def value(x):
-        ok = np.all(x >= -_MEMBERSHIP_ATOL) and norm(x) <= s.radius * (
+        ok = (x >= -_MEMBERSHIP_ATOL).all() and norm(x) <= s.radius * (
             1 + _BOUNDARY_RTOL
         ) + _MEMBERSHIP_ATOL
         return 0.0 if ok else math.inf
@@ -197,7 +201,7 @@ def nonneg_indicator() -> ProxCapableFunction:
     """Indicator of the nonnegative orthant (slack variables)."""
     return ProxCapableFunction(
         prox_fn=lambda v, step: np.maximum(v, 0.0),
-        value_fn=lambda x: 0.0 if np.all(x >= -_MEMBERSHIP_ATOL) else math.inf,
+        value_fn=lambda x: 0.0 if (x >= -_MEMBERSHIP_ATOL).all() else math.inf,
         subdiff_distance_fn=_nonneg_distance,
         diameter=math.inf,
         cone_subdiff=True,

@@ -352,3 +352,17 @@ class TestLinearizedConstraints:
             assert cons.jacobian_transpose_apply(x, v).tobytes() == old_jt.tobytes()
             c, jt = cons._linearize(x)
             assert c.tobytes() == old_c.tobytes() and jt(v).tobytes() == old_jt.tobytes()
+
+    @pytest.mark.parametrize("n, r", [(7, 3), (30, 3), (12, 1), (5, 8)])
+    def test_clustering_oracles_match_the_d_formulas_bitwise(self, n, r):
+        # The gradient and the value read the 2 D formed in to_problem.
+        rng = np.random.default_rng(n * r)
+        inst = gen_clustering(rng.standard_normal((n, 2)), r=r, s=5.0)
+        smooth = inst.to_problem().smooth
+        for scale in (1.0, 1e-3, 1e3):
+            x = scale * rng.standard_normal(n * r)
+            X = x.reshape(n, r)
+            old = (2.0 * (inst.D @ X)).ravel()
+            assert smooth._gradient_fn(x).tobytes() == old.tobytes()
+            assert smooth.gradient(x).tobytes() == old.tobytes()
+            assert smooth.value(x) == float(np.sum(inst.D * (X @ X.T)))

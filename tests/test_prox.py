@@ -10,6 +10,7 @@ from almkit.core import DimensionMismatch, NonFiniteValue, norm
 from helpers import fancy_index_box_distance, fancy_index_nonneg_distance
 from almkit.prox import (
     _box_bounds,
+    _nonneg_ball_distance,
     BoxSet,
     NonnegBallSet,
     box_indicator,
@@ -207,6 +208,120 @@ class TestMaskedKernels:
             assert h.subdiff_distance(x, v) == expected
             assert h._subdiff(x, v) == expected
             assert v.tobytes() == v_before
+
+
+def reference_nonneg_ball_distance(x, v, radius):
+    """The orthant-ball distance kernel before its off-sphere branch
+    skipped the lam * x term, verbatim but for the module's constants
+    written out and lam returned too: the bitwise reference."""
+    rtol, atol = 1e-10, 1e-12
+    nrm = norm(x)
+    active = x <= atol
+    free = ~active
+    x_free, v_free = x[free], v[free]
+    lam = 0.0
+    if nrm >= radius * (1 - rtol):
+        free_sq = float(np.sum(x_free**2))
+        if free_sq > 0:
+            lam = max(0.0, float(v_free @ x_free) / free_sq)
+    resid_active = np.maximum(0.0, v[active])
+    return math.hypot(norm(v_free - lam * x_free), norm(resid_active)), lam
+
+
+class TestOrthantBallKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_previous_formula_bitwise(self, seed):
+        rng = np.random.default_rng(seed + 20)
+        radius = 2.0
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            x = rng.choice([0.0, -0.0, 0.5e-12, -0.5e-12, 1e-12, 1.0], n) * rng.uniform(0.1, 2, n)
+            if norm(x) == 0.0:
+                x[0] = 1.0
+            # On the sphere, just inside its tolerance band, or well inside.
+            target = rng.choice([radius, radius * (1 - 1e-10), radius * (1 - 2e-10), 0.5 * radius])
+            x *= target / norm(x)
+            v = rng.standard_normal(n) * rng.choice([1.0, 0.0, -0.0], n, p=[0.6, 0.2, 0.2])
+            # Half the time v points out of the ball along x, so lam > 0.
+            v += rng.choice([0.0, 3.0]) * x
+            expected, lam = reference_nonneg_ball_distance(x, v, radius)
+            on_sphere = norm(x) >= radius * (1 - 1e-10)
+            seen.add((on_sphere, lam > 0))
+            v_before = v.tobytes()
+            assert _nonneg_ball_distance(x, v, radius) == expected
+            assert v.tobytes() == v_before
+        assert seen == {(True, True), (True, False), (False, False)}
+
+    def test_a_nan_point_gives_nan_like_the_previous_formula(self):
+        v = np.array([0.5, -1.0, 2.0])
+        for x in (np.array([math.nan, 0.0, 1.0]), np.array([0.0, math.nan, 0.0])):
+            expected, _ = reference_nonneg_ball_distance(x, v, 2.0)
+            assert math.isnan(expected)
+            assert math.isnan(_nonneg_ball_distance(x, v, 2.0))
+
+
+def np_all_verdicts(radius, lo_tol, hi_tol):
+    """The three indicators' membership values in their ``np.all`` form:
+    the reference the array-method form matches on every input."""
+    atol, rtol = 1e-12, 1e-10
+
+    def box(x):
+        return 0.0 if np.all(x >= lo_tol) and np.all(x <= hi_tol) else math.inf
+
+    def ball(x):
+        ok = np.all(x >= -atol) and norm(x) <= radius * (1 + rtol) + atol
+        return 0.0 if ok else math.inf
+
+    def orthant(x):
+        return 0.0 if np.all(x >= -atol) else math.inf
+
+    return box, ball, orthant
+
+
+class TestMembershipVerdicts:
+    def test_each_indicator_agrees_with_the_np_all_form(self):
+        rng = np.random.default_rng(11)
+        radius, n = 2.0, 12
+        bound = radius * (1 + 1e-10) + 1e-12
+        box = BoxSet(rng.uniform(-2.0, 0.0, n), rng.uniform(0.0, 2.0, n))
+        lo_tol, hi_tol = _box_bounds(box)[:2]
+        ref_box, ref_ball, ref_orthant = np_all_verdicts(radius, lo_tol, hi_tol)
+        h_box = box_indicator(box)
+        h_ball = nonneg_ball_indicator(NonnegBallSet(radius))
+        h_orthant = nonneg_indicator()
+        special = [0.0, -0.0, -1e-12, np.nextafter(-1e-12, -1.0), math.nan, math.inf, -math.inf]
+        points = []
+        for _ in range(60):
+            x = rng.uniform(-2.5, 2.5, n)
+            points.append(x)
+            points.append(np.abs(x) * bound / norm(x))  # on the ball's bound
+            y = x.copy()
+            y[rng.integers(n)] = rng.choice(special)
+            points.append(y)
+            points.append(np.clip(x, lo_tol, hi_tol))
+            points.append(np.where(rng.random(n) < 0.5, lo_tol, hi_tol))
+        points += [np.full(n, math.nan), np.zeros(n)]
+        verdicts = set()
+        for x in points:
+            assert h_box._value_fn(x) == ref_box(x)
+            assert h_ball._value_fn(x) == ref_ball(x)
+            assert h_orthant._value_fn(x) == ref_orthant(x)
+            verdicts.add((ref_box(x), ref_ball(x), ref_orthant(x)))
+        # Each indicator both accepted and rejected some point.
+        for i in range(3):
+            assert {v[i] for v in verdicts} == {0.0, math.inf}
+
+    def test_empty_vectors_lie_in_every_set(self):
+        empty = np.zeros(0)
+        box = BoxSet(np.array([-1.0]), np.array([1.0]))
+        lo_tol, hi_tol = _box_bounds(box)[:2]
+        # A one-coordinate box broadcasts against an empty slice.
+        refs = np_all_verdicts(1.0, lo_tol, hi_tol)
+        hs = (box_indicator(box), nonneg_ball_indicator(NonnegBallSet(1.0)), nonneg_indicator())
+        for h, ref in zip(hs, refs):
+            assert h._value_fn(empty) == ref(empty) == 0.0
+        assert stacked(nonneg_indicator(), hs[1], 0).value(np.array([0.5])) == 0.0
 
 
 def accepts(h, x, v) -> bool:
