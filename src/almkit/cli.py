@@ -252,7 +252,7 @@ def run_trial(config: RunConfig, seed: int) -> dict:
         return payload
     payload.update(
         success=report.success,
-        termination=report.termination,
+        termination="converged" if report.success else "max_outer_exhausted",
         pres=report.kkt.pres,
         dres=report.kkt.dres,
         time_seconds=report.seconds,

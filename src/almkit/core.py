@@ -18,6 +18,11 @@ needs).  This module provides the oracle types, the constants ledger the
 diagnostics read, augmented-Lagrangian evaluation, and KKT residual
 measurement.
 
+A ``ProblemSpec``'s h must give the exact distance to its subdifferential
+(``subdiff_distance``), so a KKT certificate has one rule: its dual
+residual is h's exact distance dist(0, grad g(x) + J_f(x)'z + J_c(x)'y +
+subdiff h(x)) at the point measured, never a bound on it.
+
 All vectors are dense float64.  Inputs are checked at the entry points
 (the public oracle methods, ``al_*``, ``kkt_residual``, and the solver
 entry points: shape and finiteness); the inner solvers (``ippm_solve``,
@@ -220,8 +225,9 @@ class ProxCapableFunction:
 
     ``prox(v, step)`` returns ``argmin_u h(u) + ||u - v||^2 / (2 step)``.
     ``subdiff_distance(x, v)``, when available, returns the exact Euclidean
-    distance from ``v`` to the subdifferential of h at ``x``; solvers fall
-    back to a certified surrogate otherwise.  ``cone_subdiff`` marks
+    distance from ``v`` to the subdifferential of h at ``x``.  A
+    ``ProblemSpec`` requires it; APG and iPPM, called directly, fall back to
+    a surrogate at the prox point they return.  ``cone_subdiff`` marks
     functions whose subdifferential is a cone at every point (indicators and
     the zero function), which makes it invariant to positive rescaling.
     """
@@ -470,6 +476,11 @@ class ProblemSpec:
     estimate starts (later ones start where the previous one ended).  A
     solve runs on ``for_solve()``, so its #Grad starts at 0 and two solves
     of one ProblemSpec, in turn or at once, count apart.
+
+    ``nonsmooth`` must have an exact subdifferential distance
+    (``subdiff_distance``), which the KKT certificate measures; a term
+    without one raises ValueError, here and so in ``dataclasses.replace``
+    and ``for_solve``.
     """
 
     smooth: SmoothOracle
@@ -480,6 +491,8 @@ class ProblemSpec:
     ineq: Optional[ConstraintOracle] = None
 
     def __post_init__(self):
+        if not self.nonsmooth.has_exact_subdiff:
+            raise ValueError("the nonsmooth term must have an exact subdiff_distance")
         self.x0 = as_vector(self.x0, name="x0")
         self.nonsmooth._check_domain(self.x0, "x0")
         for name in ("constraints", "ineq"):
@@ -509,23 +522,19 @@ class KktResidual:
     ``pres_eq`` = ||c(x)|| and ``pres_ineq`` = ||[f(x)]_+|| (0 without
     inequality rows, so that ``pres`` = ``pres_eq``), and ``compl`` the
     complementarity residual sum_i |z_i f_i(x)| (0 without inequality
-    rows).  Every measured certificate sets both parts; they are None only
-    on a residual built by hand.  ``dres`` is the exact subdifferential
-    distance when ``problem.nonsmooth.has_exact_subdiff`` is set, and a
-    certified upper bound on it otherwise.
+    rows).  ``dres`` is h's exact distance dist(0, grad g(x) + J_f(x)'z +
+    J_c(x)'y + subdiff h(x)).
     """
 
     pres: float
     dres: float
+    pres_eq: float
+    pres_ineq: float
     compl: float = 0.0
-    pres_eq: Optional[float] = None
-    pres_ineq: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("pres", "dres", "compl", "pres_eq", "pres_ineq"):
+        for name in ("pres", "dres", "pres_eq", "pres_ineq", "compl"):
             val = getattr(self, name)
-            if val is None:
-                continue
             if not math.isfinite(val):
                 raise NonFiniteValue(f"KKT residual {name} must be finite")
             if val < 0:
@@ -623,32 +632,13 @@ def _kkt(problem: ProblemSpec, x, y, z, rows: tuple, g) -> KktResidual:
     """``kkt_residual`` at validated (x, y, z), given the rows linearized
     at x and grad g(x).
 
-    The dual residual dist(0, v + subdiff h(x)), v the Lagrangian's smooth
-    gradient at x, is h's exact subdifferential distance when h has one.
-    Otherwise it is an upper bound: ||v|| for a cone subdifferential (zero
-    always belongs to a cone), or the one-step prox surrogate, which
-    certifies the prox-forward point of x with step 1/max(L, 1) and is the
-    only case that takes a gradient and linearizes the rows again.
-    ``problem.nonsmooth.has_exact_subdiff`` tells the cases apart.
+    The dual residual is h's exact distance dist(-v, subdiff h(x)), v =
+    grad g(x) + J_f(x)'z + J_c(x)'y the Lagrangian's smooth gradient at x,
+    summed in that order.  It takes no gradient and linearizes nothing.
     """
-
-    def lagrangian_gradient(g, jt, jt_f):
-        v = g if z is None else g + jt_f(z)
-        return v + jt(y)
-
     c, jt, f, jt_f = rows
-    h = problem.nonsmooth
-    v = lagrangian_gradient(g, jt, jt_f)
-    if h.has_exact_subdiff:
-        dres = h._subdiff(x, -v)
-    elif h.cone_subdiff:
-        dres = float(np.linalg.norm(v))
-    else:
-        L = max(problem.smooth.L, 1.0)
-        x_fwd = h._prox(x - v / L, 1.0 / L)
-        _, jt_fwd, _, jt_f_fwd = _linearize_rows(problem, x_fwd)
-        v_fwd = lagrangian_gradient(problem.smooth._gradient(x_fwd), jt_fwd, jt_f_fwd)
-        dres = float(np.linalg.norm(v_fwd - v + L * (x - x_fwd)))
+    v = g if z is None else g + jt_f(z)
+    dres = problem.nonsmooth._subdiff(x, -(v + jt(y)))
     pres_eq = float(np.linalg.norm(c))
     if z is None:
         pres_ineq = compl = 0.0
@@ -670,9 +660,8 @@ def kkt_residual(
 ) -> KktResidual:
     """Measure the KKT residuals at (x, y), or (x, y, z) when the problem
     has inequality rows: the primal residual (and its two parts), the
-    complementarity residual, and dist(0, grad g(x) + J_c(x)'y + J_f(x)'z
-    + subdiff h(x)) (exact, or an upper bound when h has no exact
-    subdifferential distance: see ``_kkt``); raises ValueError when x lies
+    complementarity residual, and h's exact distance dist(0, grad g(x) +
+    J_c(x)'y + J_f(x)'z + subdiff h(x)); raises ValueError when x lies
     outside dom h."""
     x, y, z = _check_inputs(x, y, z, problem)
     problem.nonsmooth._check_domain(x)

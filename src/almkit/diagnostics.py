@@ -30,8 +30,8 @@ class RegularityTrace:
 
     ``values[k]`` is dist(-J_c(x)'c(x), N(x)) / ||c(x)|| at trajectory entry
     k, or None at (near-)feasible iterates.  ``supported`` is False when the
-    nonsmooth geometry does not expose an exact scale-free subdifferential,
-    in which case no estimate is produced (never a silent zero).
+    nonsmooth term's subdifferential is not a cone, so not scale-free, in
+    which case no estimate is produced (never a silent zero).
     """
 
     supported: bool
@@ -45,18 +45,19 @@ def estimate_regularity_v(
 ) -> RegularityTrace:
     """Estimate v with v ||c(x)|| <= dist(-J_c(x)'c(x), subdiff h(x)/beta).
 
-    Requires the nonsmooth term's subdifferential to be a cone with an exact
-    distance oracle (indicators of simple sets, or the zero function), which
-    makes the right-hand side independent of the penalty scale.  Each
-    iterate is linearized once, through ``ConstraintOracle._linearize``.
+    Requires the nonsmooth term's subdifferential to be a cone (indicators
+    of simple sets, or the zero function), which makes the right-hand side
+    independent of the penalty scale; every ``ProblemSpec``'s h has the
+    exact distance oracle.  Each iterate is linearized once, through
+    ``ConstraintOracle._linearize``.
     """
     h = problem.nonsmooth
-    if not (h.cone_subdiff and h.has_exact_subdiff):
+    if not h.cone_subdiff:
         return RegularityTrace(
             supported=False,
             values=(),
             v_min=None,
-            reason="nonsmooth term lacks an exact cone subdifferential distance",
+            reason="nonsmooth term's subdifferential is not a cone",
         )
     values = []
     finite = []

@@ -37,8 +37,9 @@ Stationarity bought while ||c(x)|| is large is discarded by the next dual
 step, so it is not bought.  What survives of the guarantees:
 
 - The certificate and the stop test are at eps: they re-measure the KKT
-  residuals at the new iterate against eps, so a looser subproblem can
-  delay termination but cannot fake it.
+  residuals at the new iterate against eps, with h's exact subdifferential
+  distance (every ``ProblemSpec`` has one), so for every problem a looser
+  subproblem can delay termination but cannot fake it.
 - Each subproblem's bounds (iPPM's stationarity certificate, its step
   and APG budgets) hold at the eps_k it was given.
 - ``predict_outer_iterations`` assumes eps-accurate subproblems.  With
@@ -274,7 +275,6 @@ class SolveReport:
     y_running: np.ndarray
     kkt: KktResidual
     success: bool
-    termination: str
     grad_evals: int
     seconds: float
     z: Optional[np.ndarray] = None
@@ -413,7 +413,6 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
         y_running=y,
         kkt=kkt,
         success=converged,
-        termination="converged" if converged else "max_outer_exhausted",
         grad_evals=smooth.grad_evals,
         seconds=time.perf_counter() - t0,
         z=z_cert,

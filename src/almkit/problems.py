@@ -99,11 +99,7 @@ class LcqpInstance:
         """
         Q, c, A, b = self.Q, self.c, self.A, self.b
         box = BoxSet(self.lower, self.upper)
-        smooth = SmoothOracle(
-            value_fn=lambda x: 0.5 * float(x @ (Q @ x)) + float(c @ x),
-            gradient_fn=lambda x: Q @ x + c,
-            smoothness=_spectral_norm(Q),
-        )
+        smooth = quadratic_objective(Q, c)
         corner = float(np.sqrt(np.sum(np.maximum(self.lower**2, self.upper**2))))
         B0 = max(
             0.5 * smooth.L * corner**2 + float(np.linalg.norm(c)) * corner,

@@ -85,7 +85,7 @@ def toy_ineq_qp() -> tuple[IneqProblemSpec, float, float]:
 
 def interval_without_subdiff(radius: float, cone_subdiff: bool) -> ProxCapableFunction:
     """Indicator of [-radius, radius]^n with no exact subdifferential
-    distance, so that the KKT certificates fall back to a surrogate."""
+    distance, which ``ProblemSpec`` rejects."""
     return ProxCapableFunction(
         prox_fn=lambda v, step: np.clip(v, -radius, radius),
         value_fn=lambda x: 0.0 if np.all(np.abs(x) <= radius) else np.inf,

@@ -262,7 +262,7 @@ def test_criterion_8_property_suites(capsys, tmp_path):
     import test_prox
 
     test_core.TestAlGradient().test_matches_finite_differences_on_random_lcqp()
-    test_core.TestKktResidual().test_exact_never_exceeds_flagged_surrogate()
+    test_core.TestKktResidual().test_dres_is_the_exact_distance_of_h()
     test_prox.TestProjectNonnegBall().test_matches_grid_oracle_on_random_points()
     test_ineq.TestAlIneqGradient().test_matches_finite_differences_away_from_kinks()
     test_problems.TestGenLcqp().test_seeded_determinism_is_bitwise()

@@ -20,7 +20,7 @@ from almkit.core import (
 )
 from almkit.ineq import IneqProblemSpec
 from almkit.problems import gen_lcqp
-from almkit.prox import BoxSet, zero_function
+from almkit.prox import BoxSet, NonnegBallSet, box_indicator, nonneg_ball_indicator, zero_function
 from helpers import (
     box_qp_problem,
     finite_difference_gradient,
@@ -157,7 +157,7 @@ class TestKktResidual:
     @pytest.mark.parametrize("name", ["pres", "dres", "compl", "pres_eq", "pres_ineq"])
     @pytest.mark.parametrize("bad, error", [(-1e-3, ValueError), (np.nan, NonFiniteValue)])
     def test_rejects_negative_or_nan_fields(self, name, bad, error):
-        fields = {"pres": 0.0, "dres": 0.0, name: bad}
+        fields = {"pres": 0.0, "dres": 0.0, "pres_eq": 0.0, "pres_ineq": 0.0, name: bad}
         with pytest.raises(error, match=name):
             KktResidual(**fields)
 
@@ -187,32 +187,33 @@ class TestKktResidual:
         res = kkt_residual(np.zeros(2), np.zeros(1), prob)
         assert res.pres == 0.0 and res.dres == 0.0
 
-    def test_exact_never_exceeds_flagged_surrogate(self):
-        # The cone fallback bound ||v|| must dominate the exact distance.
-        prob, _ = toy_eq_qp()
-        box = BoxSet.cube(-5, 5, 2)
-        no_exact = ProxCapableFunction(
-            prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
-            value_fn=lambda x: 0.0,
-            subdiff_distance_fn=None,
-            diameter=box.diameter,
-            cone_subdiff=True,
+    def test_dres_is_the_exact_distance_of_h(self):
+        # For each h, with and without inequality rows, dres is h's own
+        # distance at -(grad g + J_f'z + J_c'y), summed in that order, bit
+        # for bit, at in-domain points (h's projections of random points,
+        # so some lie on the boundary).
+        n, rng = 6, np.random.default_rng(5)
+        Q = rng.standard_normal((n, n))
+        smooth = SmoothOracle(lambda x: 0.0, lambda x: Q @ x + np.sin(x), 10.0)
+        A, b = rng.standard_normal((2, n)), rng.standard_normal(2)
+        eq = ConstraintOracle(
+            lambda x: A @ x - b + x @ x, lambda x, v: A.T @ v + 2 * v.sum() * x, 2
         )
-        surrogate_prob = ProblemSpec(
-            smooth=prob.smooth,
-            nonsmooth=no_exact,
-            constraints=prob.constraints,
-            constants=prob.constants,
-            x0=prob.x0,
-        )
-        assert not surrogate_prob.nonsmooth.has_exact_subdiff
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = np.clip(rng.uniform(-6, 6, size=2), box.lower, box.upper)
-            y = rng.standard_normal(1)
-            exact = kkt_residual(x, y, prob)
-            flagged = kkt_residual(x, y, surrogate_prob)
-            assert exact.dres <= flagged.dres + 1e-12
+        ineq = ConstraintOracle(lambda x: np.array([x @ x - 1.0]), lambda x, v: 2 * v[0] * x, 1)
+        box = box_indicator(BoxSet.cube(-0.5, 0.5, n))
+        for h in (zero_function(), box, nonneg_ball_indicator(NonnegBallSet(1.0))):
+            for rows in (None, ineq):
+                prob = ProblemSpec(smooth, h, eq, None, np.zeros(n), rows)
+                for _ in range(20):
+                    x = h.prox(rng.uniform(-1.0, 1.0, n), 1.0)
+                    y = rng.standard_normal(2)
+                    v = smooth.gradient(x)
+                    z = None
+                    if rows is not None:
+                        z = rng.uniform(0.0, 2.0, 1)
+                        v = v + rows.jacobian_transpose_apply(x, z)
+                    v = v + eq.jacobian_transpose_apply(x, y)
+                    assert kkt_residual(x, y, prob, z).dres == h.subdiff_distance(x, -v)
 
     def test_rejects_x_outside_the_domain(self):
         prob, _ = toy_eq_qp()
@@ -221,14 +222,14 @@ class TestKktResidual:
 
     @pytest.mark.parametrize("cone_subdiff", [True, False])
     def test_rejects_x_outside_the_domain_without_an_exact_subdiff(self, cone_subdiff):
-        # The surrogate is certified only on dom h, so no surrogate is given
-        # off it.
+        # The KKT certificate measures h's exact distance, so a term without
+        # one is refused when the problem is built, and when it is copied.
         prob, _ = toy_eq_qp()
-        prob = dataclasses.replace(prob, nonsmooth=interval_without_subdiff(5.0, cone_subdiff))
-        assert not prob.nonsmooth.has_exact_subdiff
-        assert kkt_residual(np.array([5.0, -5.0]), np.zeros(1), prob).dres >= 0.0
-        with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
-            kkt_residual(np.array([9.0, 0.0]), np.zeros(1), prob)
+        h = interval_without_subdiff(5.0, cone_subdiff)
+        with pytest.raises(ValueError, match="subdiff_distance"):
+            ProblemSpec(prob.smooth, h, prob.constraints, prob.constants, prob.x0)
+        with pytest.raises(ValueError, match="subdiff_distance"):
+            dataclasses.replace(prob, nonsmooth=h)
 
 
 class TestProblemSpec:

@@ -65,9 +65,8 @@ def fake_report(presequence, beta0=0.01, sigma=3.0):
         x=np.zeros(1),
         y=np.zeros(1),
         y_running=np.zeros(1),
-        kkt=KktResidual(pres=presequence[-1], dres=0.0),
+        kkt=KktResidual(pres=presequence[-1], dres=0.0, pres_eq=presequence[-1], pres_ineq=0.0),
         success=True,
-        termination="converged",
         grad_evals=0,
         seconds=0.0,
     )
@@ -129,13 +128,13 @@ class TestRegularityEstimator:
         assert trace.v_min is not None and trace.v_min > 0.0
 
     def test_unsupported_geometry_is_explicit(self):
-        # A nonsmooth term without an exact cone subdifferential: report
+        # A nonsmooth term whose subdifferential {x} is not a cone: report
         # unsupported, never a silent zero.
         prob, _ = (lambda: __import__("helpers").toy_eq_qp())()
         soft = ProxCapableFunction(
             prox_fn=lambda v, step: v / (1.0 + step),
             value_fn=lambda x: 0.5 * float(x @ x),
-            subdiff_distance_fn=None,
+            subdiff_distance_fn=lambda x, v: float(np.linalg.norm(v - x)),
             diameter=math.inf,
             cone_subdiff=False,
         )

@@ -32,7 +32,7 @@ from almkit.ineq import (
     slack_reformulate,
 )
 from almkit.problems import gen_ev
-from almkit.prox import zero_function
+from almkit.prox import BoxSet, box_indicator, zero_function
 from helpers import finite_difference_gradient, interval_without_subdiff, toy_eq_qp, toy_ineq_qp
 
 
@@ -382,9 +382,12 @@ class TestKktResidualIneq:
 
     @pytest.mark.parametrize("cone_subdiff", [True, False])
     def test_rejects_x_outside_the_domain(self, cone_subdiff):
+        # A term without an exact distance is refused when the inequality
+        # problem is copied; with an exact one, x off dom h is refused.
         prob, _, _ = toy_ineq_qp()
-        prob = dataclasses.replace(prob, nonsmooth=interval_without_subdiff(2.0, cone_subdiff))
-        assert not prob.nonsmooth.has_exact_subdiff
+        with pytest.raises(ValueError, match="subdiff_distance"):
+            dataclasses.replace(prob, nonsmooth=interval_without_subdiff(2.0, cone_subdiff))
+        prob = dataclasses.replace(prob, nonsmooth=box_indicator(BoxSet.cube(-2.0, 2.0, 1)))
         assert kkt_residual_ineq(np.array([2.0]), np.zeros(0), np.ones(1), prob).dres >= 0.0
         with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
             kkt_residual_ineq(np.array([3.0]), np.zeros(0), np.ones(1), prob)
