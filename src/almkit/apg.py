@@ -37,8 +37,7 @@ took used a curvature at most L_max.  On a bounded domain R is the
 diameter of dom H and t_R = 0.  On an unbounded one R = stat_1 / mu, fixed
 at the first certified iterate x_1, and t_R = 1: for the mu-strongly
 convex F = G + H, ||x - x*|| <= dist(0, subdiff F(x)) / mu, and the
-certificate stat bounds dist(0, subdiff F(x+)) whether it is the exact
-distance or the surrogate.
+certificate stat is dist(0, subdiff F(x+)).
 
 Restart.  When <xbar - x+, x+ - x_prev> > 0 the momentum points uphill, and
 the next extrapolated point is x+ itself, whose gradient is already known
@@ -52,18 +51,16 @@ gradient.  The first pair that fails it stops the call, unconverged, before
 that step is certified: the caller (iPPM) reads it as proof that its
 weak-convexity estimate is too small.
 
-Certificate.  The exact subdifferential distance of H when available, and
-otherwise the surrogate ||grad G(x+) - grad G(xbar) + L (xbar - x+)|| with
-the accepted L, a valid upper bound for any L because
-L (xbar - x+) - grad G(xbar) lies in subdiff H(x+) by optimality of the prox
-step.
+Certificate.  The exact distance dist(-grad G(x+), subdiff H(x+)), which
+every ``ProxCapableFunction`` carries; its output check is APG's one
+stationarity guard.
 
 The gradient is a plain callable ``grad(x) -> ndarray``; pass
 ``oracle.gradient`` to have a SmoothOracle validate and count each call.
 APG keeps no count of its own: a caller counts through the callable it
 passes, where a gradient handed in (``grad_init``) or reused after a
 restart is no call.  Iterates are not re-checked: a non-finite
-stationarity measure raises NonFiniteValue.
+subdifferential distance raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -100,11 +97,10 @@ MAX_DOUBLINGS = 64
 class ApgResult:
     """Outcome of one APG call.
 
-    ``stationarity`` is the certified dual residual at ``x``: the exact
-    subdifferential distance when ``H.has_exact_subdiff`` is set, and the
-    surrogate upper bound otherwise.  On failure (``converged`` False)
-    ``x`` is the best iterate seen, None when the convexity test stopped
-    the first iteration; ``converged`` means
+    ``stationarity`` is the certified dual residual at ``x``: H's exact
+    subdifferential distance dist(-grad G(x), subdiff H(x)).  On failure
+    (``converged`` False) ``x`` is the best iterate seen, None when the
+    convexity test stopped the first iteration; ``converged`` means
     ``stationarity`` <= eps, or, with a ``center``, <= mu ||x - center||.
     For warm starts, ``gradient`` is grad G(x), which the certificate
     computed, and ``L`` the final curvature estimate: on success, the one
@@ -163,7 +159,9 @@ def apg_solve(
     on which G is not mu-strongly convex.  ``center``, when given, adds the
     relative stop stat <= mu ||x - center||.
     """
-    L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
+    # max(L_init, mu), not max(mu, L_init), so that a NaN L_init stays NaN
+    # and fails the finite-start test.
+    L = L_G if L_init is None else min(max(float(L_init), mu), L_G)
     if not (0 < mu <= L_G and math.isfinite(L)):
         raise ValueError(f"need 0 < mu <= L_G and a finite start, got {mu=}, {L_G=}, {L_init=}")
     # Written so that NaN fails.
@@ -184,7 +182,6 @@ def apg_solve(
 
     best_x = best_g = None  # set by the first iteration, whose stat is finite
     best_stat = math.inf
-    exact = H.has_exact_subdiff
     if center is not None:
         center = as_vector(center, x_init.shape[0], "center")
     # The relative stop can beat the absolute one only if mu D > eps.
@@ -205,8 +202,8 @@ def apg_solve(
             step = 1.0 / L
             x_next = H._prox(x_bar - step * g_bar, step)
             g_next = grad(x_next)
-            # The step pair (dx, dg) serves the step test, the convexity
-            # test and the surrogate.
+            # The step pair (dx, dg) serves the step test and the convexity
+            # test.
             dx = x_bar - x_next
             dg = g_next - g_bar
             dx_sq = dx.dot(dx)
@@ -216,16 +213,11 @@ def apg_solve(
             L = min(L_G, BACKTRACK_GROWTH * L)
         else:
             raise NonFiniteValue(f"APG step rejected {MAX_DOUBLINGS} times at iteration {t}")
-        # Written so that NaN passes the test and reaches the guards below.
+        # Written so that NaN passes the test and reaches the guard below.
         if test_mu and dx.dot(dg) > -mu * dx_sq:
             stop = "pair_test"
             break
-        if exact:
-            stat = H._subdiff(x_next, -g_next)
-        else:
-            stat = norm(dg + L * dx)
-            if not math.isfinite(stat):
-                raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t}")
+        stat = H._subdiff(x_next, -g_next)
         if stat < best_stat:
             best_stat, best_x, best_g = stat, x_next, g_next
         if stat <= eps or (relative and stat <= mu * norm(x_next - center)):

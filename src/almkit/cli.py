@@ -392,8 +392,9 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--growth-q", type=int, help="q for the practical policy")
     p.add_argument("--max-outer", type=int, default=None)
     p.add_argument("--max-inner", type=int, default=None)
-    p.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
-    p.add_argument("--trials", type=int, default=None, help="number of trials (seeds 0..t-1)")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
+    seeds.add_argument("--trials", type=int, default=None, help="number of trials (seeds 0..t-1)")
     p.add_argument("--out", type=str, default=None, help=f"output dir (env {ENV_OUTPUT_DIR})")
 
 

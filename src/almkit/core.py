@@ -18,10 +18,12 @@ needs).  This module provides the oracle types, the constants ledger the
 diagnostics read, augmented-Lagrangian evaluation, and KKT residual
 measurement.
 
-A ``ProblemSpec``'s h must give the exact distance to its subdifferential
-(``subdiff_distance``), so a KKT certificate has one rule: its dual
-residual is h's exact distance dist(0, grad g(x) + J_f(x)'z + J_c(x)'y +
-subdiff h(x)) at the point measured, never a bound on it.
+Every h gives the exact distance to its subdifferential
+(``ProxCapableFunction`` requires ``subdiff_distance``), so a stationarity
+certificate has one rule in every layer: APG's and iPPM's measure h's exact
+distance at the point they return, and a KKT certificate's dual residual is
+dist(0, grad g(x) + J_f(x)'z + J_c(x)'y + subdiff h(x)) at the point
+measured, never a bound on it.
 
 All vectors are dense float64.  Inputs are checked at the entry points
 (the public oracle methods, ``al_*``, ``kkt_residual``, and the solver
@@ -66,12 +68,12 @@ which tells an overflowing a'a of finite entries (accepted; numpy warns of
 the overflow) from a NaN or Inf entry (rejected).  The accepted and
 rejected vectors, and the messages, are those of the entrywise check.
 
-The one remaining guard inside the inner loops is APG's finiteness check on
-its stationarity measure, which catches a NaN iterate that reached a
-gradient that ignores its input, and a NaN or Inf that the affine kernel
-made.  NaN therefore still fails fast: at the gradient's output check, at
-the subdifferential distance's output check, or at APG's stationarity
-check.
+The one remaining guard inside the inner loops is the subdifferential
+distance's output check (``ProxCapableFunction._subdiff``), which APG's
+certificate runs at every iterate: it catches a NaN or Inf that the affine
+kernel made, and a NaN iterate that reached a gradient that ignores its
+input, wherever h's distance reads that iterate.  NaN therefore still fails
+fast: at the gradient's output check or at the distance's.
 
 #Grad, the paper's complexity measure, counts calls, at one point:
 ``SmoothOracle.grad_evals``, which every call into the smooth gradient
@@ -224,22 +226,25 @@ class ProxCapableFunction:
     """Closed convex function accessed through its proximal map.
 
     ``prox(v, step)`` returns ``argmin_u h(u) + ||u - v||^2 / (2 step)``.
-    ``subdiff_distance(x, v)``, when available, returns the exact Euclidean
-    distance from ``v`` to the subdifferential of h at ``x``.  A
-    ``ProblemSpec`` requires it; APG and iPPM, called directly, fall back to
-    a surrogate at the prox point they return.  ``cone_subdiff`` marks
-    functions whose subdifferential is a cone at every point (indicators and
-    the zero function), which makes it invariant to positive rescaling.
+    ``subdiff_distance(x, v)`` returns the exact Euclidean distance from
+    ``v`` to the subdifferential of h at ``x``: every stationarity
+    certificate, APG's, iPPM's and the KKT certificate's, measures it, so
+    the constructor raises TypeError without a callable
+    ``subdiff_distance_fn``.  ``cone_subdiff`` marks functions whose
+    subdifferential is a cone at every point (indicators and the zero
+    function), which makes it invariant to positive rescaling.
     """
 
     def __init__(
         self,
         prox_fn: Callable[[Array, float], Array],
         value_fn: Callable[[Array], float],
-        subdiff_distance_fn: Optional[Callable[[Array, Array], float]] = None,
+        subdiff_distance_fn: Callable[[Array, Array], float],
         diameter: float = math.inf,
         cone_subdiff: bool = False,
     ):
+        if not callable(subdiff_distance_fn):
+            raise TypeError("subdiff_distance_fn must be callable: the exact dist(v, subdiff h(x))")
         self._prox_fn = prox_fn
         self._value_fn = value_fn
         self._subdiff_fn = subdiff_distance_fn
@@ -265,15 +270,9 @@ class ProxCapableFunction:
         # +inf outside the domain is legitimate, so no finiteness check here.
         return float(self._value_fn(as_vector(x)))
 
-    @property
-    def has_exact_subdiff(self) -> bool:
-        return self._subdiff_fn is not None
-
-    def subdiff_distance(self, x: Array, v: Array) -> Optional[float]:
-        """Exact dist(v, subdiff h(x)), or None when unavailable; raises
-        ValueError when x lies outside dom h."""
-        if self._subdiff_fn is None:
-            return None
+    def subdiff_distance(self, x: Array, v: Array) -> float:
+        """Exact dist(v, subdiff h(x)); raises ValueError when x lies outside
+        dom h."""
         x = as_vector(x)
         v = as_vector(v, x.shape[0], "v")
         self._check_domain(x)
@@ -477,10 +476,9 @@ class ProblemSpec:
     solve runs on ``for_solve()``, so its #Grad starts at 0 and two solves
     of one ProblemSpec, in turn or at once, count apart.
 
-    ``nonsmooth`` must have an exact subdifferential distance
-    (``subdiff_distance``), which the KKT certificate measures; a term
-    without one raises ValueError, here and so in ``dataclasses.replace``
-    and ``for_solve``.
+    The KKT certificate measures ``nonsmooth``'s exact subdifferential
+    distance (``subdiff_distance``), which every ``ProxCapableFunction``
+    carries.
     """
 
     smooth: SmoothOracle
@@ -491,8 +489,6 @@ class ProblemSpec:
     ineq: Optional[ConstraintOracle] = None
 
     def __post_init__(self):
-        if not self.nonsmooth.has_exact_subdiff:
-            raise ValueError("the nonsmooth term must have an exact subdiff_distance")
         self.x0 = as_vector(self.x0, name="x0")
         self.nonsmooth._check_domain(self.x0, "x0")
         for name in ("constraints", "ineq"):

@@ -243,16 +243,16 @@ class OuterIterationRecord:
     grad_evals: int
     seconds: float
     x: np.ndarray
-    rho: Optional[float] = None
-    L: Optional[float] = None
-    sub_eps: Optional[float] = None
-    ippm_steps: Optional[int] = None
-    apg_iters: Optional[int] = None
-    sub_s: Optional[float] = None
-    cert_s: Optional[float] = None
-    pres_eq: Optional[float] = None
-    pres_ineq: Optional[float] = None
-    compl: Optional[float] = None
+    rho: float
+    L: float
+    sub_eps: float
+    ippm_steps: int
+    apg_iters: int
+    sub_s: float
+    cert_s: float
+    pres_eq: float
+    pres_ineq: float
+    compl: float
     z: Optional[np.ndarray] = None
 
 

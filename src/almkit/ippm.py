@@ -131,8 +131,8 @@ class IppmResult:
     SubsolverStall).
 
     ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``, at
-    most eps: the inner APG certificate (exact or the surrogate, as
-    ``psi.has_exact_subdiff`` says) plus the 2 rho ||dx|| proximal term.
+    most eps: the inner APG certificate (psi's exact subdifferential
+    distance) plus the 2 rho ||dx|| proximal term.
     ``rho`` is the final weak-convexity estimate and ``rho_doublings`` the
     number of times it was doubled; ``L`` is the final curvature estimate
     of the last APG call, a warm start for a later call on a nearby model.
@@ -166,7 +166,8 @@ def ippm_solve(
     where ``grad`` is the gradient of phi, ``rho`` caps the adaptive
     weak-convexity estimate and ``L_phi`` the curvature estimate of each
     APG call (inf: no caps).  ``L_init`` is the first APG call's first
-    curvature estimate, and must be given when ``L_phi`` is inf.
+    curvature estimate, and must be given when ``L_phi`` is inf; it may not
+    be NaN.
 
     Raises SubsolverStall when an inner APG call stops on its stall guard
     or exhausts ``max_inner``, at any rho, or when ``max_outer`` proximal
@@ -175,6 +176,8 @@ def ippm_solve(
     # Written so that NaN fails; L_phi = inf (no cap) passes.
     if not (rho > 0 and L_phi > 0 and eps > 0):
         raise ValueError("rho, L_phi, eps must be positive")
+    if L_init is not None and math.isnan(L_init):
+        raise ValueError("L_init must be a number, got nan")
     check_iteration_limits(max_outer, max_inner)
     x0 = as_vector(x0, name="x0")
     psi._check_domain(x0, "x0")

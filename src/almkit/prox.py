@@ -222,13 +222,10 @@ def stacked(first: ProxCapableFunction, second: ProxCapableFunction, n_first: in
         a, b = split(x)
         return first.value(a) + second.value(b)
 
-    subdiff = None
-    if first.has_exact_subdiff and second.has_exact_subdiff:
-
-        def subdiff(x, v):
-            xa, xb = split(x)
-            va, vb = split(v)
-            return math.hypot(first._subdiff(xa, va), second._subdiff(xb, vb))
+    def subdiff(x, v):
+        xa, xb = split(x)
+        va, vb = split(v)
+        return math.hypot(first._subdiff(xa, va), second._subdiff(xb, vb))
 
     if math.isinf(first.diameter) or math.isinf(second.diameter):
         diameter = math.inf

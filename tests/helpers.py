@@ -8,7 +8,6 @@ from almkit.core import (
     ConstantsLedger,
     ConstraintOracle,
     ProblemSpec,
-    ProxCapableFunction,
     SmoothOracle,
 )
 from almkit.ineq import IneqConstants, IneqProblemSpec
@@ -81,17 +80,6 @@ def toy_ineq_qp() -> tuple[IneqProblemSpec, float, float]:
         x0=np.zeros(1),
     )
     return problem, 1.0, 1.0
-
-
-def interval_without_subdiff(radius: float, cone_subdiff: bool) -> ProxCapableFunction:
-    """Indicator of [-radius, radius]^n with no exact subdifferential
-    distance, which ``ProblemSpec`` rejects."""
-    return ProxCapableFunction(
-        prox_fn=lambda v, step: np.clip(v, -radius, radius),
-        value_fn=lambda x: 0.0 if np.all(np.abs(x) <= radius) else np.inf,
-        diameter=np.inf,
-        cone_subdiff=cone_subdiff,
-    )
 
 
 def finite_difference_gradient(f, x, step=1e-6) -> np.ndarray:

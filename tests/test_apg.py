@@ -21,8 +21,37 @@ from almkit.core import (
     norm,
 )
 from almkit.problems import gen_ev, gen_lcqp
-from almkit.prox import BoxSet, box_indicator, zero_function
+from almkit.prox import (
+    BoxSet,
+    NonnegBallSet,
+    _nonneg_ball_distance,
+    box_indicator,
+    nonneg_ball_indicator,
+    nonneg_indicator,
+    stacked,
+    zero_function,
+)
 from helpers import fancy_index_box_distance
+
+
+def nan_prox_function() -> ProxCapableFunction:
+    """A faulty prox that returns NaN, with the orthant-ball distance, which
+    reads x and so turns a NaN iterate into a NaN distance."""
+    return ProxCapableFunction(
+        prox_fn=lambda v, step: np.full_like(v, np.nan),
+        value_fn=lambda x: 0.0,
+        subdiff_distance_fn=lambda x, v: _nonneg_ball_distance(x, v, 10.0),
+    )
+
+
+# One of each built-in h on R^4.
+EXACT_TERMS = {
+    "zero": zero_function(),
+    "box": box_indicator(BoxSet.cube(-1.0, 1.0, 4)),
+    "orthant": nonneg_indicator(),
+    "orthant_ball": nonneg_ball_indicator(NonnegBallSet(0.5)),
+    "stacked": stacked(box_indicator(BoxSet.cube(-0.3, 0.3, 2)), nonneg_indicator(), 2),
+}
 
 
 def quadratic(d, b):
@@ -52,7 +81,6 @@ class TestApgExamples:
         assert res.x == pytest.approx([0.5])
         # -G'(0.5) = -0.5 lies in the lower-bound normal cone, exactly.
         assert res.stationarity == 0.0
-        assert H.has_exact_subdiff
 
     def test_iterations_within_worst_case_bound(self):
         rng = np.random.default_rng(0)
@@ -131,25 +159,22 @@ class TestApgProperties:
         f_star = -0.5 * float(np.sum(b * b / d))
         assert G.value(res.x) <= f_star + eps**2 / (2.0 * np.min(d)) + 1e-15
 
-    def test_surrogate_upper_bounds_exact_distance(self):
-        box = BoxSet.cube(-1.0, 1.0, 4)
-        blind = ProxCapableFunction(
-            prox_fn=lambda v, step: np.clip(v, box.lower, box.upper),
-            value_fn=lambda x: 0.0,
-            subdiff_distance_fn=None,
-            diameter=box.diameter,
-        )
+    @pytest.mark.parametrize("name", sorted(EXACT_TERMS))
+    def test_stationarity_is_the_exact_distance_of_h(self, name):
+        # Every h carries its exact distance, and a converged call reports
+        # that distance at the point it returns, bit for bit.
+        H = EXACT_TERMS[name]
         rng = np.random.default_rng(2)
         for _ in range(5):
             d = rng.uniform(1.0, 20.0, size=4)
             b = rng.standard_normal(4) * 3
             G = quadratic(d, b)
             res = apg_solve(
-                G.gradient, blind, np.zeros(4), mu=float(np.min(d)), L_G=float(np.max(d)), eps=1e-6
+                G.gradient, H, np.zeros(4), mu=float(np.min(d)), L_G=float(np.max(d)), eps=1e-6
             )
-            assert res.converged and not blind.has_exact_subdiff
-            exact = box_indicator(box).subdiff_distance(res.x, -G.gradient(res.x))
-            assert exact <= res.stationarity + 1e-12
+            assert res.converged
+            exact = H.subdiff_distance(res.x, -G.gradient(res.x))
+            assert res.stationarity.hex() == exact.hex()
 
     def test_deterministic(self):
         d = np.array([1.0, 7.0, 30.0])
@@ -197,37 +222,31 @@ class TestApgErrors:
         assert np.isfinite(res.stationarity)
 
     def test_nan_iterate_fails_in_first_iteration(self):
-        # The gradient ignores x, so only the stationarity guard can notice
-        # the NaN iterate produced by a faulty prox without an exact
-        # subdifferential.
+        # The gradient ignores x, so only the distance's output check can
+        # notice the NaN iterate produced by a faulty prox.
         calls = [0]
 
         def grad(x):
             calls[0] += 1
             return np.ones(2)
 
-        nan_prox = ProxCapableFunction(
-            prox_fn=lambda v, step: np.full_like(v, np.nan),
-            value_fn=lambda x: 0.0,
-        )
+        nan_prox = nan_prox_function()
         with pytest.raises(NonFiniteValue):
             apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6, max_iter=1000)
         assert calls[0] == 3  # the initialization gradient plus one iteration
 
     def test_nan_prox_fails_after_bounded_backtracking(self):
         # NaN fails the step test, so the estimate doubles from L_init = 1
-        # up to L_G = 1024, where the step is accepted and the guard fires:
-        # one gradient per trial step on top of the first three.
+        # up to L_G = 1024, where the step is accepted and the distance's
+        # output check fires: one gradient per trial step on top of the
+        # first three.
         calls = [0]
 
         def grad(x):
             calls[0] += 1
             return np.ones(2)
 
-        nan_prox = ProxCapableFunction(
-            prox_fn=lambda v, step: np.full_like(v, np.nan),
-            value_fn=lambda x: 0.0,
-        )
+        nan_prox = nan_prox_function()
         with pytest.raises(NonFiniteValue):
             apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1024.0, 1e-6, max_iter=1000, L_init=1.0)
         assert calls[0] == 3 + 10
@@ -241,10 +260,7 @@ class TestApgErrors:
             calls[0] += 1
             return np.ones(2)
 
-        nan_prox = ProxCapableFunction(
-            prox_fn=lambda v, step: np.full_like(v, np.nan),
-            value_fn=lambda x: 0.0,
-        )
+        nan_prox = nan_prox_function()
         with pytest.raises(NonFiniteValue):
             apg_solve(
                 grad, nan_prox, np.zeros(2), 1.0, math.inf, 1e-6, max_iter=1000, L_init=1.0
@@ -252,10 +268,14 @@ class TestApgErrors:
         assert calls[0] == 3 + MAX_DOUBLINGS
 
     def test_uncapped_curvature_needs_a_finite_start(self):
+        # A NaN start is refused under a finite cap too: it is not clipped
+        # into [mu, L_G].
         G = quadratic([1.0], [0.0])
-        for L_init in (None, math.inf):
+        starts = [(math.inf, None), (math.inf, math.inf), (math.inf, math.nan), (4.0, math.nan)]
+        for L_G, L_init in starts:
             with pytest.raises(ValueError, match="finite"):
-                apg_solve(G.gradient, zero_function(), np.zeros(1), 1.0, math.inf, 1e-6, L_init=L_init)
+                apg_solve(G.gradient, zero_function(), np.zeros(1), 1.0, L_G, 1e-6, L_init=L_init)
+        assert G.grad_evals == 0
         res = apg_solve(G.gradient, zero_function(), np.array([5.0]), 1.0, math.inf, 1e-10, L_init=1.0)
         assert res.converged and res.x == pytest.approx([0.0], abs=0)
 
@@ -401,7 +421,6 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
 
     best_x = best_g = None  # set by the first iteration, whose stat is finite
     best_stat = math.inf
-    exact = H.has_exact_subdiff
     # Stall guard: on a bounded domain the budget follows the largest
     # accepted estimate L_max; an unbounded one has none.
     D_sq = H.diameter**2
@@ -429,12 +448,7 @@ def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_
         # Written so that NaN passes the test and reaches the guards below.
         if test_mu and float(dx @ (g_next - g_bar)) > -mu * float(dx @ dx):
             break
-        if exact:
-            stat = H._subdiff(x_next, -g_next)
-        else:
-            stat = float(np.linalg.norm(g_next - g_bar + L * dx))
-            if not math.isfinite(stat):
-                raise NonFiniteValue(f"APG stationarity is {stat} at iteration {t}")
+        stat = H._subdiff(x_next, -g_next)
         if stat < best_stat:
             best_stat, best_x, best_g = stat, x_next, g_next
         if stat <= eps:

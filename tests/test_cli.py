@@ -205,6 +205,8 @@ def test_jobs_is_not_a_flag(tmp_path, capsys):
         (["bench-lcqp", "--trials", "1", "--jobs", "2"], "almkit: error: unrecognized arguments"),
         (["bench-ev", "--policy", "fast"], "almkit bench-ev: error: argument --policy: invalid"),
         ([], "almkit: error: the following arguments are required: command"),
+        (["bench-lcqp", "--m", "4", "--n", "40", "--seeds", "0", "--trials", "3"],
+         "almkit bench-lcqp: error: argument --trials: not allowed with argument --seeds"),
     ],
 )
 def test_argparse_usage_error_is_one_line_on_stderr(tmp_path, capsys, args, message):

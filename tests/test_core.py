@@ -24,7 +24,6 @@ from almkit.prox import BoxSet, NonnegBallSet, box_indicator, nonneg_ball_indica
 from helpers import (
     box_qp_problem,
     finite_difference_gradient,
-    interval_without_subdiff,
     toy_eq_qp,
     toy_ineq_qp,
 )
@@ -166,7 +165,6 @@ class TestKktResidual:
         res = kkt_residual(np.array([2.0]), np.array([3.0]), prob)
         assert res.pres == pytest.approx(1.0)
         assert res.dres == pytest.approx(abs(2.0 * 2.0 + 3.0))
-        assert prob.nonsmooth.has_exact_subdiff
 
     def test_toy_qp_solution_is_exact_kkt(self):
         prob, x_star = toy_eq_qp()
@@ -223,13 +221,16 @@ class TestKktResidual:
     @pytest.mark.parametrize("cone_subdiff", [True, False])
     def test_rejects_x_outside_the_domain_without_an_exact_subdiff(self, cone_subdiff):
         # The KKT certificate measures h's exact distance, so a term without
-        # one is refused when the problem is built, and when it is copied.
-        prob, _ = toy_eq_qp()
-        h = interval_without_subdiff(5.0, cone_subdiff)
-        with pytest.raises(ValueError, match="subdiff_distance"):
-            ProblemSpec(prob.smooth, h, prob.constraints, prob.constants, prob.x0)
-        with pytest.raises(ValueError, match="subdiff_distance"):
-            dataclasses.replace(prob, nonsmooth=h)
+        # one, the distance missing or None, cannot be built.
+        def prox(v, step):
+            return np.clip(v, -5.0, 5.0)
+
+        def value(x):
+            return 0.0 if np.all(np.abs(x) <= 5.0) else np.inf
+
+        for missing in ((), (None,)):
+            with pytest.raises(TypeError, match="subdiff_distance_fn"):
+                ProxCapableFunction(prox, value, *missing, cone_subdiff=cone_subdiff)
 
 
 class TestProblemSpec:
@@ -507,7 +508,7 @@ class TestConstantsRejectNaN:
 
     def test_prox_diameter(self):
         with pytest.raises(ValueError, match="^diameter must be positive"):
-            ProxCapableFunction(lambda v, t: v, lambda x: 0.0, diameter=np.nan)
+            ProxCapableFunction(lambda v, t: v, lambda x: 0.0, lambda x, v: 0.0, diameter=np.nan)
 
     @pytest.mark.parametrize("field", ["B0", "B_c"])
     def test_constants_ledger(self, field):

@@ -57,6 +57,16 @@ def fake_report(presequence, beta0=0.01, sigma=3.0):
                 grad_evals=0,
                 seconds=0.0,
                 x=np.zeros(1),
+                rho=1e-6,
+                L=1.0,
+                sub_eps=1e-3,
+                ippm_steps=1,
+                apg_iters=1,
+                sub_s=0.0,
+                cert_s=0.0,
+                pres_eq=pres,
+                pres_ineq=0.0,
+                compl=0.0,
             )
         )
         beta *= sigma

@@ -125,14 +125,14 @@ class TestDualStepSize:
             PracticalDual(M=-1.0, q=0)
 
 
-def inner_call(solver, *params):
+def inner_call(solver, *params, **options):
     """``solver`` on a 2-D zero-function problem whose gradient must not be
-    called, with the given positional parameters."""
+    called, with the given positional parameters and keyword options."""
 
     def never_called(x):
         raise AssertionError("gradient called")
 
-    return lambda: solver(never_called, zero_function(), np.zeros(2), *params)
+    return lambda: solver(never_called, zero_function(), np.zeros(2), *params, **options)
 
 
 # Each builds a solver object, or calls an inner solver, with one NaN or
@@ -161,6 +161,13 @@ BAD_PARAMETERS = {
 def test_nan_or_fractional_solver_parameter_rejected(name):
     with pytest.raises(ValueError, match="must be positive|must exceed 1|nonnegative integer"):
         BAD_PARAMETERS[name]()
+
+
+def test_nan_ippm_curvature_start_rejected_before_any_gradient():
+    # Refused before the first gradient call, as iPPM's other parameters
+    # are; APG would refuse it only after iPPM's gradient at x0.
+    with pytest.raises(ValueError, match="^L_init must be a number, got nan$"):
+        inner_call(ippm_solve, 1.0, 1.0, 1e-6, L_init=math.nan)()
 
 
 INFINITE_PARAMETERS = {

@@ -8,6 +8,7 @@ from almkit.core import (
     ConstraintOracle,
     DimensionMismatch,
     NonFiniteValue,
+    ProxCapableFunction,
     SmoothOracle,
     _al_gradient,
     al_gradient_smooth,
@@ -33,7 +34,7 @@ from almkit.ineq import (
 )
 from almkit.problems import gen_ev
 from almkit.prox import BoxSet, box_indicator, zero_function
-from helpers import finite_difference_gradient, interval_without_subdiff, toy_eq_qp, toy_ineq_qp
+from helpers import finite_difference_gradient, toy_eq_qp, toy_ineq_qp
 
 
 def hinge_scalar_problem():
@@ -382,11 +383,15 @@ class TestKktResidualIneq:
 
     @pytest.mark.parametrize("cone_subdiff", [True, False])
     def test_rejects_x_outside_the_domain(self, cone_subdiff):
-        # A term without an exact distance is refused when the inequality
-        # problem is copied; with an exact one, x off dom h is refused.
+        # A term without an exact distance cannot be built, whatever its
+        # geometry; with the exact box, x off dom h is refused.
+        def prox(v, step):
+            return np.clip(v, -2.0, 2.0)
+
+        for missing in ((), (None,)):
+            with pytest.raises(TypeError, match="subdiff_distance_fn"):
+                ProxCapableFunction(prox, lambda x: 0.0, *missing, cone_subdiff=cone_subdiff)
         prob, _, _ = toy_ineq_qp()
-        with pytest.raises(ValueError, match="subdiff_distance"):
-            dataclasses.replace(prob, nonsmooth=interval_without_subdiff(2.0, cone_subdiff))
         prob = dataclasses.replace(prob, nonsmooth=box_indicator(BoxSet.cube(-2.0, 2.0, 1)))
         assert kkt_residual_ineq(np.array([2.0]), np.zeros(0), np.ones(1), prob).dres >= 0.0
         with pytest.raises(ValueError, match="x lies outside the domain of the nonsmooth term"):
