@@ -19,9 +19,11 @@ Step size.  The estimate is tested with the gradient at x+ that the
 certificate needs anyway: the step is accepted when
 ||grad G(x+) - grad G(xbar)|| <= L ||x+ - xbar||, and otherwise redone from
 the same xbar with L doubled, at the cost of one gradient; after each
-accepted step L shrinks by 0.9 (not below mu).  This is backtracking in the
-style of Beck & Teboulle's FISTA (SIAM J. Imaging Sci. 2009), with a
-gradient test in place of value evaluations: APG evaluates no values.  The
+accepted step L shrinks by 0.9 (not below mu).  A step that does not move
+(x+ = xbar bit for bit) keeps xbar and its gradient: it calls no gradient
+and passes the test.  This is backtracking in the style of Beck &
+Teboulle's FISTA (SIAM J. Imaging Sci. 2009), with a gradient test in
+place of value evaluations: APG evaluates no values.  The
 momentum (1 - a)/(1 + a), a = sqrt(mu / L), uses the accepted L.  The
 estimate starts at ``L_init``; ``L_G`` caps it, and a step at the cap is
 accepted untested.  ``L_G = inf`` means no cap: a step whose estimate has
@@ -53,14 +55,16 @@ weak-convexity estimate is too small.
 
 Certificate.  The exact distance dist(-grad G(x+), subdiff H(x+)), which
 every ``ProxCapableFunction`` carries; its output check is APG's one
-stationarity guard.
+stationarity guard.  An exact distance need not read x+ (the box's ignores
+a NaN iterate), so a call checks once, before it returns converged, that x+
+is finite.
 
 The gradient is a plain callable ``grad(x) -> ndarray``; pass
 ``oracle.gradient`` to have a SmoothOracle validate and count each call.
 APG keeps no count of its own: a caller counts through the callable it
 passes, where a gradient handed in (``grad_init``) or reused after a
-restart is no call.  Iterates are not re-checked: a non-finite
-subdifferential distance raises NonFiniteValue.
+restart or a step that does not move is no call.  Iterates are not
+re-checked: a non-finite subdifferential distance raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .core import (
     Array,
     NonFiniteValue,
     ProxCapableFunction,
+    all_finite,
     as_vector,
     check_iteration_limits,
     norm,
@@ -201,12 +206,17 @@ def apg_solve(
         for _ in range(MAX_DOUBLINGS + 1):
             step = 1.0 / L
             x_next = H._prox(x_bar - step * g_bar, step)
-            g_next = grad(x_next)
             # The step pair (dx, dg) serves the step test and the convexity
             # test.
             dx = x_bar - x_next
-            dg = g_next - g_bar
             dx_sq = dx.dot(dx)
+            # A step that does not move keeps x_bar itself, and its gradient.
+            # any(), since dx'dx underflows to 0 for |dx| below about 1e-162.
+            if dx_sq == 0.0 and not dx.any():
+                x_next, g_next = x_bar, g_bar
+            else:
+                g_next = grad(x_next)
+            dg = g_next - g_bar
             # Written so that NaN fails the test and keeps doubling.
             if L >= L_G or norm(dg) <= L * math.sqrt(dx_sq):
                 break
@@ -221,6 +231,8 @@ def apg_solve(
         if stat < best_stat:
             best_stat, best_x, best_g = stat, x_next, g_next
         if stat <= eps or (relative and stat <= mu * norm(x_next - center)):
+            if not all_finite(x_next):
+                raise NonFiniteValue(f"APG iterate {t} is not finite")
             return ApgResult(
                 x=x_next,
                 iterations=t,

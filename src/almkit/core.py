@@ -73,7 +73,9 @@ distance's output check (``ProxCapableFunction._subdiff``), which APG's
 certificate runs at every iterate: it catches a NaN or Inf that the affine
 kernel made, and a NaN iterate that reached a gradient that ignores its
 input, wherever h's distance reads that iterate.  NaN therefore still fails
-fast: at the gradient's output check or at the distance's.
+fast: at the gradient's output check or at the distance's.  Where neither
+reads it, APG's one finiteness check on the iterate it returns converged
+refuses to certify it.
 
 #Grad, the paper's complexity measure, counts calls, at one point:
 ``SmoothOracle.grad_evals``, which every call into the smooth gradient
@@ -83,11 +85,12 @@ the checked gradient it holds when given the very array it last evaluated.
 So the certificate at x_{k+1} and the next subproblem's start reuse the
 gradient of APG's last iterate, and iPPM reuses a failed APG call's first
 gradient when its redo evaluates the same point first (see
-``almkit.ippm``): a solve calls the gradient once per point.  APG itself
-compares no points, so two of its prox points that coincide bit for bit (a
-step that does not move) would each take a call.  The user's problem, the
-public ``SmoothOracle.gradient`` and ``kkt_residual`` call the gradient
-every time.  Objective values are not counted; the solvers evaluate none.
+``almkit.ippm``): a solve calls the gradient once per point.  An APG step
+that does not move keeps its start point and that point's gradient
+(``almkit.apg``); a rejected step's retry that lands where the rejected
+step did still calls.  The user's problem, the public
+``SmoothOracle.gradient`` and ``kkt_residual`` call the gradient every
+time.  Objective values are not counted; the solvers evaluate none.
 """
 
 from __future__ import annotations
@@ -228,11 +231,12 @@ class ProxCapableFunction:
     ``prox(v, step)`` returns ``argmin_u h(u) + ||u - v||^2 / (2 step)``.
     ``subdiff_distance(x, v)`` returns the exact Euclidean distance from
     ``v`` to the subdifferential of h at ``x``: every stationarity
-    certificate, APG's, iPPM's and the KKT certificate's, measures it, so
-    the constructor raises TypeError without a callable
-    ``subdiff_distance_fn``.  ``cone_subdiff`` marks functions whose
-    subdifferential is a cone at every point (indicators and the zero
-    function), which makes it invariant to positive rescaling.
+    certificate, APG's, iPPM's and the KKT certificate's, measures it.  The
+    constructor raises TypeError naming ``prox_fn``, ``value_fn`` or
+    ``subdiff_distance_fn`` when that argument is not callable.
+    ``cone_subdiff`` marks functions whose subdifferential is a cone at
+    every point (indicators and the zero function), which makes it
+    invariant to positive rescaling.
     """
 
     def __init__(
@@ -243,8 +247,10 @@ class ProxCapableFunction:
         diameter: float = math.inf,
         cone_subdiff: bool = False,
     ):
-        if not callable(subdiff_distance_fn):
-            raise TypeError("subdiff_distance_fn must be callable: the exact dist(v, subdiff h(x))")
+        fns = {"prox_fn": prox_fn, "value_fn": value_fn, "subdiff_distance_fn": subdiff_distance_fn}
+        for name, fn in fns.items():
+            if not callable(fn):
+                raise TypeError(f"{name} must be callable")
         self._prox_fn = prox_fn
         self._value_fn = value_fn
         self._subdiff_fn = subdiff_distance_fn

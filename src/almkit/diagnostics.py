@@ -20,8 +20,11 @@ from .ialm import LOG2_SQ, SolveReport
 # Iterates closer to feasibility than this have no meaningful ratio.
 _FEASIBLE_ATOL = 1e-12
 
-# Terms summed before the integral tail bound takes over.
-CBAR_TERMS = 10**6
+# An upper bound on c_bar = sum_{t>=0} 1 / ((t+1) [log(t+2)]^2): the sum of
+# the first 10^6 terms plus the integral bound 1 / log(10^6) on the rest,
+# which follows from comparing each later term with the integral of
+# 1 / (t log^2 t).
+CBAR_BOUND = 3.387735535200845
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,10 @@ class RegularityTrace:
 
 
 def estimate_regularity_v(
-    trajectory: Iterable[tuple[np.ndarray, float]], problem: ProblemSpec
+    trajectory: Iterable[np.ndarray], problem: ProblemSpec
 ) -> RegularityTrace:
-    """Estimate v with v ||c(x)|| <= dist(-J_c(x)'c(x), subdiff h(x)/beta).
+    """Estimate v with v ||c(x)|| <= dist(-J_c(x)'c(x), subdiff h(x)/beta)
+    at each iterate x of ``trajectory``.
 
     Requires the nonsmooth term's subdifferential to be a cone (indicators
     of simple sets, or the zero function), which makes the right-hand side
@@ -61,7 +65,7 @@ def estimate_regularity_v(
         )
     values = []
     finite = []
-    for x, _beta_prev in trajectory:
+    for x in trajectory:
         x = as_vector(x, problem.dim, "x")
         h._check_domain(x)
         c, jt = problem.constraints._linearize(x)
@@ -79,15 +83,17 @@ def estimate_regularity_v(
     )
 
 
-def trajectory_from_report(report: SolveReport) -> list[tuple[np.ndarray, float]]:
-    """(x_{k+1}, beta_k) pairs: beta_k is the penalty that produced x_{k+1}."""
-    return [(rec.x, rec.beta) for rec in report.records]
+def trajectory_from_report(report: SolveReport) -> list[np.ndarray]:
+    """The iterates x_{k+1} of a solve, one per outer record, as
+    ``estimate_regularity_v`` takes them."""
+    return [rec.x for rec in report.records]
 
 
 @dataclass(frozen=True)
 class FeasibilityDecayVerdict:
     """Whether ||c(x_k)|| beta_{k-1} stays bounded after a two-iteration
-    burn-in; ``constant`` is the median post-burn-in product.
+    burn-in; ``constant`` is the median post-burn-in product and
+    ``max_product`` the largest.
 
     Healthy runs keep the product within a constant band: dual updates can
     push it well below its early plateau, and near-unit dual steps make it
@@ -100,7 +106,6 @@ class FeasibilityDecayVerdict:
     passed: bool
     constant: float
     max_product: float
-    products: tuple
 
 
 def check_feasibility_decay(report: SolveReport, sigma: float) -> FeasibilityDecayVerdict:
@@ -111,8 +116,7 @@ def check_feasibility_decay(report: SolveReport, sigma: float) -> FeasibilityDec
     # Written so that NaN fails.
     if not sigma > 1:
         raise ValueError("sigma must exceed 1")
-    products = tuple(rec.pres * rec.beta for rec in records)
-    tail = products[2:]
+    tail = [rec.pres * rec.beta for rec in records[2:]]
     mid = len(tail) // 2
     if mid == 0:
         passed = True
@@ -122,50 +126,22 @@ def check_feasibility_decay(report: SolveReport, sigma: float) -> FeasibilityDec
         passed=passed,
         constant=float(np.median(tail)),
         max_product=float(max(tail)),
-        products=products,
     )
 
 
-def cbar_partial_sum(horizon: int) -> float:
-    """Partial sum of 1 / ((t+1) [log(t+2)]^2) for t = 0..horizon-1."""
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    total = 0.0
-    start = 0
-    # Chunked vectorized summation, ascending order keeps rounding stable.
-    while start < horizon:
-        stop = min(start + 10**6, horizon)
-        t = np.arange(start, stop, dtype=float)
-        total += float(np.sum(1.0 / ((t + 1.0) * np.log(t + 2.0) ** 2)))
-        start = stop
-    return total
-
-
-def cbar_tail_bound(horizon: int) -> float:
-    """Integral bound on the series tail from t = horizon on: 1 / log(horizon).
-
-    Follows from comparing each term with the integral of 1/(t log^2 t).
-    """
-    if horizon < 2:
-        raise ValueError("horizon must be at least 2 for the tail bound")
-    return 1.0 / math.log(horizon)
-
-
-def dual_norm_bound(w0: float, c0_norm: float, horizon: int = CBAR_TERMS) -> float:
+def dual_norm_bound(w0: float, c0_norm: float) -> float:
     """Certified upper bound on ||y_k|| under the damped (theoretical) policy.
 
     Every dual increment has norm at most w0 gamma_k, so ||y_k|| is bounded
-    by w0 (log 2)^2 ||c(x0)|| times the full series sum of
-    1 / ((t+1) [log(t+2)]^2), over-approximated by a partial sum plus an
-    integral tail bound.
+    by w0 (log 2)^2 ||c(x0)|| c_bar, with c_bar over-approximated by
+    ``CBAR_BOUND``.
     """
     # Written so that NaN fails.
     if not (w0 >= 0 and c0_norm >= 0):
         raise ValueError("w0 and c0_norm must be nonnegative")
     if w0 == 0.0 or c0_norm == 0.0:
         return 0.0
-    series = cbar_partial_sum(horizon) + cbar_tail_bound(max(horizon, 2))
-    return w0 * LOG2_SQ * c0_norm * series
+    return w0 * LOG2_SQ * c0_norm * CBAR_BOUND
 
 
 def predict_outer_iterations(

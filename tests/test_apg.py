@@ -190,8 +190,10 @@ class TestApgProperties:
     def test_counts_gradients(self):
         G = quadratic([2.0], [1.0])
         res = apg_solve(G.gradient, zero_function(), np.array([3.0]), 2.0, 2.0, 1e-12)
-        # One init gradient plus two per iteration, each counted by the oracle.
-        assert G.grad_evals == 1 + 2 * res.iterations
+        # One init gradient and one at the first prox point, the minimizer;
+        # the step from there does not move and reuses that gradient.
+        assert res.iterations == 1
+        assert G.grad_evals == 2
 
 
 class TestApgErrors:
@@ -233,6 +235,24 @@ class TestApgErrors:
         nan_prox = nan_prox_function()
         with pytest.raises(NonFiniteValue):
             apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6, max_iter=1000)
+        assert calls[0] == 3  # the initialization gradient plus one iteration
+
+    def test_nan_iterate_is_never_certified(self):
+        # Neither the gradient nor the box's distance reads x, so the NaN
+        # iterate passes the certificate with stationarity sqrt(2) 1e-9; the
+        # check on the iterate a call returns converged refuses it.
+        calls = [0]
+
+        def grad(x):
+            calls[0] += 1
+            return np.full(2, 1e-9)
+
+        box = box_indicator(BoxSet.cube(-1.0, 1.0, 2))
+        nan_prox = ProxCapableFunction(
+            lambda v, step: np.full_like(v, np.nan), lambda x: 0.0, box._subdiff_fn
+        )
+        with pytest.raises(NonFiniteValue):
+            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6)
         assert calls[0] == 3  # the initialization gradient plus one iteration
 
     def test_nan_prox_fails_after_bounded_backtracking(self):

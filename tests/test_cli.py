@@ -11,7 +11,8 @@ import pytest
 
 from almkit import cli
 from almkit.core import kkt_residual
-from almkit.ialm import IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual
+from almkit.diagnostics import CBAR_BOUND
+from almkit.ialm import LOG2_SQ, IalmConfig, PenaltyDual, PracticalDual, TheoreticalDual
 from almkit.problems import gen_lcqp, instance_to_dict, save_instance
 
 TINY = ["--m", "3", "--n", "12"]
@@ -315,6 +316,16 @@ class TestTrialPayload:
         bound = data["diagnostics"]["dual_bound"]
         assert bound["holds"] is True
         assert bound["max_y_norm"] <= bound["y_max"]
+
+    def test_theoretical_dual_bound_is_the_closed_form(self, tmp_path):
+        # y_max = w0 (log 2)^2 ||c(x0)|| CBAR_BOUND, bit for bit through JSON.
+        flags = ["--trials", "1", "--policy", "theoretical", "--w0", "2.5"]
+        assert cli.main(["bench-lcqp", *TINY, *flags, "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "trial_0.json").read_text())
+        problem = cli.build_problem(data["instance_ref"])
+        c0 = float(np.linalg.norm(problem.constraints.evaluate(problem.x0)))
+        y_max = data["diagnostics"]["dual_bound"]["y_max"]
+        assert y_max == 2.5 * LOG2_SQ * c0 * CBAR_BOUND
 
 
 class TestReport:

@@ -221,16 +221,25 @@ class TestKktResidual:
     @pytest.mark.parametrize("cone_subdiff", [True, False])
     def test_rejects_x_outside_the_domain_without_an_exact_subdiff(self, cone_subdiff):
         # The KKT certificate measures h's exact distance, so a term without
-        # one, the distance missing or None, cannot be built.
+        # one, the distance missing or None, cannot be built; nor can one
+        # whose prox or value is not callable.
         def prox(v, step):
             return np.clip(v, -5.0, 5.0)
 
         def value(x):
             return 0.0 if np.all(np.abs(x) <= 5.0) else np.inf
 
-        for missing in ((), (None,)):
+        def dist(x, v):
+            return 0.0
+
+        for missing in ((), (None,), (1.0,)):
             with pytest.raises(TypeError, match="subdiff_distance_fn"):
                 ProxCapableFunction(prox, value, *missing, cone_subdiff=cone_subdiff)
+        for bad in (None, 1.0):
+            with pytest.raises(TypeError, match="prox_fn"):
+                ProxCapableFunction(bad, value, dist, cone_subdiff=cone_subdiff)
+            with pytest.raises(TypeError, match="value_fn"):
+                ProxCapableFunction(prox, bad, dist, cone_subdiff=cone_subdiff)
 
 
 class TestProblemSpec:

@@ -5,8 +5,7 @@ import pytest
 
 from almkit.core import KktResidual, ProblemSpec, ProxCapableFunction
 from almkit.diagnostics import (
-    cbar_partial_sum,
-    cbar_tail_bound,
+    CBAR_BOUND,
     check_feasibility_decay,
     dual_norm_bound,
     estimate_regularity_v,
@@ -111,10 +110,10 @@ class TestRegularityEstimator:
         A = rng.standard_normal((3, 10))
         prob = affine_free_problem(A, rng.standard_normal(3))
         sigma_min = float(np.linalg.svd(A, compute_uv=False)[-1])
-        pairs = [(rng.standard_normal(10), 1.0) for _ in range(25)]
-        trace = estimate_regularity_v(pairs, prob)
+        iterates = [rng.standard_normal(10) for _ in range(25)]
+        trace = estimate_regularity_v(iterates, prob)
         assert trace.supported
-        for x, v_hat in zip([p[0] for p in pairs], trace.values):
+        for x, v_hat in zip(iterates, trace.values):
             c = prob.constraints.evaluate(x)
             expected = float(np.linalg.norm(A.T @ c) / np.linalg.norm(c))
             assert v_hat == pytest.approx(expected)
@@ -123,9 +122,7 @@ class TestRegularityEstimator:
     def test_feasible_iterates_skipped(self):
         A = np.array([[1.0, 0.0]])
         prob = affine_free_problem(A, np.zeros(1))
-        trace = estimate_regularity_v(
-            [(np.array([0.0, 3.0]), 1.0), (np.array([2.0, 0.0]), 1.0)], prob
-        )
+        trace = estimate_regularity_v([np.array([0.0, 3.0]), np.array([2.0, 0.0])], prob)
         assert trace.values[0] is None
         assert trace.values[1] == pytest.approx(1.0)
         assert trace.v_min == pytest.approx(1.0)
@@ -155,7 +152,7 @@ class TestRegularityEstimator:
             constants=prob.constants,
             x0=prob.x0,
         )
-        trace = estimate_regularity_v([(np.array([1.0, 0.0]), 1.0)], prob)
+        trace = estimate_regularity_v([np.array([1.0, 0.0])], prob)
         assert not trace.supported
         assert trace.v_min is None
         assert trace.reason
@@ -190,27 +187,24 @@ class TestDualNormBound:
         assert dual_norm_bound(0.0, 5.0) == 0.0
 
     def test_linear_in_w0(self):
-        one = dual_norm_bound(1.0, 2.0, horizon=10**4)
-        two = dual_norm_bound(2.0, 2.0, horizon=10**4)
+        one = dual_norm_bound(1.0, 2.0)
+        two = dual_norm_bound(2.0, 2.0)
         assert two == 2.0 * one
 
     def test_partial_sum_matches_compensated_summation(self):
-        horizon = 10**6
-        ours = cbar_partial_sum(horizon)
-        exact = math.fsum(
-            1.0 / ((t + 1.0) * math.log(t + 2.0) ** 2) for t in range(horizon)
-        )
-        assert abs(ours - exact) <= 1e-9
+        # CBAR_BOUND is the sum of the first N = 10^6 terms plus the tail
+        # bound 1 / log N, which it exceeds by rounding alone.
+        N = 10**6
+        exact = math.fsum(1.0 / ((t + 1.0) * math.log(t + 2.0) ** 2) for t in range(N))
+        bound = exact + 1.0 / math.log(N)
+        assert CBAR_BOUND >= bound
+        assert CBAR_BOUND - bound <= 1e-12
 
     def test_tail_bound_dominates_continuation(self):
-        # The bound must cover (many) further terms of the series.
-        horizon = 10**4
-        tail = cbar_tail_bound(horizon)
-        continuation = sum(
-            1.0 / ((t + 1.0) * math.log(t + 2.0) ** 2)
-            for t in range(horizon, horizon * 50)
-        )
-        assert continuation <= tail
+        # The tail bound 1 / log N must cover (many) further terms.
+        N = 10**4
+        continuation = sum(1.0 / ((t + 1.0) * math.log(t + 2.0) ** 2) for t in range(N, 50 * N))
+        assert continuation <= 1.0 / math.log(N)
 
     def test_bound_holds_on_theoretical_run(self):
         prob = gen_lcqp(3, 20, 1.0, seed=2).to_problem()
