@@ -21,7 +21,10 @@ certificate needs anyway: the step is accepted when
 the same xbar with L doubled, at the cost of one gradient; after each
 accepted step L shrinks by 0.9 (not below mu).  A step that does not move
 (x+ = xbar bit for bit) keeps xbar and its gradient: it calls no gradient
-and passes the test.  This is backtracking in the style of Beck &
+and passes the test.  A retry whose prox point is bitwise the rejected
+trial's (a clipped coordinate that a larger L leaves clipped) keeps that
+trial's point and gradient, so it calls no gradient either; only retries
+compare points.  This is backtracking in the style of Beck &
 Teboulle's FISTA (SIAM J. Imaging Sci. 2009), with a gradient test in
 place of value evaluations: APG evaluates no values.  The
 momentum (1 - a)/(1 + a), a = sqrt(mu / L), uses the accepted L.  The
@@ -63,8 +66,9 @@ The gradient is a plain callable ``grad(x) -> ndarray``; pass
 ``oracle.gradient`` to have a SmoothOracle validate and count each call.
 APG keeps no count of its own: a caller counts through the callable it
 passes, where a gradient handed in (``grad_init``) or reused after a
-restart or a step that does not move is no call.  Iterates are not
-re-checked: a non-finite subdifferential distance raises NonFiniteValue.
+restart, a step that does not move or a retry at the rejected point is no
+call.  Iterates are not re-checked: a non-finite subdifferential distance
+raises NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -203,6 +207,7 @@ def apg_solve(
         t += 1
         if g_bar is None:
             g_bar = grad(x_bar)
+        rejected = None
         for _ in range(MAX_DOUBLINGS + 1):
             step = 1.0 / L
             x_next = H._prox(x_bar - step * g_bar, step)
@@ -210,16 +215,21 @@ def apg_solve(
             # test.
             dx = x_bar - x_next
             dx_sq = dx.dot(dx)
-            # A step that does not move keeps x_bar itself, and its gradient.
-            # any(), since dx'dx underflows to 0 for |dx| below about 1e-162.
+            # A step that does not move keeps x_bar itself, and its gradient;
+            # a retry that lands where the rejected trial did keeps that
+            # trial's point and gradient.  any(), since dx'dx underflows to
+            # 0 for |dx| below about 1e-162.
             if dx_sq == 0.0 and not dx.any():
                 x_next, g_next = x_bar, g_bar
+            elif rejected is not None and x_next.tobytes() == rejected[0].tobytes():
+                x_next, g_next = rejected
             else:
                 g_next = grad(x_next)
             dg = g_next - g_bar
             # Written so that NaN fails the test and keeps doubling.
             if L >= L_G or norm(dg) <= L * math.sqrt(dx_sq):
                 break
+            rejected = x_next, g_next
             L = min(L_G, BACKTRACK_GROWTH * L)
         else:
             raise NonFiniteValue(f"APG step rejected {MAX_DOUBLINGS} times at iteration {t}")

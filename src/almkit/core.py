@@ -86,9 +86,9 @@ So the certificate at x_{k+1} and the next subproblem's start reuse the
 gradient of APG's last iterate, and iPPM reuses a failed APG call's first
 gradient when its redo evaluates the same point first (see
 ``almkit.ippm``): a solve calls the gradient once per point.  An APG step
-that does not move keeps its start point and that point's gradient
-(``almkit.apg``); a rejected step's retry that lands where the rejected
-step did still calls.  The user's problem, the public
+that does not move keeps its start point and that point's gradient, and a
+rejected step's retry that lands where the rejected step did keeps that
+step's point and gradient (``almkit.apg``).  The user's problem, the public
 ``SmoothOracle.gradient`` and ``kkt_residual`` call the gradient every
 time.  Objective values are not counted; the solvers evaluate none.
 """

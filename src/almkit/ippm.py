@@ -20,12 +20,19 @@ nonconvex prox subproblems: dist(0, subdiff f_kappa(x)) <= kappa ||x - y||.
 Measured weak convexity ("convex until proven guilty": Carmon, Duchi,
 Hinder & Sidford, ICML 2017; Paquette et al., "Catalyst for gradient-based
 nonconvex optimization", AISTATS 2018).  The estimate starts at RHO_FLOOR
-and follows three rules:
+and follows four rules:
 
-- Only a failed pair test doubles rho.  APG tests every accepted step pair
+- Only a failed pair test raises rho.  APG tests every accepted step pair
   for rho-strong convexity of the model, at no gradient cost.  The first
   pair that fails proves the estimate too small: rho doubles and the
   proximal step is redone from the same centre.
+- A known scale.  ``rho_known`` is a weak-convexity scale that earlier
+  calls on related models proved (iALM passes the largest estimate its
+  earlier subproblems ran at).  It is not trusted until this call proves
+  its own estimate too small: at the call's first failed pair test rho
+  becomes max(2 rho, rho_known), and after that it doubles.  A call whose
+  pairs never fail, and every call with ``rho_known`` = 0, runs as if it
+  were not given.
 - Warm redo.  The redo starts APG at the failed call's best iterate x, whose
   model gradient follows from the returned one by swapping the shift:
   g - 2 rho_old (x - x_k) + 2 rho_new (x - x_k), so it costs no gradient.
@@ -64,11 +71,15 @@ What survives of the guarantees:
 - Failed calls are bounded.  The model's gradient is grad phi + 2 rho
   (. - x_k), so a pair fails only when <grad phi(x+) - grad phi(xbar),
   x+ - xbar> < -rho ||x+ - xbar||^2, which cannot happen once rho >= L,
-  the Lipschitz constant of grad phi on the points APG visits.  A proximal
-  step that starts at rho_0 therefore fails at most ceil(log2(L / rho_0))
-  calls, and rho never exceeds 2 L.  Decay lowers log2(rho) by at most 1
-  per converged step, so over K steps it adds at most K - 1 failed calls to
-  the ceil(log2(2 L / RHO_FLOOR)) of an estimate that never shrinks.
+  the Lipschitz constant of grad phi on the points APG visits.  Every
+  raise starts from a failed rho < L, so rho stays at or below
+  max(2 L, rho_known).  A proximal step that starts at rho_0 fails at most
+  ceil(log2(L / rho_0)) calls, and the one step that holds the call's
+  first failure at most 1 + ceil(log2(2 L / max(rho_0, rho_known))): one
+  jump, then doublings from max(2 rho_0, rho_known).  Decay lowers
+  log2(rho) by at most 1 per converged step, so over K steps it adds at
+  most K - 1 failed calls to the ceil(log2(2 L / RHO_FLOOR)) of an
+  estimate that never shrinks.
 - Stalls are bounded: on every domain APG stops each call after twice its
   worst case at the rho it runs at and the largest curvature estimate it
   has accepted, from the diameter of dom psi or, on an unbounded domain,
@@ -133,9 +144,11 @@ class IppmResult:
     ``stationarity`` is the certified dist(0, subdiff Phi) at ``x``, at
     most eps: the inner APG certificate (psi's exact subdifferential
     distance) plus the 2 rho ||dx|| proximal term.
-    ``rho`` is the final weak-convexity estimate and ``rho_doublings`` the
-    number of times it was doubled; ``L`` is the final curvature estimate
-    of the last APG call, a warm start for a later call on a nearby model.
+    ``rho`` is the final weak-convexity estimate, ``rho_peak`` the largest
+    one the call ran at and ``rho_doublings`` the number of times it was
+    raised (a jump to ``rho_known`` counts as one); ``L`` is the final
+    curvature estimate of the last APG call, a warm start for a later call
+    on a nearby model.
     Gradients are not counted here: a call makes one at ``x0`` plus its APG
     calls' calls into ``grad``, less the first gradients its redos from the
     centre reuse, and the caller's oracle counts them.
@@ -146,6 +159,7 @@ class IppmResult:
     stationarity: float
     apg_iterations: int
     rho: float
+    rho_peak: float
     rho_doublings: int
     L: float
 
@@ -161,13 +175,15 @@ def ippm_solve(
     max_inner: int = DEFAULT_MAX_ITER,
     *,
     L_init: Optional[float] = None,
+    rho_known: float = 0.0,
 ) -> IppmResult:
     """Drive Phi = phi + psi to eps-stationarity via proximal point steps,
     where ``grad`` is the gradient of phi, ``rho`` caps the adaptive
     weak-convexity estimate and ``L_phi`` the curvature estimate of each
     APG call (inf: no caps).  ``L_init`` is the first APG call's first
     curvature estimate, and must be given when ``L_phi`` is inf; it may not
-    be NaN.
+    be NaN.  ``rho_known`` (finite, nonnegative) is where the estimate jumps
+    at the call's first failed pair test, if doubling lands lower.
 
     Raises SubsolverStall when an inner APG call stops on its stall guard
     or exhausts ``max_inner``, at any rho, or when ``max_outer`` proximal
@@ -178,12 +194,15 @@ def ippm_solve(
         raise ValueError("rho, L_phi, eps must be positive")
     if L_init is not None and math.isnan(L_init):
         raise ValueError("L_init must be a number, got nan")
+    # Written so that NaN fails.
+    if not 0 <= rho_known < math.inf:
+        raise ValueError(f"rho_known must be nonnegative and finite, got {rho_known}")
     check_iteration_limits(max_outer, max_inner)
     x0 = as_vector(x0, name="x0")
     psi._check_domain(x0, "x0")
 
     rho_cap, rho_start = rho, min(RHO_FLOOR, rho)
-    rho = rho_start
+    rho = rho_peak = rho_start
     doublings = 0
 
     x_k = x0
@@ -226,16 +245,18 @@ def ippm_solve(
                     f"inner APG stopped at {where} after {inner.iterations} iterations at "
                     f"rho={rho:.3g} without reaching stationarity {eps / 4.0:.3g}"
                 )
-            # A nonconvex step pair: double rho and redo the step, warm from
-            # the failed call's best iterate, whose model gradient follows
-            # from the returned one by swapping the proximal shift.
-            rho_next = min(rho_cap, 2.0 * rho)
+            # A nonconvex step pair: double rho (at the call's first failure,
+            # raise it to rho_known if that is higher) and redo the step,
+            # warm from the failed call's best iterate, whose model gradient
+            # follows from the returned one by swapping the proximal shift.
+            rho_next = min(rho_cap, max(2.0 * rho, 0.0 if doublings else rho_known))
             if inner.x is None:
                 x_t, g_t = x_k, g_k
             else:
                 x_t = inner.x
                 g_t = inner.gradient + 2.0 * (rho_next - rho) * (x_t - x_k)
             rho, known = rho_next, first
+            rho_peak = max(rho_peak, rho)
             doublings += 1
         x_next = inner.x
         shift = 2.0 * rho * norm(x_next - x_k)
@@ -246,6 +267,7 @@ def ippm_solve(
                 stationarity=inner.stationarity + shift,
                 apg_iterations=apg_total,
                 rho=rho,
+                rho_peak=rho_peak,
                 rho_doublings=doublings,
                 L=L_t,
             )

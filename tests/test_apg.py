@@ -34,11 +34,18 @@ from almkit.prox import (
 from helpers import fancy_index_box_distance
 
 
-def nan_prox_function() -> ProxCapableFunction:
+def nan_prox_function(calls=None) -> ProxCapableFunction:
     """A faulty prox that returns NaN, with the orthant-ball distance, which
-    reads x and so turns a NaN iterate into a NaN distance."""
+    reads x and so turns a NaN iterate into a NaN distance.  ``calls[0]``,
+    when given, counts the prox calls."""
+
+    def prox(v, step):
+        if calls is not None:
+            calls[0] += 1
+        return np.full_like(v, np.nan)
+
     return ProxCapableFunction(
-        prox_fn=lambda v, step: np.full_like(v, np.nan),
+        prox_fn=prox,
         value_fn=lambda x: 0.0,
         subdiff_distance_fn=lambda x, v: _nonneg_ball_distance(x, v, 10.0),
     )
@@ -195,6 +202,25 @@ class TestApgProperties:
         assert res.iterations == 1
         assert G.grad_evals == 2
 
+    def test_retry_at_the_rejected_point_makes_no_call(self):
+        # G = 32 x^2 on [-1, 1], from -1 with L = 1: the trial steps at
+        # L = 1, 2, ..., 32 all clip to 1, where the step test fails, and
+        # the one at L = 64 lands on 0.  The point 1 costs one call, not
+        # one per retry, and no point is evaluated twice.
+        points = []
+
+        def grad(x):
+            points.append(x.tobytes())
+            return 64.0 * x
+
+        H = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
+        res = apg_solve(grad, H, np.array([0.5]), 1.0, math.inf, 1e-6, L_init=1.0,
+                        grad_init=np.array([32.0]))
+        assert res.converged and res.x.tolist() == [0.0] and res.L == 64.0
+        one = np.array([1.0]).tobytes()
+        assert points.count(one) == 1
+        assert points == [np.array([-1.0]).tobytes(), one, np.array([0.0]).tobytes()]
+
 
 class TestApgErrors:
     def test_invalid_curvature_rejected(self):
@@ -258,34 +284,38 @@ class TestApgErrors:
     def test_nan_prox_fails_after_bounded_backtracking(self):
         # NaN fails the step test, so the estimate doubles from L_init = 1
         # up to L_G = 1024, where the step is accepted and the distance's
-        # output check fires: one gradient per trial step on top of the
-        # first three.
-        calls = [0]
+        # output check fires: 11 trial steps after the initialization prox.
+        # Every retry lands on the first trial's NaN bits and keeps its
+        # gradient, so the call makes three gradient calls: x_init, x_bar
+        # and the first trial point.
+        calls, prox_calls = [0], [0]
 
         def grad(x):
             calls[0] += 1
             return np.ones(2)
 
-        nan_prox = nan_prox_function()
+        nan_prox = nan_prox_function(prox_calls)
         with pytest.raises(NonFiniteValue):
             apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1024.0, 1e-6, max_iter=1000, L_init=1.0)
-        assert calls[0] == 3 + 10
+        assert (calls[0], prox_calls[0]) == (3, 1 + 11)
 
     def test_uncapped_nan_prox_fails_after_bounded_doubling(self):
         # Without a cap (L_G = inf) NaN keeps failing the step test; the
-        # step gives up after MAX_DOUBLINGS doublings of L_init = 1.
-        calls = [0]
+        # step gives up after MAX_DOUBLINGS doublings of L_init = 1, that is
+        # MAX_DOUBLINGS + 1 trial steps, whose retries keep the first
+        # trial's gradient.
+        calls, prox_calls = [0], [0]
 
         def grad(x):
             calls[0] += 1
             return np.ones(2)
 
-        nan_prox = nan_prox_function()
+        nan_prox = nan_prox_function(prox_calls)
         with pytest.raises(NonFiniteValue):
             apg_solve(
                 grad, nan_prox, np.zeros(2), 1.0, math.inf, 1e-6, max_iter=1000, L_init=1.0
             )
-        assert calls[0] == 3 + MAX_DOUBLINGS
+        assert (calls[0], prox_calls[0]) == (3, 1 + MAX_DOUBLINGS + 1)
 
     def test_uncapped_curvature_needs_a_finite_start(self):
         # A NaN start is refused under a finite cap too: it is not clipped

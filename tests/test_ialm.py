@@ -507,6 +507,38 @@ class TestSharedOuterLoop:
         assert public == {"gradient": 0, "evaluate": 0}
 
 
+CARRY_CASES = {
+    "lcqp": (lambda: gen_lcqp(3, 20, 1.0, seed=5).to_problem(), IalmConfig()),
+    "cluster": (
+        lambda: gen_clustering(
+            np.random.default_rng(3).standard_normal((12, 2)), r=3, s=100.0
+        ).to_problem(),
+        IalmConfig(eps=1e-2),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CARRY_CASES))
+def test_weak_convexity_scale_carries_across_subproblems(case, monkeypatch):
+    # Subproblem 0 knows no scale; subproblem k is given the largest
+    # estimate that subproblems 0..k-1 ran at.
+    make, config = CARRY_CASES[case]
+    known, peaks = [], []
+    ippm = almkit.ialm.ippm_solve
+
+    def recorded(*args, **kwargs):
+        known.append(kwargs["rho_known"])
+        sub = ippm(*args, **kwargs)
+        peaks.append(sub.rho_peak)
+        return sub
+
+    monkeypatch.setattr(almkit.ialm, "ippm_solve", recorded)
+    rep = ialm_solve(make(), config)
+    assert rep.success and len(known) == len(rep.records) >= 2
+    assert known == [0.0] + [max(peaks[: k + 1]) for k in range(len(peaks) - 1)]
+    assert all(RHO_FLOOR <= peak for peak in peaks) and max(known) > RHO_FLOOR
+
+
 def counted_ev(n=12, seed=0):
     """gen_ev(n, seed) with its constraint rebuilt as a counting linearized
     oracle: c(x) = x'Bx - 1 and v -> 2 v Bx from one B @ x."""

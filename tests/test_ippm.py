@@ -327,6 +327,81 @@ class TestAdaptiveWeakConvexity:
         )
 
 
+class TestKnownWeakConvexity:
+    def test_convex_problem_ignores_the_known_scale(self):
+        # No pair fails on a convex phi, so rho_known is never read: the
+        # solve is bit-identical for every value of it.
+        grad, _, psi = box_qp(np.array([0.5, 1.0, 3.0, 10.0, 40.0]), 3)
+        runs, calls = [], []
+        for rho_known in (0.0, 1e-3, 5.0, 1e6):
+            points = []
+
+            def logged(x, points=points):
+                points.append(x.tobytes())
+                return grad(x)
+
+            runs.append(ippm_solve(logged, psi, np.zeros(5), rho=math.inf, L_phi=math.inf,
+                                   eps=1e-6, L_init=40.0, rho_known=rho_known))
+            calls.append(points)
+        first = runs[0]
+        assert first.rho_doublings == 0 and first.rho_peak == first.rho == RHO_FLOOR
+        for res, points in zip(runs[1:], calls[1:]):
+            assert res.x.tobytes() == first.x.tobytes() and points == calls[0]
+            assert (res.outer_iterations, res.apg_iterations, res.stationarity, res.rho,
+                    res.rho_peak, res.rho_doublings, res.L) == (
+                first.outer_iterations, first.apg_iterations, first.stationarity,
+                first.rho, first.rho_peak, first.rho_doublings, first.L)
+
+    @pytest.mark.parametrize("rho_known", [0.0, 3.0, 30.0])
+    def test_first_failure_jumps_to_the_known_scale(self, monkeypatch, rho_known):
+        calls = recorded_apg_calls(monkeypatch)
+        grad, _, psi = box_qp(np.array([-2.0, 0.5, 3.0, 10.0, 40.0]), 3)
+        res = ippm_solve(grad, psi, np.zeros(5), rho=math.inf, L_phi=math.inf, eps=1e-6,
+                         L_init=40.0, rho_known=rho_known)
+        assert res.stationarity <= 1e-6 and res.rho_doublings >= 1
+        # One APG call per converged step and one per raise of rho.
+        assert len(calls) == res.outer_iterations + res.rho_doublings
+        mus = [mu for mu, _ in calls]
+        first = next(i for i, (_, r) in enumerate(calls) if r.stop == "pair_test")
+        assert mus[first + 1] == max(2.0 * mus[first], rho_known)
+        assert res.rho_peak == max(mus) >= rho_known
+        # Every later failure doubles.
+        for (mu, r), mu_next in zip(calls[first + 1:], mus[first + 2:]):
+            assert mu_next == (max(RHO_FLOOR, 0.5 * mu) if r.converged else 2.0 * mu)
+        # The failed-call bound of the module docstring, with grad phi's
+        # Lipschitz constant 40: rho stays at or below max(2 L, rho_known).
+        assert res.rho_peak <= max(2.0 * 40.0, rho_known)
+
+    def test_known_scale_saves_failed_calls(self):
+        grad, _, psi = box_qp(np.array([-2.0, 0.5, 3.0, 10.0, 40.0]), 3)
+        cold, warm = (
+            ippm_solve(grad, psi, np.zeros(5), rho=math.inf, L_phi=math.inf, eps=1e-6,
+                       L_init=40.0, rho_known=rho_known)
+            for rho_known in (0.0, 4.0)
+        )
+        assert warm.rho_doublings < cold.rho_doublings
+
+    def test_known_scale_above_the_cap_is_clipped(self, monkeypatch):
+        calls = recorded_apg_calls(monkeypatch)
+        grad, _, psi = box_qp(np.array([-2.0, 0.5, 3.0, 10.0, 40.0]), 3)
+        res = ippm_solve(grad, psi, np.zeros(5), rho=2.0, L_phi=40.0, eps=1e-6, rho_known=100.0)
+        assert res.stationarity <= 1e-6
+        first = next(i for i, (_, r) in enumerate(calls) if r.stop == "pair_test")
+        assert calls[first + 1][0] == 2.0 and res.rho_peak == 2.0
+
+    @pytest.mark.parametrize("rho_known", [math.nan, -1e-3, -math.inf, math.inf])
+    def test_invalid_known_scale_rejected_before_any_gradient(self, rho_known):
+        calls = []
+
+        def grad(x):
+            calls.append(x)
+            return x
+
+        with pytest.raises(ValueError, match="rho_known"):
+            ippm_solve(grad, zero_function(), np.zeros(2), 1.0, 1.0, 1e-6, rho_known=rho_known)
+        assert calls == []
+
+
 def box_qp_gap(d, seed):
     """Phi(0) - min Phi for box_qp(d, seed): the minimum is separable, each
     coordinate's at an end of [-1, 1] or at its stationary point inside."""
