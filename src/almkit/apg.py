@@ -35,7 +35,7 @@ which is how a NaN step fails fast without a cap.
 
 Stall guard.  On every domain a call stops unconverged after
 t_R + 2 * worst_case_iteration_bound(mu, L_max, eps, R^2, R^2) iterations
-(or ``max_iter``, if fewer), where L_max is the largest estimate it has
+(or MAX_ITER, if fewer), where L_max is the largest estimate it has
 accepted so far and R bounds the distance to the minimizer x*.  The worst
 case that holds for an adaptive call is the one at L_max: every step it
 took used a curvature at most L_max.  On a bounded domain R is the
@@ -85,11 +85,14 @@ from .core import (
     ProxCapableFunction,
     all_finite,
     as_vector,
-    check_iteration_limits,
     norm,
 )
 
-DEFAULT_MAX_ITER = 10**6
+# The fixed backstop under the stall guard, read at call time: a call stops
+# with "max_iter" after this many iterations.  It binds only when the
+# guard's budget exceeds it, as when R = stat_1 / mu overflows and the
+# worst case reads inf.
+MAX_ITER = 10**6
 
 # Backtracking factors for the curvature estimate (Beck & Teboulle 2009):
 # a rejected step doubles L, an accepted one shrinks it by 0.9.  Shrinking
@@ -152,7 +155,6 @@ def apg_solve(
     mu: float,
     L_G: float,
     eps: float,
-    max_iter: int = DEFAULT_MAX_ITER,
     *,
     L_init: Optional[float] = None,
     grad_init: Optional[Array] = None,
@@ -176,7 +178,6 @@ def apg_solve(
     # Written so that NaN fails.
     if not eps > 0:
         raise ValueError("eps must be positive")
-    check_iteration_limits(max_iter)
     x_init = as_vector(x_init, name="x_init")
     H._check_domain(x_init, "x_init")
     if grad_init is None:
@@ -200,7 +201,7 @@ def apg_solve(
     # on an unbounded domain stat_1 / mu (with t_R = 1), set below once the
     # first iterate is certified.
     R_sq, t_R = H.diameter**2, 0
-    budget, L_max = max_iter, 0.0
+    budget, L_max = MAX_ITER, 0.0
 
     t = 0
     while t < budget:
@@ -257,7 +258,7 @@ def apg_solve(
                 # A product, not ** 2, so that an overflow reads inf.
                 R_sq, t_R = (stat / mu) * (stat / mu), 1
             L_max = L
-            budget = min(max_iter, t_R + 2 * worst_case_iteration_bound(mu, L, eps, R_sq, R_sq))
+            budget = min(MAX_ITER, t_R + 2 * worst_case_iteration_bound(mu, L, eps, R_sq, R_sq))
         moved = x_next - x_prev
         if dx.dot(moved) > 0.0:
             x_bar, g_bar = x_next, g_next
@@ -267,7 +268,7 @@ def apg_solve(
         x_prev = x_next
         L = max(mu, STEP_DECAY * L)
     else:
-        stop = "max_iter" if t >= max_iter else "stall_guard"
+        stop = "max_iter" if t >= MAX_ITER else "stall_guard"
 
     return ApgResult(
         x=best_x,

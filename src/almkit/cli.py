@@ -160,6 +160,9 @@ class RunConfig:
             raise ValueError("at least one trial seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"duplicate trial seeds in {list(self.seeds)}")
+        # The generators key their streams by a 64-bit unsigned seed.
+        if not all(0 <= seed < 2**64 for seed in self.seeds):
+            raise ValueError(f"trial seeds must lie in [0, 2^64), got {list(self.seeds)}")
         if self.experiment == "cluster":
             self.source = load_points_csv(self.points_path)
         elif self.experiment == "custom":
@@ -391,7 +394,6 @@ def _add_solver_flags(p: argparse.ArgumentParser):
     p.add_argument("--growth-M", type=float, help="M for the practical policy")
     p.add_argument("--growth-q", type=int, help="q for the practical policy")
     p.add_argument("--max-outer", type=int, default=None)
-    p.add_argument("--max-inner", type=int, default=None)
     seeds = p.add_mutually_exclusive_group()
     seeds.add_argument("--seeds", type=str, default=None, help="comma-separated seed list")
     seeds.add_argument("--trials", type=int, default=None, help="number of trials (seeds 0..t-1)")

@@ -98,7 +98,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -140,12 +139,6 @@ def as_vector(x, n: Optional[int] = None, name: str = "x") -> Array:
     if not all_finite(v):
         raise NonFiniteValue(f"{name} contains NaN or Inf")
     return v
-
-
-def check_iteration_limits(*limits) -> None:
-    """Raise ValueError unless every limit is an integer of at least 1."""
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in limits):
-        raise ValueError(f"iteration limits must be positive integers, got {limits}")
 
 
 class SmoothOracle:

@@ -70,6 +70,7 @@ the one optional cap on the two estimates; without it both run uncapped.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -84,7 +85,6 @@ from .core import (
     _al_gradient,
     _kkt,
     _linearize_rows,
-    check_iteration_limits,
 )
 from .ippm import RHO_FLOOR, SubsolverStall, ippm_solve
 
@@ -189,6 +189,9 @@ def dual_step_size(
 class IalmConfig:
     """Solver configuration; defaults follow the bundled benchmark setup.
 
+    ``max_outer`` is the one iteration limit a caller sets: APG's stall
+    guard bounds every inner call, under the fixed backstops
+    ``apg.MAX_ITER`` and ``ippm.MAX_STEPS``.
     ``curvature_override`` maps (beta, multiplier norm) to (rho_hat, L_hat),
     caps on iPPM's weak-convexity estimate and APG's curvature estimate, for
     a caller with a proven bound; inf means no cap, and without an override
@@ -200,7 +203,6 @@ class IalmConfig:
     eps: float = 1e-3
     policy: DualStepPolicy = field(default_factory=PracticalDual)
     max_outer: int = 40
-    max_inner: int = 10**6
     curvature_override: Optional[CurvatureSchedule] = None
 
     def __post_init__(self):
@@ -216,7 +218,10 @@ class IalmConfig:
                 raise ValueError(f"{name} must be finite, got inf")
         if not isinstance(self.policy, DualStepPolicy):
             raise TypeError(f"policy must be a dual step policy, got {self.policy!r}")
-        check_iteration_limits(self.max_outer, self.max_inner)
+        # A bool is an Integral in Python, but not an iteration count.
+        n = self.max_outer
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"max_outer must be positive and an integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -358,7 +363,6 @@ def ialm_solve(problem: ProblemSpec, config: IalmConfig) -> SolveReport:
                 max(rho_hat, RHO_FLOOR),
                 L_hat,
                 sub_eps,
-                max_inner=config.max_inner,
                 L_init=L_est,
                 rho_known=rho_known,
             )

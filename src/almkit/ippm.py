@@ -46,11 +46,13 @@ and follows four rules:
   step (Beck & Teboulle's backtracking, SIAM J. Imaging Sci. 2009).
 
 iPPM fails in one way: an APG call that stops on its stall guard or at
-``max_inner``, whatever rho is, or ``max_outer`` proximal steps that end
-without the stop test holding, raise SubsolverStall; a returned result is
-always converged.  The ``rho`` given to ``ippm_solve`` is an optional cap,
-as L_phi is on APG's curvature estimate (inf means no cap for either); at
-the cap no pair is tested.
+its backstop ``apg.MAX_ITER``, whatever rho is, or MAX_STEPS proximal steps
+that end without the stop test holding, raise SubsolverStall; a returned
+result is always converged.  Neither limit is an argument: APG's stall
+guard bounds every inner call, and the two constants are fixed backstops
+(read at call time, so a test may lower them).  The ``rho`` given
+to ``ippm_solve`` is an optional cap, as L_phi is on APG's curvature
+estimate (inf means no cap for either); at the cap no pair is tested.
 
 What survives of the guarantees:
 
@@ -84,7 +86,7 @@ What survives of the guarantees:
   worst case at the rho it runs at and the largest curvature estimate it
   has accepted, from the diameter of dom psi or, on an unbounded domain,
   from the distance its first certified iterate proves (see
-  ``apg_solve``), and never after more than ``max_inner`` iterations.
+  ``apg_solve``), and never after more than ``apg.MAX_ITER`` iterations.
 - At a finite cap the method is the fixed-rho one, and its bounds hold
   whenever the cap bounds the weak convexity.  Below it, APG's iteration
   bound holds only on the step pairs it tested.
@@ -106,8 +108,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .apg import DEFAULT_MAX_ITER, apg_solve
-from .core import Array, ProxCapableFunction, as_vector, check_iteration_limits, norm
+from .apg import apg_solve
+from .core import Array, ProxCapableFunction, as_vector, norm
 
 # Starting weak-convexity estimate: the model of a convex phi is still
 # strongly convex for any positive rho, so "convex" starts just above 0.
@@ -117,11 +119,15 @@ RHO_FLOOR = 1e-6
 # call: on the benchmark's EV instance rho climbed to 34 at k = 0, which then
 # cost 2,722 gradients instead of 1,047, and the solve 5,123 instead of 3,349.
 RHO_DECAY = 0.5
+# The fixed backstop on proximal steps per call, read at call time.  The
+# step bound ceil(32 rho gap / eps^2) needs the objective gap, which iPPM
+# does not know; the benchmark and sweep solves take at most a few dozen.
+MAX_STEPS = 10**6
 
 
 class SubsolverStall(RuntimeError):
-    """An inner APG call stopped on its stall guard or at ``max_inner``, or
-    iPPM ran out of its ``max_outer`` proximal steps.
+    """An inner APG call stopped on its stall guard or at ``apg.MAX_ITER``,
+    or iPPM ran out of its MAX_STEPS proximal steps.
 
     An iALM solve that stalls sets ``grad_evals`` to the #Grad it spent.
     """
@@ -171,8 +177,6 @@ def ippm_solve(
     rho: float,
     L_phi: float,
     eps: float,
-    max_outer: int = DEFAULT_MAX_ITER,
-    max_inner: int = DEFAULT_MAX_ITER,
     *,
     L_init: Optional[float] = None,
     rho_known: float = 0.0,
@@ -186,8 +190,8 @@ def ippm_solve(
     at the call's first failed pair test, if doubling lands lower.
 
     Raises SubsolverStall when an inner APG call stops on its stall guard
-    or exhausts ``max_inner``, at any rho, or when ``max_outer`` proximal
-    steps end without the stop test holding.
+    or at ``apg.MAX_ITER``, at any rho, or when MAX_STEPS proximal steps end
+    without the stop test holding.
     """
     # Written so that NaN fails; L_phi = inf (no cap) passes.
     if not (rho > 0 and L_phi > 0 and eps > 0):
@@ -197,7 +201,6 @@ def ippm_solve(
     # Written so that NaN fails.
     if not 0 <= rho_known < math.inf:
         raise ValueError(f"rho_known must be nonnegative and finite, got {rho_known}")
-    check_iteration_limits(max_outer, max_inner)
     x0 = as_vector(x0, name="x0")
     psi._check_domain(x0, "x0")
 
@@ -211,7 +214,7 @@ def ippm_solve(
     g_k = grad(x0)
     L_t = L_init
 
-    for k in range(max_outer):
+    for k in range(MAX_STEPS):
         x_t, g_t, known = x_k, g_k, None
         while True:
             # This call's first (x, grad(x)).  A redo from the centre
@@ -230,7 +233,7 @@ def ippm_solve(
                 return g + 2.0 * r * (x - c)
 
             inner = apg_solve(
-                shifted, psi, x_t, rho, L_phi + 2.0 * rho, eps / 4.0, max_inner,
+                shifted, psi, x_t, rho, L_phi + 2.0 * rho, eps / 4.0,
                 L_init=L_t, grad_init=g_t, test_mu=rho < rho_cap, center=x_k,
             )
             apg_total += inner.iterations
@@ -240,7 +243,7 @@ def ippm_solve(
             if inner.converged:
                 break
             if inner.stop != "pair_test":
-                where = "its stall guard" if inner.stop == "stall_guard" else f"{max_inner=}"
+                where = "its stall guard" if inner.stop == "stall_guard" else "apg.MAX_ITER"
                 raise SubsolverStall(
                     f"inner APG stopped at {where} after {inner.iterations} iterations at "
                     f"rho={rho:.3g} without reaching stationarity {eps / 4.0:.3g}"
@@ -278,6 +281,6 @@ def ippm_solve(
         rho = max(rho_start, RHO_DECAY * rho)
 
     raise SubsolverStall(
-        f"iPPM ran {max_outer=} proximal steps at rho={rho:.3g} without the "
+        f"iPPM ran MAX_STEPS={MAX_STEPS} proximal steps at rho={rho:.3g} without the "
         f"proximal shift reaching {eps / 2.0:.3g}"
     )

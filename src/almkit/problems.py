@@ -46,6 +46,8 @@ STREAM_B = 5
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -306,7 +308,7 @@ def gen_clustering(points: np.ndarray, r: int, s: float, seed: int = 0) -> Clust
 
 def load_points_csv(path: str) -> np.ndarray:
     """Numeric rectangular CSV -> n x d matrix; a non-numeric first row is
-    treated as a header and skipped."""
+    treated as a header and skipped, and a nan or inf cell is refused."""
     rows: list[list[float]] = []
     width: Optional[int] = None
     first_content = True
@@ -322,6 +324,8 @@ def load_points_csv(path: str) -> np.ndarray:
                     continue
                 raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
             first_content = False
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{path}: line {lineno}: non-finite cell")
             if width is None:
                 width = len(vals)
             elif len(vals) != width:
@@ -356,9 +360,14 @@ def field_from_json(name: str, annotation: str, value):
     number (40 or 40.0), a ``float`` from any number but a boolean, a
     ``str``, ``dict`` or ``tuple`` from a JSON string, object or array, and
     an ``Optional[...]`` from null as well.  Other fields pass through.  A
-    value of the wrong type raises ValueError naming the key."""
+    value of the wrong type, or an array with a NaN entry, raises
+    ValueError naming the key."""
     if annotation == "np.ndarray":
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value, dtype=float)
+        # Infinite entries stay legal (a box may be unbounded); NaN is not.
+        if np.isnan(array).any():
+            raise ValueError(f"{name!r} holds NaN")
+        return array
     if annotation.startswith("Optional["):
         inner = annotation.removeprefix("Optional[")[:-1]
         return None if value is None else field_from_json(name, inner, value)

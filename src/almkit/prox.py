@@ -88,11 +88,14 @@ def _project_nonneg_ball(x: Array, radius: float) -> Array:
 
 
 def _box_bounds(box: BoxSet) -> tuple[Array, Array, Array, Array]:
-    """The box widened by the membership tolerance (scaled per coordinate),
-    which the box's value tests against, then the bounds at or beyond which
-    the distance kernel counts a coordinate active.  A pinned coordinate
-    (lower == upper) is active at both, wherever it sits within tolerance."""
-    scale = np.maximum(1.0, np.maximum(np.abs(box.lower), np.abs(box.upper)))
+    """The box widened by the membership tolerance (scaled per coordinate by
+    its finite bounds, so that an infinite bound leaves the other one
+    finite), which the box's value tests against, then the bounds at or
+    beyond which the distance kernel counts a coordinate active.  A pinned
+    coordinate (lower == upper) is active at both, wherever it sits within
+    tolerance."""
+    magnitude = np.abs(np.stack([box.lower, box.upper]))
+    scale = np.max(magnitude, axis=0, initial=1.0, where=np.isfinite(magnitude))
     pinned = box.lower == box.upper
     return (
         box.lower - _MEMBERSHIP_ATOL * scale,

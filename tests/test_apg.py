@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import almkit.apg
 from almkit.apg import (
     BACKTRACK_GROWTH,
     MAX_DOUBLINGS,
+    MAX_ITER,
     STEP_DECAY,
     ApgResult,
     apg_solve,
@@ -240,10 +242,11 @@ class TestApgErrors:
         with pytest.raises(ValueError):
             apg_solve(G.gradient, H, np.array([5.0]), mu=1.0, L_G=1.0, eps=1e-6)
 
-    def test_exhaustion_returns_best_iterate_flagged(self):
+    def test_exhaustion_returns_best_iterate_flagged(self, monkeypatch):
         d = np.array([1.0, 400.0])
         G = quadratic(d, np.array([1.0, 1.0]))
-        res = apg_solve(G.gradient, zero_function(), np.zeros(2), 1.0, 400.0, eps=1e-14, max_iter=3)
+        monkeypatch.setattr(almkit.apg, "MAX_ITER", 3)
+        res = apg_solve(G.gradient, zero_function(), np.zeros(2), 1.0, 400.0, eps=1e-14)
         assert not res.converged
         assert res.stop == "max_iter"
         assert res.iterations == 3
@@ -260,7 +263,7 @@ class TestApgErrors:
 
         nan_prox = nan_prox_function()
         with pytest.raises(NonFiniteValue):
-            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6, max_iter=1000)
+            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1.0, 1e-6)
         assert calls[0] == 3  # the initialization gradient plus one iteration
 
     def test_nan_iterate_is_never_certified(self):
@@ -296,7 +299,7 @@ class TestApgErrors:
 
         nan_prox = nan_prox_function(prox_calls)
         with pytest.raises(NonFiniteValue):
-            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1024.0, 1e-6, max_iter=1000, L_init=1.0)
+            apg_solve(grad, nan_prox, np.zeros(2), 1.0, 1024.0, 1e-6, L_init=1.0)
         assert (calls[0], prox_calls[0]) == (3, 1 + 11)
 
     def test_uncapped_nan_prox_fails_after_bounded_doubling(self):
@@ -312,9 +315,7 @@ class TestApgErrors:
 
         nan_prox = nan_prox_function(prox_calls)
         with pytest.raises(NonFiniteValue):
-            apg_solve(
-                grad, nan_prox, np.zeros(2), 1.0, math.inf, 1e-6, max_iter=1000, L_init=1.0
-            )
+            apg_solve(grad, nan_prox, np.zeros(2), 1.0, math.inf, 1e-6, L_init=1.0)
         assert (calls[0], prox_calls[0]) == (3, 1 + MAX_DOUBLINGS + 1)
 
     def test_uncapped_curvature_needs_a_finite_start(self):
@@ -333,17 +334,17 @@ class TestApgErrors:
         # Every gradient is at least 1e-100 in magnitude in floating point
         # (x - 0.3 is 0 or a multiple of 2^-54), so eps = 1e-150 is out of
         # reach; on the bounded box the call stops at twice the worst case
-        # at its largest accepted L (here the cap, 1), not at max_iter.
+        # at its largest accepted L (here the cap, 1), not at MAX_ITER.
         box = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
         eps = 1e-150
-        res = apg_solve(lambda x: x - 0.3 + 1e-100, box, np.zeros(1), 1.0, 1.0, eps, max_iter=20_000)
+        res = apg_solve(lambda x: x - 0.3 + 1e-100, box, np.zeros(1), 1.0, 1.0, eps)
         bound = worst_case_iteration_bound(1.0, 1.0, eps, 4.0, 4.0)
         assert not res.converged and res.stop == "stall_guard"
         assert res.iterations == 2 * bound < 20_000
         assert res.stationarity >= 1e-100
 
 
-    def test_uncertifiable_unbounded_call_stops_at_its_first_iterate_bound(self):
+    def test_uncertifiable_unbounded_call_stops_at_its_first_iterate_bound(self, monkeypatch):
         # On an unbounded domain the guard takes R = stat_1 / mu at the
         # first certified iterate, a bound on its distance to the minimizer
         # of the mu-strongly convex model, and stops one iteration after
@@ -352,19 +353,23 @@ class TestApgErrors:
             return x - 0.3 + 1e-100
 
         mu, eps = 0.5, 1e-150
-        first = apg_solve(grad, zero_function(), np.zeros(1), mu, 1.0, eps, max_iter=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(almkit.apg, "MAX_ITER", 1)
+            first = apg_solve(grad, zero_function(), np.zeros(1), mu, 1.0, eps)
         R = first.stationarity / mu
-        res = apg_solve(grad, zero_function(), np.zeros(1), mu, 1.0, eps, max_iter=20_000)
+        res = apg_solve(grad, zero_function(), np.zeros(1), mu, 1.0, eps)
         assert not res.converged and res.stop == "stall_guard"
         assert res.iterations == 1 + 2 * worst_case_iteration_bound(mu, 1.0, eps, R * R, R * R)
         assert res.iterations < 20_000
 
-    def test_overflowing_distance_bound_leaves_max_iter_as_the_budget(self):
+    def test_overflowing_distance_bound_leaves_max_iter_as_the_budget(self, monkeypatch):
         # At mu = 1e-300 the first iterate's R = stat_1 / mu squares past
-        # the float range: the worst case is inf, and max_iter stops the call.
+        # the float range: the worst case is inf, and the backstop MAX_ITER
+        # (lowered here) stops the call.
         assert worst_case_iteration_bound(1.0, 1.0, 1e-6, math.inf, math.inf) == math.inf
+        monkeypatch.setattr(almkit.apg, "MAX_ITER", 50)
         res = apg_solve(lambda x: x - 0.3 + 1e-100, zero_function(), np.zeros(1), 1e-300, 1.0,
-                        1e-150, max_iter=50)
+                        1e-150)
         assert not res.converged and res.stop == "max_iter" and res.iterations == 50
 
 def logged_box(box: BoxSet, certified: list) -> ProxCapableFunction:
@@ -447,8 +452,8 @@ class TestWorstCaseBound:
         assert worst_case_iteration_bound(1.0, 1.0, 10.0, 0.0, 0.0) == 1
 
 
-def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter, *, L_init=None, grad_init=None,
-                  test_mu=False):
+def reference_apg(grad, H, x_init, mu, L_G, eps, max_iter=MAX_ITER, *, L_init=None,
+                  grad_init=None, test_mu=False):
     """The APG loop as written with ``np.linalg.norm`` and one difference per
     use, kept verbatim as the reference the lean loop must replay."""
     L = L_G if L_init is None else min(L_G, max(mu, float(L_init)))
@@ -589,7 +594,7 @@ class TestApgReplay:
                 points.append(x.tobytes())
                 return grad(x)
 
-            res = solve(logged, h, problem.x0, mu, math.inf, 1e-8, 3000,
+            res = solve(logged, h, problem.x0, mu, math.inf, 1e-8,
                         L_init=problem.smooth.L, test_mu=test_mu)
             runs.append((res, points))
         (lean, lean_points), (ref, ref_points) = runs

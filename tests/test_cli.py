@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +111,7 @@ class TestBenchCampaign:
         (["solve", {"experiment": "cluster", "sizes": {"r": 2, "s": 5}}], '"points_path"'),
         (["solve", {"experiment": "custom"}], '"instance_path"'),
         (["bench-lcqp", "--eps", "nan"], "eps must be positive, got nan"),
-        (["bench-lcqp", *TINY, "--max-outer", "0"], "got (0, 1000000)"),
+        (["bench-lcqp", *TINY, "--max-outer", "0"], "max_outer must be positive"),
         (["solve", {**LCQP, "solver": {"penalty_mode": "false"}}],
          "unknown 'solver' key 'penalty_mode'"),
         (["solve", {**LCQP, "solver": {"max_outer": 40.7}}], "'max_outer' needs"),
@@ -143,6 +144,9 @@ class TestBenchCampaign:
          "unknown dual policy variant 'power'"),
         (["bench-lcqp", *TINY, "--w0", "2"], "unknown 'policy' key 'w0'"),
         (["solve", {"experiment": "custom", "instance_path": "NO_Q"}], "needs key 'Q'"),
+        (["solve", {**LCQP, "solver": {"max_inner": 10**6}}], "unknown 'solver' key 'max_inner'"),
+        (["bench-lcqp", *TINY, "--seeds=-1"], "trial seeds must lie in [0, 2^64), got [-1]"),
+        (["solve", {**LCQP, "seeds": [0, 2**64]}], f"must lie in [0, 2^64), got [0, {2**64}]"),
     ],
 )
 def test_usage_error_exits_2_with_one_line(tmp_path, capsys, args, bad):
@@ -208,6 +212,8 @@ def test_jobs_is_not_a_flag(tmp_path, capsys):
         ([], "almkit: error: the following arguments are required: command"),
         (["bench-lcqp", "--m", "4", "--n", "40", "--seeds", "0", "--trials", "3"],
          "almkit bench-lcqp: error: argument --trials: not allowed with argument --seeds"),
+        (["bench-lcqp", "--m", "4", "--n", "40", "--max-inner", "5"],
+         "almkit: error: unrecognized arguments: --max-inner 5"),
     ],
 )
 def test_argparse_usage_error_is_one_line_on_stderr(tmp_path, capsys, args, message):
@@ -229,7 +235,7 @@ class TestSolverCodec:
     )
     def test_round_trip_through_json(self, policy, drop_defaults):
         cfg = IalmConfig(
-            beta0=0.5, sigma=2.0, eps=1e-4, policy=policy, max_outer=7, max_inner=500,
+            beta0=0.5, sigma=2.0, eps=1e-4, policy=policy, max_outer=7,
         )
         data = json.loads(json.dumps(cli.solver_to_dict(cfg)))
         if drop_defaults:
@@ -406,12 +412,14 @@ class TestReport:
         assert cli.main(["bench-lcqp", *TINY, "--seeds", "1,0", "--out", str(tmp_path)]) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
 
-    def test_stalled_trial_is_strict_json(self, tmp_path, capsys):
+    def test_stalled_trial_is_strict_json(self, tmp_path, capsys, monkeypatch):
         def reject(constant):
             raise ValueError(f"{constant} is not RFC 8259 JSON")
 
-        rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", "--max-inner", "1",
-                       "--out", str(tmp_path)])
+        # One APG iteration per call certifies nothing, so the first
+        # subproblem stalls.
+        monkeypatch.setattr("almkit.apg.MAX_ITER", 1)
+        rc = cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
         assert rc == 1
         trial = json.loads((tmp_path / "trial_0.json").read_text(), parse_constant=reject)
         assert trial["termination"].startswith("subsolver_stall")
@@ -423,6 +431,20 @@ class TestReport:
         assert row["pres"] is None and row["dres"] is None and row["time"] is None
         assert row["grad_evals"] == trial["grad_evals"] and row["success"] is False
         assert read_csv(tmp_path / "summary.csv")[1][1:4] == ["nan"] * 3
+
+    def test_trial_file_with_a_retired_solver_key_reverifies(self, tmp_path, capsys):
+        # Trial files written while IalmConfig had max_inner carry it in
+        # their solver block; the report reads only eps there.
+        cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert cli.main(["report", str(tmp_path)]) == 0
+        before = capsys.readouterr().out
+        path = tmp_path / "trial_0.json"
+        data = json.loads(path.read_text())
+        data["solver"]["max_inner"] = 10**6
+        path.write_text(json.dumps(data))
+        assert cli.main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == before
 
     def test_exit_code_recomputed_from_tampered_iterate(self, tmp_path):
         cli.main(["bench-lcqp", *TINY, "--trials", "1", "--out", str(tmp_path)])
@@ -569,18 +591,34 @@ class TestSolveConfig:
         assert "missing.file" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("case", ["generator", "instance"])
+    @pytest.mark.parametrize("case", ["generator", "instance", "seed", "points_cell", "nan_entry"])
     def test_input_error_leaves_no_output_directory(self, tmp_path, capsys, case):
-        # A generator's parameter error is raised while the trials are built,
-        # and an instance file's missing field while the config is read.
-        if case == "generator":
-            argv = ["bench-lcqp", *TINY, "--rho", "nan", "--trials", "1"]
-        else:
-            inst_path = write_instance_without_q(tmp_path / "inst.json")
-            argv = ["solve", str(self.write_config(tmp_path, experiment="custom",
-                                                   instance_path=str(inst_path)))]
-        assert cli.main([*argv, "--out", str(tmp_path / "o3")]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
+        # A generator's parameter error is raised while the trials are built;
+        # an instance file's missing field or NaN entry, a points file's
+        # non-finite cell and a seed the generators cannot key a stream by
+        # while the config is read.  Each is named in the one stderr line.
+        points = tmp_path / "points.csv"
+        points.write_text("x,y\n0,1\n2,inf\n3,4\n")
+        inst_path = write_instance_without_q(tmp_path / "inst.json")
+        if case == "nan_entry":
+            instance = instance_to_dict(gen_lcqp(3, 12, 1.0, 0))
+            instance["Q"][1][2] = math.nan
+            inst_path.write_text(json.dumps(instance))
+        custom = ["solve", str(self.write_config(tmp_path, experiment="custom",
+                                                 instance_path=str(inst_path)))]
+        argv, named = {
+            "generator": (["bench-lcqp", *TINY, "--rho", "nan", "--trials", "1"], "rho"),
+            "instance": (custom, "needs key 'Q'"),
+            "seed": (["bench-lcqp", *TINY, "--seeds=-1"], "[-1]"),
+            "points_cell": (["bench-cluster", "--points", str(points), "--r", "2"],
+                            f"{points}: line 3: non-finite cell"),
+            "nan_entry": (custom, "'Q' holds NaN"),
+        }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path / "o3")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
         assert not (tmp_path / "o3").exists()
 
     def test_policy_flag_overlays_the_files_policy(self, tmp_path):

@@ -135,14 +135,16 @@ def inner_call(solver, *params, **options):
     return lambda: solver(never_called, zero_function(), np.zeros(2), *params, **options)
 
 
-# Each builds a solver object, or calls an inner solver, with one NaN or
-# fractional parameter, which a "<= 0" test or a later range() let through.
+# Each builds a solver object, or calls an inner solver, with one NaN,
+# fractional or boolean parameter, which a "<= 0" test or a later range()
+# let through.
 BAD_PARAMETERS = {
     "eps": lambda: IalmConfig(eps=math.nan),
     "beta0": lambda: IalmConfig(beta0=math.nan),
     "sigma": lambda: IalmConfig(sigma=math.nan),
     "max_outer": lambda: IalmConfig(max_outer=2.5),
-    "max_inner": lambda: IalmConfig(max_inner=1e6),
+    # True is an Integral in Python; the CLI's reader refuses it too.
+    "max_outer_bool": lambda: IalmConfig(max_outer=True),
     "w0": lambda: TheoreticalDual(w0=math.nan),
     "M": lambda: PracticalDual(M=math.nan),
     "q": lambda: PracticalDual(q=math.nan),
@@ -150,10 +152,6 @@ BAD_PARAMETERS = {
     "ippm_rho": inner_call(ippm_solve, math.nan, 1.0, 1.0),
     "ippm_L_phi": inner_call(ippm_solve, 1.0, math.nan, 1.0),
     "apg_eps": inner_call(apg_solve, 1.0, 1.0, math.nan),
-    "ippm_max_outer": inner_call(ippm_solve, 1.0, 1.0, 1e-6, 2.5),
-    "ippm_max_inner": inner_call(ippm_solve, 1.0, 1.0, 1e-6, 10, 2.5),
-    "apg_max_iter": inner_call(apg_solve, 1.0, 1.0, 1e-6, 2.5),
-    "apg_max_iter_zero": inner_call(apg_solve, 1.0, 1.0, 1e-6, 0),
 }
 
 
@@ -351,7 +349,7 @@ class TestPenaltyMode:
                 rho_hat, L_hat = curvature(beta, 0.0)
                 sub = ippm_solve(
                     lambda u: al_gradient_smooth(u, y, beta, prob), prob.nonsmooth, x,
-                    max(rho_hat, RHO_FLOOR), L_hat, eps_k, max_inner=cfg.max_inner, L_init=L_k,
+                    max(rho_hat, RHO_FLOOR), L_hat, eps_k, L_init=L_k,
                 )
                 x, L_k = sub.x, sub.L
                 assert np.array_equal(rec.x, x)
@@ -465,11 +463,12 @@ class TestSharedOuterLoop:
             assert rec.sub_s + rec.cert_s <= rec.seconds - since
             since = rec.seconds
 
-    def test_stall_reports_the_gradients_spent(self, block):
+    def test_stall_reports_the_gradients_spent(self, block, monkeypatch):
         make, solve = SOLVERS[block]
         problem, calls = with_counted_gradient(make())
+        monkeypatch.setattr("almkit.apg.MAX_ITER", 1)
         with pytest.raises(SubsolverStall) as stall:
-            solve(problem, IalmConfig(max_inner=1))
+            solve(problem, IalmConfig())
         assert stall.value.grad_evals == calls[0] > 0
 
     def test_nan_gradient_fails_fast(self, block):

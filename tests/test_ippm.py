@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import almkit.apg
 import almkit.ippm
 from almkit.core import SmoothOracle
 from almkit.ippm import RHO_FLOOR, SubsolverStall, ippm_solve, outer_iteration_bound
@@ -453,27 +454,28 @@ class TestIppmErrors:
                 convex_quadratic(1).gradient, psi, np.array([5.0]), rho=1.0, L_phi=1.0, eps=1e-6
             )
 
-    def test_underestimated_rho_stalls_with_diagnostic(self):
+    def test_underestimated_rho_stalls_with_diagnostic(self, monkeypatch):
         # phi = -(5/2) x^2 is 5-weakly convex; claiming rho = 0.1 leaves the
         # shifted model nonconvex and unbounded, so APG cannot certify.
         phi = concave_scalar(5.0)
+        monkeypatch.setattr(almkit.apg, "MAX_ITER", 300)
         with pytest.raises(SubsolverStall, match="rho"):
             ippm_solve(
                 phi.gradient, zero_function(), np.array([1.0]), rho=0.1, L_phi=5.0, eps=1e-8,
-                max_inner=300,
             )
 
-    def test_tiny_eps_stalls_instead_of_dividing_by_zero(self):
+    def test_tiny_eps_stalls_instead_of_dividing_by_zero(self, monkeypatch):
         # (eps/4)^2 underflows to 0 at eps = 1e-170; APG's stall budget is
         # formed in log space and stays finite.  No float iterate is
         # stationary to 2.5e-171, so the first call stops unconverged (here
-        # at max_inner) and raises.
+        # at a lowered MAX_ITER) and raises.
         psi = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
+        monkeypatch.setattr(almkit.apg, "MAX_ITER", 50)
         with pytest.raises(SubsolverStall, match="rho"):
-            ippm_solve(lambda x: x - 0.3, psi, np.zeros(1), 1.0, 1.0, 1e-170, max_inner=50)
+            ippm_solve(lambda x: x - 0.3, psi, np.zeros(1), 1.0, 1.0, 1e-170)
 
     def test_stall_raises_after_one_apg_call(self, monkeypatch):
-        # Below any cap, a call that stops at max_inner raises at once
+        # Below any cap, a call that stops at MAX_ITER raises at once
         # instead of doubling rho and trying again.  The steps before it
         # stop on the relative test, far above eps/4.
         calls = recorded_apg_calls(monkeypatch)
@@ -484,8 +486,9 @@ class TestIppmErrors:
             return x - 0.3
 
         psi = box_indicator(BoxSet.cube(-1.0, 1.0, 1))
-        with pytest.raises(SubsolverStall, match="max_inner"):
-            ippm_solve(grad, psi, np.zeros(1), 1.0, 1.0, 1e-170, max_inner=10_000)
+        monkeypatch.setattr(almkit.apg, "MAX_ITER", 10_000)
+        with pytest.raises(SubsolverStall, match="at apg.MAX_ITER after 10000 iterations"):
+            ippm_solve(grad, psi, np.zeros(1), 1.0, 1.0, 1e-170)
         *steps, (_, stalled) = calls
         assert stalled.stop == "max_iter" and stalled.iterations == 10_000
         assert all(r.converged and r.stationarity > 1e-170 / 4.0 for _, r in steps)
@@ -494,12 +497,13 @@ class TestIppmErrors:
         # extrapolated point, a step rejected at 0.9 L_G and one at L_G.
         assert evals[0] <= 1 + 3 * sum(r.iterations for _, r in calls)
 
-    def test_max_outer_exhaustion_flags_failure(self):
+    def test_max_outer_exhaustion_flags_failure(self, monkeypatch):
         # Running out of proximal steps is a stall, like an APG call that
         # runs out of iterations: no unconverged result is returned.
         psi = box_indicator(BoxSet(np.array([-1.0]), np.array([1.0])))
-        with pytest.raises(SubsolverStall, match="max_outer=1 "):
+        monkeypatch.setattr(almkit.ippm, "MAX_STEPS", 1)
+        with pytest.raises(SubsolverStall, match="MAX_STEPS=1 "):
             ippm_solve(
                 concave_scalar(1.0).gradient, psi, np.array([0.01]), rho=1.0, L_phi=1.0,
-                eps=1e-12, max_outer=1,
+                eps=1e-12,
             )

@@ -73,6 +73,13 @@ class TestGenLcqp:
         with pytest.raises(ValueError, match="rho must be positive, got nan"):
             gen_lcqp(2, 10, math.nan, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_stream_key_range_rejected(self, seed):
+        # Philox keys are 64-bit unsigned; numpy would raise OverflowError.
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            gen_lcqp(4, 40, 1.0, seed)
+        assert gen_lcqp(4, 40, 1.0, 2**64 - 1).seed == 2**64 - 1
+
     def test_problem_ledger_consistency(self):
         inst = gen_lcqp(3, 12, 1.0, seed=2)
         prob = inst.to_problem()
@@ -264,6 +271,13 @@ class TestCsvLoader:
         with pytest.raises(ValueError, match="line 2"):
             load_points_csv(str(path))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        path = tmp_path / "pts.csv"
+        path.write_text(f"1.0,2.0\n3.0,{cell}\n")
+        with pytest.raises(ValueError, match=f"^{path}: line 2: non-finite cell$"):
+            load_points_csv(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("")
@@ -308,6 +322,22 @@ class TestInstanceSerialization:
         data = instance_to_dict(gen_clustering(points, r=2, s=3.0)) | {key: bad}
         with pytest.raises(ValueError, match=f"^'{key}' needs a JSON"):
             instance_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["Q", "x0"])
+    def test_nan_entry_names_the_key(self, key):
+        data = json.loads(json.dumps(instance_to_dict(gen_lcqp(2, 4, 1.0, seed=0))))
+        if key == "Q":
+            data["Q"][1][2] = math.nan
+        else:
+            data["x0"][0] = math.nan
+        with pytest.raises(ValueError, match=f"^'{key}' holds NaN$"):
+            instance_from_dict(data)
+
+    def test_infinite_box_bound_stays_legal(self):
+        data = instance_to_dict(gen_lcqp(2, 4, 1.0, seed=0))
+        data["upper"][0] = math.inf
+        back = instance_from_dict(json.loads(json.dumps(data)))
+        assert back.upper[0] == math.inf
 
     def test_format_version_enforced(self):
         data = instance_to_dict(gen_ev(5, seed=0))

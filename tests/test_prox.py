@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from almkit.core import DimensionMismatch, NonFiniteValue, norm
+from almkit.ippm import ippm_solve
 from helpers import fancy_index_box_distance, fancy_index_nonneg_distance
 from almkit.prox import (
     _box_bounds,
@@ -110,6 +111,35 @@ def box_cone_membership(x, v, box):
         if xi >= hi and xi > lo and vi < 0.0:
             return False
     return True
+
+
+# A box with one infinite bound per row: the finite bound keeps its
+# membership test, with the tolerance its own magnitude sets.
+HALF_INFINITE_BOXES = [
+    # lower, upper, a point past the finite bound, a point inside
+    ([0.0, -1.0], [math.inf, 1.0], [-5.0, 0.0], [1e100, -1.0 - 1e-13]),
+    ([-math.inf], [2.0], [9.0], [-1e100]),
+]
+
+
+class TestHalfInfiniteBox:
+    @pytest.mark.parametrize("lower, upper, outside, inside", HALF_INFINITE_BOXES)
+    def test_finite_bound_keeps_its_membership_test(self, lower, upper, outside, inside):
+        h = box_indicator(BoxSet(np.array(lower), np.array(upper)))
+        assert h.value(np.array(outside)) == math.inf
+        assert h.value(np.array(inside)) == 0.0
+        with pytest.raises(ValueError, match="outside the domain"):
+            h.subdiff_distance(np.array(outside), np.zeros(len(lower)))
+
+    @pytest.mark.parametrize("lower, upper, outside, inside", HALF_INFINITE_BOXES)
+    def test_point_past_the_finite_bound_refused_as_x0(self, lower, upper, outside, inside):
+        h = box_indicator(BoxSet(np.array(lower), np.array(upper)))
+
+        def grad(x):
+            raise AssertionError("gradient called")
+
+        with pytest.raises(ValueError, match="^x0 lies outside the domain"):
+            ippm_solve(grad, h, np.array(outside), 1.0, 1.0, 1e-6)
 
 
 class TestNormalConeBox:
